@@ -6,18 +6,24 @@ Subcommands:
     verify
     run            (execute a JSON scenario file)
 
+Every subcommand except ``run`` maps its flags onto a Scenario; ``run``
+reads one from a JSON file.  Both go through ``run_scenario``, which prints
+one JSON document on stdout; status lines go to stderr.
+
 Exit codes: 0 all checks passed / computation done, 1 numerical check
-failure (failing check names on stderr), 2 configuration or parse errors.
-The environment variable CASIMIR_LAB_SEED overrides any configured seed.
+failure (failing check names on stderr), 2 configuration, parse or file
+errors.  The environment variable CASIMIR_LAB_SEED overrides any
+configured seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -28,7 +34,7 @@ from . import forms3 as f3
 from . import rattleback as rb
 from .errors import BlowUpError, CasimirLabError, ConfigError, ParseError
 from .fluid import FluidState, euler_evolve, helicity
-from .verify import DEFAULT_SEED, SuiteConfig, report_json, run_suite
+from .verify import DEFAULT_SEED, SUITES, SuiteConfig, report_json, run_suite
 
 SCENARIO_KINDS = ("rattleback", "fluid-helicity", "fluid-euler", "foliation-gv",
                   "verify-all")
@@ -37,6 +43,12 @@ TAIL_WARN_FRACTION = 1e-8
 
 @dataclass
 class Scenario:
+    """One computation, read from a scenario file or from a subcommand's flags.
+
+    ``stride`` and ``suite`` are set by subcommand flags only; a scenario
+    file gets their defaults.  Every value is type-checked on construction.
+    """
+
     kind: str
     grid: int = 32
     profile: str | None = None
@@ -47,11 +59,59 @@ class Scenario:
     dt: float = 1e-3
     t_final: float = 1.0
     method: str = "rk4"
+    stride: int = 1
     seed: int = DEFAULT_SEED
+    suite: str = "all"
     tolerances: dict = field(default_factory=dict)
     out: str | None = None
     report: str | None = None
     dump_fields: str | None = None
+
+    def __post_init__(self):
+        _require(self.kind in SCENARIO_KINDS, "kind",
+                 f"one of {', '.join(SCENARIO_KINDS)}", self.kind)
+        _require(isinstance(self.ic, (list, tuple)) and len(self.ic) == 3
+                 and all(map(_is_real, self.ic)), "ic", "three finite reals", self.ic)
+        self.ic = tuple(float(v) for v in self.ic)
+        _require(_is_real(self.h), "h", "a finite number", self.h)
+        self.h = float(self.h)
+        for key in ("dt", "t_final"):
+            value = getattr(self, key)
+            _require(_is_real(value) and value > 0, key, "a positive finite number", value)
+            setattr(self, key, float(value))
+        self.seed = _seed_override(self.seed)
+        for key, low in (("grid", None), ("stride", 1), ("seed", 0)):
+            value = getattr(self, key)
+            _require(_is_int(value) and (low is None or value >= low), key,
+                     "an integer" if low is None else f"an integer >= {low}", value)
+        _require(self.method in ("rk4", "rk45"), "method", "'rk4' or 'rk45'", self.method)
+        _require(self.suite in ("all", *SUITES), "suite",
+                 f"one of {', '.join(['all', *SUITES])}", self.suite)
+        for key in ("profile", "scale", "field_spec", "out", "report", "dump_fields"):
+            value = getattr(self, key)
+            _require(value is None or isinstance(value, str),
+                     "field" if key == "field_spec" else key, "a string", value)
+        _require(isinstance(self.tolerances, dict)
+                 and all(map(_is_real, self.tolerances.values())), "tolerances",
+                 "an object of check-name: bound", self.tolerances)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _require(ok: bool, key: str, what: str, value) -> None:
+    if not ok:
+        raise ConfigError(f"{key!r} must be {what}, got {value!r}")
 
 
 _SCENARIO_KEYS = {
@@ -76,26 +136,19 @@ def load_config(path: str) -> Scenario:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     if "kind" not in doc:
         raise ConfigError("config is missing the required key 'kind'")
-    if doc["kind"] not in SCENARIO_KINDS:
-        raise ConfigError(
-            f"unknown kind {doc['kind']!r}; expected one of {', '.join(SCENARIO_KINDS)}")
-    sc = Scenario(kind=doc["kind"])
-    for key, value in doc.items():
-        if key == "kind":
-            continue
-        attr = "field_spec" if key == "field" else key
-        if key == "ic":
-            value = tuple(float(v) for v in value)
-        setattr(sc, attr, value)
-    if not isinstance(sc.tolerances, dict):
-        raise ConfigError("'tolerances' must be an object of check-name: bound")
-    sc.seed = _seed_override(sc.seed)
-    return sc
+    return Scenario(**{("field_spec" if key == "field" else key): value
+                       for key, value in doc.items()})
 
 
-def _seed_override(seed) -> int:
+def _seed_override(seed):
+    """CASIMIR_LAB_SEED, when set, replaces any configured seed."""
     env = os.environ.get("CASIMIR_LAB_SEED")
-    return int(env) if env else int(seed)
+    if not env:
+        return seed
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigError(f"CASIMIR_LAB_SEED must be an integer, got {env!r}") from None
 
 
 def _parse_expr(text: str, what: str):
@@ -167,176 +220,142 @@ def write_trajectory_csv(path: str, tr: rb.Trajectory) -> None:
                header="t,p,r,s,H,C", comments="")
 
 
-# --- subcommand handlers -----------------------------------------------------
+# --- scenario runners -----------------------------------------------------------
 
-def cmd_rattleback_simulate(args) -> int:
-    try:
-        ic = tuple(float(v) for v in args.ic.split(","))
-        if len(ic) != 3:
-            raise ValueError
-    except ValueError:
-        print(f"error: --ic must be three comma-separated reals, got {args.ic!r}",
-              file=sys.stderr)
-        return 2
-    method = {"rk4": "rk4", "rk45": "rk45"}[args.method]
-    tr = rb.integrate(rb.RattlebackState(*ic), args.h, dt=args.dt,
-                      t_final=args.t_final, method=method, stride=args.stride)
-    if args.out:
-        write_trajectory_csv(args.out, tr)
-        print(f"wrote {len(tr.times)} samples to {args.out}")
-    else:
-        h_drift = float(np.abs(tr.hamiltonians - tr.hamiltonians[0]).max())
-        print(json.dumps({"samples": len(tr.times), "H0": tr.hamiltonians[0],
-                          "H_drift_abs": h_drift,
-                          "final": list(tr.states[-1])}, indent=2))
-    return 0
+def _status(message: str) -> None:
+    print(message, file=sys.stderr)
 
 
-def cmd_rattleback_verify(args) -> int:
-    cfg = SuiteConfig(seed=_seed_override(args.seed), rattleback_h=args.h)
-    report = run_suite("rattleback", cfg)
-    named = {c["check"]: {"residual": c["value"], "tolerance": c["tolerance"],
-                          "pass": c["pass"]}
-             for c in report["checks"]}
-    print(json.dumps(named, indent=2, sort_keys=True))
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(report_json(report))
-    return 0 if report["passed"] else 1
+def _needs(sc: Scenario, value, key: str):
+    if not value:
+        raise ConfigError(f"{sc.kind} scenario needs {key!r}")
+    return value
 
 
-def cmd_fluid_helicity(args) -> int:
-    alpha = parse_field_spec(args.field, args.grid)
-    print(json.dumps({"helicity": helicity(alpha), "grid": alpha.grid.n}, indent=2))
-    return 0
+def _run_rattleback(sc: Scenario) -> dict:
+    tr = rb.integrate(rb.RattlebackState(*sc.ic), sc.h, dt=sc.dt,
+                      t_final=sc.t_final, method=sc.method, stride=sc.stride)
+    if sc.out:
+        write_trajectory_csv(sc.out, tr)
+        _status(f"wrote {len(tr.times)} samples to {sc.out}")
+    h0 = tr.hamiltonians[0]
+    h_drift = float(np.abs(tr.hamiltonians - h0).max())
+    return {"samples": len(tr.times), "H0": h0, "H_drift_abs": h_drift,
+            "H_drift_rel": h_drift / max(abs(h0), 1e-300),
+            "final": list(tr.states[-1])}
 
 
-def cmd_fluid_evolve(args) -> int:
-    alpha = parse_field_spec(args.field, args.grid)
-    state, diag = euler_evolve(FluidState(alpha), dt=args.dt, t_final=args.t_final)
-    if args.out:
+def _run_fluid_helicity(sc: Scenario) -> dict:
+    alpha = parse_field_spec(_needs(sc, sc.field_spec, "field"), sc.grid)
+    return {"helicity": helicity(alpha), "grid": alpha.grid.n}
+
+
+def _run_fluid_euler(sc: Scenario) -> dict:
+    alpha = parse_field_spec(_needs(sc, sc.field_spec, "field"), sc.grid)
+    state, diag = euler_evolve(FluidState(alpha), dt=sc.dt, t_final=sc.t_final)
+    if sc.out:
         table = np.column_stack([diag.times, diag.energies, diag.helicities])
-        np.savetxt(args.out, table, fmt="%.17g", delimiter=",",
+        np.savetxt(sc.out, table, fmt="%.17g", delimiter=",",
                    header="t,energy,helicity", comments="")
-        print(f"wrote diagnostics to {args.out}")
-    summary = {
-        "t_final": args.t_final,
-        "energy_initial": diag.energies[0],
-        "energy_final": diag.energies[-1],
-        "helicity_initial": diag.helicities[0],
-        "helicity_final": diag.helicities[-1],
+        _status(f"wrote diagnostics to {sc.out}")
+    if sc.dump_fields:
+        f3.io.save(sc.dump_fields, state.alpha)
+        _status(f"dumped final state to {sc.dump_fields}")
+    energies, helicities = diag.energies, diag.helicities
+    return {
+        "t_final": sc.t_final,
+        "energy_initial": energies[0],
+        "energy_final": energies[-1],
+        "helicity_initial": helicities[0],
+        "helicity_final": helicities[-1],
+        "energy_drift": float(abs(energies[-1] - energies[0])),
+        "helicity_drift": float(abs(helicities[-1] - helicities[0])),
     }
-    print(json.dumps(summary, indent=2))
-    if args.dump_fields:
-        f3.io.save(args.dump_fields, state.alpha)
-        print(f"dumped final state to {args.dump_fields}")
-    return 0
 
 
-def cmd_fluid_gv(args) -> int:
-    if args.preset != "graph":
-        print(f"error: unknown preset {args.preset!r}", file=sys.stderr)
-        return 2
-    grid = f3.Grid(args.grid)
-    prof_expr = _parse_expr(args.profile, "--profile")
-    if _expr_uses(prof_expr, {"x", "y"}):
-        print("error: --profile must be an expression in z only (graph preset)",
-              file=sys.stderr)
-        return 2
-    profile = _eval_expr_field(args.profile, grid, "--profile")
-    scale = _eval_expr_field(args.scale, grid, "--scale") if args.scale else None
-    alpha = fol.graph_foliation_form(grid, profile, scale)
-    state = fol.FoliatedState.from_alpha(alpha)
-    gv = fol.godbillon_vey(state)
-    print(f"GV = {gv:.15e}")
-    print(f"{'residual':35s} value")
-    for key, value in state.residuals.items():
-        print(f"{key:35s} {value:.6e}")
-    if args.report:
-        doc = {"gv": gv, "grid": grid.n, "profile": args.profile,
-               "scale": args.scale, "residuals": state.residuals}
-        with open(args.report, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-    return 0
+def _run_foliation_gv(sc: Scenario) -> dict:
+    text = _needs(sc, sc.profile, "profile")
+    if _expr_uses(_parse_expr(text, "profile"), {"x", "y"}):
+        raise ConfigError("profile must be an expression in z only (graph preset)")
+    grid = f3.Grid(sc.grid)
+    profile = _eval_expr_field(text, grid, "profile")
+    scale = _eval_expr_field(sc.scale, grid, "scale") if sc.scale else None
+    state = fol.FoliatedState.from_alpha(fol.graph_foliation_form(grid, profile, scale))
+    return {"gv": fol.godbillon_vey(state), "grid": grid.n, "profile": sc.profile,
+            "scale": sc.scale, "residuals": state.residuals}
 
 
-def _run_verify(suite: str, grid: int, seed, tolerances, report_path) -> int:
-    cfg = SuiteConfig(grid_n=grid, seed=_seed_override(seed),
-                      tolerances=tolerances or {})
-    report = run_suite(suite, cfg)
-    text = report_json(report)
-    if report_path:
-        with open(report_path, "w") as fh:
-            fh.write(text)
-        print(f"report written to {report_path}")
-    else:
-        print(text)
+_RUNNERS = {
+    "rattleback": _run_rattleback,
+    "fluid-helicity": _run_fluid_helicity,
+    "fluid-euler": _run_fluid_euler,
+    "foliation-gv": _run_foliation_gv,
+}
+
+
+def _run_verify(sc: Scenario, summary: bool) -> int:
+    cfg = SuiteConfig(grid_n=sc.grid, seed=sc.seed, tolerances=sc.tolerances,
+                      rattleback_h=sc.h)
+    report = run_suite(sc.suite, cfg)
+    if sc.report:
+        with open(sc.report, "w") as fh:
+            fh.write(report_json(report))
+        _status(f"report written to {sc.report}")
+    if summary:
+        named = {c["check"]: {"residual": c["value"], "tolerance": c["tolerance"],
+                              "pass": c["pass"]}
+                 for c in report["checks"]}
+        print(json.dumps(named, indent=2, sort_keys=True))
+    elif not sc.report:
+        print(report_json(report))
     if not report["passed"]:
-        print("failed checks: " + ", ".join(report["failed_checks"]), file=sys.stderr)
+        _status("failed checks: " + ", ".join(report["failed_checks"]))
         return 1
     return 0
 
 
-def cmd_fluid_verify(args) -> int:
-    return _run_verify(args.suite, args.grid, args.seed, {}, args.report)
+def run_scenario(sc: Scenario, *, summary: bool = False) -> int:
+    """Run a Scenario and print its JSON document; exit codes as for the CLI.
+
+    A verify scenario prints the full report unless it writes one to
+    ``report``; ``summary`` prints a {check: {residual, tolerance, pass}}
+    digest instead.  Other kinds print one document, which a ``report``
+    path (foliation-gv) also receives.
+    """
+    if sc.kind == "verify-all":
+        return _run_verify(sc, summary)
+    doc = {"kind": sc.kind, **_RUNNERS[sc.kind](sc)}
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    if sc.report:
+        with open(sc.report, "w") as fh:
+            fh.write(text)
+    print(text)
+    return 0
 
 
-def cmd_verify(args) -> int:
-    return _run_verify(args.suite, args.grid, args.seed, {}, args.report)
+# --- subcommands -----------------------------------------------------------------
+
+_SCENARIO_FIELDS = {f.name for f in fields(Scenario)}
+
+
+def _parse_ic(text: str) -> tuple:
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise ConfigError(
+            f"--ic must be three comma-separated reals, got {text!r}") from None
+
+
+def cmd_scenario(args) -> int:
+    """Map a subcommand's flags onto a Scenario and run it."""
+    values = {k: v for k, v in vars(args).items() if k in _SCENARIO_FIELDS}
+    if "ic" in values:
+        values["ic"] = _parse_ic(values["ic"])
+    return run_scenario(Scenario(**values), summary=args.summary)
 
 
 def cmd_run(args) -> int:
-    sc = load_config(args.config)
-    return run_scenario(sc)
-
-
-def run_scenario(sc: Scenario) -> int:
-    """Dispatch a Scenario; exit code contract as for the CLI."""
-    if sc.kind == "rattleback":
-        tr = rb.integrate(rb.RattlebackState(*sc.ic), sc.h, dt=sc.dt,
-                          t_final=sc.t_final, method=sc.method)
-        if sc.out:
-            write_trajectory_csv(sc.out, tr)
-        h_drift = float(np.abs(tr.hamiltonians - tr.hamiltonians[0]).max()
-                        / max(abs(tr.hamiltonians[0]), 1e-300))
-        print(json.dumps({"kind": sc.kind, "samples": len(tr.times),
-                          "H_drift_rel": h_drift}, indent=2))
-        return 0
-    if sc.kind == "fluid-helicity":
-        if not sc.field_spec:
-            raise ConfigError("fluid-helicity scenario needs 'field'")
-        alpha = parse_field_spec(sc.field_spec, sc.grid)
-        print(json.dumps({"kind": sc.kind, "helicity": helicity(alpha)}, indent=2))
-        return 0
-    if sc.kind == "fluid-euler":
-        if not sc.field_spec:
-            raise ConfigError("fluid-euler scenario needs 'field'")
-        alpha = parse_field_spec(sc.field_spec, sc.grid)
-        state, diag = euler_evolve(FluidState(alpha), dt=sc.dt, t_final=sc.t_final)
-        if sc.dump_fields:
-            f3.io.save(sc.dump_fields, state.alpha)
-        print(json.dumps({"kind": sc.kind,
-                          "energy_drift": float(abs(diag.energies[-1] - diag.energies[0])),
-                          "helicity_drift": float(abs(diag.helicities[-1]
-                                                      - diag.helicities[0]))}, indent=2))
-        return 0
-    if sc.kind == "foliation-gv":
-        if not sc.profile:
-            raise ConfigError("foliation-gv scenario needs 'profile'")
-        grid = f3.Grid(sc.grid)
-        profile = _eval_expr_field(sc.profile, grid, "profile")
-        scale = _eval_expr_field(sc.scale, grid, "scale") if sc.scale else None
-        state = fol.FoliatedState.from_alpha(
-            fol.graph_foliation_form(grid, profile, scale))
-        doc = {"kind": sc.kind, "gv": fol.godbillon_vey(state),
-               "residuals": state.residuals}
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        if sc.report:
-            with open(sc.report, "w") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-        return 0
-    # verify-all
-    return _run_verify("all", sc.grid, sc.seed, sc.tolerances, sc.report)
+    return run_scenario(load_config(args.config))
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -348,9 +367,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def scenario_parser(group, name, kind, help, summary=False):
+        p = group.add_parser(name, help=help)
+        p.set_defaults(func=cmd_scenario, kind=kind, summary=summary)
+        return p
+
+    def verify_flags(p, suites, default=None):
+        p.add_argument("--suite", choices=suites, default=default,
+                       required=default is None)
+        p.add_argument("--grid", type=int, default=32)
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--report", help="JSON report path")
+
     p_rat = sub.add_parser("rattleback", help="rattleback spinning-top engine")
     rat_sub = p_rat.add_subparsers(dest="subcommand", required=True)
-    p_sim = rat_sub.add_parser("simulate", help="integrate and write t,p,r,s,H,C")
+    p_sim = scenario_parser(rat_sub, "simulate", "rattleback",
+                            "integrate and write t,p,r,s,H,C")
     p_sim.add_argument("--h", type=float, required=True, help="shape parameter")
     p_sim.add_argument("--ic", required=True, help="initial p,r,s")
     p_sim.add_argument("--dt", type=float, default=1e-3)
@@ -358,51 +390,39 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--method", choices=("rk4", "rk45"), default="rk4")
     p_sim.add_argument("--stride", type=int, default=1, help="record every k-th step")
     p_sim.add_argument("--out", help="CSV output path")
-    p_sim.set_defaults(func=cmd_rattleback_simulate)
-    p_ver = rat_sub.add_parser("verify", help="run the rattleback invariant suite")
+    p_ver = scenario_parser(rat_sub, "verify", "verify-all",
+                            "run the rattleback invariant suite", summary=True)
+    p_ver.set_defaults(suite="rattleback")
     p_ver.add_argument("--h", type=float, default=-2.0)
     p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_ver.add_argument("--report", help="also write the full JSON report here")
-    p_ver.set_defaults(func=cmd_rattleback_verify)
 
     p_fluid = sub.add_parser("fluid", help="spectral torus fluid engine")
     fl_sub = p_fluid.add_subparsers(dest="subcommand", required=True)
-    p_hel = fl_sub.add_parser("helicity", help="helicity of a 1-form field")
-    p_hel.add_argument("--field", required=True,
+    p_hel = scenario_parser(fl_sub, "helicity", "fluid-helicity",
+                            "helicity of a 1-form field")
+    p_hel.add_argument("--field", dest="field_spec", required=True,
                        help="'ex,ey,ez' component expressions or an .f3rm path")
     p_hel.add_argument("--grid", type=int, default=32)
-    p_hel.set_defaults(func=cmd_fluid_helicity)
-    p_evo = fl_sub.add_parser("evolve", help="ideal Euler evolution")
-    p_evo.add_argument("--field", required=True)
+    p_evo = scenario_parser(fl_sub, "evolve", "fluid-euler", "ideal Euler evolution")
+    p_evo.add_argument("--field", dest="field_spec", required=True)
     p_evo.add_argument("--grid", type=int, default=32)
     p_evo.add_argument("--dt", type=float, default=1e-3)
     p_evo.add_argument("--t-final", type=float, default=0.5)
     p_evo.add_argument("--out", help="diagnostics CSV path")
     p_evo.add_argument("--dump-fields", help="write the final state container here")
-    p_evo.set_defaults(func=cmd_fluid_evolve)
-    p_gv = fl_sub.add_parser("gv", help="Godbillon-Vey of a graph foliation")
+    p_gv = scenario_parser(fl_sub, "gv", "foliation-gv",
+                           "Godbillon-Vey of a graph foliation")
     p_gv.add_argument("--preset", default="graph", choices=("graph",))
     p_gv.add_argument("--profile", required=True, help="slope a(z), expression in z")
     p_gv.add_argument("--scale", help="nonvanishing multiplier expression")
     p_gv.add_argument("--grid", type=int, default=32)
     p_gv.add_argument("--report", help="JSON report path")
-    p_gv.set_defaults(func=cmd_fluid_gv)
-    p_fv = fl_sub.add_parser("verify", help="run a fluid suite")
-    p_fv.add_argument("--suite", choices=("lie-poisson", "godbillon-vey"),
-                      required=True)
-    p_fv.add_argument("--grid", type=int, default=32)
-    p_fv.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_fv.add_argument("--report", help="JSON report path")
-    p_fv.set_defaults(func=cmd_fluid_verify)
+    verify_flags(scenario_parser(fl_sub, "verify", "verify-all", "run a fluid suite"),
+                 ("lie-poisson", "godbillon-vey"))
 
-    p_all = sub.add_parser("verify", help="run verification suites")
-    p_all.add_argument("--suite", default="all",
-                       choices=("all", "rattleback", "forms", "lie-poisson",
-                                "godbillon-vey"))
-    p_all.add_argument("--grid", type=int, default=32)
-    p_all.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_all.add_argument("--report", help="JSON report path")
-    p_all.set_defaults(func=cmd_verify)
+    verify_flags(scenario_parser(sub, "verify", "verify-all", "run verification suites"),
+                 ("all", *SUITES), default="all")
 
     p_run = sub.add_parser("run", help="execute a JSON scenario file")
     p_run.add_argument("--config", required=True)
@@ -415,7 +435,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code = args.func(args)
-    except (ConfigError, ParseError) as exc:
+    except (ConfigError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2
     except BlowUpError as exc:

@@ -9,7 +9,7 @@ tested by shifting alpha by exact forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,7 +121,6 @@ class EvolveDiagnostics:
     times: np.ndarray
     energies: np.ndarray
     helicities: np.ndarray
-    extra: dict = field(default_factory=dict)
 
 
 def euler_evolve(state: FluidState, dt: float, t_final: float,

@@ -115,12 +115,28 @@ def solve_gamma(alpha: Form1, eta: Form1) -> Form1:
     return interior(_reference_field(alpha), d(eta))
 
 
+def _solve_chi(alpha: Form1, da: Form2, eta: Form1, deta: Form2,
+               gamma: Form1) -> tuple[Form2, dict]:
+    """chi = 2 (eta ^ gamma - d(gamma)) and the relative residuals of the chain:
+    d(alpha) = alpha ^ eta, d(eta) = alpha ^ gamma, the solvability
+    certificate alpha ^ d(eta) = 0, alpha ^ chi = 0 and d(chi) = eta ^ chi."""
+    chi = 2.0 * (wedge(eta, gamma) - d(gamma))
+    dchi = d(chi)
+    return chi, {
+        "eta_defining": (da - wedge(alpha, eta)).l2() / max(da.l2(), 1e-30),
+        "gamma_defining": (deta - wedge(alpha, gamma)).l2() / max(deta.l2(), 1e-30),
+        "gamma_certificate": wedge(alpha, deta).l2()
+                             / max(alpha.l2() * deta.l2(), 1e-30),
+        "chi_tangency": wedge(alpha, chi).l2() / max(alpha.l2() * chi.l2(), 1e-30),
+        "chi_closure": (dchi - wedge(eta, chi)).l2()
+                       / max(dchi.l2(), eta.l2() * chi.l2(), 1e-30),
+    }
+
+
 def chi_from(alpha: Form1, eta: Form1, gamma: Form1, tol: float = CHI_TOL) -> Form2:
     """chi = 2 (eta ^ gamma - d(gamma)); verifies alpha^chi = 0 and d(chi) = eta^chi."""
-    chi = 2.0 * (wedge(eta, gamma) - d(gamma))
-    scale = max(chi.l2(), 1e-30)
-    r1 = wedge(alpha, chi).l2() / (alpha.l2() * scale)
-    r2 = (d(chi) - wedge(eta, chi)).l2() / max(d(chi).l2(), eta.l2() * scale, 1e-30)
+    chi, res = _solve_chi(alpha, d(alpha), eta, d(eta), gamma)
+    r1, r2 = res["chi_tangency"], res["chi_closure"]
     if max(r1, r2) > tol:
         raise InconsistencyError(
             f"chi identities failed: |alpha^chi| rel {r1:.3e}, "
@@ -158,21 +174,14 @@ class FoliatedState:
         eta = interior(x, da)
         deta = d(eta)
         gamma = interior(x, deta)
-        chi = 2.0 * (wedge(eta, gamma) - d(gamma))
+        chi, chain = _solve_chi(alpha, da, eta, deta, gamma)
 
         res = {
             "integrability": gate["relative_residual"],
             "min_abs_alpha": gate["min_abs"],
-            "eta_defining": (da - wedge(alpha, eta)).l2() / max(da.l2(), 1e-30),
-            "gamma_defining": (deta - wedge(alpha, gamma)).l2() / max(deta.l2(), 1e-30),
-            "gamma_certificate": wedge(alpha, deta).l2()
-                                 / max(alpha.l2() * deta.l2(), 1e-30),
+            **chain,
             "x_ref_normalization": float(
                 np.abs(np.sum(alpha.data * x.data, axis=0) - 1.0).max()),
-            "chi_tangency": wedge(alpha, chi).l2()
-                            / max(alpha.l2() * chi.l2(), 1e-30),
-            "chi_closure": (d(chi) - wedge(eta, chi)).l2()
-                           / max(d(chi).l2(), eta.l2() * chi.l2(), 1e-30),
             "helicity": abs(helicity(alpha)),
         }
         if strict:
@@ -200,19 +209,8 @@ def gauge_shift(state: FoliatedState, f: Form0, g: Form0) -> FoliatedState:
     alpha = state.alpha
     eta = state.eta + scale_by(f, alpha)
     gamma = state.gamma + scale_by(f, state.eta) - d(f) + scale_by(g, alpha)
-    da = d(alpha)
-    deta = d(eta)
-    chi = 2.0 * (wedge(eta, gamma) - d(gamma))
-    res = dict(state.residuals)
-    res.update({
-        "eta_defining": (da - wedge(alpha, eta)).l2() / max(da.l2(), 1e-30),
-        "gamma_defining": (deta - wedge(alpha, gamma)).l2() / max(deta.l2(), 1e-30),
-        "gamma_certificate": wedge(alpha, deta).l2()
-                             / max(alpha.l2() * deta.l2(), 1e-30),
-        "chi_tangency": wedge(alpha, chi).l2() / max(alpha.l2() * chi.l2(), 1e-30),
-        "chi_closure": (d(chi) - wedge(eta, chi)).l2()
-                       / max(d(chi).l2(), eta.l2() * chi.l2(), 1e-30),
-    })
+    chi, chain = _solve_chi(alpha, d(alpha), eta, d(eta), gamma)
+    res = {**state.residuals, **chain}
     return FoliatedState(alpha=alpha, eta=eta, gamma=gamma, chi=chi,
                          x_ref=state.x_ref, residuals=res)
 
@@ -252,10 +250,6 @@ class XiGenerator:
     f: Form0
     v: VectorField
     residuals: dict
-
-    @property
-    def nu(self) -> Form2:
-        return Form2(self.v.grid, self.v.data)
 
 
 def xi_generator(state: FoliatedState, f: Form0, tol: float = 1e-9) -> XiGenerator:

@@ -27,7 +27,6 @@ from .calculus import (
     interior,
     leray_project,
     lie_derivative,
-    rel_l2,
     sharp,
     vf_bracket,
     vorticity_from,

@@ -148,8 +148,3 @@ def contraction_identity_residual(v: VectorField, alpha: Form1) -> float:
     rhs = wedge(alpha, interior(v, volume_form(g)))
     return float(np.abs(lhs.data - rhs.data).max())
 
-
-def rel_l2(residual, *scales) -> float:
-    """L2 of residual divided by the largest reference scale (safe at zero)."""
-    denom = max([1e-300] + [s.l2() if hasattr(s, "l2") else float(s) for s in scales])
-    return residual.l2() / denom

@@ -1,25 +1,15 @@
-"""Hot numeric loops: numba-jitted by default, interpreted/numpy otherwise.
+"""Hot numeric loops: the rattleback RK4/RK45 integrators and point
+evaluation of the trigonometric interpolant.
 
-Set the environment variable ``CASIMIR_LAB_NUMBA=0`` to force the pure
-numpy/interpreted fallback path (useful for debugging and for the
-``benchmarks/`` comparison).  Both paths run the same floating-point
-operations, so results agree to the last few ulps.
+The integrators are interpreted scalar loops; their floating-point
+operations are fixed, so trajectories are IEEE-deterministic.  Point
+evaluation is a vectorized numpy contraction.
 """
-
-import os
 
 import numpy as np
 
-_FLAG = os.environ.get("CASIMIR_LAB_NUMBA", "1").strip().lower()
-if _FLAG in ("0", "false", "no", "off"):
-    _numba = None
-else:
-    try:
-        import numba as _numba
-    except ImportError:  # pragma: no cover - numba is a regular dependency
-        _numba = None
-
-USING_NUMBA = _numba is not None
+# Read by the verify report header ("numba") and the benchmark's machine facts.
+USING_NUMBA = False
 
 STATUS_OK = 0
 STATUS_NONFINITE = 1
@@ -31,7 +21,7 @@ STATUS_MAXSTEPS = 2
 # rhs = (-h*p*s, -r*s, r*r + h*p*p).
 # ---------------------------------------------------------------------------
 
-def _rk4_loop(p, r, s, h, dt, n_steps, stride, out):
+def rk4_loop(p, r, s, h, dt, n_steps, stride, out):
     """Fixed-step RK4.  Fills out[m] = (p, r, s) every ``stride`` steps.
 
     out[0] must hold the initial state.  Returns (rows_filled, status).
@@ -72,7 +62,7 @@ def _rk4_loop(p, r, s, h, dt, n_steps, stride, out):
     return m, STATUS_OK
 
 
-def _rk45_loop(p, r, s, h, t_final, rtol, atol, max_steps, t_out, x_out):
+def rk45_loop(p, r, s, h, t_final, rtol, atol, max_steps, t_out, x_out):
     """Adaptive Dormand-Prince 5(4).  Records every accepted step.
 
     t_out[0]/x_out[0] must hold the initial time and state.
@@ -191,32 +181,8 @@ def _rk45_loop(p, r, s, h, t_final, rtol, atol, max_steps, t_out, x_out):
 # n^3 + n^2 + n complex multiply-adds per point.
 # ---------------------------------------------------------------------------
 
-def _trig_eval_loop(coef, kvec, pts, out):
-    n = kvec.shape[0]
-    two_pi_i = 2j * np.pi
-    for a in range(pts.shape[0]):
-        ex = np.empty(n, np.complex128)
-        ey = np.empty(n, np.complex128)
-        ez = np.empty(n, np.complex128)
-        for i in range(n):
-            ex[i] = np.exp(two_pi_i * (kvec[i] * pts[a, 0]))
-            ey[i] = np.exp(two_pi_i * (kvec[i] * pts[a, 1]))
-            ez[i] = np.exp(two_pi_i * (kvec[i] * pts[a, 2]))
-        acc = 0.0 + 0.0j
-        for i in range(n):
-            row = 0.0 + 0.0j
-            for j in range(n):
-                inner = 0.0 + 0.0j
-                for k in range(n):
-                    inner += coef[i, j, k] * ez[k]
-                row += inner * ey[j]
-            acc += row * ex[i]
-        out[a] = acc.real
-    return out
-
-
-def trig_eval_numpy(coef, kvec, pts):
-    """Vectorized fallback: contract coefficient cube against per-point phases."""
+def trig_eval(coef, kvec, pts):
+    """Contract the coefficient cube against per-point phases, in chunks."""
     out = np.empty(pts.shape[0])
     chunk = 512
     for lo in range(0, pts.shape[0], chunk):
@@ -228,31 +194,3 @@ def trig_eval_numpy(coef, kvec, pts):
         t2 = np.einsum("mij,mj->mi", t1, ey)
         out[lo:hi] = np.einsum("mi,mi->m", t2, ex).real
     return out
-
-
-# Interpreted references are kept importable for the benchmark and for the
-# cross-path equivalence tests.
-rk4_loop_py = _rk4_loop
-rk45_loop_py = _rk45_loop
-
-if _numba is not None:
-    rk4_loop = _numba.njit(cache=True)(_rk4_loop)
-    rk45_loop = _numba.njit(cache=True)(_rk45_loop)
-    _trig_eval_jit = _numba.njit(cache=True)(_trig_eval_loop)
-
-    def trig_eval_numba(coef, kvec, pts):
-        out = np.empty(pts.shape[0])
-        _trig_eval_jit(coef, kvec, pts, out)
-        return out
-else:
-    rk4_loop = _rk4_loop
-    rk45_loop = _rk45_loop
-
-    def trig_eval_numba(coef, kvec, pts):
-        out = np.empty(pts.shape[0])
-        _trig_eval_loop(coef, kvec, pts, out)
-        return out
-
-# The vectorized contraction beats the serial jitted loop on few-core hosts
-# (see benchmarks/bench_kernels.py), so it is the default evaluation path.
-trig_eval = trig_eval_numpy

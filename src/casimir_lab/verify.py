@@ -11,7 +11,6 @@ byte.  Wall-clock timing is deliberately excluded from reports.
 from __future__ import annotations
 
 import json
-import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -41,8 +40,8 @@ DEFAULT_SEED = 1729
 
 # Frozen regression values for the chirality probe: h = -2, dt = 1e-3,
 # start (0.01, 0.02, 1.0).  The spin reverses to ~ -s0 near t = 5.18 and
-# swings back; the integration arithmetic is IEEE-deterministic on both
-# kernel paths, so the snapshot is tight.
+# swings back; the integration arithmetic is IEEE-deterministic, so the
+# snapshot is tight.
 CHIRALITY_IC = (0.01, 0.02, 1.0)
 CHIRALITY_S_MIN = -1.000011889760899
 CHIRALITY_S_RETURN = 1.0000118897643504
@@ -745,9 +744,3 @@ def run_suite(name: str, cfg: SuiteConfig | None = None) -> dict:
 def report_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True)
 
-
-def timed_run_suite(name: str, cfg: SuiteConfig | None = None) -> tuple[dict, float]:
-    """run_suite plus wall time, kept out of the report for determinism."""
-    t0 = time.perf_counter()
-    report = run_suite(name, cfg)
-    return report, time.perf_counter() - t0

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from casimir_lab import kernels
 from casimir_lab import rattleback as rb
 from casimir_lab.errors import BlowUpError, DomainError, InvalidParameterError
 
@@ -175,17 +174,6 @@ def test_chirality_reversal_snapshot():
     assert s.min() == pytest.approx(-1.000011889760899, abs=1e-9)
     assert s[i_min:].max() == pytest.approx(1.0000118897643504, abs=1e-9)
     assert np.any(np.diff(s) > 0) and np.any(np.diff(s) < 0)
-
-
-def test_kernel_paths_agree_bitwise():
-    n_steps = 5000
-    out_a = np.empty((n_steps + 1, 3))
-    out_b = np.empty((n_steps + 1, 3))
-    out_a[0] = out_b[0] = (0.1, 0.2, 1.0)
-    fa, sa = kernels.rk4_loop(0.1, 0.2, 1.0, -2.0, 1e-3, n_steps, 1, out_a)
-    fb, sb = kernels.rk4_loop_py(0.1, 0.2, 1.0, -2.0, 1e-3, n_steps, 1, out_b)
-    assert (fa, sa) == (fb, sb)
-    assert np.array_equal(out_a, out_b)
 
 
 def test_trajectory_invariants():

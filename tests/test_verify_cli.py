@@ -1,10 +1,11 @@
 import json
-import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from casimir_lab import cli
 from casimir_lab import forms3 as f3
@@ -212,10 +213,147 @@ def test_field_spec_nested_commas_ok():
     assert isinstance(alpha, f3.Form1)
 
 
-def test_numba_env_flag_selects_fallback():
-    env = dict(os.environ, CASIMIR_LAB_NUMBA="0")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from casimir_lab import kernels; print(kernels.USING_NUMBA)"],
-        capture_output=True, text=True, env=env)
-    assert out.stdout.strip() == "False"
+class TestScenarioTypes:
+    @pytest.mark.parametrize("doc, key", [
+        ({"kind": "rattleback", "ic": [1, 2]}, "'ic'"),
+        ({"kind": "rattleback", "ic": [1, 2, float("inf")]}, "'ic'"),
+        ({"kind": "rattleback", "ic": [1, True, 2]}, "'ic'"),
+        ({"kind": "rattleback", "dt": "a"}, "'dt'"),
+        ({"kind": "rattleback", "dt": -1e-3}, "'dt'"),
+        ({"kind": "rattleback", "t_final": 0}, "'t_final'"),
+        ({"kind": "rattleback", "h": None}, "'h'"),
+        ({"kind": "rattleback", "method": "euler"}, "'method'"),
+        ({"kind": "rattleback", "seed": 1.5}, "'seed'"),
+        ({"kind": "fluid-helicity", "grid": "32"}, "'grid'"),
+        ({"kind": "fluid-helicity", "field": 3}, "'field'"),
+        ({"kind": "foliation-gv", "profile": ["z"]}, "'profile'"),
+        ({"kind": "foliation-gv", "scale": 2}, "'scale'"),
+        ({"kind": "verify-all", "report": False}, "'report'"),
+        ({"kind": "verify-all", "tolerances": {"x": "big"}}, "'tolerances'"),
+        ({"kind": "verify-all", "tolerances": [1]}, "'tolerances'"),
+    ])
+    def test_bad_value_exit_2(self, tmp_path, capsys, doc, key):
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=key):
+            cli.load_config(str(path))
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must be")
+
+    def test_values_coerced(self, tmp_path):
+        path = tmp_path / "sc.json"
+        path.write_text('{"kind":"rattleback","ic":[0,1,2],"h":-2,"dt":1,"t_final":3}')
+        sc = cli.load_config(str(path))
+        assert sc.ic == (0.0, 1.0, 2.0)
+        assert [type(v) for v in (sc.h, sc.dt, sc.t_final)] == [float] * 3
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=st.dictionaries(st.sampled_from(sorted(cli._SCENARIO_KEYS) + ["bogus"]),
+                           _JSON, max_size=6),
+       kind=st.one_of(st.sampled_from(cli.SCENARIO_KINDS), _JSON))
+def test_load_config_gives_scenario_or_config_error(tmp_path, doc, kind):
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps({"kind": kind, **doc}))
+    try:
+        sc = cli.load_config(str(path))
+    except ConfigError:
+        return
+    assert isinstance(sc, cli.Scenario)
+
+
+# Scenarios that are cheap to run: short rattleback integrations and small
+# grids, with arbitrary JSON mixed into every value.
+_CHEAP_RUN = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["rattleback", "fluid-helicity", "foliation-gv"])},
+    optional={
+        "ic": st.lists(st.floats(-2, 2), min_size=3, max_size=3) | _JSON,
+        "h": st.floats(-3, 3) | _JSON,
+        "dt": st.sampled_from([1e-2, 1e-3, 3e-3]) | _JSON,
+        "t_final": st.floats(1e-3, 1.0) | _JSON,
+        "method": st.sampled_from(["rk4", "rk45"]) | _JSON,
+        "grid": st.sampled_from([4, 5, 8, -2]) | _JSON.filter(
+            lambda v: not isinstance(v, int) or isinstance(v, bool)),
+        "seed": _JSON,
+        "field": st.sampled_from(["sin(2*pi*z),cos(2*pi*z),0", "x,y", "1,1,exp(",
+                                  "nope.f3rm"]) | _JSON,
+        "profile": st.sampled_from(["0.1*sin(2*pi*z)", "0.1*sin(2*pi*y)", "z^", "x"])
+        | _JSON,
+        "scale": st.sampled_from(["exp(0.1*sin(2*pi*z))", "0", "-1"]) | _JSON,
+    })
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_CHEAP_RUN)
+def test_run_never_raises(tmp_path, capsys, doc):
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", "--config", str(path)]) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", ["fluid gv", "run"])
+def test_profile_must_be_z_only(tmp_path, capsys, entry):
+    profile = "0.1*sin(2*pi*y)"
+    if entry == "run":
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps({"kind": "foliation-gv", "profile": profile}))
+        argv = ["run", "--config", str(path)]
+    else:
+        argv = ["fluid", "gv", "--preset", "graph", "--profile", profile]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: profile must be an expression in z only (graph preset)\n")
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["rattleback", "simulate", "--h", "-2", "--ic", "0.1,0.2,1.0", "--dt", "1e-3",
+      "--t-final", "1.0", "--method", "rk45"],
+     {"kind": "rattleback", "h": -2, "ic": [0.1, 0.2, 1.0], "dt": 1e-3, "t_final": 1,
+      "method": "rk45"}),
+    (["fluid", "helicity", "--field", "sin(2*pi*z),cos(2*pi*z),0", "--grid", "16"],
+     {"kind": "fluid-helicity", "field": "sin(2*pi*z),cos(2*pi*z),0", "grid": 16}),
+    (["fluid", "evolve", "--field", "sin(2*pi*z),cos(2*pi*y),sin(2*pi*x)",
+      "--grid", "16", "--dt", "1e-2", "--t-final", "0.05"],
+     {"kind": "fluid-euler", "field": "sin(2*pi*z),cos(2*pi*y),sin(2*pi*x)",
+      "grid": 16, "dt": 1e-2, "t_final": 0.05}),
+    (["fluid", "gv", "--profile", "0.15*sin(2*pi*z)",
+      "--scale", "exp(0.1*sin(2*pi*(x+y)))"],
+     {"kind": "foliation-gv", "profile": "0.15*sin(2*pi*z)",
+      "scale": "exp(0.1*sin(2*pi*(x+y)))"}),
+], ids=["rattleback", "fluid-helicity", "fluid-euler", "foliation-gv"])
+def test_subcommand_and_scenario_print_identical_json(tmp_path, capsys, argv, doc):
+    assert cli.main(argv) == 0
+    from_flags = capsys.readouterr().out
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == from_flags
+    assert json.loads(from_flags)["kind"] == doc["kind"]
+
+
+def test_status_lines_on_stderr(tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    code = cli.main(["rattleback", "simulate", "--h", "-2", "--ic", "0.1,0.2,1.0",
+                     "--t-final", "0.1", "--out", str(out)])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["samples"] == 101
+    assert captured.err == f"wrote 101 samples to {out}\n"
+
+
+def test_unwritable_output_exit_2(tmp_path, capsys):
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps({"kind": "rattleback", "t_final": 0.01,
+                                "out": str(tmp_path / "missing" / "traj.csv")}))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
