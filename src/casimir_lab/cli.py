@@ -39,6 +39,7 @@ from .verify import DEFAULT_SEED, SUITES, SuiteConfig, report_json, run_suite
 SCENARIO_KINDS = ("rattleback", "fluid-helicity", "fluid-euler", "foliation-gv",
                   "verify-all")
 TAIL_WARN_FRACTION = 1e-8
+MAX_STEPS = 10_000_000  # fixed steps of dt one scenario may take
 
 
 @dataclass
@@ -85,6 +86,9 @@ class Scenario:
             _require(_is_int(value) and (low is None or value >= low), key,
                      "an integer" if low is None else f"an integer >= {low}", value)
         _require(self.method in ("rk4", "rk45"), "method", "'rk4' or 'rk45'", self.method)
+        if self.kind == "fluid-euler" or (self.kind == "rattleback" and self.method == "rk4"):
+            _require(self.t_final / self.dt <= MAX_STEPS, "t_final",
+                     f"at most {MAX_STEPS} steps of dt = {self.dt!r}", self.t_final)
         _require(self.suite in ("all", *SUITES), "suite",
                  f"one of {', '.join(['all', *SUITES])}", self.suite)
         for key in ("profile", "scale", "field_spec", "out", "report", "dump_fields"):
@@ -202,22 +206,9 @@ def parse_field_spec(spec: str, grid_n: int) -> f3.Form1:
     return f3.Form1(grid, np.stack([c.data for c in comps]))
 
 
-def _expr_uses(expr, names: set) -> bool:
-    if isinstance(expr, fieldexpr.Name):
-        return expr.name in names
-    if isinstance(expr, fieldexpr.Neg):
-        return _expr_uses(expr.operand, names)
-    if isinstance(expr, fieldexpr.Call):
-        return _expr_uses(expr.arg, names)
-    if isinstance(expr, fieldexpr.BinOp):
-        return _expr_uses(expr.left, names) or _expr_uses(expr.right, names)
-    return False
-
-
-def write_trajectory_csv(path: str, tr: rb.Trajectory) -> None:
-    table = np.column_stack([tr.times, tr.states, tr.hamiltonians, tr.casimirs])
-    np.savetxt(path, table, fmt="%.17g", delimiter=",",
-               header="t,p,r,s,H,C", comments="")
+def _write_csv(path: str, header: str, *columns) -> None:
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=header, comments="")
 
 
 # --- scenario runners -----------------------------------------------------------
@@ -236,7 +227,8 @@ def _run_rattleback(sc: Scenario) -> dict:
     tr = rb.integrate(rb.RattlebackState(*sc.ic), sc.h, dt=sc.dt,
                       t_final=sc.t_final, method=sc.method, stride=sc.stride)
     if sc.out:
-        write_trajectory_csv(sc.out, tr)
+        _write_csv(sc.out, "t,p,r,s,H,C", tr.times, tr.states, tr.hamiltonians,
+                   tr.casimirs)
         _status(f"wrote {len(tr.times)} samples to {sc.out}")
     h0 = tr.hamiltonians[0]
     h_drift = float(np.abs(tr.hamiltonians - h0).max())
@@ -254,28 +246,23 @@ def _run_fluid_euler(sc: Scenario) -> dict:
     alpha = parse_field_spec(_needs(sc, sc.field_spec, "field"), sc.grid)
     state, diag = euler_evolve(FluidState(alpha), dt=sc.dt, t_final=sc.t_final)
     if sc.out:
-        table = np.column_stack([diag.times, diag.energies, diag.helicities])
-        np.savetxt(sc.out, table, fmt="%.17g", delimiter=",",
-                   header="t,energy,helicity", comments="")
+        _write_csv(sc.out, "t,energy,helicity", diag.times, diag.energies,
+                   diag.helicities)
         _status(f"wrote diagnostics to {sc.out}")
     if sc.dump_fields:
         f3.io.save(sc.dump_fields, state.alpha)
         _status(f"dumped final state to {sc.dump_fields}")
-    energies, helicities = diag.energies, diag.helicities
-    return {
-        "t_final": sc.t_final,
-        "energy_initial": energies[0],
-        "energy_final": energies[-1],
-        "helicity_initial": helicities[0],
-        "helicity_final": helicities[-1],
-        "energy_drift": float(abs(energies[-1] - energies[0])),
-        "helicity_drift": float(abs(helicities[-1] - helicities[0])),
-    }
+    doc = {"t_final": sc.t_final}
+    for name, series in (("energy", diag.energies), ("helicity", diag.helicities)):
+        doc.update({f"{name}_initial": series[0], f"{name}_final": series[-1],
+                    f"{name}_drift": float(abs(series[-1] - series[0]))})
+    return doc
 
 
 def _run_foliation_gv(sc: Scenario) -> dict:
     text = _needs(sc, sc.profile, "profile")
-    if _expr_uses(_parse_expr(text, "profile"), {"x", "y"}):
+    _parse_expr(text, "profile")
+    if {"x", "y"} & {v for kind, v, _ in fieldexpr.tokenize(text) if kind == "ident"}:
         raise ConfigError("profile must be an expression in z only (graph preset)")
     grid = f3.Grid(sc.grid)
     profile = _eval_expr_field(text, grid, "profile")
@@ -340,10 +327,10 @@ _SCENARIO_FIELDS = {f.name for f in fields(Scenario)}
 
 def _parse_ic(text: str) -> tuple:
     try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise ConfigError(
-            f"--ic must be three comma-separated reals, got {text!r}") from None
+        p, r, s = map(float, text.split(","))
+    except ValueError:  # not three parts, or a part that is not a number
+        raise ConfigError(f"--ic must be three comma-separated reals, got {text!r}") from None
+    return p, r, s
 
 
 def cmd_scenario(args) -> int:

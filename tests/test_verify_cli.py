@@ -7,10 +7,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from casimir_lab import cli
+from casimir_lab import cli, verify
 from casimir_lab import forms3 as f3
 from casimir_lab.errors import ConfigError
 from casimir_lab.verify import SuiteConfig, report_json, run_suite
+
+
+def _run_file(tmp_path, doc) -> int:
+    """Write ``doc`` as a scenario file and run it through the CLI."""
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(doc))
+    return cli.main(["run", "--config", str(path)])
 
 
 class TestSuiteRunner:
@@ -112,6 +119,8 @@ class TestCli:
     def test_simulate_bad_ic(self, capsys):
         code = cli.main(["rattleback", "simulate", "--h", "-2", "--ic", "1,2"])
         assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --ic must be three comma-separated reals, got '1,2'\n")
 
     def test_rattleback_verify_json(self, capsys):
         code = cli.main(["rattleback", "verify", "--h", "-2"])
@@ -177,15 +186,11 @@ class TestCli:
         assert table.shape[1] == 3
 
     def test_run_scenario_rattleback(self, tmp_path, capsys):
-        cfgp = tmp_path / "sc.json"
-        cfgp.write_text(json.dumps({"kind": "rattleback", "t_final": 1.0,
-                                    "ic": [0.1, 0.2, 1.0]}))
-        assert cli.main(["run", "--config", str(cfgp)]) == 0
+        doc = {"kind": "rattleback", "t_final": 1.0, "ic": [0.1, 0.2, 1.0]}
+        assert _run_file(tmp_path, doc) == 0
 
     def test_run_scenario_unknown_kind_exit_2(self, tmp_path, capsys):
-        cfgp = tmp_path / "sc.json"
-        cfgp.write_text('{"kind":"bogus"}')
-        assert cli.main(["run", "--config", str(cfgp)]) == 2
+        assert _run_file(tmp_path, {"kind": "bogus"}) == 2
 
     def test_verify_report_written(self, tmp_path, capsys):
         report = tmp_path / "r.json"
@@ -221,6 +226,11 @@ class TestScenarioTypes:
         ({"kind": "rattleback", "dt": "a"}, "'dt'"),
         ({"kind": "rattleback", "dt": -1e-3}, "'dt'"),
         ({"kind": "rattleback", "t_final": 0}, "'t_final'"),
+        ({"kind": "rattleback", "t_final": 1.7976931348623157e308}, "'t_final'"),
+        ({"kind": "rattleback", "t_final": 2**64}, "'t_final'"),
+        ({"kind": "rattleback", "t_final": 1e7}, "'t_final'"),
+        ({"kind": "rattleback", "dt": 1e-300}, "'t_final'"),
+        ({"kind": "fluid-euler", "t_final": 1e300, "dt": 1e-9}, "'t_final'"),
         ({"kind": "rattleback", "h": None}, "'h'"),
         ({"kind": "rattleback", "method": "euler"}, "'method'"),
         ({"kind": "rattleback", "seed": 1.5}, "'seed'"),
@@ -237,8 +247,12 @@ class TestScenarioTypes:
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match=key):
             cli.load_config(str(path))
-        assert cli.main(["run", "--config", str(path)]) == 2
+        assert _run_file(tmp_path, doc) == 2
         assert capsys.readouterr().err.startswith(f"error: {key} must be")
+
+    def test_rk45_step_count_not_bounded_by_dt(self, tmp_path, capsys):
+        doc = {"kind": "rattleback", "method": "rk45", "dt": 1e-300, "t_final": 0.1}
+        assert _run_file(tmp_path, doc) == 0
 
     def test_values_coerced(self, tmp_path):
         path = tmp_path / "sc.json"
@@ -271,14 +285,17 @@ def test_load_config_gives_scenario_or_config_error(tmp_path, doc, kind):
 
 
 # Scenarios that are cheap to run: short rattleback integrations and small
-# grids, with arbitrary JSON mixed into every value.
+# grids.  Arbitrary JSON is mixed into every value, but numbers come only
+# from the cheap ranges, so each example runs in well under a second.
+_NOT_NUMERIC = _JSON.filter(lambda v: not cli._is_real(v) and not (
+    isinstance(v, list) and all(map(cli._is_real, v))))
 _CHEAP_RUN = st.fixed_dictionaries(
     {"kind": st.sampled_from(["rattleback", "fluid-helicity", "foliation-gv"])},
     optional={
-        "ic": st.lists(st.floats(-2, 2), min_size=3, max_size=3) | _JSON,
-        "h": st.floats(-3, 3) | _JSON,
-        "dt": st.sampled_from([1e-2, 1e-3, 3e-3]) | _JSON,
-        "t_final": st.floats(1e-3, 1.0) | _JSON,
+        "ic": st.lists(st.floats(-2, 2), min_size=3, max_size=3) | _NOT_NUMERIC,
+        "h": st.floats(-3, 3) | _NOT_NUMERIC,
+        "dt": st.sampled_from([1e-2, 1e-3, 3e-3]) | _NOT_NUMERIC,
+        "t_final": st.floats(1e-3, 1.0) | _NOT_NUMERIC,
         "method": st.sampled_from(["rk4", "rk45"]) | _JSON,
         "grid": st.sampled_from([4, 5, 8, -2]) | _JSON.filter(
             lambda v: not isinstance(v, int) or isinstance(v, bool)),
@@ -291,26 +308,35 @@ _CHEAP_RUN = st.fixed_dictionaries(
     })
 
 
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.filter_too_much])
 @given(doc=_CHEAP_RUN)
 def test_run_never_raises(tmp_path, capsys, doc):
-    path = tmp_path / "sc.json"
-    path.write_text(json.dumps(doc))
-    assert cli.main(["run", "--config", str(path)]) in (0, 1, 2)
+    assert _run_file(tmp_path, doc) in (0, 1, 2)
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_verify_all_file_h_matches_rattleback_verify(tmp_path, monkeypatch):
+    # "all" runs only the rattleback suite here, to keep the test short
+    monkeypatch.setattr(verify, "SUITES", {"rattleback": verify.SUITES["rattleback"]})
+    from_flags, from_file = tmp_path / "flags.json", tmp_path / "file.json"
+    assert cli.main(["rattleback", "verify", "--h", "-1.5",
+                     "--report", str(from_flags)]) == 0
+    assert _run_file(tmp_path, {"kind": "verify-all", "h": -1.5,
+                                "report": str(from_file)}) == 0
+    checks = [json.loads(p.read_text())["checks"] for p in (from_flags, from_file)]
+    assert checks[0] == checks[1]
+    assert "rattleback-chirality-reversal-snapshot" not in {c["check"] for c in checks[0]}
 
 
 @pytest.mark.parametrize("entry", ["fluid gv", "run"])
 def test_profile_must_be_z_only(tmp_path, capsys, entry):
     profile = "0.1*sin(2*pi*y)"
-    if entry == "run":
-        path = tmp_path / "sc.json"
-        path.write_text(json.dumps({"kind": "foliation-gv", "profile": profile}))
-        argv = ["run", "--config", str(path)]
-    else:
-        argv = ["fluid", "gv", "--preset", "graph", "--profile", profile]
-    assert cli.main(argv) == 2
+    code = (_run_file(tmp_path, {"kind": "foliation-gv", "profile": profile})
+            if entry == "run"
+            else cli.main(["fluid", "gv", "--preset", "graph", "--profile", profile]))
+    assert code == 2
     assert capsys.readouterr().err == (
         "error: profile must be an expression in z only (graph preset)\n")
 
@@ -334,9 +360,7 @@ def test_profile_must_be_z_only(tmp_path, capsys, entry):
 def test_subcommand_and_scenario_print_identical_json(tmp_path, capsys, argv, doc):
     assert cli.main(argv) == 0
     from_flags = capsys.readouterr().out
-    path = tmp_path / "sc.json"
-    path.write_text(json.dumps(doc))
-    assert cli.main(["run", "--config", str(path)]) == 0
+    assert _run_file(tmp_path, doc) == 0
     assert capsys.readouterr().out == from_flags
     assert json.loads(from_flags)["kind"] == doc["kind"]
 
@@ -352,8 +376,6 @@ def test_status_lines_on_stderr(tmp_path, capsys):
 
 
 def test_unwritable_output_exit_2(tmp_path, capsys):
-    path = tmp_path / "sc.json"
-    path.write_text(json.dumps({"kind": "rattleback", "t_final": 0.01,
-                                "out": str(tmp_path / "missing" / "traj.csv")}))
-    assert cli.main(["run", "--config", str(path)]) == 2
+    assert _run_file(tmp_path, {"kind": "rattleback", "t_final": 0.01,
+                                "out": str(tmp_path / "missing" / "traj.csv")}) == 2
     assert capsys.readouterr().err.startswith("error: ")
