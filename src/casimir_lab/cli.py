@@ -81,10 +81,11 @@ class Scenario:
             _require(_is_real(value) and value > 0, key, "a positive finite number", value)
             setattr(self, key, float(value))
         self.seed = _seed_override(self.seed)
-        for key, low in (("grid", None), ("stride", 1), ("seed", 0)):
+        _require(_is_int(self.grid) and self.grid >= 4 and self.grid % 2 == 0, "grid",
+                 "an even integer >= 4", self.grid)
+        for key, low in (("stride", 1), ("seed", 0)):
             value = getattr(self, key)
-            _require(_is_int(value) and (low is None or value >= low), key,
-                     "an integer" if low is None else f"an integer >= {low}", value)
+            _require(_is_int(value) and value >= low, key, f"an integer >= {low}", value)
         _require(self.method in ("rk4", "rk45"), "method", "'rk4' or 'rk45'", self.method)
         if self.kind == "fluid-euler" or (self.kind == "rattleback" and self.method == "rk4"):
             _require(self.t_final / self.dt <= MAX_STEPS, "t_final",

@@ -1,6 +1,18 @@
 """Spectral exterior calculus on the flat unit 3-torus."""
 
-from .grid import Grid, band_limit, dealias, spectral_derivative, spectral_tail_fraction
+from .grid import (
+    Grid,
+    band_limit,
+    curl_r,
+    dealias,
+    grad_r,
+    irfft3,
+    leray_r,
+    mean_dot_r,
+    rfft3,
+    spectral_derivative,
+    spectral_tail_fraction,
+)
 from .forms import (
     Form0,
     Form1,

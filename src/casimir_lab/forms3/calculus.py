@@ -12,7 +12,7 @@ import numpy as np
 
 from ..errors import RankError
 from .forms import Form0, Form1, Form2, Form3, VectorField, volume_form
-from .grid import spectral_derivative
+from .grid import irfft3, leray_r, rfft3, spectral_derivative
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -127,18 +127,7 @@ def vorticity_from(alpha: Form1) -> VectorField:
 def leray_project(v: VectorField) -> VectorField:
     """Divergence-free part of v (mean flow is kept)."""
     g = v.grid
-    spec = np.fft.rfftn(v.data, axes=(1, 2, 3))
-    kx = g.k_full[:, None, None]
-    ky = g.k_full[None, :, None]
-    kz = g.k_half[None, None, :]
-    k2 = kx ** 2 + ky ** 2 + kz ** 2
-    k2[0, 0, 0] = 1.0
-    kdotv = (kx * spec[0] + ky * spec[1] + kz * spec[2]) / k2
-    kdotv[0, 0, 0] = 0.0
-    spec[0] -= kx * kdotv
-    spec[1] -= ky * kdotv
-    spec[2] -= kz * kdotv
-    return VectorField(g, np.fft.irfftn(spec, s=g.shape, axes=(1, 2, 3)))
+    return VectorField(g, irfft3(leray_r(rfft3(v.data), g), g))
 
 
 def contraction_identity_residual(v: VectorField, alpha: Form1) -> float:

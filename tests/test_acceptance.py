@@ -2,8 +2,8 @@
 
 Run with output visible:  pytest tests/test_acceptance.py -v -s
 
-Criterion 13 drives the CLI end to end, so this module re-verifies the
-machine-readable report against every bound asserted by criteria 1-12.
+Criterion 13 drives the CLI end to end once; criteria 1-12 check every
+bound they assert against that run's machine-readable report.
 """
 
 import json
@@ -14,7 +14,7 @@ import pytest
 
 from casimir_lab import cli
 from casimir_lab import rattleback as rb
-from casimir_lab.verify import DEFAULT_SEED, SuiteConfig, run_suite
+from casimir_lab.verify import DEFAULT_SEED
 
 # criterion number -> (check name, pinned tolerance or None for dynamic)
 CRITERIA_CHECKS = {
@@ -53,8 +53,20 @@ CRITERIA_CHECKS = {
 
 
 @pytest.fixture(scope="module")
-def full_report():
-    return run_suite("all", SuiteConfig(grid_n=32, seed=DEFAULT_SEED))
+def cli_verify(tmp_path_factory):
+    """Criterion 13's one end-to-end ``verify --suite all`` run:
+    (exit code, elapsed seconds, report document)."""
+    report_path = tmp_path_factory.mktemp("verify") / "verify_all.json"
+    t0 = time.perf_counter()
+    code = cli.main(["verify", "--suite", "all", "--grid", "32",
+                     "--seed", str(DEFAULT_SEED), "--report", str(report_path)])
+    elapsed = time.perf_counter() - t0
+    return code, elapsed, json.loads(report_path.read_text())
+
+
+@pytest.fixture(scope="module")
+def full_report(cli_verify):
+    return cli_verify[2]
 
 
 def _verdict(n, ok, detail=""):
@@ -113,13 +125,8 @@ def test_criteria_on_report(full_report, n):
     _verdict(n, ok, detail)
 
 
-def test_criterion_13_full_cli_verify(tmp_path):
-    report_path = tmp_path / "verify_all.json"
-    t0 = time.perf_counter()
-    code = cli.main(["verify", "--suite", "all", "--grid", "32",
-                     "--seed", str(DEFAULT_SEED), "--report", str(report_path)])
-    elapsed = time.perf_counter() - t0
-    doc = json.loads(report_path.read_text())
+def test_criterion_13_full_cli_verify(cli_verify):
+    code, elapsed, doc = cli_verify
     by_name = {c["check"]: c for c in doc["checks"]}
     covered = all(name in by_name
                   for n in CRITERIA_CHECKS for name, _ in CRITERIA_CHECKS[n])

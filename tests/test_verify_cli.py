@@ -173,6 +173,11 @@ class TestCli:
         assert code == 2
         assert "offset 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", ["7", "2"])
+    def test_bad_grid_flag_exit_2(self, capsys, n):
+        assert cli.main(["fluid", "helicity", "--grid", n, "--field", "0,0,0"]) == 2
+        assert capsys.readouterr().err.startswith("error: 'grid' must be an even integer")
+
     def test_evolve_dump_fields(self, tmp_path, capsys):
         dump = tmp_path / "state.f3rm"
         out = tmp_path / "diag.csv"
@@ -241,6 +246,8 @@ class TestScenarioTypes:
         ({"kind": "verify-all", "report": False}, "'report'"),
         ({"kind": "verify-all", "tolerances": {"x": "big"}}, "'tolerances'"),
         ({"kind": "verify-all", "tolerances": [1]}, "'tolerances'"),
+        ({"kind": "fluid-helicity", "grid": 7, "field": "0,0,0"}, "'grid'"),
+        ({"kind": "fluid-helicity", "grid": 2, "field": "0,0,0"}, "'grid'"),
     ])
     def test_bad_value_exit_2(self, tmp_path, capsys, doc, key):
         path = tmp_path / "sc.json"
