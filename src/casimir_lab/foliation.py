@@ -46,7 +46,6 @@ __all__ = [
     "XiGenerator",
     "check_integrability",
     "solve_eta",
-    "solve_gamma",
     "chi_from",
     "godbillon_vey",
     "gauge_shift",
@@ -103,16 +102,6 @@ def solve_eta(alpha: Form1, *, integrability_tol: float = INTEGRABILITY_TOL,
     """A 1-form with d(alpha) = alpha ^ eta (defect absorbed by gauge freedom)."""
     _gate(alpha, integrability_tol, floor)
     return interior(_reference_field(alpha), d(alpha))
-
-
-def solve_gamma(alpha: Form1, eta: Form1) -> Form1:
-    """A 1-form with d(eta) = alpha ^ gamma.
-
-    Solvable because alpha ^ d(eta) = d(alpha ^ eta) - d(alpha) ^ eta
-    = d(d(alpha)) - (alpha ^ eta) ^ eta = 0; the certificate is recorded by
-    the caller.
-    """
-    return interior(_reference_field(alpha), d(eta))
 
 
 def _solve_chi(alpha: Form1, da: Form2, eta: Form1, deta: Form2,
@@ -292,7 +281,8 @@ def bracket_degeneracy_check(state: FoliatedState, a: VectorField, v: VectorFiel
     scale_a = max(alpha.l2() * v_l2(a), 1e-30)
     ia_alpha = Form0(state.grid, np.sum(alpha.data * a.data, axis=0)).l2() / scale_a
     nu = Form2(state.grid, a.data)
-    closure = (d(nu) - wedge(state.eta, nu)).l2() / max(d(nu).l2(), 1e-30)
+    dnu = d(nu)
+    closure = (dnu - wedge(state.eta, nu)).l2() / max(dnu.l2(), 1e-30)
     if ia_alpha > tol or closure > tol:
         raise PreconditionError(
             f"field fails degeneracy gates: tangency {ia_alpha:.3e}, "

@@ -23,7 +23,6 @@ from .forms import (
     coordinate_oneform,
     form_of_rank,
     one_form,
-    scalar_form,
     scale_by,
     vector_field,
     volume_form,
@@ -45,7 +44,7 @@ from .calculus import (
     wedge,
 )
 from .sampling import circle_loop, closed_curve, curve_velocity, eval_at
-from .transport import generator, transport
+from .transport import generator, rk4_evolve, transport
 from .randfields import (
     random_divfree_field,
     random_form,

@@ -141,12 +141,6 @@ def volume_form(grid: Grid) -> Form3:
     return Form3(grid, np.ones(grid.shape))
 
 
-def scalar_form(grid: Grid, fn) -> Form0:
-    """Sample fn(x, y, z) (meshgrid arrays) at the nodes."""
-    x, y, z = grid.meshes
-    return Form0(grid, np.broadcast_to(np.asarray(fn(x, y, z), dtype=float), grid.shape).copy())
-
-
 def coordinate_oneform(grid: Grid, axis: int) -> Form1:
     """The constant basis 1-form dx, dy or dz."""
     data = np.zeros((3,) + grid.shape)

@@ -6,6 +6,8 @@ operations are fixed, so trajectories are IEEE-deterministic.  Point
 evaluation is a vectorized numpy contraction.
 """
 
+from array import array
+
 import numpy as np
 
 # Read by the verify report header ("numba") and the benchmark's machine facts.
@@ -62,19 +64,20 @@ def rk4_loop(p, r, s, h, dt, n_steps, stride, out):
     return m, STATUS_OK
 
 
-def rk45_loop(p, r, s, h, t_final, rtol, atol, max_steps, t_out, x_out):
-    """Adaptive Dormand-Prince 5(4).  Records every accepted step.
+def rk45_loop(p, r, s, h, t_final, rtol, atol, max_steps):
+    """Adaptive Dormand-Prince 5(4).  Records the initial state and every
+    accepted step, so memory grows with the output, not the step budget.
 
-    t_out[0]/x_out[0] must hold the initial time and state.
-    Returns (rows_filled, status).
+    Returns (times, states, status): ``times`` and the flat (p, r, s)
+    ``states`` are array('d') buffers.
     """
     t = 0.0
     dt = min(1e-3, t_final)
-    m = 1
-    nrec = t_out.shape[0]
+    times = array("d", [t])
+    states = array("d", [p, r, s])
     for _ in range(max_steps):
         if t >= t_final:
-            return m, STATUS_OK
+            return times, states, STATUS_OK
         if dt > t_final - t:
             dt = t_final - t
 
@@ -153,15 +156,11 @@ def rk45_loop(p, r, s, h, t_final, rtol, atol, max_steps, t_out, x_out):
             t = t + dt
             p, r, s = np_, nr, ns
             if not (np.isfinite(p) and np.isfinite(r) and np.isfinite(s)):
-                return m, STATUS_NONFINITE
-            if m < nrec:
-                t_out[m] = t
-                x_out[m, 0] = p
-                x_out[m, 1] = r
-                x_out[m, 2] = s
-                m += 1
-            else:
-                return m, STATUS_MAXSTEPS
+                return times, states, STATUS_NONFINITE
+            times.append(t)
+            states.append(p)
+            states.append(r)
+            states.append(s)
         if err == 0.0:
             factor = 5.0
         else:
@@ -171,7 +170,7 @@ def rk45_loop(p, r, s, h, t_final, rtol, atol, max_steps, t_out, x_out):
             elif factor > 5.0:
                 factor = 5.0
         dt = dt * factor
-    return m, STATUS_MAXSTEPS
+    return times, states, STATUS_MAXSTEPS
 
 
 # ---------------------------------------------------------------------------

@@ -222,20 +222,15 @@ def integrate(
         states = out[:filled]
     else:
         max_steps = 10_000_000
-        n_rec = 4_000_000
-        t_out = np.empty(n_rec)
-        x_out = np.empty((n_rec, 3))
-        t_out[0] = 0.0
-        x_out[0] = xi0.as_array()
-        filled, status = kernels.rk45_loop(
-            xi0.p, xi0.r, xi0.s, float(h), float(t_final), rtol, atol, max_steps, t_out, x_out
+        t_rec, x_rec, status = kernels.rk45_loop(
+            xi0.p, xi0.r, xi0.s, float(h), float(t_final), rtol, atol, max_steps
         )
         if status == kernels.STATUS_NONFINITE:
-            raise BlowUpError("state became non-finite", time=float(t_out[filled - 1]))
+            raise BlowUpError("state became non-finite", time=t_rec[-1])
         if status == kernels.STATUS_MAXSTEPS:
-            raise BlowUpError("step budget exhausted", time=float(t_out[filled - 1]))
-        times = t_out[:filled].copy()
-        states = x_out[:filled].copy()
+            raise BlowUpError("step budget exhausted", time=t_rec[-1])
+        times = np.array(t_rec)
+        states = np.array(x_rec).reshape(-1, 3)
 
     ham = 0.5 * np.einsum("ij,ij->i", states, states)
     with np.errstate(invalid="ignore"):

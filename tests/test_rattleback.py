@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,18 @@ class TestIntegrate:
         h0 = tr.hamiltonians[0]
         assert np.abs(tr.hamiltonians - h0).max() / h0 <= 1e-8
         assert np.all(np.diff(tr.times) > 0)
+
+    def test_rk45_memory_follows_output(self):
+        # records grow with the accepted steps; nothing is reserved per call
+        tracemalloc.start()
+        try:
+            tr = rb.integrate(rb.RattlebackState(0.1, 0.2, 1.0), -2.0, dt=1e-3,
+                              t_final=1.0, method="rk45")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tr.times[-1] == 1.0
+        assert peak < 4 * 2**20
 
     def test_rk4_matches_rk45_endpoint(self):
         t1 = rb.integrate(rb.RattlebackState(0.1, 0.2, 1.0), -2.0, dt=1e-4, t_final=2.0)

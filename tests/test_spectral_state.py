@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from casimir_lab import forms3 as f3
-from casimir_lab.errors import BlowUpError
+from casimir_lab.errors import BlowUpError, InvalidParameterError
 from casimir_lab.fluid import FluidState, energy, euler_evolve, euler_rhs, helicity
 
 DT, STEPS = 1e-3, 10
@@ -46,13 +46,10 @@ class TestEulerSpectralState:
         start = f3.Form1(grid32, f3.dealias(alpha.data, grid32))
         fin, diag = euler_evolve(FluidState(alpha), dt=DT, t_final=STEPS * DT)
         assert len(diag.times) == STEPS + 1
+        assert diag.times[-1] == STEPS * DT
         for i, state in ((0, start), (-1, fin.alpha)):
             assert diag.energies[i] == pytest.approx(energy(state), rel=1e-12, abs=0)
             assert diag.helicities[i] == pytest.approx(helicity(state), rel=1e-12, abs=0)
-
-    def test_sample_every_keeps_endpoints(self, grid32, alpha):
-        _, diag = euler_evolve(FluidState(alpha), dt=DT, t_final=STEPS * DT, sample_every=4)
-        np.testing.assert_allclose(diag.times, [0.0, 4 * DT, 8 * DT, STEPS * DT], rtol=1e-12)
 
     def test_blowup_at_unstable_dt(self, grid16, rng):
         a = f3.random_form1(grid16, 3, rng, rms=5.0)
@@ -81,6 +78,25 @@ class TestTransportSpectralState:
         out = f3.transport(alpha, u, 0.0, DT)
         assert np.array_equal(out.data, alpha.data)
         assert out.data is not alpha.data
+
+
+def _euler(a, dt, t_final):
+    return euler_evolve(FluidState(a), dt=dt, t_final=t_final)
+
+
+def _transport(a, dt, t_final):
+    return f3.transport(a, f3.constant_field(a.grid, 60.0, 0, 0), t_final, dt)
+
+
+@pytest.mark.parametrize("evolve", [_euler, _transport], ids=["euler", "transport"])
+def test_shared_step_rule(evolve, grid16, rng):
+    a = f3.random_form1(grid16, 3, rng, rms=5.0)
+    for dt, t_final in ((0.0, 1.0), (-1e-3, 1.0), (1e-3, -1.0), (1e-3, np.inf), (1e-3, np.nan)):
+        with pytest.raises(InvalidParameterError):
+            evolve(a, dt, t_final)
+    with pytest.raises(BlowUpError) as info:
+        evolve(a, 5.0, 1e3)
+    assert 0.0 < info.value.time <= 1e3
 
 
 class TestSpectralMultipliers:

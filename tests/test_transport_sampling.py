@@ -35,7 +35,7 @@ class TestTransport:
         a = f3.Form1(grid32, np.stack([np.sin(2 * np.pi * x)] * 3))
         u = f3.constant_field(grid32, 60.0, 0, 0)
         with pytest.raises(BlowUpError):
-            f3.transport(a, u, 40.0, 0.5, check_every=4)
+            f3.transport(a, u, 40.0, 0.5)
 
 
 class TestCurves:
