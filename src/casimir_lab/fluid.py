@@ -89,7 +89,7 @@ def helicity(alpha: Form1) -> float:
     return integrate3(wedge(alpha, d(alpha)))
 
 
-def helicity_gradient_check(alpha: Form1, da: Form1, eps: float = 1e-5) -> tuple[float, float]:
+def helicity_gradient_check(alpha: Form1, da: Form1) -> tuple[float, float]:
     """Directional derivative of helicity two ways.
 
     Returns (centered finite difference, pairing of da with twice the
@@ -97,6 +97,7 @@ def helicity_gradient_check(alpha: Form1, da: Form1, eps: float = 1e-5) -> tuple
     up to roundoff and the two values agree to the functional-gradient
     identity delta H = <da, 2 W>.
     """
+    eps = 1e-5
     lhs = (helicity(alpha + eps * da) - helicity(alpha - eps * da)) / (2.0 * eps)
     rhs = 2.0 * integrate3(wedge(da, d(alpha)))
     return lhs, rhs
@@ -160,8 +161,7 @@ def euler_evolve(state: FluidState, dt: float,
     return FluidState(Form1(g, irfft3(a, g))), diag
 
 
-def subalgebra_orthogonality(alpha: Form1, beta: Form1, h_fn: Form0,
-                             integrability_tol: float = 1e-9) -> float:
+def subalgebra_orthogonality(alpha: Form1, beta: Form1, h_fn: Form0) -> float:
     """<alpha, Y> for the leaf-tangent field Y with i_Y mu = d(h_fn * beta).
 
     Vanishes whenever alpha is a function multiple of the integrable defining
@@ -170,7 +170,7 @@ def subalgebra_orthogonality(alpha: Form1, beta: Form1, h_fn: Form0,
     from .foliation import check_integrability  # local import avoids a module cycle
 
     report = check_integrability(beta)
-    if report["relative_residual"] > integrability_tol:
+    if not report["integrable"]:
         raise PreconditionError(
             f"beta is not integrable: residual {report['relative_residual']:.3e}"
         )

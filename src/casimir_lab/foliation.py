@@ -45,6 +45,7 @@ __all__ = [
     "FoliatedState",
     "XiGenerator",
     "check_integrability",
+    "gate_failure",
     "solve_eta",
     "chi_from",
     "godbillon_vey",
@@ -60,6 +61,11 @@ __all__ = [
 INTEGRABILITY_TOL = 1e-9
 NONVANISH_FLOOR = 1e-6
 CHI_TOL = 1e-8
+DEGENERACY_TOL = 1e-9
+# A variation alpha_dot is tangent to the integrable stratum when alpha +
+# VARIATION_EPS * alpha_dot is integrable to VARIATION_TANGENCY_TOL.
+VARIATION_EPS = 1e-4
+VARIATION_TANGENCY_TOL = 1e-6
 
 
 def check_integrability(alpha: Form1) -> dict:
@@ -78,29 +84,48 @@ def check_integrability(alpha: Form1) -> dict:
 
 
 def _reference_field(alpha: Form1) -> VectorField:
-    """X = alpha_sharp / |alpha|^2, so i_X alpha = 1 pointwise."""
+    """X = alpha_sharp / |alpha|^2, so i_X alpha = 1 pointwise.
+
+    Where alpha vanishes X is NaN; the floor gate rejects such an alpha.
+    """
     norm2 = np.sum(alpha.data ** 2, axis=0)
-    return VectorField(alpha.grid, alpha.data / norm2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return VectorField(alpha.grid, alpha.data / norm2)
 
 
-def _gate(alpha: Form1, integrability_tol: float, floor: float) -> dict:
+def _integrability_residuals(alpha: Form1) -> dict:
     report = check_integrability(alpha)
-    if report["min_abs"] < floor:
-        raise PreconditionError(
-            f"alpha vanishes: min |alpha| = {report['min_abs']:.3e} < floor {floor:g}"
+    return {"integrability": report["relative_residual"], "min_abs_alpha": report["min_abs"]}
+
+
+def gate_failure(res: dict) -> PreconditionError | InconsistencyError | None:
+    """The first membership gate a residual record fails, as the exception to
+    raise, or None.  The gates run in order: the nonvanishing floor,
+    integrability, then the defining identities the record holds."""
+    if res["min_abs_alpha"] < NONVANISH_FLOOR:
+        return PreconditionError(
+            f"alpha vanishes: min |alpha| = {res['min_abs_alpha']:.3e} "
+            f"< floor {NONVANISH_FLOOR:g}"
         )
-    if report["relative_residual"] > integrability_tol:
-        raise PreconditionError(
+    if res["integrability"] > INTEGRABILITY_TOL:
+        return PreconditionError(
             f"alpha is not integrable: relative residual "
-            f"{report['relative_residual']:.3e} > {integrability_tol:g}"
+            f"{res['integrability']:.3e} > {INTEGRABILITY_TOL:g}"
         )
-    return report
+    for key in ("eta_defining", "gamma_defining", "gamma_certificate"):
+        if res.get(key, 0.0) > INTEGRABILITY_TOL:
+            return InconsistencyError(
+                f"defining identity {key} residual {res[key]:.3e} "
+                f"exceeds {INTEGRABILITY_TOL:g} (aliasing or non-integrability)"
+            )
+    return None
 
 
-def solve_eta(alpha: Form1, *, integrability_tol: float = INTEGRABILITY_TOL,
-              floor: float = NONVANISH_FLOOR) -> Form1:
+def solve_eta(alpha: Form1) -> Form1:
     """A 1-form with d(alpha) = alpha ^ eta (defect absorbed by gauge freedom)."""
-    _gate(alpha, integrability_tol, floor)
+    failure = gate_failure(_integrability_residuals(alpha))
+    if failure:
+        raise failure
     return interior(_reference_field(alpha), d(alpha))
 
 
@@ -122,14 +147,14 @@ def _solve_chi(alpha: Form1, da: Form2, eta: Form1, deta: Form2,
     }
 
 
-def chi_from(alpha: Form1, eta: Form1, gamma: Form1, tol: float = CHI_TOL) -> Form2:
+def chi_from(alpha: Form1, eta: Form1, gamma: Form1) -> Form2:
     """chi = 2 (eta ^ gamma - d(gamma)); verifies alpha^chi = 0 and d(chi) = eta^chi."""
     chi, res = _solve_chi(alpha, d(alpha), eta, d(eta), gamma)
     r1, r2 = res["chi_tangency"], res["chi_closure"]
-    if max(r1, r2) > tol:
+    if max(r1, r2) > CHI_TOL:
         raise InconsistencyError(
             f"chi identities failed: |alpha^chi| rel {r1:.3e}, "
-            f"|d(chi) - eta^chi| rel {r2:.3e} (tol {tol:g})"
+            f"|d(chi) - eta^chi| rel {r2:.3e} (tol {CHI_TOL:g})"
         )
     return chi
 
@@ -150,14 +175,10 @@ class FoliatedState:
         return self.alpha.grid
 
     @classmethod
-    def from_alpha(cls, alpha: Form1, *, integrability_tol: float = INTEGRABILITY_TOL,
-                   floor: float = NONVANISH_FLOOR, strict: bool = True) -> "FoliatedState":
-        """Solve the full chain; with strict=False gate failures are recorded
-        in the residuals instead of raised (used for degraded transported states)."""
-        if strict:
-            gate = _gate(alpha, integrability_tol, floor)
-        else:
-            gate = check_integrability(alpha)
+    def from_alpha(cls, alpha: Form1, *, strict: bool = True) -> "FoliatedState":
+        """Solve the full chain and record its residuals.  With strict=True a
+        state that fails a membership gate raises; with strict=False it is
+        returned, and ``gate_failure(state.residuals)`` names the failure."""
         x = _reference_field(alpha)
         da = d(alpha)
         eta = interior(x, da)
@@ -166,20 +187,14 @@ class FoliatedState:
         chi, chain = _solve_chi(alpha, da, eta, deta, gamma)
 
         res = {
-            "integrability": gate["relative_residual"],
-            "min_abs_alpha": gate["min_abs"],
+            **_integrability_residuals(alpha),
             **chain,
             "x_ref_normalization": float(
                 np.abs(np.sum(alpha.data * x.data, axis=0) - 1.0).max()),
             "helicity": abs(helicity(alpha)),
         }
-        if strict:
-            for key in ("eta_defining", "gamma_defining", "gamma_certificate"):
-                if res[key] > integrability_tol:
-                    raise InconsistencyError(
-                        f"defining identity {key} residual {res[key]:.3e} "
-                        f"exceeds {integrability_tol:g} (aliasing or non-integrability)"
-                    )
+        if strict and (failure := gate_failure(res)):
+            raise failure
         return cls(alpha=alpha, eta=eta, gamma=gamma, chi=chi, x_ref=x, residuals=res)
 
 
@@ -210,24 +225,17 @@ def chi_shift_expected(state: FoliatedState, f: Form0, g: Form0) -> Form2:
     return -2.0 * (scale_by(q, d(state.alpha)) + d(scale_by(q, state.alpha)))
 
 
-def variation_tangency_residual(state: FoliatedState, alpha_dot: Form1,
-                                eps: float = 1e-4) -> float:
-    """Integrability residual of alpha + eps * alpha_dot (tangency probe)."""
-    return check_integrability(state.alpha + eps * alpha_dot)["relative_residual"]
-
-
-def gv_variation(state: FoliatedState, alpha_dot: Form1, *,
-                 eps: float = 1e-4, tangency_tol: float = 1e-6) -> float:
+def gv_variation(state: FoliatedState, alpha_dot: Form1) -> float:
     """Directional derivative of GV: int alpha_dot ^ chi.
 
     alpha_dot must be tangent to the integrable stratum: alpha + eps*alpha_dot
-    has to pass the integrability check at the probe amplitude.
+    has to pass the integrability check at the probe amplitude eps.
     """
-    res = variation_tangency_residual(state, alpha_dot, eps)
-    if res > tangency_tol:
+    res = check_integrability(state.alpha + VARIATION_EPS * alpha_dot)["relative_residual"]
+    if res > VARIATION_TANGENCY_TOL:
         raise PreconditionError(
             f"variation leaves the integrable stratum: residual {res:.3e} "
-            f"at eps = {eps:g}"
+            f"at eps = {VARIATION_EPS:g}"
         )
     return integrate3(wedge(alpha_dot, state.chi))
 
@@ -236,59 +244,53 @@ def gv_variation(state: FoliatedState, alpha_dot: Form1, *,
 class XiGenerator:
     """A degeneracy field V with i_V mu = f d(alpha) + d(f alpha)."""
 
-    f: Form0
     v: VectorField
     residuals: dict
 
 
-def xi_generator(state: FoliatedState, f: Form0, tol: float = 1e-9) -> XiGenerator:
-    """Construct the degeneracy field of f and verify its two membership gates:
-    leaf tangency i_V alpha = 0 and d(nu) = eta ^ nu for nu = i_V mu."""
+def _degeneracy_gate(state: FoliatedState, v: VectorField) -> tuple[dict, str | None]:
+    """The two membership gates of a degeneracy field V, with nu = i_V mu:
+    leaf tangency i_V alpha = 0 and closure d(nu) = eta ^ nu.  Returns their
+    relative residuals and the failure message, or None if both pass."""
+    alpha = state.alpha
+    nu = Form2(state.grid, v.data)
+    tangency = Form0(state.grid, np.sum(alpha.data * v.data, axis=0)).l2() / max(
+        alpha.l2() * v_l2(v), 1e-30)
+    dnu = d(nu)
+    closure = (dnu - wedge(state.eta, nu)).l2() / max(
+        dnu.l2(), state.eta.l2() * nu.l2(), 1e-30)
+    res = {"tangency": tangency, "condon": closure}
+    if tangency <= DEGENERACY_TOL and closure <= DEGENERACY_TOL:
+        return res, None
+    return res, (f"field fails degeneracy gates: tangency {tangency:.3e}, "
+                 f"closure {closure:.3e} (tol {DEGENERACY_TOL:g})")
+
+
+def xi_generator(state: FoliatedState, f: Form0) -> XiGenerator:
+    """Construct the degeneracy field of f and verify its membership gates."""
     alpha = state.alpha
     nu = scale_by(f, d(alpha)) + d(scale_by(f, alpha))
     v = VectorField(state.grid, nu.data)
-    scale = max(alpha.l2() * v_l2(v), 1e-30)
-    tangency = abs(pairing(alpha, v)) / scale
-    tangency_pointwise = Form0(state.grid, np.sum(alpha.data * v.data, axis=0)).l2() / scale
-    dnu = d(nu)
-    condon = (dnu - wedge(state.eta, nu)).l2() / max(
-        dnu.l2(), state.eta.l2() * nu.l2(), 1e-30)
-    res = {
-        "tangency": tangency_pointwise,
-        "tangency_integral": tangency,
-        "condon": condon,
-    }
-    if max(tangency_pointwise, condon) > tol:
-        raise InconsistencyError(
-            f"degeneracy-field gates failed: tangency {tangency_pointwise:.3e}, "
-            f"closure {condon:.3e} (tol {tol:g})"
-        )
-    return XiGenerator(f=f, v=v, residuals=res)
+    res, failure = _degeneracy_gate(state, v)
+    if failure:
+        raise InconsistencyError(failure)
+    return XiGenerator(v=v, residuals=res)
 
 
 def v_l2(v: VectorField) -> float:
     return float(np.sqrt(np.mean(np.sum(v.data ** 2, axis=0))))
 
 
-def bracket_degeneracy_check(state: FoliatedState, a: VectorField, v: VectorField,
-                             tol: float = 1e-6) -> float:
+def bracket_degeneracy_check(state: FoliatedState, a: VectorField, v: VectorField) -> float:
     """<alpha, [a, v]> for a leaf-tangent degeneracy representative a.
 
-    Preconditions (the two membership gates on a) are re-verified here, so
-    arbitrary fields are rejected rather than silently paired.
+    The membership gates on a are re-verified here, so arbitrary fields are
+    rejected rather than silently paired.
     """
-    alpha = state.alpha
-    scale_a = max(alpha.l2() * v_l2(a), 1e-30)
-    ia_alpha = Form0(state.grid, np.sum(alpha.data * a.data, axis=0)).l2() / scale_a
-    nu = Form2(state.grid, a.data)
-    dnu = d(nu)
-    closure = (dnu - wedge(state.eta, nu)).l2() / max(dnu.l2(), 1e-30)
-    if ia_alpha > tol or closure > tol:
-        raise PreconditionError(
-            f"field fails degeneracy gates: tangency {ia_alpha:.3e}, "
-            f"closure {closure:.3e} (tol {tol:g})"
-        )
-    return pairing(alpha, vf_bracket(a, v))
+    _, failure = _degeneracy_gate(state, a)
+    if failure:
+        raise PreconditionError(failure)
+    return pairing(state.alpha, vf_bracket(a, v))
 
 
 def restricted_bracket(state: FoliatedState, u: VectorField, v: VectorField) -> float:
@@ -301,39 +303,26 @@ def restricted_bracket(state: FoliatedState, u: VectorField, v: VectorField) -> 
 
 
 def gv_casimir_suite(state: FoliatedState, fields: list[VectorField], t: float,
-                     dt: float = 2e-3, drift_tol: float = 1e-6) -> dict:
-    """Transport alpha along each field, re-solve the chain, report GV drift.
+                     dt: float = 2e-3) -> dict:
+    """Transport alpha along each field, re-solve the chain and measure GV drift.
 
-    Transported states that fail the strict integrability gate are reported
-    as degraded (with their residuals) rather than fatal.
+    Each transported state is solved once without raising; its ``degraded``
+    entry is the message of the first membership gate it fails, or None.
     """
     gv0 = godbillon_vey(state)
     records = []
     for idx, u in enumerate(fields):
-        transported = transport(state.alpha, u, t, dt)
-        degraded = False
-        try:
-            new_state = FoliatedState.from_alpha(transported)
-        except (PreconditionError, InconsistencyError):
-            degraded = True
-            new_state = FoliatedState.from_alpha(transported, strict=False)
+        new_state = FoliatedState.from_alpha(transport(state.alpha, u, t, dt), strict=False)
         gv_t = godbillon_vey(new_state)
+        failure = gate_failure(new_state.residuals)
         records.append({
             "field": idx,
-            "gv_initial": gv0,
             "gv_final": gv_t,
             "drift": abs(gv_t - gv0),
-            "tolerance": drift_tol * (1.0 + abs(gv0)),
-            "pass": abs(gv_t - gv0) <= drift_tol * (1.0 + abs(gv0)),
-            "degraded": degraded,
+            "degraded": str(failure) if failure else None,
             "residuals": new_state.residuals,
         })
-    return {
-        "gv_initial": gv0,
-        "time": t,
-        "records": records,
-        "pass": all(r["pass"] for r in records),
-    }
+    return {"gv_initial": gv0, "records": records}
 
 
 def graph_foliation_form(grid, profile: Form0, scale: Form0 | None = None) -> Form1:

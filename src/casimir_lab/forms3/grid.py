@@ -164,18 +164,16 @@ def mean_dot_r(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
     return float(np.sum(np.sum((a * b.conj()).real, axis=0) @ grid.parseval_weight))
 
 
-def spectral_tail_fraction(data: np.ndarray, grid: Grid, kmin: int | None = None) -> float:
-    """Fraction of spectral energy at or beyond wavenumber kmin (default n/2 - 1).
+def spectral_tail_fraction(data: np.ndarray, grid: Grid) -> float:
+    """Fraction of spectral energy at or beyond wavenumber n/2 - 1.
 
     Used to warn about non-periodic or under-resolved inputs.
     """
-    if kmin is None:
-        kmin = grid.n // 2 - 1
     spec = np.fft.fftn(data, axes=(-3, -2, -1))
     k = np.abs(grid.k_full)
     kmax = np.maximum(np.maximum(k[:, None, None], k[None, :, None]), k[None, None, :])
     total = float(np.sum(np.abs(spec) ** 2))
     if total == 0.0:
         return 0.0
-    tail = float(np.sum(np.abs(spec) ** 2 * (kmax >= kmin)))
+    tail = float(np.sum(np.abs(spec) ** 2 * (kmax >= grid.n // 2 - 1)))
     return tail / total

@@ -10,8 +10,8 @@ from .grid import Grid
 
 
 def random_scalar_array(grid: Grid, bandwidth: int, rng: np.random.Generator,
-                        rms: float = 1.0, zero_mean: bool = True) -> np.ndarray:
-    """Real scalar grid supported on modes with max |k| <= bandwidth."""
+                        rms: float = 1.0) -> np.ndarray:
+    """Real zero-mean scalar grid supported on modes with max |k| <= bandwidth."""
     n = grid.n
     spec = np.zeros((n, n, n), dtype=complex)
     k = grid.k_full
@@ -20,8 +20,7 @@ def random_scalar_array(grid: Grid, bandwidth: int, rng: np.random.Generator,
         & (np.abs(k)[None, None, :] <= bandwidth)
     m = int(mask.sum())
     spec[mask] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    if zero_mean:
-        spec[0, 0, 0] = 0.0
+    spec[0, 0, 0] = 0.0
     f = np.fft.ifftn(spec).real * n ** 1.5
     norm = float(np.sqrt(np.mean(f ** 2)))
     if norm > 0:
@@ -29,9 +28,8 @@ def random_scalar_array(grid: Grid, bandwidth: int, rng: np.random.Generator,
     return f
 
 
-def random_form0(grid: Grid, bandwidth: int, rng, rms: float = 1.0,
-                 zero_mean: bool = True) -> Form0:
-    return Form0(grid, random_scalar_array(grid, bandwidth, rng, rms, zero_mean))
+def random_form0(grid: Grid, bandwidth: int, rng, rms: float = 1.0) -> Form0:
+    return Form0(grid, random_scalar_array(grid, bandwidth, rng, rms))
 
 
 def random_form1(grid: Grid, bandwidth: int, rng, rms: float = 1.0) -> Form1:

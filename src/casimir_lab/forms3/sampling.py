@@ -15,6 +15,9 @@ from ..errors import PreconditionError
 from .forms import Form0, Form3
 from .grid import Grid
 
+# How far (mod 1) a curve's closing row may sit from its first row.
+CLOSURE_TOL = 1e-12
+
 
 def _eval_scalar(data: np.ndarray, grid: Grid, pts: np.ndarray) -> np.ndarray:
     coef = np.ascontiguousarray(np.fft.fftn(data) / grid.n ** 3)
@@ -41,18 +44,18 @@ def eval_at(obj, points):
     return vals
 
 
-def closed_curve(points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def closed_curve(points: np.ndarray) -> np.ndarray:
     """Validate a uniformly sampled closed curve and drop its closing row.
 
     ``points`` has shape (m+1, 3): m uniform parameter samples plus a final
-    row repeating the start (mod 1 in each coordinate, to ``tol``).
+    row repeating the start (mod 1 in each coordinate, to CLOSURE_TOL).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 9:
         raise PreconditionError("curve must be an (m+1, 3) array with m >= 8")
     gap = pts[-1] - pts[0]
     gap -= np.round(gap)
-    if np.abs(gap).max() > tol:
+    if np.abs(gap).max() > CLOSURE_TOL:
         raise PreconditionError(
             f"open curve: endpoints differ by {np.abs(gap).max():.3e} (mod 1)"
         )

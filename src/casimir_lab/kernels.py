@@ -161,6 +161,9 @@ def rk45_loop(p, r, s, h, t_final, rtol, atol, max_steps):
             states.append(p)
             states.append(r)
             states.append(s)
+        elif err != err:
+            # a NaN error estimate would turn dt into NaN and spin the budget
+            return times, states, STATUS_NONFINITE
         if err == 0.0:
             factor = 5.0
         else:

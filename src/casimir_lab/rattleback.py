@@ -108,11 +108,6 @@ class Trajectory:
         if np.any(np.diff(self.times) <= 0):
             raise InvalidParameterError("times must be strictly increasing")
 
-    @property
-    def final_state(self) -> RattlebackState:
-        p, r, s = self.states[-1]
-        return RattlebackState(p, r, s)
-
 
 def bianchi_vi(h: float) -> AlgebraStructure:
     """Structure constants of Bianchi VI_h in the ordered basis (P, R, S).

@@ -74,10 +74,19 @@ def _check(cfg: SuiteConfig, name: str, value, default_tol: float, **extra) -> d
     return rec
 
 
-def _gate_check(cfg: SuiteConfig, name: str, passed: bool, **extra) -> dict:
+def _gate_check(name: str, passed: bool, **extra) -> dict:
     rec = {"check": name, "value": None, "tolerance": None, "pass": bool(passed)}
     rec.update(extra)
     return rec
+
+
+def _rejects(fn, *args) -> bool:
+    """Whether fn(*args) refuses its input with a PreconditionError."""
+    try:
+        fn(*args)
+    except PreconditionError:
+        return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +441,7 @@ def suite_lie_poisson(cfg: SuiteConfig) -> list[dict]:
                          / max(1.0, alpha.linf() * w_fol.linf()), 1e-10))
     contact = beltrami
     density = helicity_density_check(contact)
-    checks.append(_gate_check(cfg, "fluid-helicity-density-contact-control",
+    checks.append(_gate_check("fluid-helicity-density-contact-control",
                               density > 1.0, value_observed=density,
                               note="non-integrable control must show O(2*pi) density"))
 
@@ -477,17 +486,14 @@ def suite_godbillon_vey(cfg: SuiteConfig) -> list[dict]:
     contact = f3.one_form(g, lambda x, y, z: np.sin(2 * np.pi * z),
                           lambda x, y, z: np.cos(2 * np.pi * z), lambda x, y, z: 0 * z)
     rep = fol.check_integrability(contact)
-    checks.append(_gate_check(cfg, "gv-integrability-contact-control",
+    checks.append(_gate_check("gv-integrability-contact-control",
                               rep["relative_residual"] > 1e-3,
                               value_observed=rep["relative_residual"],
                               note="contact form must be flagged non-integrable"))
-    try:
-        fol.solve_eta(f3.one_form(g, lambda x, y, z: np.sin(2 * np.pi * z),
-                                  lambda x, y, z: 0 * z, lambda x, y, z: 0 * z))
-        vanishing_rejected = False
-    except PreconditionError:
-        vanishing_rejected = True
-    checks.append(_gate_check(cfg, "gv-nonvanishing-floor-gate", vanishing_rejected,
+    vanishing = f3.one_form(g, lambda x, y, z: np.sin(2 * np.pi * z),
+                            lambda x, y, z: 0 * z, lambda x, y, z: 0 * z)
+    checks.append(_gate_check("gv-nonvanishing-floor-gate",
+                              _rejects(fol.solve_eta, vanishing),
                               note="a vanishing 1-form must be rejected"))
 
     # canonical family: base, scalings, gauge shifts
@@ -612,12 +618,8 @@ def suite_godbillon_vey(cfg: SuiteConfig) -> list[dict]:
     scale = 1.0 + adot.l2() * st_c.chi.l2()
     checks.append(_check(cfg, "gv-variation-diffeo-transport", abs(fd - pred) / scale, 1e-6))
 
-    try:
-        fol.gv_variation(st_c, f3.random_form1(g, 2, rng))
-        rejected = False
-    except PreconditionError:
-        rejected = True
-    checks.append(_gate_check(cfg, "gv-variation-tangency-gate", rejected,
+    checks.append(_gate_check("gv-variation-tangency-gate",
+                              _rejects(fol.gv_variation, st_c, f3.random_form1(g, 2, rng)),
                               note="a non-tangent variation must be rejected"))
 
     # degeneracy fields
@@ -657,13 +659,10 @@ def suite_godbillon_vey(cfg: SuiteConfig) -> list[dict]:
         scale = max(1.0, st_c.alpha.l2() * fol.v_l2(a_field) * fol.v_l2(v_field))
         worst = max(worst, val / scale)
     checks.append(_check(cfg, "gv-bracket-degeneracy", worst, 1e-8))
-    try:
-        fol.bracket_degeneracy_check(st_c, f3.random_vector_field(g, 2, rng),
-                                     f3.random_vector_field(g, 2, rng))
-        rejected = False
-    except PreconditionError:
-        rejected = True
-    checks.append(_gate_check(cfg, "gv-bracket-degeneracy-gate", rejected,
+    checks.append(_gate_check("gv-bracket-degeneracy-gate",
+                              _rejects(fol.bracket_degeneracy_check, st_c,
+                                       f3.random_vector_field(g, 2, rng),
+                                       f3.random_vector_field(g, 2, rng)),
                               note="fields failing the membership gates must be rejected"))
 
     # restricted bracket on representatives
@@ -685,21 +684,19 @@ def suite_godbillon_vey(cfg: SuiteConfig) -> list[dict]:
                              - lie_poisson_bracket(st_c.alpha, u_div, v_div)), 1e-10))
 
     # GV as a transport (restricted Casimir) invariant
+    def transport_drift_check(name, fields):
+        rep = fol.gv_casimir_suite(st_c, fields, t=0.2, dt=2e-3)
+        return _check(cfg, name, max(r["drift"] for r in rep["records"]),
+                      1e-6 * (1.0 + abs(rep["gv_initial"])),
+                      degraded=[r["field"] for r in rep["records"] if r["degraded"]])
+
     fields = [f3.random_divfree_field(g, 1 + (i % 2), rng, rms=0.08) for i in range(5)]
-    rep = fol.gv_casimir_suite(st_c, fields, t=0.2, dt=2e-3)
-    worst = max(r["drift"] for r in rep["records"])
-    checks.append(_check(cfg, "gv-transport-casimir-drift", worst,
-                         1e-6 * (1.0 + abs(rep["gv_initial"])),
-                         degraded=[r["field"] for r in rep["records"] if r["degraded"]]))
-    nd = f3.random_vector_field(g, 1, rng, rms=0.05)
-    rep_nd = fol.gv_casimir_suite(st_c, [nd], t=0.2, dt=2e-3)
-    checks.append(_check(cfg, "gv-transport-nondivfree-drift",
-                         rep_nd["records"][0]["drift"],
-                         1e-6 * (1.0 + abs(rep_nd["gv_initial"])),
-                         degraded=[r["field"] for r in rep_nd["records"] if r["degraded"]]))
+    checks.append(transport_drift_check("gv-transport-casimir-drift", fields))
+    checks.append(transport_drift_check("gv-transport-nondivfree-drift",
+                                        [f3.random_vector_field(g, 1, rng, rms=0.05)]))
 
     checks.append(_gate_check(
-        cfg, "gv-nonzero-example-gap", True, informational=True,
+        "gv-nonzero-example-gap", True, informational=True,
         note="no grid-representable integrable form with numerically resolvable "
              "nonzero GV is included; the identity chain is validated at GV = 0"))
     return checks

@@ -52,6 +52,107 @@ CRITERIA_CHECKS = {
 }
 
 
+# Every check of ``verify --suite all``, in report order.  A change that drops,
+# renames or reorders a check has to change this list too.
+REPORT_CHECKS = [
+    "rattleback-jacobi-identity",
+    "rattleback-structure-antisymmetry",
+    "rattleback-bracket-antisymmetry",
+    "rattleback-rhs-matches-bracket",
+    "rattleback-casimir-gradient-kernel",
+    "rattleback-energy-conservation-rk4",
+    "rattleback-casimir-conservation-rk4",
+    "rattleback-energy-conservation-rk45",
+    "rattleback-casimir-conservation-rk45",
+    "rattleback-parity-symmetry",
+    "rattleback-rhs-zero-on-line",
+    "rattleback-poisson-matrix-zero-on-line",
+    "rattleback-bracket-trivial-on-line",
+    "rattleback-singular-line-constant",
+    "rattleback-chirality-reversal-snapshot",
+    "forms-dd-zero",
+    "forms-contraction-identity",
+    "forms-leibniz",
+    "forms-cartan-commutation",
+    "forms-integration-by-parts",
+    "forms-wedge-anticommutativity",
+    "forms-d-analytic-oracle",
+    "forms-unit-volume",
+    "forms-stokes-closed",
+    "forms-integrate-analytic",
+    "forms-vorticity-curl-oracle",
+    "forms-vorticity-exact-form",
+    "forms-vorticity-divergence-free",
+    "forms-bracket-commutator-oracle",
+    "forms-eval-grid-reproduction",
+    "forms-eval-analytic-point",
+    "forms-transport-zero-generator",
+    "forms-transport-translation-oracle",
+    "forms-transport-helicity-invariance",
+    "fluid-pairing-basis",
+    "fluid-pairing-representative-independence",
+    "fluid-pairing-analytic",
+    "fluid-coadjoint-closed-form",
+    "fluid-coadjoint-adjunction",
+    "fluid-coadjoint-beltrami-self",
+    "fluid-helicity-beltrami",
+    "fluid-helicity-exact-form",
+    "fluid-helicity-gauge-invariance",
+    "fluid-helicity-gradient",
+    "fluid-helicity-gradient-gauge-direction",
+    "fluid-helicity-gradient-homogeneity",
+    "fluid-euler-beltrami-steady",
+    "fluid-euler-pure-gauge",
+    "fluid-euler-shear-steady",
+    "fluid-euler-helicity-conservation",
+    "fluid-euler-energy-conservation",
+    "fluid-euler-beltrami-persistence",
+    "fluid-subalgebra-orthogonality",
+    "fluid-helicity-density-foliated",
+    "fluid-vorticity-leaf-tangency",
+    "fluid-helicity-density-contact-control",
+    "fluid-loop-leaf-tangent",
+    "fluid-loop-period-class",
+    "fluid-loop-gauge-invariance",
+    "gv-integrability-graph-family",
+    "gv-integrability-closed-form",
+    "gv-integrability-contact-control",
+    "gv-nonvanishing-floor-gate",
+    "gv-eta-defining-residual",
+    "gv-gamma-defining-residual",
+    "gv-gamma-solvability-certificate",
+    "gv-chi-tangency",
+    "gv-chi-closure",
+    "gv-helicity-hierarchy",
+    "gv-eta-hand-gauge-agreement",
+    "gv-eta-closed-form-zero",
+    "gv-eta-rescaling-law",
+    "gv-graph-family-zero",
+    "gv-graph-family-zero-steep",
+    "gv-scaling-invariance",
+    "gv-gauge-scaling-spread",
+    "gv-chi-gauge-shift-formula",
+    "gv-chi-gauge-shift-combined",
+    "gv-variation-profile-deformation",
+    "gv-variation-rescaling",
+    "gv-variation-diffeo-transport",
+    "gv-variation-tangency-gate",
+    "gv-xi-unit-generator",
+    "gv-xi-zero-generator",
+    "gv-xi-tangency",
+    "gv-xi-closure-condition",
+    "gv-degeneracy-pairing",
+    "gv-bracket-degeneracy",
+    "gv-bracket-degeneracy-gate",
+    "gv-restricted-bracket-antisymmetry",
+    "gv-restricted-bracket-xi-shift",
+    "gv-restricted-bracket-divfree-consistency",
+    "gv-transport-casimir-drift",
+    "gv-transport-nondivfree-drift",
+    "gv-nonzero-example-gap",
+]
+
+
 @pytest.fixture(scope="module")
 def cli_verify(tmp_path_factory):
     """Criterion 13's one end-to-end ``verify --suite all`` run:
@@ -134,3 +235,7 @@ def test_criterion_13_full_cli_verify(cli_verify):
           and doc["grid"] == 32 and doc["version"])
     _verdict(13, ok, f"exit {code}, {elapsed:.0f}s (< 600s), "
                      f"{len(doc['checks'])} checks, criteria 1-12 covered: {covered}")
+
+
+def test_report_check_names_pinned(full_report):
+    assert [c["check"] for c in full_report["checks"]] == REPORT_CHECKS

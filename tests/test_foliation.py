@@ -43,6 +43,25 @@ class TestIntegrability:
             fol.solve_eta(beltrami)
 
 
+class TestMembershipGate:
+    def test_accepted_state_passes(self, foliated_state):
+        assert fol.gate_failure(foliated_state.residuals) is None
+
+    def test_lenient_solve_names_the_failure(self, beltrami):
+        st = fol.FoliatedState.from_alpha(beltrami, strict=False)
+        failure = fol.gate_failure(st.residuals)
+        assert isinstance(failure, PreconditionError)
+        assert "not integrable" in str(failure)
+        with pytest.raises(PreconditionError, match="not integrable"):
+            fol.FoliatedState.from_alpha(beltrami)
+
+    def test_defining_identity_failure(self, foliated_state):
+        res = {**foliated_state.residuals, "gamma_defining": 1e-6}
+        failure = fol.gate_failure(res)
+        assert isinstance(failure, InconsistencyError)
+        assert "gamma_defining" in str(failure)
+
+
 class TestEtaSolver:
     def test_matches_hand_formula(self, grid32, graph_profile):
         a = graph_profile.data
@@ -299,6 +318,14 @@ class TestRestrictedBracket:
         scale = max(1.0, foliated_state.alpha.l2() * fol.v_l2(a) * fol.v_l2(v))
         assert val <= 1e-8 * scale
 
+    def test_xi_generators_pass_the_bracket_gate(self, foliated_state, rng):
+        # f = 1 gives nu = 2 d(alpha), whose d(nu) is roundoff against zero
+        g = foliated_state.grid
+        v = f3.random_vector_field(g, 3, rng)
+        for f in (f3.Form0(g, np.ones(g.shape)), f3.random_form0(g, 2, rng, rms=0.5)):
+            a = fol.xi_generator(foliated_state, f).v
+            fol.bracket_degeneracy_check(foliated_state, a, v)
+
     def test_shower_gate(self, foliated_state, rng):
         g = foliated_state.grid
         with pytest.raises(PreconditionError, match="degeneracy gates"):
@@ -311,7 +338,6 @@ class TestTransportSuite:
     def test_single_field_drift(self, foliated_state, rng):
         u = f3.random_divfree_field(foliated_state.grid, 1, rng, rms=0.1)
         rep = fol.gv_casimir_suite(foliated_state, [u], t=0.1, dt=2e-3)
-        assert rep["pass"]
         assert rep["records"][0]["drift"] <= 1e-6
 
     def test_zero_field_no_drift(self, foliated_state):
@@ -322,8 +348,23 @@ class TestTransportSuite:
     def test_violent_field_reports_degraded(self, foliated_state, rng):
         u = f3.random_divfree_field(foliated_state.grid, 4, rng, rms=0.5)
         rep = fol.gv_casimir_suite(foliated_state, [u], t=0.2, dt=2e-3)
-        assert rep["records"][0]["degraded"]
+        assert "not integrable" in rep["records"][0]["degraded"]
         assert "integrability" in rep["records"][0]["residuals"]
+
+    def test_one_solve_per_field(self, foliated_state, rng, monkeypatch):
+        g = foliated_state.grid
+        fields = [f3.random_divfree_field(g, 4, rng, rms=0.5), f3.zero_field(g)]
+        calls = []
+        solve = fol.FoliatedState.from_alpha
+
+        def counted(alpha, **kw):
+            calls.append(kw)
+            return solve(alpha, **kw)
+
+        monkeypatch.setattr(fol.FoliatedState, "from_alpha", counted)
+        rep = fol.gv_casimir_suite(foliated_state, fields, t=0.2, dt=2e-3)
+        assert [bool(r["degraded"]) for r in rep["records"]] == [True, False]
+        assert len(calls) == len(fields)
 
 
 def test_helicity_hierarchy(foliated_state):

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -164,6 +165,14 @@ class TestIntegrate:
             rb.integrate(rb.RattlebackState(1e150, 1e150, 1e150), 2.0,
                          dt=1e-3, t_final=10.0)
         assert err.value.time > 0
+
+    def test_rk45_nan_error_estimate_stops(self):
+        # the first trial step overflows, so the error estimate is NaN
+        t0 = time.perf_counter()
+        with pytest.raises(BlowUpError, match="state became non-finite"):
+            rb.integrate(rb.RattlebackState(1e150, 1e150, 1e150), 2.0,
+                         dt=1e-3, t_final=10.0, method="rk45")
+        assert time.perf_counter() - t0 < 1.0
 
     def test_stride_sampling(self):
         tr = rb.integrate(rb.RattlebackState(0.1, 0.2, 1.0), -2.0, dt=1e-3,
