@@ -121,11 +121,22 @@ def gate_failure(res: dict) -> PreconditionError | InconsistencyError | None:
     return None
 
 
+def _enforce_gates(res: dict) -> None:
+    """Raise the first membership gate ``res`` fails, if any."""
+    failure = gate_failure(res)
+    if failure:
+        try:
+            raise failure
+        finally:
+            # a frame holding the exception it raised is a reference cycle
+            # (frame -> exception -> traceback -> frame) that keeps every
+            # caller's arrays alive until the cyclic collector runs
+            del failure
+
+
 def solve_eta(alpha: Form1) -> Form1:
     """A 1-form with d(alpha) = alpha ^ eta (defect absorbed by gauge freedom)."""
-    failure = gate_failure(_integrability_residuals(alpha))
-    if failure:
-        raise failure
+    _enforce_gates(_integrability_residuals(alpha))
     return interior(_reference_field(alpha), d(alpha))
 
 
@@ -167,7 +178,6 @@ class FoliatedState:
     eta: Form1
     gamma: Form1
     chi: Form2
-    x_ref: VectorField
     residuals: dict = field(default_factory=dict)
 
     @property
@@ -193,9 +203,9 @@ class FoliatedState:
                 np.abs(np.sum(alpha.data * x.data, axis=0) - 1.0).max()),
             "helicity": abs(helicity(alpha)),
         }
-        if strict and (failure := gate_failure(res)):
-            raise failure
-        return cls(alpha=alpha, eta=eta, gamma=gamma, chi=chi, x_ref=x, residuals=res)
+        if strict:
+            _enforce_gates(res)
+        return cls(alpha=alpha, eta=eta, gamma=gamma, chi=chi, residuals=res)
 
 
 def godbillon_vey(state: FoliatedState) -> float:
@@ -215,8 +225,7 @@ def gauge_shift(state: FoliatedState, f: Form0, g: Form0) -> FoliatedState:
     gamma = state.gamma + scale_by(f, state.eta) - d(f) + scale_by(g, alpha)
     chi, chain = _solve_chi(alpha, d(alpha), eta, d(eta), gamma)
     res = {**state.residuals, **chain}
-    return FoliatedState(alpha=alpha, eta=eta, gamma=gamma, chi=chi,
-                         x_ref=state.x_ref, residuals=res)
+    return FoliatedState(alpha=alpha, eta=eta, gamma=gamma, chi=chi, residuals=res)
 
 
 def chi_shift_expected(state: FoliatedState, f: Form0, g: Form0) -> Form2:
@@ -302,8 +311,7 @@ def restricted_bracket(state: FoliatedState, u: VectorField, v: VectorField) -> 
     return pairing(state.alpha, vf_bracket(u, v))
 
 
-def gv_casimir_suite(state: FoliatedState, fields: list[VectorField], t: float,
-                     dt: float = 2e-3) -> dict:
+def gv_casimir_suite(state: FoliatedState, fields: list[VectorField], t: float) -> dict:
     """Transport alpha along each field, re-solve the chain and measure GV drift.
 
     Each transported state is solved once without raising; its ``degraded``
@@ -312,7 +320,7 @@ def gv_casimir_suite(state: FoliatedState, fields: list[VectorField], t: float,
     gv0 = godbillon_vey(state)
     records = []
     for idx, u in enumerate(fields):
-        new_state = FoliatedState.from_alpha(transport(state.alpha, u, t, dt), strict=False)
+        new_state = FoliatedState.from_alpha(transport(state.alpha, u, t, t), strict=False)
         gv_t = godbillon_vey(new_state)
         failure = gate_failure(new_state.residuals)
         records.append({

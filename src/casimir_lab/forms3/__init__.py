@@ -44,7 +44,7 @@ from .calculus import (
     wedge,
 )
 from .sampling import circle_loop, closed_curve, curve_velocity, eval_at
-from .transport import generator, rk4_evolve, transport
+from .transport import generator, transport
 from .randfields import (
     random_divfree_field,
     random_form,

@@ -301,10 +301,10 @@ def suite_forms(cfg: SuiteConfig) -> list[dict]:
     prof = lambda x: np.sin(2 * np.pi * x) + 0.3 * np.cos(4 * np.pi * x)
     shear = f3.one_form(g, lambda x, y, z: prof(x), lambda x, y, z: 0 * x,
                         lambda x, y, z: 0 * x)
-    still = f3.transport(shear, f3.zero_field(g), 0.25, 1e-3)
+    still = f3.transport(shear, f3.zero_field(g), 0.25, 0.25)
     checks.append(_check(cfg, "forms-transport-zero-generator",
                          float(np.abs(still.data - shear.data).max()), 0.0))
-    moved = f3.transport(shear, f3.constant_field(g, 1.0, 0.0, 0.0), 0.25, 1e-3)
+    moved = f3.transport(shear, f3.constant_field(g, 1.0, 0.0, 0.0), 0.25, 0.25)
     expect = f3.one_form(g, lambda x, y, z: prof(x - 0.25), lambda x, y, z: 0 * x,
                          lambda x, y, z: 0 * x)
     checks.append(_check(cfg, "forms-transport-translation-oracle",
@@ -315,7 +315,7 @@ def suite_forms(cfg: SuiteConfig) -> list[dict]:
                   + np.stack([np.sin(2 * np.pi * Z), np.cos(2 * np.pi * Z), 0 * Z]))
     u = f3.random_divfree_field(g, 3, rng, rms=0.3)
     h0 = helicity(ar)
-    drift = abs(helicity(f3.transport(ar, u, 0.5, 1e-3)) - h0) / abs(h0)
+    drift = abs(helicity(f3.transport(ar, u, 0.5, 0.5)) - h0) / abs(h0)
     checks.append(_check(cfg, "forms-transport-helicity-invariance", drift, 1e-6))
     return checks
 
@@ -496,34 +496,41 @@ def suite_godbillon_vey(cfg: SuiteConfig) -> list[dict]:
                               _rejects(fol.solve_eta, vanishing),
                               note="a vanishing 1-form must be rejected"))
 
-    # canonical family: base, scalings, gauge shifts
+    # canonical family: base, scalings, gauge shifts.  Only the first three
+    # states are used again; the rest are reduced at once to (residuals, GV).
+    def measured(st):
+        return st.residuals, fol.godbillon_vey(st)
+
     states = [fol.FoliatedState.from_alpha(beta)]
-    shifted = []
+    family, shifted = [measured(states[0])], []
     for _ in range(20):
         q = f3.random_scalar_array(g, 2, rng, rms=SCALING_RMS)
         alpha_i = fol.graph_foliation_form(g, a_prof, f3.Form0(g, np.exp(q)))
         st = fol.FoliatedState.from_alpha(alpha_i)
-        states.append(st)
+        if len(states) < 3:
+            states.append(st)
+        family.append(measured(st))
         f_gauge = f3.random_form0(g, 1, rng, rms=GAUGE_RMS)
         g_gauge = f3.random_form0(g, 1, rng, rms=GAUGE_RMS)
-        shifted.append(fol.gauge_shift(st, f_gauge, g_gauge))
+        shifted.append(measured(fol.gauge_shift(st, f_gauge, g_gauge)))
+        del st  # freed before the next member is solved
 
     def worst_residual(key, pool):
-        return max(s.residuals[key] for s in pool)
+        return max(res[key] for res, _ in pool)
 
-    chain_pool = states + shifted
+    chain_pool = family + shifted
     checks.append(_check(cfg, "gv-eta-defining-residual",
                          worst_residual("eta_defining", chain_pool), 1e-9))
     checks.append(_check(cfg, "gv-gamma-defining-residual",
                          worst_residual("gamma_defining", chain_pool), 1e-9))
     checks.append(_check(cfg, "gv-gamma-solvability-certificate",
-                         worst_residual("gamma_certificate", states), 1e-10))
+                         worst_residual("gamma_certificate", family), 1e-10))
     checks.append(_check(cfg, "gv-chi-tangency",
                          worst_residual("chi_tangency", chain_pool), 1e-8))
     checks.append(_check(cfg, "gv-chi-closure",
                          worst_residual("chi_closure", chain_pool), 1e-8))
     checks.append(_check(cfg, "gv-helicity-hierarchy",
-                         worst_residual("helicity", states), 1e-11))
+                         worst_residual("helicity", family), 1e-11))
 
     # solver gauge agrees with the hand gauge for the graph family
     ap = f3.Form0(g, f3.spectral_derivative(a_prof.data, g, 2))
@@ -557,7 +564,7 @@ def suite_godbillon_vey(cfg: SuiteConfig) -> list[dict]:
     checks.append(_check(cfg, "gv-scaling-invariance",
                          abs(fol.godbillon_vey(st_big) - fol.godbillon_vey(st_spec)),
                          1e-9))
-    gvs = np.array([fol.godbillon_vey(s) for s in states + shifted])
+    gvs = np.array([gv for _, gv in chain_pool])
     checks.append(_check(cfg, "gv-gauge-scaling-spread",
                          float(gvs.max() - gvs.min()),
                          1e-9 * (1.0 + float(np.abs(gvs).max()))))
@@ -610,8 +617,8 @@ def suite_godbillon_vey(cfg: SuiteConfig) -> list[dict]:
     u_var = f3.random_divfree_field(g, 3, rng, rms=0.5)
     adot = f3.generator(st_c.alpha, u_var)
     pred = fol.gv_variation(st_c, adot)
-    a_p = f3.transport(st_c.alpha, u_var, eps, eps / 4)
-    a_m = f3.transport(st_c.alpha, f3.VectorField(g, -u_var.data), eps, eps / 4)
+    a_p = f3.transport(st_c.alpha, u_var, eps, eps)
+    a_m = f3.transport(st_c.alpha, f3.VectorField(g, -u_var.data), eps, eps)
     gv_p = fol.godbillon_vey(fol.FoliatedState.from_alpha(a_p, strict=False))
     gv_m = fol.godbillon_vey(fol.FoliatedState.from_alpha(a_m, strict=False))
     fd = (gv_p - gv_m) / (2 * eps)
@@ -685,7 +692,7 @@ def suite_godbillon_vey(cfg: SuiteConfig) -> list[dict]:
 
     # GV as a transport (restricted Casimir) invariant
     def transport_drift_check(name, fields):
-        rep = fol.gv_casimir_suite(st_c, fields, t=0.2, dt=2e-3)
+        rep = fol.gv_casimir_suite(st_c, fields, t=0.2)
         return _check(cfg, name, max(r["drift"] for r in rep["records"]),
                       1e-6 * (1.0 + abs(rep["gv_initial"])),
                       degraded=[r["field"] for r in rep["records"] if r["degraded"]])

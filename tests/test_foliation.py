@@ -337,17 +337,17 @@ class TestRestrictedBracket:
 class TestTransportSuite:
     def test_single_field_drift(self, foliated_state, rng):
         u = f3.random_divfree_field(foliated_state.grid, 1, rng, rms=0.1)
-        rep = fol.gv_casimir_suite(foliated_state, [u], t=0.1, dt=2e-3)
+        rep = fol.gv_casimir_suite(foliated_state, [u], t=0.1)
         assert rep["records"][0]["drift"] <= 1e-6
 
     def test_zero_field_no_drift(self, foliated_state):
         rep = fol.gv_casimir_suite(foliated_state, [f3.zero_field(foliated_state.grid)],
-                                   t=0.1, dt=2e-3)
+                                   t=0.1)
         assert rep["records"][0]["drift"] == 0.0
 
     def test_violent_field_reports_degraded(self, foliated_state, rng):
         u = f3.random_divfree_field(foliated_state.grid, 4, rng, rms=0.5)
-        rep = fol.gv_casimir_suite(foliated_state, [u], t=0.2, dt=2e-3)
+        rep = fol.gv_casimir_suite(foliated_state, [u], t=0.2)
         assert "not integrable" in rep["records"][0]["degraded"]
         assert "integrability" in rep["records"][0]["residuals"]
 
@@ -362,7 +362,7 @@ class TestTransportSuite:
             return solve(alpha, **kw)
 
         monkeypatch.setattr(fol.FoliatedState, "from_alpha", counted)
-        rep = fol.gv_casimir_suite(foliated_state, fields, t=0.2, dt=2e-3)
+        rep = fol.gv_casimir_suite(foliated_state, fields, t=0.2)
         assert [bool(r["degraded"]) for r in rep["records"]] == [True, False]
         assert len(calls) == len(fields)
 

@@ -1,6 +1,7 @@
-"""The rfftn-coefficient RK4 loops of euler_evolve and transport against
-physical-space oracles: a plain RK4 loop over dealiased euler_rhs/generator,
-and the energy/helicity functionals evaluated on the grid."""
+"""The rfftn-coefficient evolutions of euler_evolve (RK4) and transport (the
+propagator exp(-t L_u)) against physical-space oracles: a plain RK4 loop
+over dealiased euler_rhs/generator, and the energy/helicity functionals
+evaluated on the grid."""
 
 import numpy as np
 import pytest
@@ -59,19 +60,23 @@ class TestEulerSpectralState:
 
 
 class TestTransportSpectralState:
-    def test_matches_physical_rk4(self, grid32, alpha, rng):
+    def test_matches_physical_rk4(self, grid16, rng):
+        # the propagator against small-dt RK4 on the dealiased generator;
         # modes beyond the 2/3 cutoff are carried, untouched by the increments
-        g = grid32
-        alpha = alpha + f3.random_form1(g, g.n // 2, rng, rms=1e-3)
+        g = grid16
+        alpha = f3.random_form1(g, 4, rng, rms=0.3) + f3.random_form1(g, g.n // 2, rng, rms=1e-3)
         u = f3.random_divfree_field(g, 3, rng, rms=0.3)
         u_dealiased = f3.VectorField(g, f3.dealias(u.data, g))
 
         def rhs(a):
             return f3.dealias(f3.generator(f3.Form1(g, a), u_dealiased).data, g)
 
-        expect = _rk4_physical(rhs, alpha.data, DT, STEPS)
-        out = f3.transport(alpha, u, STEPS * DT, DT)
-        assert _rel(out.data, expect) <= 1e-12
+        expect = _rk4_physical(rhs, alpha.data, 5e-4, 40)
+        out = f3.transport(alpha, u, 0.02, 0.02)
+        assert _rel(out.data, expect) <= 1e-10
+        high = ~g.dealias_mask_r
+        spec = f3.rfft3(alpha.data)
+        assert _rel(f3.rfft3(out.data)[:, high], spec[:, high]) <= 1e-12
 
     def test_zero_time_is_identity(self, grid32, alpha, rng):
         u = f3.random_divfree_field(grid32, 3, rng, rms=0.3)
@@ -94,9 +99,6 @@ def test_shared_step_rule(evolve, grid16, rng):
     for dt, t_final in ((0.0, 1.0), (-1e-3, 1.0), (1e-3, -1.0), (1e-3, np.inf), (1e-3, np.nan)):
         with pytest.raises(InvalidParameterError):
             evolve(a, dt, t_final)
-    with pytest.raises(BlowUpError) as info:
-        evolve(a, 5.0, 1e3)
-    assert 0.0 < info.value.time <= 1e3
 
 
 class TestSpectralMultipliers:

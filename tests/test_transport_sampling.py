@@ -1,8 +1,11 @@
+import inspect
+import time
+
 import numpy as np
 import pytest
 
 from casimir_lab import forms3 as f3
-from casimir_lab.errors import BlowUpError, PreconditionError
+from casimir_lab.errors import BlowUpError, InvalidParameterError, PreconditionError
 from casimir_lab.fluid import helicity, loop_integral
 
 
@@ -16,26 +19,53 @@ class TestTransport:
         prof = lambda x: np.sin(2 * np.pi * x) + 0.3 * np.cos(4 * np.pi * x)
         a = f3.one_form(grid32, lambda x, y, z: prof(x),
                         lambda x, y, z: 0 * x, lambda x, y, z: 0 * x)
-        moved = f3.transport(a, f3.constant_field(grid32, 1, 0, 0), 0.125, 1e-3)
+        moved = f3.transport(a, f3.constant_field(grid32, 1, 0, 0), 0.125, 0.125)
         expect = f3.one_form(grid32, lambda x, y, z: prof(x - 0.125),
                              lambda x, y, z: 0 * x, lambda x, y, z: 0 * x)
-        assert (moved - expect).linf() <= 1e-8
+        assert (moved - expect).linf() <= 1e-14
 
     def test_helicity_invariance(self, grid32, rng, beltrami):
         a = f3.Form1(grid32, f3.dealias(f3.random_form1(grid32, 3, rng, rms=0.5).data,
                                         grid32) + beltrami.data)
         u = f3.random_divfree_field(grid32, 3, rng, rms=0.3)
         h0 = helicity(a)
-        out = f3.transport(a, u, 0.25, 1e-3)
+        out = f3.transport(a, u, 0.25, 0.25)
         assert abs(helicity(out) - h0) / abs(h0) <= 1e-6
 
-    def test_blowup_detection(self, grid32):
-        # dt far beyond the advective CFL limit makes RK4 unstable
+    def test_blowup_detection(self, grid32, rng):
+        a = f3.random_form1(grid32, 3, rng)
+        u = f3.random_divfree_field(grid32, 2, rng, rms=0.3)
+        bad = a.data.copy()
+        bad[1, 3, 4, 5] = np.nan
+        with pytest.raises(BlowUpError) as info:
+            f3.transport(f3.Form1(grid32, bad), u, 0.1, 0.1)
+        assert 0.0 < info.value.time <= 0.1
+        with pytest.raises(BlowUpError):
+            f3.transport(a, f3.VectorField(grid32, np.full_like(u.data, np.nan)), 0.1, 0.1)
+
+    def test_substep_bound(self, grid32):
+        # 2 pi (n//3) * 60 * 40 / 8 = 18850 substeps: refused before any transform
         x, _, _ = grid32.meshes
         a = f3.Form1(grid32, np.stack([np.sin(2 * np.pi * x)] * 3))
-        u = f3.constant_field(grid32, 60.0, 0, 0)
-        with pytest.raises(BlowUpError):
-            f3.transport(a, u, 40.0, 0.5)
+        t0 = time.perf_counter()
+        with pytest.raises(InvalidParameterError, match="MAX_SUBSTEPS"):
+            f3.transport(a, f3.constant_field(grid32, 60.0, 0, 0), 40.0, 40.0)
+        with pytest.raises(InvalidParameterError, match="MAX_SUBSTEPS"):
+            f3.transport(a, f3.constant_field(grid32, 1e-3, 0, 0), 1.0, 0.9e-4)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_substep_length_does_not_change_the_flow(self, grid32, rng):
+        a = f3.random_form1(grid32, 4, rng)
+        u = f3.random_divfree_field(grid32, 2, rng, rms=0.3)
+        whole = f3.transport(a, u, 0.2, 0.2)
+        split = f3.transport(a, u, 0.2, 0.2 / 7)
+        assert (whole - split).linf() <= 1e-13 * a.linf()
+
+    def test_call_shape(self, grid32, rng):
+        # positional (alpha, u, t_final, dt), with t_final and dt bound by name
+        bound = inspect.signature(f3.transport).bind(
+            f3.random_form1(grid32, 1, rng), f3.zero_field(grid32), 2e-3, 2e-3)
+        assert list(bound.arguments) == ["alpha", "u", "t_final", "dt"]
 
 
 class TestCurves:

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from casimir_lab import cli, verify
+from casimir_lab import cli, fieldexpr, verify
 from casimir_lab import forms3 as f3
-from casimir_lab.errors import ConfigError
+from casimir_lab.errors import ConfigError, ParseError
 from casimir_lab.verify import SuiteConfig, report_json, run_suite
 
 
@@ -322,6 +322,38 @@ _CHEAP_RUN = st.fixed_dictionaries(
 def test_run_never_raises(tmp_path, capsys, doc):
     assert _run_file(tmp_path, doc) in (0, 1, 2)
     assert "Traceback" not in capsys.readouterr().err
+
+
+def _unparseable(text):
+    try:
+        fieldexpr.parse(text)
+    except ParseError:
+        return True
+    return False
+
+
+# Text the expression parser refuses, drawn from the grammar's own alphabet
+# (plus one stray symbol) so that most draws fail in the grammar rather than
+# in the tokenizer.  The grid is small, so each run is cheap.
+_MALFORMED = st.text(alphabet="xyz0123456789.e+-*/^(), sincoexpt@", min_size=1,
+                     max_size=24).filter(_unparseable)
+_EXPR_FLAGS = {
+    "gv --profile": lambda text: ["fluid", "gv", "--grid", "8", f"--profile={text}"],
+    "gv --scale": lambda text: ["fluid", "gv", "--grid", "8",
+                                "--profile=0.1*sin(2*pi*z)", f"--scale={text}"],
+    "helicity --field": lambda text: ["fluid", "helicity", "--grid", "8",
+                                      f"--field=0,{text},0"],
+}
+
+
+@settings(max_examples=90, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.filter_too_much])
+@given(text=_MALFORMED, flag=st.sampled_from(sorted(_EXPR_FLAGS)))
+def test_malformed_expression_exits_2(capsys, text, flag):
+    assert cli.main(_EXPR_FLAGS[flag](text)) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and "Traceback" not in err
 
 
 def test_verify_all_file_h_matches_rattleback_verify(tmp_path, monkeypatch):
