@@ -268,7 +268,8 @@ def eval_expr(expr, x: float, y: float, z: float) -> float:
 def _fmt_literal(v: float) -> str:
     # negative literals are wrapped so they survive as '^' bases
     if float(v).is_integer() and abs(v) < 1e16:
-        text = str(int(v))
+        # int() drops the sign of -0.0, which 1/(-0) would expose
+        text = "-0" if v == 0 and np.signbit(v) else str(int(v))
     else:
         text = repr(float(v))
     return f"({text})" if text.startswith("-") else text

@@ -87,6 +87,10 @@ class TestPrint:
         e = fe.BinOp("^", fe.Lit(-2.0), fe.Lit(2.0))
         assert fe.eval_expr(fe.parse(fe.print_expr(e)), 0, 0, 0) == 4.0
 
+    def test_negative_zero_literal_keeps_sign(self):
+        e = fe.BinOp("/", fe.Lit(1.0), fe.Lit(-0.0))
+        assert fe.eval_expr(fe.parse(fe.print_expr(e)), 0, 0, 0) == -np.inf
+
 
 # random expression trees for the roundtrip property
 _leaf = st.one_of(
