@@ -36,44 +36,57 @@ def transport(alpha: Form1, u: VectorField, t_final: float, dt: float) -> Form1:
 
     ``dt`` is the longest substep allowed.  The interval is cut into
     max(ceil(t_final/dt), ceil(t_final*rho/8)) equal substeps, where
-    rho = 2 pi (n//3) max|u| + 3 max|grad u| bounds the size of L_u on the
-    dealiased modes; more than MAX_SUBSTEPS raises InvalidParameterError
-    before any transform.  Each substep sums the Taylor series of
-    exp(-h L_u) to at most MAX_DEGREE terms, stopping once a term is below
-    SERIES_TOL of the partial sum.  u is projected below the 2/3-rule cutoff
-    on entry (a no-op for compliant fields); modes of alpha above it are
-    carried through untouched.  Non-finite values raise BlowUpError.
+    rho = 2 pi (n//3) sum_i max|u_i| + 3 max|grad u| bounds the size of L_u
+    on the dealiased modes (the advective part by the triangle inequality
+    over u_i d_i, exact for constant u on the corner mode); more than
+    MAX_SUBSTEPS raises InvalidParameterError before any transform.  Each
+    substep sums the Taylor series of exp(-h L_u) to at most MAX_DEGREE
+    terms, stopping once a term is below SERIES_TOL of the partial sum; a
+    series that has not converged by then is discarded and the substeps
+    left are halved, so an unconverged sum is never kept, and a halving
+    past MAX_SUBSTEPS raises InvalidParameterError.  u is projected below
+    the 2/3-rule cutoff on entry (a no-op for compliant fields); modes of
+    alpha above it are carried through untouched.  Non-finite values raise
+    BlowUpError.
     """
     g = alpha.grid
     n_dt = _step_count(t_final, dt)
-    u_max = float(np.abs(u.data).max())
-    if n_dt == 0 or u_max == 0.0:
+    u_max = np.abs(u.data).reshape(3, -1).max(axis=1)
+    if n_dt == 0 or not u_max.any():
         return Form1(g, alpha.data.copy())
-    if not math.isfinite(u_max):
+    if not np.all(np.isfinite(u_max)):
         raise BlowUpError("transport field is non-finite", time=0.0)
-    advection = 2.0 * np.pi * g.dealias_keep * u_max
+    advection = 2.0 * np.pi * g.dealias_keep * float(u_max.sum())
     _substep_count(n_dt, t_final * advection)  # refuse before any transform
     u = dealias(u.data, g)
     shear = max(float(np.abs(spectral_derivative(u, g, ax)).max()) for ax in range(3))
-    n_sub = _substep_count(n_dt, t_final * (advection + 3.0 * shear))
-    h = t_final / n_sub
+    left = _substep_count(n_dt, t_final * (advection + 3.0 * shear))
+    h = t_final / left
+    taken = 0
 
     a = rfft3(alpha.data)
     total = np.empty_like(a)
     term = np.empty_like(a)
     # divergence shows up as inf/nan; the contract is the exception
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, n_sub + 1):
+        while left:
             np.copyto(total, a)
             np.copyto(term, a)
             for degree in range(1, MAX_DEGREE + 1):
                 np.multiply(_rhs(term, u, g), h / degree, out=term)
                 total += term
-                if np.abs(term).max() <= SERIES_TOL * np.abs(total).max():
+                # a nan or inf also ends the series; the check below raises
+                if not np.abs(term).max() > SERIES_TOL * np.abs(total).max():
                     break
+            else:
+                left, h = 2 * left, h / 2
+                _substep_count(taken + left, 0.0, "the Taylor series of exp(-h L_u) "
+                               "did not converge in MAX_DEGREE terms and halving h")
+                continue
+            if not np.all(np.isfinite(total)):
+                raise BlowUpError("state became non-finite", time=t_final - (left - 1) * h)
             a, total = total, a
-            if not np.all(np.isfinite(a)):
-                raise BlowUpError("state became non-finite", time=step * h)
+            taken, left = taken + 1, left - 1
     return Form1(g, irfft3(a, g))
 
 
@@ -85,12 +98,12 @@ def _step_count(t_final: float, dt: float) -> int:
     return int(np.ceil(t_final / dt - 1e-12))
 
 
-def _substep_count(n_dt: int, t_rho: float) -> int:
+def _substep_count(n_dt: int, t_rho: float, why: str = "transport") -> int:
     """max(n_dt, ceil(t_final*rho/SUBSTEP_NORM)), bounded by MAX_SUBSTEPS."""
     n_sub = max(n_dt, t_rho / SUBSTEP_NORM)
     if not n_sub <= MAX_SUBSTEPS:
         raise InvalidParameterError(
-            f"transport needs {n_sub:.4g} substeps, more than MAX_SUBSTEPS = {MAX_SUBSTEPS}")
+            f"{why} needs {n_sub:.4g} substeps, more than MAX_SUBSTEPS = {MAX_SUBSTEPS}")
     return math.ceil(n_sub)
 
 

@@ -1,4 +1,5 @@
 import inspect
+import sys
 import time
 
 import numpy as np
@@ -24,6 +25,26 @@ class TestTransport:
                              lambda x, y, z: 0 * x, lambda x, y, z: 0 * x)
         assert (moved - expect).linf() <= 1e-14
 
+    def test_diagonal_translation_of_the_corner_mode(self, grid32):
+        # u . k on the kept corner mode is 3x what max|u| alone would bound, and
+        # h * |u . k| = 7.5 leaves the series unconverged in MAX_DEGREE terms
+        prof = lambda x, y, z: np.sin(2 * np.pi * 10 * (x + y + z))
+        zero = lambda x, y, z: 0 * x
+        a = f3.one_form(grid32, prof, zero, zero)
+        t = 0.12
+        moved = f3.transport(a, f3.constant_field(grid32, 1, 1, 1), t, t)
+        expect = f3.one_form(grid32, lambda x, y, z: prof(x - t, y - t, z - t), zero, zero)
+        assert (moved - expect).linf() <= 1e-13
+
+    def test_unconverged_series_is_refused(self, grid32, monkeypatch):
+        # with one Taylor term no substep converges: halving runs into MAX_SUBSTEPS
+        mod = sys.modules["casimir_lab.forms3.transport"]
+        monkeypatch.setattr(mod, "MAX_DEGREE", 1)
+        x, _, _ = grid32.meshes
+        a = f3.Form1(grid32, np.stack([np.sin(2 * np.pi * x)] * 3))
+        with pytest.raises(InvalidParameterError, match="did not converge"):
+            f3.transport(a, f3.constant_field(grid32, 1.0, 0, 0), 0.1, 0.1)
+
     def test_helicity_invariance(self, grid32, rng, beltrami):
         a = f3.Form1(grid32, f3.dealias(f3.random_form1(grid32, 3, rng, rms=0.5).data,
                                         grid32) + beltrami.data)
@@ -45,13 +66,17 @@ class TestTransport:
 
     def test_substep_bound(self, grid32):
         # 2 pi (n//3) * 60 * 40 / 8 = 18850 substeps: refused before any transform
-        x, _, _ = grid32.meshes
+        x, y, z = grid32.meshes
         a = f3.Form1(grid32, np.stack([np.sin(2 * np.pi * x)] * 3))
         t0 = time.perf_counter()
         with pytest.raises(InvalidParameterError, match="MAX_SUBSTEPS"):
             f3.transport(a, f3.constant_field(grid32, 60.0, 0, 0), 40.0, 40.0)
         with pytest.raises(InvalidParameterError, match="MAX_SUBSTEPS"):
             f3.transport(a, f3.constant_field(grid32, 1e-3, 0, 0), 1.0, 0.9e-4)
+        # diagonal u: 2 pi (n//3) * (20 + 20 + 20) * 25 / 8 = 11781 substeps
+        corner = f3.Form1(grid32, np.stack([np.sin(2 * np.pi * 10 * (x + y + z))] * 3))
+        with pytest.raises(InvalidParameterError, match="^transport needs"):
+            f3.transport(corner, f3.constant_field(grid32, 20.0, 20.0, 20.0), 25.0, 25.0)
         assert time.perf_counter() - t0 < 1.0
 
     def test_substep_length_does_not_change_the_flow(self, grid32, rng):
