@@ -40,6 +40,7 @@ SCENARIO_KINDS = ("rattleback", "fluid-helicity", "fluid-euler", "foliation-gv",
                   "verify-all")
 TAIL_WARN_FRACTION = 1e-8
 MAX_STEPS = 10_000_000  # fixed steps of dt one scenario may take
+MAX_GRID = 256          # grid points per axis: one n = 256 field stack is 400 MB
 
 
 @dataclass
@@ -81,8 +82,8 @@ class Scenario:
             _require(_is_real(value) and value > 0, key, "a positive finite number", value)
             setattr(self, key, float(value))
         self.seed = _seed_override(self.seed)
-        _require(_is_int(self.grid) and self.grid >= 4 and self.grid % 2 == 0, "grid",
-                 "an even integer >= 4", self.grid)
+        _require(_is_int(self.grid) and 4 <= self.grid <= MAX_GRID and self.grid % 2 == 0,
+                 "grid", f"an even integer from 4 to {MAX_GRID}", self.grid)
         for key, low in (("stride", 1), ("seed", 0)):
             value = getattr(self, key)
             _require(_is_int(value) and value >= low, key, f"an integer >= {low}", value)
@@ -431,6 +432,10 @@ def main(argv=None) -> int:
         code = 1
     except CasimirLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        code = 1
+    except MemoryError as exc:  # numpy's message is one line ("Unable to allocate ...")
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
         code = 1
     if argv is None:
         sys.exit(code)

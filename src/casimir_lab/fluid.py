@@ -23,11 +23,11 @@ from .forms3 import (
     eval_at,
     integrate3,
     interior,
-    irfft3,
+    irfft3_box,
     leray_project,
     leray_r,
     mean_dot_r,
-    rfft3,
+    rfft3_box,
     scale_by,
     sharp,
     vf_bracket,
@@ -134,53 +134,68 @@ def euler_evolve(state: FluidState, dt: float,
                  t_final: float) -> tuple[FluidState, EvolveDiagnostics]:
     """RK4 Euler evolution with 2/3-rule dealiasing of each right-hand side.
 
-    The RK4 state is the rfftn coefficient stack of the dealiased alpha.  A
-    right-hand side makes v = Leray(alpha) and W = curl(alpha) on the grid,
-    forms v x W (the oracle ``euler_rhs``) and transforms it back under the
-    2/3 mask.  Diagnostics record energy and helicity at t = 0 and after
-    every step, read off the coefficients by Parseval's theorem.
+    The RK4 state is alpha's coefficients on the 2/3-rule box
+    (``grid.box``), which is the dealiasing: nothing outside it is ever
+    formed.  A right-hand side is ``_rhs``.  Diagnostics record energy and
+    helicity at t = 0 and after every step, read off the coefficients by
+    Parseval's theorem.  A state that is non-finite once transformed
+    raises BlowUpError at t = 0.
     """
     g = state.grid
-    mask = g.dealias_mask_r
+    box = g.box
+    work = {}  # pass buffers of the pruned transforms, shared by every call
 
     def rhs(s):
-        out = rfft3(_cross(irfft3(leray_r(s, g), g), irfft3(curl_r(s, g), g)))
-        out *= mask
-        return out
+        return _rhs(s, g, work)
 
     times, energies, helicities = [], [], []
 
     def sample(t, a):
         times.append(t)
-        energies.append(0.5 * mean_dot_r(a, leray_r(a, g), g))
-        helicities.append(mean_dot_r(a, curl_r(a, g), g))
+        energies.append(0.5 * mean_dot_r(a, leray_r(a, box), box))
+        helicities.append(mean_dot_r(a, curl_r(a, box), box))
 
-    a = rfft3(state.alpha.data) * mask
-    a = rk4_evolve(a, rhs, dt, t_final, sample)
+    # divergence shows up as inf/nan, from the first transform on; the
+    # contract is the exception
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = rk4_evolve(rfft3_box(state.alpha.data, g, work), rhs, dt, t_final, sample)
     diag = EvolveDiagnostics(np.asarray(times), np.asarray(energies), np.asarray(helicities))
-    return FluidState(Form1(g, irfft3(a, g))), diag
+    return FluidState(Form1(g, irfft3_box(a, g, work))), diag
+
+
+def _rhs(s: np.ndarray, g, work: dict) -> np.ndarray:
+    """Box coefficients of v x curl(alpha), v = Leray(alpha), from alpha's box coefficients.
+
+    The product of the oracle ``euler_rhs`` (two pruned inverse transforms,
+    one pruned forward), with the 2/3 mask applied by the box itself.  The
+    two grid-space factors are freed before the forward transform runs.
+    """
+    box = g.box
+    return rfft3_box(_cross(irfft3_box(leray_r(s, box), g, work),
+                            irfft3_box(curl_r(s, box), g, work)), g, work)
 
 
 def rk4_evolve(a: np.ndarray, rhs, dt: float, t_final: float, sample) -> np.ndarray:
     """Classical RK4 for da/dt = rhs(a) from t = 0 to t_final; returns a(t_final).
 
-    Steps are dt, the last one shortened to end on t_final.  Every step is
-    checked for non-finite values (BlowUpError with that step's time).
+    Steps are dt, the last one shortened to end on t_final.  The initial
+    state and every step are checked for non-finite values (BlowUpError
+    with that time), so callers run it with overflow warnings off.
     ``rhs`` returns a new array; ``sample(t, a)`` is called at t = 0 and
     after each step.
     """
     n_steps = _step_count(t_final, dt)
     t = 0.0
+    if not np.all(np.isfinite(a)):
+        raise BlowUpError("state became non-finite", time=t)
     sample(t, a)
-    # divergence shows up as inf/nan mid-step; the contract is the exception
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n_steps):
-            h = min(dt, t_final - t)
-            a = _rk4_step(a, rhs, h)
-            t += h
-            if not np.all(np.isfinite(a)):
-                raise BlowUpError("state became non-finite", time=t)
-            sample(t, a)
+    for _ in range(n_steps):
+        h = min(dt, t_final - t)
+        a = _rk4_step(a, rhs, h)
+        t += h
+        if not np.all(np.isfinite(a)):
+            raise BlowUpError("state became non-finite", time=t)
+        sample(t, a)
     return a
 
 

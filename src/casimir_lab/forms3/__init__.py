@@ -7,9 +7,11 @@ from .grid import (
     dealias,
     grad_r,
     irfft3,
+    irfft3_box,
     leray_r,
     mean_dot_r,
     rfft3,
+    rfft3_box,
     spectral_derivative,
     spectral_tail_fraction,
 )

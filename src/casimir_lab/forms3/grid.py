@@ -92,10 +92,7 @@ class Grid:
     @cached_property
     def leray_factor(self) -> np.ndarray:
         """k / |k|^2 on rfftn layout, shape (3, n, n, n/2+1); zero at k = 0."""
-        kx, ky, kz = self.k_r
-        k2 = kx ** 2 + ky ** 2 + kz ** 2
-        k2[0, 0, 0] = np.inf
-        return np.stack(np.broadcast_arrays(kx / k2, ky / k2, kz / k2))
+        return _leray_factor(self.k_r)
 
     @cached_property
     def parseval_weight(self) -> np.ndarray:
@@ -108,6 +105,69 @@ class Grid:
         w = np.full(self.n // 2 + 1, 2.0)
         w[0] = w[-1] = 1.0
         return w / float(self.n) ** 6
+
+    @cached_property
+    def box(self) -> "Box":
+        """The 2/3-rule coefficient box of this grid and its multipliers."""
+        return Box(self.n)
+
+
+@dataclass(frozen=True, eq=False)
+class Box:
+    """The coefficients the 2/3 rule keeps: max|k_i| <= K = n//3.
+
+    Shape (2K+1, 2K+1, K+1): the x and y axes hold k = 0..K, -K..-1 in fft
+    order, the z axis k = 0..K of the real transform.  K < n/2, so the box
+    never holds a Nyquist mode.  ``k_r``, ``ik_r``, ``leray_factor`` and
+    ``parseval_weight`` mean what they mean on ``Grid`` (the full rfftn
+    layout), so ``curl_r``, ``grad_r``, ``leray_r`` and ``mean_dot_r`` take
+    either.
+    """
+
+    n: int
+
+    @property
+    def keep(self) -> int:
+        return self.n // 3
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        m = self.keep
+        return (2 * m + 1, 2 * m + 1, m + 1)
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        """Positions of the box's kx (and ky) along a full fft axis."""
+        return np.r_[0:self.keep + 1, self.n - self.keep:self.n]
+
+    @cached_property
+    def k_r(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        k = np.fft.fftfreq(self.n, d=1.0 / self.n)[self.index]
+        kz = np.arange(self.keep + 1, dtype=float)
+        return (k[:, None, None], k[None, :, None], kz[None, None, :])
+
+    @cached_property
+    def ik_r(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return tuple(2j * np.pi * k for k in self.k_r)
+
+    @cached_property
+    def leray_factor(self) -> np.ndarray:
+        return _leray_factor(self.k_r)
+
+    @cached_property
+    def parseval_weight(self) -> np.ndarray:
+        """As on Grid, with no Nyquist plane: kz = 1..K count twice."""
+        w = np.full(self.keep + 1, 2.0)
+        w[0] = 1.0
+        return w / float(self.n) ** 6
+
+
+def _leray_factor(k_r) -> np.ndarray:
+    """k / |k|^2 stacked over the three axes; zero at k = 0."""
+    kx, ky, kz = k_r
+    k2 = kx ** 2 + ky ** 2 + kz ** 2
+    k2[0, 0, 0] = np.inf
+    return np.stack(np.broadcast_arrays(kx / k2, ky / k2, kz / k2))
 
 
 def spectral_derivative(data: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
@@ -130,6 +190,74 @@ def irfft3(spec: np.ndarray, grid: Grid) -> np.ndarray:
     return np.fft.irfftn(spec, s=grid.shape, axes=(-3, -2, -1))
 
 
+def rfft3_box(data: np.ndarray, grid: Grid, work: dict | None = None) -> np.ndarray:
+    """``rfft3(data) * grid.dealias_mask_r`` restricted to ``grid.box``, bit for bit.
+
+    rfftn runs rfft along z, then fft along y, then fft along x.  This runs
+    the same 1-D passes, each only on the lines that reach the box: every
+    line it skips would feed nothing but discarded coefficients.  ``work``
+    keeps the pass buffers between calls (allocated on first use; the pass
+    outputs "x" and "y" are shared with ``irfft3_box``); the result is
+    always a new array.
+    """
+    n, m = grid.n, grid.box.keep
+    lead = data.shape[:-3]
+    work = {} if work is None else work
+    z = np.fft.rfft(data, axis=-1, out=_buffer(work, "rz", lead + (n, n, n // 2 + 1)))
+    y = np.fft.fft(z[..., :m + 1], axis=-2, out=_buffer(work, "y", lead + (n, n, m + 1)))
+    y = _keep(y, -2, _buffer(work, "ky", lead + (n, 2 * m + 1, m + 1)), n)
+    x = np.fft.fft(y, axis=-3, out=_buffer(work, "x", y.shape))
+    return _keep(x, -3, np.empty(lead + grid.box.shape, complex), n)
+
+
+def irfft3_box(box: np.ndarray, grid: Grid, work: dict | None = None) -> np.ndarray:
+    """``irfft3`` of the box coefficients zero-filled to the full layout, bit for bit.
+
+    The reverse of ``rfft3_box``: zero-fill and ifft along x, zero-fill and
+    ifft along y, then irfft along z (which pads kz itself), as irfftn does
+    on the zero-filled stack minus its all-zero lines.  ``work`` as for
+    ``rfft3_box``; its zero-fill buffers are written only inside the box.
+    """
+    n, m = grid.n, grid.box.keep
+    lead = box.shape[:-3]
+    work = {} if work is None else work
+    x = _fill(box, -3, _buffer(work, "zx", lead + (n, 2 * m + 1, m + 1)), n)
+    x = np.fft.ifft(x, axis=-3, out=_buffer(work, "x", x.shape))
+    y = _fill(x, -2, _buffer(work, "zy", lead + (n, n, m + 1)), n)
+    y = np.fft.ifft(y, axis=-2, out=_buffer(work, "y", y.shape))
+    return np.fft.irfft(y, n=n, axis=-1)
+
+
+def _buffer(work: dict, key: str, shape: tuple) -> np.ndarray:
+    """work[key] if it has this shape, else a new zeroed complex array stored there."""
+    buf = work.get(key)
+    if buf is None or buf.shape != shape:
+        buf = work[key] = np.zeros(shape, complex)
+    return buf
+
+
+def _box_halves(axis: int, n: int):
+    """(box index, full index) pairs of k = 0..K and k = -K..-1 along ``axis``."""
+    m = n // 3
+    tail = (slice(None),) * (-1 - axis)
+    return (((..., slice(0, m + 1)) + tail, (..., slice(0, m + 1)) + tail),
+            ((..., slice(m + 1, None)) + tail, (..., slice(n - m, None)) + tail))
+
+
+def _keep(full: np.ndarray, axis: int, out: np.ndarray, n: int) -> np.ndarray:
+    """Copy the box's wavenumbers along ``axis`` of a full fft axis into ``out``."""
+    for in_box, in_full in _box_halves(axis, n):
+        out[in_box] = full[in_full]
+    return out
+
+
+def _fill(box: np.ndarray, axis: int, out: np.ndarray, n: int) -> np.ndarray:
+    """Write a box axis into its places along a full fft axis of ``out``."""
+    for in_box, in_full in _box_halves(axis, n):
+        out[in_full] = box[in_box]
+    return out
+
+
 def dealias(data: np.ndarray, grid: Grid) -> np.ndarray:
     """Zero every mode with max |k| beyond the 2/3-rule cutoff."""
     return irfft3(rfft3(data) * grid.dealias_mask_r, grid)
@@ -140,28 +268,32 @@ def band_limit(data: np.ndarray, grid: Grid, bandwidth: int) -> np.ndarray:
     return irfft3(rfft3(data) * (grid.kmax_r <= bandwidth), grid)
 
 
-def curl_r(spec: np.ndarray, grid: Grid) -> np.ndarray:
+# The coefficient functions below take a layout: a Grid for the full rfftn
+# layout, or grid.box for the 2/3-rule box.
+
+
+def curl_r(spec: np.ndarray, layout: Grid | Box) -> np.ndarray:
     """Coefficients of the curl (d of a 1-form) from the coefficients of a 3-stack."""
-    ikx, iky, ikz = grid.ik_r
+    ikx, iky, ikz = layout.ik_r
     return np.stack([iky * spec[2] - ikz * spec[1],
                      ikz * spec[0] - ikx * spec[2],
                      ikx * spec[1] - iky * spec[0]])
 
 
-def grad_r(spec: np.ndarray, grid: Grid) -> np.ndarray:
+def grad_r(spec: np.ndarray, layout: Grid | Box) -> np.ndarray:
     """Coefficients of the gradient (d of a 0-form) from a scalar's coefficients."""
-    return np.stack([ik * spec for ik in grid.ik_r])
+    return np.stack([ik * spec for ik in layout.ik_r])
 
 
-def leray_r(spec: np.ndarray, grid: Grid) -> np.ndarray:
+def leray_r(spec: np.ndarray, layout: Grid | Box) -> np.ndarray:
     """Divergence-free part of a 3-stack of coefficients; the mean is kept."""
-    kx, ky, kz = grid.k_r
-    return spec - grid.leray_factor * (kx * spec[0] + ky * spec[1] + kz * spec[2])
+    kx, ky, kz = layout.k_r
+    return spec - layout.leray_factor * (kx * spec[0] + ky * spec[1] + kz * spec[2])
 
 
-def mean_dot_r(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
+def mean_dot_r(a: np.ndarray, b: np.ndarray, layout: Grid | Box) -> float:
     """Grid mean of sum_i a_i b_i for real fields, from their coefficients (Parseval)."""
-    return float(np.sum(np.sum((a * b.conj()).real, axis=0) @ grid.parseval_weight))
+    return float(np.sum(np.sum((a * b.conj()).real, axis=0) @ layout.parseval_weight))
 
 
 def spectral_tail_fraction(data: np.ndarray, grid: Grid) -> float:

@@ -1,7 +1,10 @@
-"""The rfftn-coefficient evolutions of euler_evolve (RK4) and transport (the
-propagator exp(-t L_u)) against physical-space oracles: a plain RK4 loop
-over dealiased euler_rhs/generator, and the energy/helicity functionals
-evaluated on the grid."""
+"""The coefficient evolutions of euler_evolve (RK4 on the 2/3-rule box) and
+transport (the propagator exp(-t L_u) on the full rfftn layout) against
+physical-space oracles: a plain RK4 loop over dealiased euler_rhs/generator,
+and the energy/helicity functionals evaluated on the grid.  The box
+transforms and multipliers against their full-layout counterparts."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +54,16 @@ class TestEulerSpectralState:
         for i, state in ((0, start), (-1, fin.alpha)):
             assert diag.energies[i] == pytest.approx(energy(state), rel=1e-12, abs=0)
             assert diag.helicities[i] == pytest.approx(helicity(state), rel=1e-12, abs=0)
+
+    def test_overflowing_initial_state_blows_up_at_zero(self):
+        g = f3.Grid(8)
+        z = g.meshes[2]
+        a = f3.Form1(g, np.stack([1e308 * np.sin(2 * np.pi * z), 0 * z, 0 * z]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpError) as info:
+                euler_evolve(FluidState(a), dt=1e-3, t_final=0.01)
+        assert info.value.time == 0.0
 
     def test_blowup_at_unstable_dt(self, grid16, rng):
         a = f3.random_form1(grid16, 3, rng, rms=5.0)
@@ -125,3 +138,62 @@ class TestSpectralMultipliers:
         b = f3.random_vector_field(grid32, 16, rng).data
         got = f3.mean_dot_r(f3.rfft3(a), f3.rfft3(b), grid32)
         assert got == pytest.approx(float(np.mean(np.sum(a * b, axis=0))), rel=1e-12)
+
+
+BOX_N = (4, 6, 8, 10, 32, 34)
+
+
+def _restrict(full, g):
+    """The 2/3-rule box's entries of a full rfftn-layout stack."""
+    i = g.box.index
+    return full[..., i[:, None], i, :g.box.keep + 1]
+
+
+def _zero_fill(box, g):
+    full = np.zeros(box.shape[:-3] + (g.n, g.n, g.n // 2 + 1), complex)
+    i = g.box.index
+    full[..., i[:, None], i, :g.box.keep + 1] = box
+    return full
+
+
+@pytest.mark.parametrize("n", BOX_N)
+class TestBox:
+    """The pruned transforms run the same 1-D passes as rfftn/irfftn and skip
+    only lines of zeros, and the box multipliers are the full ones restricted,
+    so all of these are bit-identical except the Parseval sum's order."""
+
+    def test_layout(self, n):
+        g = f3.Grid(n)
+        m = n // 3
+        assert g.box.shape == (2 * m + 1, 2 * m + 1, m + 1)
+        kx, ky, kz = g.box.k_r
+        assert np.array_equal(kx.ravel(), np.r_[0:m + 1, -m:0])
+        assert np.array_equal(ky.ravel(), kx.ravel())
+        assert np.array_equal(kz.ravel(), np.arange(m + 1))
+        assert np.array_equal(_zero_fill(np.ones((3, *g.box.shape)), g) != 0,
+                              np.broadcast_to(g.dealias_mask_r, (3, *g.dealias_mask_r.shape)))
+
+    def test_transforms_match_full_layout(self, n, rng):
+        g = f3.Grid(n)
+        work = {}
+        for lead in ((3,), (3,), ()):  # reused buffers, then a new shape
+            data = rng.standard_normal(lead + g.shape)
+            box = f3.rfft3_box(data, g, work)
+            assert np.array_equal(_zero_fill(box, g), f3.rfft3(data) * g.dealias_mask_r)
+            assert np.array_equal(f3.irfft3_box(box, g, work),
+                                  f3.irfft3(_zero_fill(box, g), g))
+        assert np.array_equal(f3.rfft3_box(data, g), box)
+
+    def test_multipliers_match_full_layout(self, n, rng):
+        g = f3.Grid(n)
+        a, b = (f3.rfft3(rng.standard_normal((3,) + g.shape)) * g.dealias_mask_r
+                for _ in range(2))
+        for op in (f3.curl_r, f3.leray_r):
+            assert np.array_equal(op(_restrict(a, g), g.box), _restrict(op(a, g), g))
+        f = f3.rfft3(rng.standard_normal(g.shape)) * g.dealias_mask_r
+        assert np.array_equal(f3.grad_r(_restrict(f, g), g.box), _restrict(f3.grad_r(f, g), g))
+        # relative to |x| |y|, the scale of a dot product's roundoff (x . y may cancel)
+        for x, y in ((a, b), (a, f3.leray_r(a, g)), (a, f3.curl_r(a, g))):
+            scale = np.sqrt(f3.mean_dot_r(x, x, g) * f3.mean_dot_r(y, y, g))
+            got = f3.mean_dot_r(_restrict(x, g), _restrict(y, g), g.box)
+            assert abs(got - f3.mean_dot_r(x, y, g)) <= 1e-15 * scale

@@ -173,10 +173,30 @@ class TestCli:
         assert code == 2
         assert "offset 4" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("n", ["7", "2"])
+    @pytest.mark.parametrize("n", ["7", "2", "258"])
     def test_bad_grid_flag_exit_2(self, capsys, n):
         assert cli.main(["fluid", "helicity", "--grid", n, "--field", "0,0,0"]) == 2
         assert capsys.readouterr().err.startswith("error: 'grid' must be an even integer")
+
+    def test_huge_grid_refused_before_allocating(self, capsys, monkeypatch):
+        # at n = 100000 one field component would be 8 PB
+        def no_grid(n):
+            raise AssertionError("a Grid was built")
+
+        monkeypatch.setattr(cli.f3, "Grid", no_grid)
+        argv = ["fluid", "helicity", "--field", "sin(2*pi*z),0,0", "--grid", "100000"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: 'grid' must be an even integer from 4 to {cli.MAX_GRID}, got 100000\n")
+
+    def test_out_of_memory_is_one_line(self, capsys, monkeypatch):
+        def allocate(sc):
+            return np.empty((1 << 16,) * 3)  # 2 PiB
+
+        monkeypatch.setitem(cli._RUNNERS, "fluid-helicity", allocate)
+        assert cli.main(["fluid", "helicity", "--field", "0,0,0", "--grid", "4"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
 
     def test_evolve_dump_fields(self, tmp_path, capsys):
         dump = tmp_path / "state.f3rm"
@@ -248,6 +268,7 @@ class TestScenarioTypes:
         ({"kind": "verify-all", "tolerances": [1]}, "'tolerances'"),
         ({"kind": "fluid-helicity", "grid": 7, "field": "0,0,0"}, "'grid'"),
         ({"kind": "fluid-helicity", "grid": 2, "field": "0,0,0"}, "'grid'"),
+        ({"kind": "fluid-helicity", "grid": 100000, "field": "0,0,0"}, "'grid'"),
     ])
     def test_bad_value_exit_2(self, tmp_path, capsys, doc, key):
         path = tmp_path / "sc.json"
