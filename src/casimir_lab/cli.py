@@ -34,7 +34,7 @@ from . import forms3 as f3
 from . import rattleback as rb
 from .errors import BlowUpError, CasimirLabError, ConfigError, ParseError
 from .fluid import FluidState, euler_evolve, helicity
-from .verify import DEFAULT_SEED, SUITES, SuiteConfig, report_json, run_suite
+from .verify import DEFAULT_SEED, SUITES, SuiteConfig, run_suite
 
 SCENARIO_KINDS = ("rattleback", "fluid-helicity", "fluid-euler", "foliation-gv",
                   "verify-all")
@@ -286,21 +286,31 @@ def _run_verify(sc: Scenario, summary: bool) -> int:
     cfg = SuiteConfig(grid_n=sc.grid, seed=sc.seed, tolerances=sc.tolerances,
                       rattleback_h=sc.h)
     report = run_suite(sc.suite, cfg)
+    text = _dumps(report)
     if sc.report:
         with open(sc.report, "w") as fh:
-            fh.write(report_json(report))
+            fh.write(text)
         _status(f"report written to {sc.report}")
     if summary:
         named = {c["check"]: {"residual": c["value"], "tolerance": c["tolerance"],
                               "pass": c["pass"]}
                  for c in report["checks"]}
-        print(json.dumps(named, indent=2, sort_keys=True))
+        print(_dumps(named))
     elif not sc.report:
-        print(report_json(report))
+        print(text)
     if not report["passed"]:
         _status("failed checks: " + ", ".join(report["failed_checks"]))
         return 1
     return 0
+
+
+def _dumps(doc: dict) -> str:
+    """Sorted, indented JSON (``report_json``'s bytes); NaN or Infinity raises."""
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # NaN and Infinity are not JSON
+        raise CasimirLabError("the result holds NaN or Infinity, which JSON "
+                              "cannot hold") from None
 
 
 def run_scenario(sc: Scenario, *, summary: bool = False) -> int:
@@ -309,12 +319,13 @@ def run_scenario(sc: Scenario, *, summary: bool = False) -> int:
     A verify scenario prints the full report unless it writes one to
     ``report``; ``summary`` prints a {check: {residual, tolerance, pass}}
     digest instead.  Other kinds print one document, which a ``report``
-    path (foliation-gv) also receives.
+    path (foliation-gv) also receives.  Overflow warnings are off: a document
+    holding NaN or Infinity raises CasimirLabError (exit 1), printing nothing.
     """
-    if sc.kind == "verify-all":
-        return _run_verify(sc, summary)
-    doc = {"kind": sc.kind, **_RUNNERS[sc.kind](sc)}
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if sc.kind == "verify-all":
+            return _run_verify(sc, summary)
+        text = _dumps({"kind": sc.kind, **_RUNNERS[sc.kind](sc)})
     if sc.report:
         with open(sc.report, "w") as fh:
             fh.write(text)

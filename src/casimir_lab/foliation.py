@@ -101,19 +101,19 @@ def _integrability_residuals(alpha: Form1) -> dict:
 def gate_failure(res: dict) -> PreconditionError | InconsistencyError | None:
     """The first membership gate a residual record fails, as the exception to
     raise, or None.  The gates run in order: the nonvanishing floor,
-    integrability, then the defining identities the record holds."""
-    if res["min_abs_alpha"] < NONVANISH_FLOOR:
+    integrability, then the defining identities the record holds; NaN fails."""
+    if not res["min_abs_alpha"] >= NONVANISH_FLOOR:
         return PreconditionError(
             f"alpha vanishes: min |alpha| = {res['min_abs_alpha']:.3e} "
             f"< floor {NONVANISH_FLOOR:g}"
         )
-    if res["integrability"] > INTEGRABILITY_TOL:
+    if not res["integrability"] <= INTEGRABILITY_TOL:
         return PreconditionError(
             f"alpha is not integrable: relative residual "
             f"{res['integrability']:.3e} > {INTEGRABILITY_TOL:g}"
         )
     for key in ("eta_defining", "gamma_defining", "gamma_certificate"):
-        if res.get(key, 0.0) > INTEGRABILITY_TOL:
+        if not res.get(key, 0.0) <= INTEGRABILITY_TOL:
             return InconsistencyError(
                 f"defining identity {key} residual {res[key]:.3e} "
                 f"exceeds {INTEGRABILITY_TOL:g} (aliasing or non-integrability)"
@@ -162,7 +162,7 @@ def chi_from(alpha: Form1, eta: Form1, gamma: Form1) -> Form2:
     """chi = 2 (eta ^ gamma - d(gamma)); verifies alpha^chi = 0 and d(chi) = eta^chi."""
     chi, res = _solve_chi(alpha, d(alpha), eta, d(eta), gamma)
     r1, r2 = res["chi_tangency"], res["chi_closure"]
-    if max(r1, r2) > CHI_TOL:
+    if not (r1 <= CHI_TOL and r2 <= CHI_TOL):  # a NaN fails
         raise InconsistencyError(
             f"chi identities failed: |alpha^chi| rel {r1:.3e}, "
             f"|d(chi) - eta^chi| rel {r2:.3e} (tol {CHI_TOL:g})"
@@ -241,7 +241,7 @@ def gv_variation(state: FoliatedState, alpha_dot: Form1) -> float:
     has to pass the integrability check at the probe amplitude eps.
     """
     res = check_integrability(state.alpha + VARIATION_EPS * alpha_dot)["relative_residual"]
-    if res > VARIATION_TANGENCY_TOL:
+    if not res <= VARIATION_TANGENCY_TOL:  # a NaN fails
         raise PreconditionError(
             f"variation leaves the integrable stratum: residual {res:.3e} "
             f"at eps = {VARIATION_EPS:g}"

@@ -2,7 +2,6 @@
 
 from .grid import (
     Grid,
-    band_limit,
     curl_r,
     dealias,
     grad_r,

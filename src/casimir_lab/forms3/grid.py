@@ -60,22 +60,6 @@ class Grid:
         return mult
 
     @cached_property
-    def dealias_keep(self) -> int:
-        """Largest |k| kept by the 2/3-rule filter."""
-        return self.n // 3
-
-    @cached_property
-    def kmax_r(self) -> np.ndarray:
-        """max(|kx|, |ky|, |kz|) in rfftn layout (n, n, n/2+1)."""
-        kx, ky, kz = (np.abs(k) for k in self.k_r)
-        return np.maximum(np.maximum(kx, ky), kz)
-
-    @cached_property
-    def dealias_mask_r(self) -> np.ndarray:
-        """Boolean keep-mask for rfftn layout (n, n, n/2+1)."""
-        return self.kmax_r <= self.dealias_keep
-
-    @cached_property
     def k_r(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Integer wavenumbers (kx, ky, kz), each shaped to broadcast on rfftn layout."""
         return (self.k_full[:, None, None], self.k_full[None, :, None],
@@ -191,23 +175,23 @@ def irfft3(spec: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def rfft3_box(data: np.ndarray, grid: Grid, work: dict | None = None) -> np.ndarray:
-    """``rfft3(data) * grid.dealias_mask_r`` restricted to ``grid.box``, bit for bit.
+    """``rfft3(data)`` restricted to ``grid.box``, bit for bit.
 
     rfftn runs rfft along z, then fft along y, then fft along x.  This runs
     the same 1-D passes, each only on the lines that reach the box: every
     line it skips would feed nothing but discarded coefficients.  ``work``
-    keeps the pass buffers between calls (allocated on first use; the pass
-    outputs "x" and "y" are shared with ``irfft3_box``); the result is
-    always a new array.
+    keeps the pass buffers between calls, one per name and shape (allocated
+    on first use; the pass outputs "x" and "y" are shared with
+    ``irfft3_box``); the result is always a new array.
     """
     n, m = grid.n, grid.box.keep
     lead = data.shape[:-3]
     work = {} if work is None else work
     z = np.fft.rfft(data, axis=-1, out=_buffer(work, "rz", lead + (n, n, n // 2 + 1)))
     y = np.fft.fft(z[..., :m + 1], axis=-2, out=_buffer(work, "y", lead + (n, n, m + 1)))
-    y = _keep(y, -2, _buffer(work, "ky", lead + (n, 2 * m + 1, m + 1)), n)
+    y = _keep(y, -2, _buffer(work, "ky", lead + (n, 2 * m + 1, m + 1)), grid.box)
     x = np.fft.fft(y, axis=-3, out=_buffer(work, "x", y.shape))
-    return _keep(x, -3, np.empty(lead + grid.box.shape, complex), n)
+    return _keep(x, -3, np.empty(lead + grid.box.shape, complex), grid.box)
 
 
 def irfft3_box(box: np.ndarray, grid: Grid, work: dict | None = None) -> np.ndarray:
@@ -221,51 +205,46 @@ def irfft3_box(box: np.ndarray, grid: Grid, work: dict | None = None) -> np.ndar
     n, m = grid.n, grid.box.keep
     lead = box.shape[:-3]
     work = {} if work is None else work
-    x = _fill(box, -3, _buffer(work, "zx", lead + (n, 2 * m + 1, m + 1)), n)
+    x = _fill(box, -3, _buffer(work, "zx", lead + (n, 2 * m + 1, m + 1)), grid.box)
     x = np.fft.ifft(x, axis=-3, out=_buffer(work, "x", x.shape))
-    y = _fill(x, -2, _buffer(work, "zy", lead + (n, n, m + 1)), n)
+    y = _fill(x, -2, _buffer(work, "zy", lead + (n, n, m + 1)), grid.box)
     y = np.fft.ifft(y, axis=-2, out=_buffer(work, "y", y.shape))
     return np.fft.irfft(y, n=n, axis=-1)
 
 
 def _buffer(work: dict, key: str, shape: tuple) -> np.ndarray:
-    """work[key] if it has this shape, else a new zeroed complex array stored there."""
-    buf = work.get(key)
-    if buf is None or buf.shape != shape:
-        buf = work[key] = np.zeros(shape, complex)
+    """work[key, shape], allocated zeroed on first use: scalar and 3-stack
+    transforms sharing one ``work`` keep their own buffers."""
+    buf = work.get((key, shape))
+    if buf is None:
+        buf = work[key, shape] = np.zeros(shape, complex)
     return buf
 
 
-def _box_halves(axis: int, n: int):
+def _box_halves(axis: int, box: Box):
     """(box index, full index) pairs of k = 0..K and k = -K..-1 along ``axis``."""
-    m = n // 3
-    tail = (slice(None),) * (-1 - axis)
+    m, tail = box.keep, (slice(None),) * (-1 - axis)
     return (((..., slice(0, m + 1)) + tail, (..., slice(0, m + 1)) + tail),
-            ((..., slice(m + 1, None)) + tail, (..., slice(n - m, None)) + tail))
+            ((..., slice(m + 1, None)) + tail, (..., slice(box.n - m, None)) + tail))
 
 
-def _keep(full: np.ndarray, axis: int, out: np.ndarray, n: int) -> np.ndarray:
+def _keep(full: np.ndarray, axis: int, out: np.ndarray, box: Box) -> np.ndarray:
     """Copy the box's wavenumbers along ``axis`` of a full fft axis into ``out``."""
-    for in_box, in_full in _box_halves(axis, n):
+    for in_box, in_full in _box_halves(axis, box):
         out[in_box] = full[in_full]
     return out
 
 
-def _fill(box: np.ndarray, axis: int, out: np.ndarray, n: int) -> np.ndarray:
-    """Write a box axis into its places along a full fft axis of ``out``."""
-    for in_box, in_full in _box_halves(axis, n):
-        out[in_full] = box[in_box]
+def _fill(coeffs: np.ndarray, axis: int, out: np.ndarray, box: Box) -> np.ndarray:
+    """Write a box axis of ``coeffs`` into its places along a full fft axis of ``out``."""
+    for in_box, in_full in _box_halves(axis, box):
+        out[in_full] = coeffs[in_box]
     return out
 
 
 def dealias(data: np.ndarray, grid: Grid) -> np.ndarray:
-    """Zero every mode with max |k| beyond the 2/3-rule cutoff."""
-    return irfft3(rfft3(data) * grid.dealias_mask_r, grid)
-
-
-def band_limit(data: np.ndarray, grid: Grid, bandwidth: int) -> np.ndarray:
-    """Project onto modes with max |k| <= bandwidth."""
-    return irfft3(rfft3(data) * (grid.kmax_r <= bandwidth), grid)
+    """Zero every mode with max |k| beyond the 2/3-rule cutoff: a box round trip."""
+    return irfft3_box(rfft3_box(data, grid), grid)
 
 
 # The coefficient functions below take a layout: a Grid for the full rfftn
@@ -299,13 +278,15 @@ def mean_dot_r(a: np.ndarray, b: np.ndarray, layout: Grid | Box) -> float:
 def spectral_tail_fraction(data: np.ndarray, grid: Grid) -> float:
     """Fraction of spectral energy at or beyond wavenumber n/2 - 1.
 
-    Used to warn about non-periodic or under-resolved inputs.
+    Used to warn about non-periodic or under-resolved inputs.  Scaling by the
+    peak keeps the squared spectrum finite and nonzero at any amplitude.
     """
-    spec = np.fft.fftn(data, axes=(-3, -2, -1))
+    peak = np.abs(data).max()
+    if peak == 0.0:
+        return 0.0
+    spec = np.fft.fftn(data / peak, axes=(-3, -2, -1))
     k = np.abs(grid.k_full)
     kmax = np.maximum(np.maximum(k[:, None, None], k[None, :, None]), k[None, None, :])
     total = float(np.sum(np.abs(spec) ** 2))
-    if total == 0.0:
-        return 0.0
     tail = float(np.sum(np.abs(spec) ** 2 * (kmax >= grid.n // 2 - 1)))
     return tail / total

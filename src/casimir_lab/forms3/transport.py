@@ -4,13 +4,14 @@ This is the pullback transport along the flow of u: for u = d/dx the profile
 translates, alpha(t) = f(x - t) dx.  Divergence-free u preserves the helicity
 integral of alpha; any u preserves foliation invariants of integrable alpha.
 
-The state is the rfftn coefficient stack of alpha: derivatives are
-multiplies, dealiasing is a mask, and only the products u x curl(alpha) and
-u . alpha are formed on the grid.  -L_u is linear in alpha and constant in
-time, so the exact flow is exp(-t L_u) alpha; ``transport`` applies it as a
-truncated Taylor series over equal substeps (Al-Mohy & Higham, "Computing
-the action of the matrix exponential", SIAM J. Sci. Comput. 33, 2011; see
-Hochbruck & Ostermann, "Exponential integrators", Acta Numerica 19, 2010).
+The state is alpha's coefficients on the 2/3-rule box, as for Euler:
+derivatives are multiplies, the box is the dealiasing, and only the products
+u x curl(alpha) and u . alpha are formed on the grid.  -L_u is linear in
+alpha and constant in time, so the exact flow is exp(-t L_u) alpha;
+``transport`` applies it as a truncated Taylor series over equal substeps
+(Al-Mohy & Higham, "Computing the action of the matrix exponential", SIAM
+J. Sci. Comput. 33, 2011; see Hochbruck & Ostermann, "Exponential
+integrators", Acta Numerica 19, 2010).
 ``generator`` is the physical-space oracle of the same right-hand side.
 """
 
@@ -21,9 +22,9 @@ import math
 import numpy as np
 
 from ..errors import BlowUpError, InvalidParameterError
-from .calculus import _cross, _dot, lie_derivative
+from .calculus import _cross, _dot, d, lie_derivative
 from .forms import Form1, VectorField
-from .grid import curl_r, dealias, grad_r, irfft3, rfft3, spectral_derivative
+from .grid import curl_r, dealias, grad_r, irfft3_box, rfft3_box, spectral_derivative
 
 MAX_SUBSTEPS = 10_000  # substeps one transport call may take
 SUBSTEP_NORM = 8.0     # bound on h * rho for one substep
@@ -36,18 +37,19 @@ def transport(alpha: Form1, u: VectorField, t_final: float, dt: float) -> Form1:
 
     ``dt`` is the longest substep allowed.  The interval is cut into
     max(ceil(t_final/dt), ceil(t_final*rho/8)) equal substeps, where
-    rho = 2 pi (n//3) sum_i max|u_i| + 3 max|grad u| bounds the size of L_u
-    on the dealiased modes (the advective part by the triangle inequality
+    rho = 2 pi K sum_i max|u_i| + 3 max|grad u|, K = grid.box.keep, bounds
+    the size of L_u on the box (the advective part by the triangle inequality
     over u_i d_i, exact for constant u on the corner mode); more than
     MAX_SUBSTEPS raises InvalidParameterError before any transform.  Each
     substep sums the Taylor series of exp(-h L_u) to at most MAX_DEGREE
     terms, stopping once a term is below SERIES_TOL of the partial sum; a
     series that has not converged by then is discarded and the substeps
     left are halved, so an unconverged sum is never kept, and a halving
-    past MAX_SUBSTEPS raises InvalidParameterError.  u is projected below
-    the 2/3-rule cutoff on entry (a no-op for compliant fields); modes of
-    alpha above it are carried through untouched.  Non-finite values raise
-    BlowUpError.
+    past MAX_SUBSTEPS raises InvalidParameterError.  u is projected onto
+    the box on entry (a no-op for compliant fields); alpha's modes above the
+    cutoff are carried through untouched as grid values and, as every
+    increment is cut to the box, enter only each substep's first Taylor
+    term.  Non-finite values raise BlowUpError.
     """
     g = alpha.grid
     n_dt = _step_count(t_final, dt)
@@ -56,7 +58,7 @@ def transport(alpha: Form1, u: VectorField, t_final: float, dt: float) -> Form1:
         return Form1(g, alpha.data.copy())
     if not np.all(np.isfinite(u_max)):
         raise BlowUpError("transport field is non-finite", time=0.0)
-    advection = 2.0 * np.pi * g.dealias_keep * float(u_max.sum())
+    advection = 2.0 * np.pi * g.box.keep * float(u_max.sum())
     _substep_count(n_dt, t_final * advection)  # refuse before any transform
     u = dealias(u.data, g)
     shear = max(float(np.abs(spectral_derivative(u, g, ax)).max()) for ax in range(3))
@@ -64,16 +66,22 @@ def transport(alpha: Form1, u: VectorField, t_final: float, dt: float) -> Form1:
     h = t_final / left
     taken = 0
 
-    a = rfft3(alpha.data)
-    total = np.empty_like(a)
-    term = np.empty_like(a)
+    work = {}  # pass buffers of the pruned transforms, shared by every call
     # divergence shows up as inf/nan; the contract is the exception
     with np.errstate(over="ignore", invalid="ignore"):
+        a = rfft3_box(alpha.data, g, work)
+        high = alpha.data - irfft3_box(a, g, work)  # the modes above the cutoff
+        forcing = _rhs(high, d(Form1(g, high)).data, u, g, work)
+        total, term = np.empty_like(a), np.empty_like(a)
         while left:
             np.copyto(total, a)
             np.copyto(term, a)
             for degree in range(1, MAX_DEGREE + 1):
-                np.multiply(_rhs(term, u, g), h / degree, out=term)
+                step = _rhs(irfft3_box(term, g, work),
+                            irfft3_box(curl_r(term, g.box), g, work), u, g, work)
+                if degree == 1:
+                    step += forcing
+                np.multiply(step, h / degree, out=term)
                 total += term
                 # a nan or inf also ends the series; the check below raises
                 if not np.abs(term).max() > SERIES_TOL * np.abs(total).max():
@@ -87,7 +95,7 @@ def transport(alpha: Form1, u: VectorField, t_final: float, dt: float) -> Form1:
                 raise BlowUpError("state became non-finite", time=t_final - (left - 1) * h)
             a, total = total, a
             taken, left = taken + 1, left - 1
-    return Form1(g, irfft3(a, g))
+        return Form1(g, irfft3_box(a, g, work) + high)
 
 
 def _step_count(t_final: float, dt: float) -> int:
@@ -107,11 +115,11 @@ def _substep_count(n_dt: int, t_rho: float, why: str = "transport") -> int:
     return math.ceil(n_sub)
 
 
-def _rhs(a: np.ndarray, u: np.ndarray, g) -> np.ndarray:
-    """-L_u alpha = u x curl(alpha) - grad(u . alpha), coefficients in and out."""
-    w = irfft3(curl_r(a, g), g)
-    out = rfft3(_cross(u, w)) - grad_r(rfft3(_dot(u, irfft3(a, g))), g)
-    out *= g.dealias_mask_r
+def _rhs(alpha: np.ndarray, curl: np.ndarray, u: np.ndarray, g, work: dict) -> np.ndarray:
+    """Box coefficients of -L_u alpha = u x curl(alpha) - grad(u . alpha), from
+    the grid values of alpha and its curl."""
+    out = rfft3_box(_cross(u, curl), g, work)
+    out -= grad_r(rfft3_box(_dot(u, alpha), g, work), g.box)
     return out
 
 

@@ -62,6 +62,36 @@ class TestMembershipGate:
         assert "gamma_defining" in str(failure)
 
 
+class TestNanFailsEveryGate:
+    """NaN compares False with everything, so a gate written as
+    ``residual > tol`` would let it through."""
+
+    @pytest.mark.parametrize("key", ["min_abs_alpha", "integrability", "eta_defining",
+                                     "gamma_defining", "gamma_certificate"])
+    def test_membership_gate(self, foliated_state, key):
+        assert fol.gate_failure({**foliated_state.residuals, key: np.nan}) is not None
+
+    def test_overflowing_profile_is_refused(self):
+        # the chain of 1e300 sin(2 pi z) dx + dz overflows: eta_defining is NaN
+        g = f3.Grid(8)
+        profile = f3.Form0(g, 1e300 * np.sin(2 * np.pi * g.meshes[2]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InconsistencyError, match="eta_defining residual nan"):
+                fol.FoliatedState.from_alpha(fol.graph_foliation_form(g, profile))
+
+    def test_chi_and_variation_and_degeneracy_gates(self, foliated_state):
+        st = foliated_state
+        nan = f3.Form1(st.grid, np.full_like(st.alpha.data, np.nan))
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(InconsistencyError, match="chi identities"):
+                fol.chi_from(st.alpha, nan, st.gamma)
+            with pytest.raises(PreconditionError, match="integrable stratum"):
+                fol.gv_variation(st, nan)
+            with pytest.raises(PreconditionError, match="degeneracy gates"):
+                fol.bracket_degeneracy_check(st, f3.VectorField(st.grid, nan.data),
+                                             f3.zero_field(st.grid))
+
+
 class TestEtaSolver:
     def test_matches_hand_formula(self, grid32, graph_profile):
         a = graph_profile.data

@@ -16,7 +16,7 @@ class TestGrid:
         assert grid32.axis_coords[1] == 1.0 / 32
 
     def test_dealias_cutoff(self, grid32):
-        assert grid32.dealias_keep == 10
+        assert grid32.box.keep == 10
 
 
 class TestExteriorDerivative:

@@ -1,8 +1,9 @@
-"""The coefficient evolutions of euler_evolve (RK4 on the 2/3-rule box) and
-transport (the propagator exp(-t L_u) on the full rfftn layout) against
-physical-space oracles: a plain RK4 loop over dealiased euler_rhs/generator,
-and the energy/helicity functionals evaluated on the grid.  The box
-transforms and multipliers against their full-layout counterparts."""
+"""The coefficient evolutions of euler_evolve (RK4) and transport (the
+propagator exp(-t L_u)), both on the 2/3-rule box, against physical-space
+oracles: a plain RK4 loop over dealiased euler_rhs/generator, and the
+energy/helicity functionals evaluated on the grid.  The box transforms,
+multipliers and ``dealias`` against full-layout counterparts masked by a
+2/3 rule built here from np.fft.fftfreq."""
 
 import warnings
 
@@ -28,6 +29,14 @@ def _rk4_physical(rhs, a, dt, n_steps):
 
 def _rel(a, b):
     return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+def _mask(g):
+    """The 2/3 rule on the full rfftn layout: max |k_i| <= n//3."""
+    k = np.abs(np.fft.fftfreq(g.n, d=1.0 / g.n))
+    kz = np.arange(g.n // 2 + 1)
+    kmax = np.maximum(np.maximum(k[:, None, None], k[None, :, None]), kz[None, None, :])
+    return kmax <= g.n // 3
 
 
 @pytest.fixture()
@@ -87,7 +96,7 @@ class TestTransportSpectralState:
         expect = _rk4_physical(rhs, alpha.data, 5e-4, 40)
         out = f3.transport(alpha, u, 0.02, 0.02)
         assert _rel(out.data, expect) <= 1e-10
-        high = ~g.dealias_mask_r
+        high = ~_mask(g)
         spec = f3.rfft3(alpha.data)
         assert _rel(f3.rfft3(out.data)[:, high], spec[:, high]) <= 1e-12
 
@@ -170,8 +179,9 @@ class TestBox:
         assert np.array_equal(kx.ravel(), np.r_[0:m + 1, -m:0])
         assert np.array_equal(ky.ravel(), kx.ravel())
         assert np.array_equal(kz.ravel(), np.arange(m + 1))
+        mask = _mask(g)
         assert np.array_equal(_zero_fill(np.ones((3, *g.box.shape)), g) != 0,
-                              np.broadcast_to(g.dealias_mask_r, (3, *g.dealias_mask_r.shape)))
+                              np.broadcast_to(mask, (3, *mask.shape)))
 
     def test_transforms_match_full_layout(self, n, rng):
         g = f3.Grid(n)
@@ -179,21 +189,46 @@ class TestBox:
         for lead in ((3,), (3,), ()):  # reused buffers, then a new shape
             data = rng.standard_normal(lead + g.shape)
             box = f3.rfft3_box(data, g, work)
-            assert np.array_equal(_zero_fill(box, g), f3.rfft3(data) * g.dealias_mask_r)
+            assert np.array_equal(_zero_fill(box, g), f3.rfft3(data) * _mask(g))
             assert np.array_equal(f3.irfft3_box(box, g, work),
                                   f3.irfft3(_zero_fill(box, g), g))
         assert np.array_equal(f3.rfft3_box(data, g), box)
 
+    def test_shared_work_keeps_its_buffers(self, n, rng):
+        # scalar and 3-stack transforms through one work dict, as in transport's
+        # right-hand side: neither replaces the other's buffers
+        g = f3.Grid(n)
+        work = {}
+        fields = (rng.standard_normal((3,) + g.shape), rng.standard_normal(g.shape))
+        for data in fields:
+            f3.irfft3_box(f3.rfft3_box(data, g, work), g, work)
+        first = dict(work)
+        for data in fields + fields:
+            box = f3.rfft3_box(data, g, work)
+            assert np.array_equal(box, f3.rfft3_box(data, g))
+            assert np.array_equal(f3.irfft3_box(box, g, work), f3.irfft3_box(box, g))
+        assert work.keys() == first.keys()
+        assert all(work[key] is buf for key, buf in first.items())
+
     def test_multipliers_match_full_layout(self, n, rng):
         g = f3.Grid(n)
-        a, b = (f3.rfft3(rng.standard_normal((3,) + g.shape)) * g.dealias_mask_r
+        a, b = (f3.rfft3(rng.standard_normal((3,) + g.shape)) * _mask(g)
                 for _ in range(2))
         for op in (f3.curl_r, f3.leray_r):
             assert np.array_equal(op(_restrict(a, g), g.box), _restrict(op(a, g), g))
-        f = f3.rfft3(rng.standard_normal(g.shape)) * g.dealias_mask_r
+        f = f3.rfft3(rng.standard_normal(g.shape)) * _mask(g)
         assert np.array_equal(f3.grad_r(_restrict(f, g), g.box), _restrict(f3.grad_r(f, g), g))
         # relative to |x| |y|, the scale of a dot product's roundoff (x . y may cancel)
         for x, y in ((a, b), (a, f3.leray_r(a, g)), (a, f3.curl_r(a, g))):
             scale = np.sqrt(f3.mean_dot_r(x, x, g) * f3.mean_dot_r(y, y, g))
             got = f3.mean_dot_r(_restrict(x, g), _restrict(y, g), g.box)
             assert abs(got - f3.mean_dot_r(x, y, g)) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("n", range(4, 66, 2))
+def test_dealias_is_the_masked_full_layout_filter(n, rng):
+    # the box round trip against the 2/3 mask on the full layout, bit for bit
+    g = f3.Grid(n)
+    for lead in ((), (3,)):
+        data = rng.standard_normal(lead + g.shape)
+        assert np.array_equal(f3.dealias(data, g), f3.irfft3(f3.rfft3(data) * _mask(g), g))

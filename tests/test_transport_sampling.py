@@ -1,6 +1,7 @@
 import inspect
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -156,15 +157,21 @@ class TestDealias:
         filtered = f3.dealias(lo + hi, grid32)
         assert np.abs(filtered - lo).max() <= 1e-12
 
-    def test_band_limit(self, grid32):
-        x, _, _ = grid32.meshes
-        data = np.sin(2 * np.pi * 3 * x) + 0.5 * np.sin(2 * np.pi * 9 * x)
-        out = f3.band_limit(data, grid32, 4)
-        assert np.abs(out - np.sin(2 * np.pi * 3 * x)).max() <= 1e-12
-
     def test_tail_fraction(self, grid32):
         x, _, _ = grid32.meshes
         clean = np.sin(2 * np.pi * x)
         assert f3.spectral_tail_fraction(clean, grid32) <= 1e-16
         ramp = grid32.meshes[0]  # sawtooth: slow spectral decay
         assert f3.spectral_tail_fraction(ramp, grid32) > 1e-8
+
+    def test_tail_fraction_is_scale_free(self):
+        # unscaled, 1e308 overflows the squared spectrum (nan) and 1e-170
+        # underflows it (0.0)
+        g = f3.Grid(8)
+        z = g.meshes[2]
+        shape = np.sin(2 * np.pi * z) + np.sin(6 * np.pi * z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [f3.spectral_tail_fraction(amp * shape, g) for amp in (1.0, 1e308, 1e-170)]
+        assert got[0] == pytest.approx(0.5, rel=1e-12)
+        assert got == pytest.approx([got[0]] * 3, rel=1e-12, abs=0)

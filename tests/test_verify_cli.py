@@ -1,12 +1,15 @@
 import json
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import casimir_lab
 from casimir_lab import cli, fieldexpr, verify
 from casimir_lab import forms3 as f3
 from casimir_lab.errors import ConfigError, ParseError
@@ -227,6 +230,21 @@ class TestCli:
         assert doc["version"]
         assert doc["grid"] == 32
 
+    @pytest.mark.parametrize("argv", [
+        ["fluid", "helicity", "--field", "1e308*sin(2*pi*z),1e308*cos(2*pi*z),0"],
+        ["fluid", "helicity", "--field", "1e200*sin(2*pi*z),1e200*cos(2*pi*z),0"],
+        ["fluid", "gv", "--profile", "1e300*sin(2*pi*z)"],
+    ], ids=["helicity-nan", "helicity-inf", "gv-nan-residual"])
+    def test_non_finite_result_exits_1_with_one_line(self, capsys, argv):
+        # nothing is printed: NaN and Infinity are not JSON
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(argv + ["--grid", "8"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_console_script_entrypoint(self):
         out = subprocess.run([sys.executable, "-m", "casimir_lab.cli", "--version"],
                              capture_output=True, text=True)
@@ -439,3 +457,13 @@ def test_unwritable_output_exit_2(tmp_path, capsys):
     assert _run_file(tmp_path, {"kind": "rattleback", "t_final": 0.01,
                                 "out": str(tmp_path / "missing" / "traj.csv")}) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_import_leaves_out_scipy_and_sympy():
+    # each costs start-up time and memory on every CLI run
+    src = str(Path(casimir_lab.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import casimir_lab.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'sympy'}))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
