@@ -35,7 +35,7 @@ from .forms3 import (
     curve_velocity,
     wedge,
 )
-from .forms3.calculus import _cross
+from .forms3.grid import _buffer, _cross
 from .forms3.transport import _step_count
 
 __all__ = [
@@ -139,21 +139,24 @@ def euler_evolve(state: FluidState, dt: float,
     formed.  A right-hand side is ``_rhs``.  Diagnostics record energy and
     helicity at t = 0 and after every step, read off the coefficients by
     Parseval's theorem.  A state that is non-finite once transformed
-    raises BlowUpError at t = 0.
+    raises BlowUpError at t = 0.  Every array a right-hand side or a step
+    writes lives in ``work`` or in ``rk4_evolve``'s stage buffers, for
+    this call only; the returned state and diagnostics are new arrays.
     """
     g = state.grid
     box = g.box
-    work = {}  # pass buffers of the pruned transforms, shared by every call
+    work = {}  # transform buffers and right-hand-side arrays, shared by every call
 
-    def rhs(s):
-        return _rhs(s, g, work)
+    def rhs(s, out):
+        return _rhs(s, g, work, out)
 
     times, energies, helicities = [], [], []
 
     def sample(t, a):
+        coef, tmp = _coef_buffers(a, work)
         times.append(t)
-        energies.append(0.5 * mean_dot_r(a, leray_r(a, box), box))
-        helicities.append(mean_dot_r(a, curl_r(a, box), box))
+        energies.append(0.5 * mean_dot_r(a, leray_r(a, box, coef, tmp), box))
+        helicities.append(mean_dot_r(a, curl_r(a, box, coef, tmp), box))
 
     # divergence shows up as inf/nan, from the first transform on; the
     # contract is the exception
@@ -163,16 +166,27 @@ def euler_evolve(state: FluidState, dt: float,
     return FluidState(Form1(g, irfft3_box(a, g, work))), diag
 
 
-def _rhs(s: np.ndarray, g, work: dict) -> np.ndarray:
+def _coef_buffers(s: np.ndarray, work: dict) -> tuple[np.ndarray, np.ndarray]:
+    """A box 3-stack and a box scalar for ``leray_r``/``curl_r`` results."""
+    return _buffer(work, "coef", s.shape), _buffer(work, "coef tmp", s.shape[1:])
+
+
+def _rhs(s: np.ndarray, g, work: dict, out: np.ndarray | None = None) -> np.ndarray:
     """Box coefficients of v x curl(alpha), v = Leray(alpha), from alpha's box coefficients.
 
     The product of the oracle ``euler_rhs`` (two pruned inverse transforms,
     one pruned forward), with the 2/3 mask applied by the box itself.  The
-    two grid-space factors are freed before the forward transform runs.
+    result goes to ``out``, or to a new array; every other array it writes
+    is a ``work`` buffer, allocated on the first call.
     """
     box = g.box
-    return rfft3_box(_cross(irfft3_box(leray_r(s, box), g, work),
-                            irfft3_box(curl_r(s, box), g, work)), g, work)
+    coef, tmp = _coef_buffers(s, work)
+    shape = s.shape[:-3] + g.shape
+    v = irfft3_box(leray_r(s, box, coef, tmp), g, work, _buffer(work, "v", shape, float))
+    w = irfft3_box(curl_r(s, box, coef, tmp), g, work, _buffer(work, "curl", shape, float))
+    vxw = _cross(v, w, _buffer(work, "v x curl", shape, float),
+                 _buffer(work, "v x curl tmp", g.shape, float))
+    return rfft3_box(vxw, g, work, out)
 
 
 def rk4_evolve(a: np.ndarray, rhs, dt: float, t_final: float, sample) -> np.ndarray:
@@ -181,17 +195,21 @@ def rk4_evolve(a: np.ndarray, rhs, dt: float, t_final: float, sample) -> np.ndar
     Steps are dt, the last one shortened to end on t_final.  The initial
     state and every step are checked for non-finite values (BlowUpError
     with that time), so callers run it with overflow warnings off.
-    ``rhs`` returns a new array; ``sample(t, a)`` is called at t = 0 and
-    after each step.
+    ``rhs(s, out)`` writes the derivative at ``s`` into ``out`` and returns
+    it; ``sample(t, a)`` is called at t = 0 and after each step and must
+    not keep ``a``.  The three stage buffers are allocated once per call,
+    and the state alternates between ``a`` (which is overwritten) and one
+    of them, so a step allocates nothing of its own.
     """
     n_steps = _step_count(t_final, dt)
     t = 0.0
     if not np.all(np.isfinite(a)):
         raise BlowUpError("state became non-finite", time=t)
     sample(t, a)
+    k1, k2, stage = np.empty_like(a), np.empty_like(a), np.empty_like(a)
     for _ in range(n_steps):
         h = min(dt, t_final - t)
-        a = _rk4_step(a, rhs, h)
+        a, k2 = _rk4_step(a, rhs, h, k1, k2, stage), a
         t += h
         if not np.all(np.isfinite(a)):
             raise BlowUpError("state became non-finite", time=t)
@@ -199,28 +217,25 @@ def rk4_evolve(a: np.ndarray, rhs, dt: float, t_final: float, sample) -> np.ndar
     return a
 
 
-def _rk4_step(a: np.ndarray, rhs, h: float) -> np.ndarray:
-    """a + h/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order.
+def _rk4_step(a: np.ndarray, rhs, h: float, k1: np.ndarray, k2: np.ndarray,
+              stage: np.ndarray) -> np.ndarray:
+    """a + h/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order into ``k2``.
 
-    The sum accumulates in place in k2 and each stage is dropped once used,
-    so few coefficient stacks are freed at once: freeing four at the end of
-    each step made glibc hand heap pages back to the OS and fault them in
-    again on every step (29x the page faults and 10 % more time in the
-    lie-poisson suite at n = 32).
-    ``rhs`` must return a new array.
+    ``k1`` holds k1, then k3, then k4; ``stage`` holds each stage state.
+    Every operation writes into one of the three buffers, so the step
+    allocates nothing; ``a`` is only read.
     """
-    k1 = rhs(a)
-    k2 = rhs(a + 0.5 * h * k1)
-    stage = a + 0.5 * h * k2
+    rhs(a, k1)
+    np.add(a, np.multiply(0.5 * h, k1, out=stage), out=stage)
+    rhs(stage, k2)
+    np.add(a, np.multiply(0.5 * h, k2, out=stage), out=stage)
     k2 *= 2.0
     k2 += k1
-    del k1
-    k3 = rhs(stage)
-    stage = a + h * k3
-    k3 *= 2.0
-    k2 += k3
-    del k3
-    k2 += rhs(stage)
+    rhs(stage, k1)  # k3
+    np.add(a, np.multiply(h, k1, out=stage), out=stage)
+    k1 *= 2.0
+    k2 += k1
+    k2 += rhs(stage, k1)  # k4
     k2 *= h / 6.0
     k2 += a
     return k2

@@ -69,14 +69,18 @@ VARIATION_TANGENCY_TOL = 1e-6
 
 
 def check_integrability(alpha: Form1) -> dict:
-    """Frobenius test: relative L2 norm of alpha ^ d(alpha), plus min |alpha|."""
-    da = d(alpha)
-    res = wedge(alpha, da)
-    scale = alpha.l2() * da.l2()
-    rel = res.l2() / scale if scale > 0 else res.l2()
-    min_abs = float(np.sqrt(np.sum(alpha.data ** 2, axis=0).min()))
+    """Frobenius test: relative L2 norm of alpha ^ d(alpha), plus min |alpha|.
+
+    An overflowing alpha gives inf/nan residuals, which the gates refuse.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        da = d(alpha)
+        res = wedge(alpha, da).l2()
+        scale = alpha.l2() * da.l2()
+        rel = res / scale if scale > 0 else res
+        min_abs = float(np.sqrt(np.sum(alpha.data ** 2, axis=0).min()))
     return {
-        "residual": res.l2(),
+        "residual": res,
         "relative_residual": rel,
         "min_abs": min_abs,
         "integrable": rel <= INTEGRABILITY_TOL,
@@ -86,11 +90,11 @@ def check_integrability(alpha: Form1) -> dict:
 def _reference_field(alpha: Form1) -> VectorField:
     """X = alpha_sharp / |alpha|^2, so i_X alpha = 1 pointwise.
 
-    Where alpha vanishes X is NaN; the floor gate rejects such an alpha.
+    Where alpha vanishes or |alpha|^2 overflows X is NaN or zero; the gates
+    reject such an alpha.
     """
-    norm2 = np.sum(alpha.data ** 2, axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return VectorField(alpha.grid, alpha.data / norm2)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return VectorField(alpha.grid, alpha.data / np.sum(alpha.data ** 2, axis=0))
 
 
 def _integrability_residuals(alpha: Form1) -> dict:
@@ -188,21 +192,23 @@ class FoliatedState:
     def from_alpha(cls, alpha: Form1, *, strict: bool = True) -> "FoliatedState":
         """Solve the full chain and record its residuals.  With strict=True a
         state that fails a membership gate raises; with strict=False it is
-        returned, and ``gate_failure(state.residuals)`` names the failure."""
-        x = _reference_field(alpha)
-        da = d(alpha)
-        eta = interior(x, da)
-        deta = d(eta)
-        gamma = interior(x, deta)
-        chi, chain = _solve_chi(alpha, da, eta, deta, gamma)
+        returned, and ``gate_failure(state.residuals)`` names the failure.
+        An overflowing alpha gives inf/nan residuals, which the gates refuse."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = _reference_field(alpha)
+            da = d(alpha)
+            eta = interior(x, da)
+            deta = d(eta)
+            gamma = interior(x, deta)
+            chi, chain = _solve_chi(alpha, da, eta, deta, gamma)
 
-        res = {
-            **_integrability_residuals(alpha),
-            **chain,
-            "x_ref_normalization": float(
-                np.abs(np.sum(alpha.data * x.data, axis=0) - 1.0).max()),
-            "helicity": abs(helicity(alpha)),
-        }
+            res = {
+                **_integrability_residuals(alpha),
+                **chain,
+                "x_ref_normalization": float(
+                    np.abs(np.sum(alpha.data * x.data, axis=0) - 1.0).max()),
+                "helicity": abs(helicity(alpha)),
+            }
         if strict:
             _enforce_gates(res)
         return cls(alpha=alpha, eta=eta, gamma=gamma, chi=chi, residuals=res)

@@ -12,15 +12,7 @@ import numpy as np
 
 from ..errors import RankError
 from .forms import Form0, Form1, Form2, Form3, VectorField, volume_form
-from .grid import irfft3, leray_r, rfft3, spectral_derivative
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.stack([
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    ])
+from .grid import _cross, irfft3, leray_r, rfft3, spectral_derivative
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

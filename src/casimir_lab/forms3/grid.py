@@ -66,29 +66,9 @@ class Grid:
                 self.k_half[None, None, :])
 
     @cached_property
-    def ik_r(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """2*pi*i*k per axis on rfftn layout, Nyquist zeroed as in spectral_derivative."""
-        full = 2j * np.pi * self.k_full
-        full[self.n // 2] = 0.0
-        return (full[:, None, None], full[None, :, None],
-                self.deriv_multiplier[None, None, :])
-
-    @cached_property
     def leray_factor(self) -> np.ndarray:
         """k / |k|^2 on rfftn layout, shape (3, n, n, n/2+1); zero at k = 0."""
         return _leray_factor(self.k_r)
-
-    @cached_property
-    def parseval_weight(self) -> np.ndarray:
-        """Weights along the rfft axis that turn a half-spectrum sum into a grid mean.
-
-        Modes 1 .. n/2-1 stand for themselves and their conjugates; the
-        zero and Nyquist planes hold both.  The 1/n^6 undoes the unnormalized
-        forward transforms of the two factors.
-        """
-        w = np.full(self.n // 2 + 1, 2.0)
-        w[0] = w[-1] = 1.0
-        return w / float(self.n) ** 6
 
     @cached_property
     def box(self) -> "Box":
@@ -102,10 +82,9 @@ class Box:
 
     Shape (2K+1, 2K+1, K+1): the x and y axes hold k = 0..K, -K..-1 in fft
     order, the z axis k = 0..K of the real transform.  K < n/2, so the box
-    never holds a Nyquist mode.  ``k_r``, ``ik_r``, ``leray_factor`` and
-    ``parseval_weight`` mean what they mean on ``Grid`` (the full rfftn
-    layout), so ``curl_r``, ``grad_r``, ``leray_r`` and ``mean_dot_r`` take
-    either.
+    never holds a Nyquist mode.  ``k_r`` and ``leray_factor`` mean what they
+    mean on ``Grid`` (the full rfftn layout), so ``leray_r`` takes either;
+    ``curl_r``, ``grad_r`` and ``mean_dot_r`` take the box.
     """
 
     n: int
@@ -140,7 +119,12 @@ class Box:
 
     @cached_property
     def parseval_weight(self) -> np.ndarray:
-        """As on Grid, with no Nyquist plane: kz = 1..K count twice."""
+        """Weights along kz that turn a half-spectrum sum into a grid mean.
+
+        kz = 1..K stand for themselves and their conjugates, kz = 0 holds
+        both.  The 1/n^6 undoes the unnormalized forward transforms of the
+        two factors.
+        """
         w = np.full(self.keep + 1, 2.0)
         w[0] = 1.0
         return w / float(self.n) ** 6
@@ -174,7 +158,8 @@ def irfft3(spec: np.ndarray, grid: Grid) -> np.ndarray:
     return np.fft.irfftn(spec, s=grid.shape, axes=(-3, -2, -1))
 
 
-def rfft3_box(data: np.ndarray, grid: Grid, work: dict | None = None) -> np.ndarray:
+def rfft3_box(data: np.ndarray, grid: Grid, work: dict | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
     """``rfft3(data)`` restricted to ``grid.box``, bit for bit.
 
     rfftn runs rfft along z, then fft along y, then fft along x.  This runs
@@ -182,7 +167,7 @@ def rfft3_box(data: np.ndarray, grid: Grid, work: dict | None = None) -> np.ndar
     line it skips would feed nothing but discarded coefficients.  ``work``
     keeps the pass buffers between calls, one per name and shape (allocated
     on first use; the pass outputs "x" and "y" are shared with
-    ``irfft3_box``); the result is always a new array.
+    ``irfft3_box``).  The result goes to ``out``, or to a new array.
     """
     n, m = grid.n, grid.box.keep
     lead = data.shape[:-3]
@@ -191,16 +176,19 @@ def rfft3_box(data: np.ndarray, grid: Grid, work: dict | None = None) -> np.ndar
     y = np.fft.fft(z[..., :m + 1], axis=-2, out=_buffer(work, "y", lead + (n, n, m + 1)))
     y = _keep(y, -2, _buffer(work, "ky", lead + (n, 2 * m + 1, m + 1)), grid.box)
     x = np.fft.fft(y, axis=-3, out=_buffer(work, "x", y.shape))
-    return _keep(x, -3, np.empty(lead + grid.box.shape, complex), grid.box)
+    out = np.empty(lead + grid.box.shape, complex) if out is None else out
+    return _keep(x, -3, out, grid.box)
 
 
-def irfft3_box(box: np.ndarray, grid: Grid, work: dict | None = None) -> np.ndarray:
+def irfft3_box(box: np.ndarray, grid: Grid, work: dict | None = None,
+               out: np.ndarray | None = None) -> np.ndarray:
     """``irfft3`` of the box coefficients zero-filled to the full layout, bit for bit.
 
     The reverse of ``rfft3_box``: zero-fill and ifft along x, zero-fill and
     ifft along y, then irfft along z (which pads kz itself), as irfftn does
-    on the zero-filled stack minus its all-zero lines.  ``work`` as for
-    ``rfft3_box``; its zero-fill buffers are written only inside the box.
+    on the zero-filled stack minus its all-zero lines.  ``work`` and
+    ``out`` as for ``rfft3_box``; the zero-fill buffers are written only
+    inside the box.
     """
     n, m = grid.n, grid.box.keep
     lead = box.shape[:-3]
@@ -209,15 +197,30 @@ def irfft3_box(box: np.ndarray, grid: Grid, work: dict | None = None) -> np.ndar
     x = np.fft.ifft(x, axis=-3, out=_buffer(work, "x", x.shape))
     y = _fill(x, -2, _buffer(work, "zy", lead + (n, n, m + 1)), grid.box)
     y = np.fft.ifft(y, axis=-2, out=_buffer(work, "y", y.shape))
-    return np.fft.irfft(y, n=n, axis=-1)
+    return np.fft.irfft(y, n=n, axis=-1, out=out)
 
 
-def _buffer(work: dict, key: str, shape: tuple) -> np.ndarray:
+def _cross(a, b: np.ndarray, out: np.ndarray | None = None,
+           tmp: np.ndarray | None = None) -> np.ndarray:
+    """Pointwise a x b of two 3-stacks (``a`` may be a triple of arrays that
+    broadcast against ``b``) into ``out``, with ``tmp`` for one scalar
+    product; either is allocated when not given."""
+    out = np.empty(a.shape, np.result_type(a, b)) if out is None else out
+    tmp = np.empty(out.shape[1:], out.dtype) if tmp is None else tmp
+    for i in range(3):  # out_i = a_j b_k - a_k b_j, (i, j, k) cyclic
+        j, k = (i + 1) % 3, (i + 2) % 3
+        np.multiply(a[j], b[k], out=out[i])
+        np.multiply(a[k], b[j], out=tmp)
+        np.subtract(out[i], tmp, out=out[i])
+    return out
+
+
+def _buffer(work: dict, key: str, shape: tuple, dtype=complex) -> np.ndarray:
     """work[key, shape], allocated zeroed on first use: scalar and 3-stack
     transforms sharing one ``work`` keep their own buffers."""
     buf = work.get((key, shape))
     if buf is None:
-        buf = work[key, shape] = np.zeros(shape, complex)
+        buf = work[key, shape] = np.zeros(shape, dtype)
     return buf
 
 
@@ -247,32 +250,45 @@ def dealias(data: np.ndarray, grid: Grid) -> np.ndarray:
     return irfft3_box(rfft3_box(data, grid), grid)
 
 
-# The coefficient functions below take a layout: a Grid for the full rfftn
-# layout, or grid.box for the 2/3-rule box.
+# curl_r and leray_r write their result to ``out`` and use ``tmp`` for one
+# scalar term; either is allocated when not given.
 
 
-def curl_r(spec: np.ndarray, layout: Grid | Box) -> np.ndarray:
-    """Coefficients of the curl (d of a 1-form) from the coefficients of a 3-stack."""
-    ikx, iky, ikz = layout.ik_r
-    return np.stack([iky * spec[2] - ikz * spec[1],
-                     ikz * spec[0] - ikx * spec[2],
-                     ikx * spec[1] - iky * spec[0]])
+def curl_r(spec: np.ndarray, box: Box, out: np.ndarray | None = None,
+           tmp: np.ndarray | None = None) -> np.ndarray:
+    """Box coefficients of the curl (d of a 1-form) from a 3-stack's box coefficients."""
+    return _cross(box.ik_r, spec, np.empty(spec.shape, complex) if out is None else out, tmp)
 
 
-def grad_r(spec: np.ndarray, layout: Grid | Box) -> np.ndarray:
-    """Coefficients of the gradient (d of a 0-form) from a scalar's coefficients."""
-    return np.stack([ik * spec for ik in layout.ik_r])
+def grad_r(spec: np.ndarray, box: Box) -> np.ndarray:
+    """Box coefficients of the gradient (d of a 0-form) from a scalar's box coefficients."""
+    return np.stack([ik * spec for ik in box.ik_r])
 
 
-def leray_r(spec: np.ndarray, layout: Grid | Box) -> np.ndarray:
-    """Divergence-free part of a 3-stack of coefficients; the mean is kept."""
+def leray_r(spec: np.ndarray, layout: Grid | Box, out: np.ndarray | None = None,
+            tmp: np.ndarray | None = None) -> np.ndarray:
+    """Divergence-free part of a 3-stack of coefficients; the mean is kept.
+
+    ``layout`` is a Grid for the full rfftn layout or grid.box for the box.
+    """
     kx, ky, kz = layout.k_r
-    return spec - layout.leray_factor * (kx * spec[0] + ky * spec[1] + kz * spec[2])
+    out = np.empty(spec.shape, complex) if out is None else out
+    tmp = np.empty(spec.shape[1:], complex) if tmp is None else tmp
+    # tmp = kx spec_0 + ky spec_1 + kz spec_2, with out[0] as scratch
+    np.multiply(kx, spec[0], out=tmp)
+    np.multiply(ky, spec[1], out=out[0])
+    tmp += out[0]
+    np.multiply(kz, spec[2], out=out[0])
+    tmp += out[0]
+    for i in range(3):  # per component: broadcast over the stack, numpy copies tmp
+        np.multiply(layout.leray_factor[i], tmp, out=out[i])
+        np.subtract(spec[i], out[i], out=out[i])
+    return out
 
 
-def mean_dot_r(a: np.ndarray, b: np.ndarray, layout: Grid | Box) -> float:
-    """Grid mean of sum_i a_i b_i for real fields, from their coefficients (Parseval)."""
-    return float(np.sum(np.sum((a * b.conj()).real, axis=0) @ layout.parseval_weight))
+def mean_dot_r(a: np.ndarray, b: np.ndarray, box: Box) -> float:
+    """Grid mean of sum_i a_i b_i for real fields, from their box coefficients (Parseval)."""
+    return float(np.sum(np.sum((a * b.conj()).real, axis=0) @ box.parseval_weight))
 
 
 def spectral_tail_fraction(data: np.ndarray, grid: Grid) -> float:

@@ -22,9 +22,9 @@ import math
 import numpy as np
 
 from ..errors import BlowUpError, InvalidParameterError
-from .calculus import _cross, _dot, d, lie_derivative
+from .calculus import _dot, d, lie_derivative
 from .forms import Form1, VectorField
-from .grid import curl_r, dealias, grad_r, irfft3_box, rfft3_box, spectral_derivative
+from .grid import _cross, curl_r, dealias, grad_r, irfft3_box, rfft3_box, spectral_derivative
 
 MAX_SUBSTEPS = 10_000  # substeps one transport call may take
 SUBSTEP_NORM = 8.0     # bound on h * rho for one substep

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,26 @@ class TestNanFailsEveryGate:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(InconsistencyError, match="eta_defining residual nan"):
                 fol.FoliatedState.from_alpha(fol.graph_foliation_form(g, profile))
+
+    def test_overflowing_profile_warns_nothing(self):
+        # the chain runs under np.errstate, so a library caller sees only the
+        # gate's error, not numpy's overflow warnings ahead of it
+        g = f3.Grid(8)
+        x, y, z = (2 * np.pi * c for c in g.meshes)
+        profile = f3.Form0(g, 1e300 * np.sin(z))
+        alpha = fol.graph_foliation_form(g, profile)
+        # plus a small ABC flow, which is not integrable: alpha ^ d(alpha) overflows
+        abc = f3.Form1(g, alpha.data + 1e-3 * np.stack([np.sin(z) + np.cos(y),
+                                                         np.sin(x) + np.cos(z),
+                                                         np.sin(y) + np.cos(x)]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert fol.check_integrability(alpha)["integrable"]
+            assert not fol.check_integrability(abc)["integrable"]
+            with pytest.raises(InconsistencyError, match="eta_defining residual nan"):
+                fol.FoliatedState.from_alpha(alpha)
+            with pytest.raises(PreconditionError, match="not integrable"):
+                fol.FoliatedState.from_alpha(abc)
 
     def test_chi_and_variation_and_degeneracy_gates(self, foliated_state):
         st = foliated_state

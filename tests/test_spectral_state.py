@@ -1,15 +1,19 @@
 """The coefficient evolutions of euler_evolve (RK4) and transport (the
 propagator exp(-t L_u)), both on the 2/3-rule box, against physical-space
 oracles: a plain RK4 loop over dealiased euler_rhs/generator, and the
-energy/helicity functionals evaluated on the grid.  The box transforms,
-multipliers and ``dealias`` against full-layout counterparts masked by a
-2/3 rule built here from np.fft.fftfreq."""
+energy/helicity functionals evaluated on the grid.  Euler's workspace
+against a loop of fresh arrays written here, bit for bit.  The box
+transforms, the Leray multiplier and ``dealias`` against full-layout
+counterparts masked by a 2/3 rule built here from np.fft.fftfreq; curl,
+grad and the Parseval mean against spectral derivatives and grid means."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from casimir_lab import fluid
 from casimir_lab import forms3 as f3
 from casimir_lab.errors import BlowUpError, InvalidParameterError
 from casimir_lab.fluid import FluidState, energy, euler_evolve, euler_rhs, helicity
@@ -81,6 +85,137 @@ class TestEulerSpectralState:
         assert 0.0 < info.value.time < 1e3
 
 
+# Python objects a call creates besides its arrays (array headers, shape
+# tuples, slices): below one box scalar at n = 16, 11,616 bytes
+OBJECT_SLACK = 4096
+
+
+def _traced_peak(fn):
+    """Peak of tracemalloc's traced memory during fn(), above the level before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def _old_leray(s, box):
+    kx, ky, kz = box.k_r
+    return s - box.leray_factor * (kx * s[0] + ky * s[1] + kz * s[2])
+
+
+def _old_curl(s, box):
+    ikx, iky, ikz = box.ik_r
+    return np.stack([iky * s[2] - ikz * s[1], ikz * s[0] - ikx * s[2], ikx * s[1] - iky * s[0]])
+
+
+def _old_cross(a, b):
+    return np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
+def _unbuffered_euler(alpha, dt, t_final):
+    """euler_evolve as a loop of fresh arrays: each multiplier and product
+    written as one expression and the RK4 stages in their summation order."""
+    g, box = alpha.grid, alpha.grid.box
+
+    def rhs(s):
+        return f3.rfft3_box(_old_cross(f3.irfft3_box(_old_leray(s, box), g),
+                                       f3.irfft3_box(_old_curl(s, box), g)), g)
+
+    def sample(t, a):
+        times.append(t)
+        energies.append(0.5 * f3.mean_dot_r(a, _old_leray(a, box), box))
+        helicities.append(f3.mean_dot_r(a, _old_curl(a, box), box))
+
+    times, energies, helicities = [], [], []
+    a, t = f3.rfft3_box(alpha.data, g), 0.0
+    sample(t, a)
+    for _ in range(int(np.ceil(t_final / dt - 1e-12))):
+        h = min(dt, t_final - t)
+        k1 = rhs(a)
+        k2 = rhs(a + 0.5 * h * k1)
+        stage = a + 0.5 * h * k2
+        k2 *= 2.0
+        k2 += k1
+        k3 = rhs(stage)
+        stage = a + h * k3
+        k3 *= 2.0
+        k2 += k3
+        k2 += rhs(stage)
+        k2 *= h / 6.0
+        k2 += a
+        a, t = k2, t + h
+        sample(t, a)
+    return f3.irfft3_box(a, g), (times, energies, helicities)
+
+
+@pytest.mark.parametrize("n", (16, 32))
+class TestEulerWorkspace:
+    """One workspace per euler_evolve call: after the first call a
+    right-hand side allocates only its result and an RK4 step nothing
+    stack-sized, with every array bit for bit what fresh arrays give."""
+
+    def test_warmed_rhs_allocates_only_its_result(self, n, rng):
+        g = f3.Grid(n)
+        m = g.box.keep
+        s = f3.rfft3_box(f3.random_form1(g, 4, rng).data, g)
+        assert s.nbytes == 3 * (2 * m + 1) ** 2 * (m + 1) * 16
+        work = {}
+        first = fluid._rhs(s, g, work)
+        assert _traced_peak(lambda: fluid._rhs(s, g, work)) <= s.nbytes + OBJECT_SLACK
+        assert np.array_equal(fluid._rhs(s, g, work), first)
+
+    def test_warmed_rk4_step_allocates_no_stack(self, n, rng):
+        # numpy may still buffer a broadcast multiply, at most one box scalar
+        g = f3.Grid(n)
+        a = f3.rfft3_box(f3.random_form1(g, 4, rng).data, g)
+        work = {}
+
+        def rhs(s, out):
+            return fluid._rhs(s, g, work, out)
+
+        bufs = [np.empty_like(a) for _ in range(3)]
+        fluid._rk4_step(a, rhs, DT, *bufs)
+        assert _traced_peak(lambda: fluid._rk4_step(a, rhs, DT, *bufs)) < a.nbytes
+
+    def test_matches_unbuffered_loop(self, n, rng):
+        g = f3.Grid(n)
+        alpha = f3.random_form1(g, 4, rng, rms=0.5)
+        fin, diag = euler_evolve(FluidState(alpha), dt=DT, t_final=STEPS * DT)
+        values, (times, energies, helicities) = _unbuffered_euler(alpha, DT, STEPS * DT)
+        assert np.array_equal(fin.alpha.data, values)
+        assert np.array_equal(diag.times, times)
+        assert np.array_equal(diag.energies, energies)
+        assert np.array_equal(diag.helicities, helicities)
+
+    def test_results_outlive_the_workspace(self, n, rng, monkeypatch):
+        g = f3.Grid(n)
+        seen = []  # every array a right-hand side reads or writes, and its work dict
+        rhs = fluid._rhs
+
+        def spy(s, grid, work, out=None):
+            seen.append((s, out, work))
+            return rhs(s, grid, work, out)
+
+        monkeypatch.setattr(fluid, "_rhs", spy)
+
+        def arrays(alpha):
+            state, diag = euler_evolve(FluidState(alpha), dt=DT, t_final=3 * DT)
+            return [state.alpha.data, diag.times, diag.energies, diag.helicities]
+
+        alpha = f3.random_form1(g, 4, rng, rms=0.5)
+        first = arrays(alpha)
+        kept = [x.copy() for x in first]
+        results = first + arrays(0.5 * alpha)
+        assert all(np.array_equal(x, y) for x, y in zip(first, kept))
+        buffers = [x for s, out, work in seen for x in (s, out, *work.values())]
+        assert len({id(work) for _, _, work in seen}) == 2
+        assert not any(np.shares_memory(x, b) for x in results for b in buffers)
+
+
 class TestTransportSpectralState:
     def test_matches_physical_rk4(self, grid16, rng):
         # the propagator against small-dt RK4 on the dealiased generator;
@@ -123,16 +258,26 @@ def test_shared_step_rule(evolve, grid16, rng):
             evolve(a, dt, t_final)
 
 
+def _box_values(rng, g, lead=(3,)):
+    """Box coefficients of full-band noise and the grid values they stand for."""
+    box = f3.rfft3_box(rng.standard_normal(lead + g.shape), g)
+    return box, f3.irfft3_box(box, g)
+
+
+def _grid_mean_dot(x, y):
+    return float(np.mean(np.sum(x * y, axis=0)))
+
+
 class TestSpectralMultipliers:
     def test_curl_and_grad_match_d(self, grid32, rng):
-        # full band, so the Nyquist modes d drops are present
+        # against spectral_derivative of the box's grid values
         g = grid32
-        alpha = f3.random_form1(g, g.n // 2, rng)
-        spec = f3.rfft3(alpha.data)
-        assert _rel(f3.irfft3(f3.curl_r(spec, g), g), f3.d(alpha).data) <= 1e-13
-        f = f3.random_form0(g, g.n // 2, rng)
-        grad = f3.irfft3(f3.grad_r(f3.rfft3(f.data), g), g)
-        assert _rel(grad, f3.d(f).data) <= 1e-13
+        spec, values = _box_values(rng, g)
+        curl = f3.irfft3_box(f3.curl_r(spec, g.box), g)
+        assert _rel(curl, f3.d(f3.Form1(g, values)).data) <= 1e-13
+        spec, values = _box_values(rng, g, ())
+        grad = f3.irfft3_box(f3.grad_r(spec, g.box), g)
+        assert _rel(grad, f3.d(f3.Form0(g, values)).data) <= 1e-13
 
     def test_leray_is_divergence_free_projection(self, grid32, rng):
         v = f3.random_vector_field(grid32, 5, rng) + f3.constant_field(grid32, 0.7, -0.2, 0.1)
@@ -143,10 +288,9 @@ class TestSpectralMultipliers:
                                    atol=1e-14)
 
     def test_mean_dot_is_grid_mean(self, grid32, rng):
-        a = f3.random_vector_field(grid32, 16, rng).data
-        b = f3.random_vector_field(grid32, 16, rng).data
-        got = f3.mean_dot_r(f3.rfft3(a), f3.rfft3(b), grid32)
-        assert got == pytest.approx(float(np.mean(np.sum(a * b, axis=0))), rel=1e-12)
+        (a, x), (b, y) = _box_values(rng, grid32), _box_values(rng, grid32)
+        got = f3.mean_dot_r(a, b, grid32.box)
+        assert got == pytest.approx(_grid_mean_dot(x, y), rel=1e-12)
 
 
 BOX_N = (4, 6, 8, 10, 32, 34)
@@ -168,8 +312,9 @@ def _zero_fill(box, g):
 @pytest.mark.parametrize("n", BOX_N)
 class TestBox:
     """The pruned transforms run the same 1-D passes as rfftn/irfftn and skip
-    only lines of zeros, and the box multipliers are the full ones restricted,
-    so all of these are bit-identical except the Parseval sum's order."""
+    only lines of zeros, and the box Leray multiplier is the full one
+    restricted, so these are bit-identical; curl, grad and the Parseval mean
+    have grid-space oracles."""
 
     def test_layout(self, n):
         g = f3.Grid(n)
@@ -212,17 +357,22 @@ class TestBox:
 
     def test_multipliers_match_full_layout(self, n, rng):
         g = f3.Grid(n)
-        a, b = (f3.rfft3(rng.standard_normal((3,) + g.shape)) * _mask(g)
-                for _ in range(2))
-        for op in (f3.curl_r, f3.leray_r):
-            assert np.array_equal(op(_restrict(a, g), g.box), _restrict(op(a, g), g))
-        f = f3.rfft3(rng.standard_normal(g.shape)) * _mask(g)
-        assert np.array_equal(f3.grad_r(_restrict(f, g), g.box), _restrict(f3.grad_r(f, g), g))
-        # relative to |x| |y|, the scale of a dot product's roundoff (x . y may cancel)
-        for x, y in ((a, b), (a, f3.leray_r(a, g)), (a, f3.curl_r(a, g))):
-            scale = np.sqrt(f3.mean_dot_r(x, x, g) * f3.mean_dot_r(y, y, g))
-            got = f3.mean_dot_r(_restrict(x, g), _restrict(y, g), g.box)
-            assert abs(got - f3.mean_dot_r(x, y, g)) <= 1e-15 * scale
+        (a, a_values), (b, b_values) = _box_values(rng, g), _box_values(rng, g)
+        assert np.array_equal(f3.leray_r(a, g.box),
+                              _restrict(f3.leray_r(_zero_fill(a, g), g), g))
+        # curl and grad against spectral_derivative of the grid values
+        curl = f3.curl_r(a, g.box)
+        assert _rel(f3.irfft3_box(curl, g), f3.d(f3.Form1(g, a_values)).data) <= 1e-13
+        f, f_values = _box_values(rng, g, ())
+        assert _rel(f3.irfft3_box(f3.grad_r(f, g.box), g),
+                    f3.d(f3.Form0(g, f_values)).data) <= 1e-13
+        # the Parseval mean against the grid mean, relative to |x| |y|, the
+        # scale of a dot product's roundoff (x . y may cancel)
+        for x, y in ((a, b), (a, f3.leray_r(a, g.box)), (a, curl)):
+            xv, yv = f3.irfft3_box(x, g), f3.irfft3_box(y, g)
+            scale = np.sqrt(_grid_mean_dot(xv, xv) * _grid_mean_dot(yv, yv))
+            got = f3.mean_dot_r(x, y, g.box)
+            assert abs(got - _grid_mean_dot(xv, yv)) <= 1e-15 * scale
 
 
 @pytest.mark.parametrize("n", range(4, 66, 2))
