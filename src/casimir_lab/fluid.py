@@ -132,16 +132,19 @@ class EvolveDiagnostics:
 
 def euler_evolve(state: FluidState, dt: float,
                  t_final: float) -> tuple[FluidState, EvolveDiagnostics]:
-    """RK4 Euler evolution with 2/3-rule dealiasing of each right-hand side.
+    """Classical RK4 Euler evolution with 2/3-rule dealiasing of each right-hand side.
 
     The RK4 state is alpha's coefficients on the 2/3-rule box
     (``grid.box``), which is the dealiasing: nothing outside it is ever
-    formed.  A right-hand side is ``_rhs``.  Diagnostics record energy and
-    helicity at t = 0 and after every step, read off the coefficients by
-    Parseval's theorem.  A state that is non-finite once transformed
-    raises BlowUpError at t = 0.  Every array a right-hand side or a step
-    writes lives in ``work`` or in ``rk4_evolve``'s stage buffers, for
-    this call only; the returned state and diagnostics are new arrays.
+    formed.  A right-hand side is ``_rhs`` and a step ``_rk4_step``; steps
+    are dt, the last one shortened to end on t_final.  Diagnostics record
+    energy and helicity at t = 0 and after every step, read off the
+    coefficients by Parseval's theorem.  A state that is non-finite at
+    t = 0 (once transformed) or after a step raises BlowUpError with that
+    time.  Every array a right-hand side or a step writes lives in ``work``
+    or in three stage buffers, for this call only: the state alternates
+    between the transformed alpha and one of them.  The returned state and
+    diagnostics are new arrays.
     """
     g = state.grid
     box = g.box
@@ -152,7 +155,9 @@ def euler_evolve(state: FluidState, dt: float,
 
     times, energies, helicities = [], [], []
 
-    def sample(t, a):
+    def record(t, a):
+        if not np.all(np.isfinite(a)):
+            raise BlowUpError("state became non-finite", time=t)
         coef, tmp = _coef_buffers(a, work)
         times.append(t)
         energies.append(0.5 * mean_dot_r(a, leray_r(a, box, coef, tmp), box))
@@ -161,7 +166,16 @@ def euler_evolve(state: FluidState, dt: float,
     # divergence shows up as inf/nan, from the first transform on; the
     # contract is the exception
     with np.errstate(over="ignore", invalid="ignore"):
-        a = rk4_evolve(rfft3_box(state.alpha.data, g, work), rhs, dt, t_final, sample)
+        a = rfft3_box(state.alpha.data, g, work)
+        n_steps = _step_count(t_final, dt)
+        t = 0.0
+        record(t, a)
+        k1, k2, stage = np.empty_like(a), np.empty_like(a), np.empty_like(a)
+        for _ in range(n_steps):
+            h = min(dt, t_final - t)
+            a, k2 = _rk4_step(a, rhs, h, k1, k2, stage), a
+            t += h
+            record(t, a)
     diag = EvolveDiagnostics(np.asarray(times), np.asarray(energies), np.asarray(helicities))
     return FluidState(Form1(g, irfft3_box(a, g, work))), diag
 
@@ -187,34 +201,6 @@ def _rhs(s: np.ndarray, g, work: dict, out: np.ndarray | None = None) -> np.ndar
     vxw = _cross(v, w, _buffer(work, "v x curl", shape, float),
                  _buffer(work, "v x curl tmp", g.shape, float))
     return rfft3_box(vxw, g, work, out)
-
-
-def rk4_evolve(a: np.ndarray, rhs, dt: float, t_final: float, sample) -> np.ndarray:
-    """Classical RK4 for da/dt = rhs(a) from t = 0 to t_final; returns a(t_final).
-
-    Steps are dt, the last one shortened to end on t_final.  The initial
-    state and every step are checked for non-finite values (BlowUpError
-    with that time), so callers run it with overflow warnings off.
-    ``rhs(s, out)`` writes the derivative at ``s`` into ``out`` and returns
-    it; ``sample(t, a)`` is called at t = 0 and after each step and must
-    not keep ``a``.  The three stage buffers are allocated once per call,
-    and the state alternates between ``a`` (which is overwritten) and one
-    of them, so a step allocates nothing of its own.
-    """
-    n_steps = _step_count(t_final, dt)
-    t = 0.0
-    if not np.all(np.isfinite(a)):
-        raise BlowUpError("state became non-finite", time=t)
-    sample(t, a)
-    k1, k2, stage = np.empty_like(a), np.empty_like(a), np.empty_like(a)
-    for _ in range(n_steps):
-        h = min(dt, t_final - t)
-        a, k2 = _rk4_step(a, rhs, h, k1, k2, stage), a
-        t += h
-        if not np.all(np.isfinite(a)):
-            raise BlowUpError("state became non-finite", time=t)
-        sample(t, a)
-    return a
 
 
 def _rk4_step(a: np.ndarray, rhs, h: float, k1: np.ndarray, k2: np.ndarray,

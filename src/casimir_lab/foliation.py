@@ -46,7 +46,6 @@ __all__ = [
     "XiGenerator",
     "check_integrability",
     "gate_failure",
-    "solve_eta",
     "chi_from",
     "godbillon_vey",
     "gauge_shift",
@@ -74,15 +73,18 @@ def check_integrability(alpha: Form1) -> dict:
     An overflowing alpha gives inf/nan residuals, which the gates refuse.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        da = d(alpha)
-        res = wedge(alpha, da).l2()
-        scale = alpha.l2() * da.l2()
-        rel = res / scale if scale > 0 else res
-        min_abs = float(np.sqrt(np.sum(alpha.data ** 2, axis=0).min()))
+        return _frobenius(alpha, d(alpha))
+
+
+def _frobenius(alpha: Form1, da: Form2) -> dict:
+    """check_integrability's record, given alpha's d(alpha)."""
+    res = wedge(alpha, da).l2()
+    scale = alpha.l2() * da.l2()
+    rel = res / scale if scale > 0 else res
     return {
         "residual": res,
         "relative_residual": rel,
-        "min_abs": min_abs,
+        "min_abs": float(np.sqrt(np.sum(alpha.data ** 2, axis=0).min())),
         "integrable": rel <= INTEGRABILITY_TOL,
     }
 
@@ -95,11 +97,6 @@ def _reference_field(alpha: Form1) -> VectorField:
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         return VectorField(alpha.grid, alpha.data / np.sum(alpha.data ** 2, axis=0))
-
-
-def _integrability_residuals(alpha: Form1) -> dict:
-    report = check_integrability(alpha)
-    return {"integrability": report["relative_residual"], "min_abs_alpha": report["min_abs"]}
 
 
 def gate_failure(res: dict) -> PreconditionError | InconsistencyError | None:
@@ -136,12 +133,6 @@ def _enforce_gates(res: dict) -> None:
             # (frame -> exception -> traceback -> frame) that keeps every
             # caller's arrays alive until the cyclic collector runs
             del failure
-
-
-def solve_eta(alpha: Form1) -> Form1:
-    """A 1-form with d(alpha) = alpha ^ eta (defect absorbed by gauge freedom)."""
-    _enforce_gates(_integrability_residuals(alpha))
-    return interior(_reference_field(alpha), d(alpha))
 
 
 def _solve_chi(alpha: Form1, da: Form2, eta: Form1, deta: Form2,
@@ -190,10 +181,12 @@ class FoliatedState:
 
     @classmethod
     def from_alpha(cls, alpha: Form1, *, strict: bool = True) -> "FoliatedState":
-        """Solve the full chain and record its residuals.  With strict=True a
-        state that fails a membership gate raises; with strict=False it is
-        returned, and ``gate_failure(state.residuals)`` names the failure.
-        An overflowing alpha gives inf/nan residuals, which the gates refuse."""
+        """Solve the chain, the library's one solver of eta, gamma and chi,
+        and record its residuals; the Frobenius test reuses the chain's
+        d(alpha).  With strict=True a state that fails a membership gate
+        raises; with strict=False it is returned, and
+        ``gate_failure(state.residuals)`` names the failure.  An overflowing
+        alpha gives inf/nan residuals, which the gates refuse."""
         with np.errstate(over="ignore", invalid="ignore"):
             x = _reference_field(alpha)
             da = d(alpha)
@@ -201,9 +194,10 @@ class FoliatedState:
             deta = d(eta)
             gamma = interior(x, deta)
             chi, chain = _solve_chi(alpha, da, eta, deta, gamma)
-
+            frobenius = _frobenius(alpha, da)
             res = {
-                **_integrability_residuals(alpha),
+                "integrability": frobenius["relative_residual"],
+                "min_abs_alpha": frobenius["min_abs"],
                 **chain,
                 "x_ref_normalization": float(
                     np.abs(np.sum(alpha.data * x.data, axis=0) - 1.0).max()),

@@ -21,18 +21,19 @@ from ..errors import InvalidParameterError
 from .grid import Grid
 
 
-def _as_components(grid: Grid, data, n_comp: int) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    want = (n_comp,) + grid.shape if n_comp > 1 else grid.shape
-    if arr.shape != want:
-        raise InvalidParameterError(f"component data must have shape {want}, got {arr.shape}")
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class _GridObject:
+    """Components on a grid; subclasses set ``n_comp`` (one means a bare scalar grid)."""
+
     grid: Grid
     data: np.ndarray
+
+    def __post_init__(self):
+        arr = np.asarray(self.data, dtype=float)
+        want = (self.n_comp,) + self.grid.shape if self.n_comp > 1 else self.grid.shape
+        if arr.shape != want:
+            raise InvalidParameterError(f"component data must have shape {want}, got {arr.shape}")
+        object.__setattr__(self, "data", arr)
 
     def __add__(self, other):
         self._check_mate(other)
@@ -73,40 +74,25 @@ class Form0(_GridObject):
     rank = 0
     n_comp = 1
 
-    def __init__(self, grid: Grid, data):
-        super().__init__(grid, _as_components(grid, data, 1))
-
 
 class Form1(_GridObject):
     rank = 1
     n_comp = 3
-
-    def __init__(self, grid: Grid, data):
-        super().__init__(grid, _as_components(grid, data, 3))
 
 
 class Form2(_GridObject):
     rank = 2
     n_comp = 3
 
-    def __init__(self, grid: Grid, data):
-        super().__init__(grid, _as_components(grid, data, 3))
-
 
 class Form3(_GridObject):
     rank = 3
     n_comp = 1
 
-    def __init__(self, grid: Grid, data):
-        super().__init__(grid, _as_components(grid, data, 1))
-
 
 class VectorField(_GridObject):
     rank = None
     n_comp = 3
-
-    def __init__(self, grid: Grid, data):
-        super().__init__(grid, _as_components(grid, data, 3))
 
 
 FORM_CLASSES = {0: Form0, 1: Form1, 2: Form2, 3: Form3}
@@ -148,23 +134,19 @@ def coordinate_oneform(grid: Grid, axis: int) -> Form1:
     return Form1(grid, data)
 
 
+def _from_callables(grid: Grid, fns) -> np.ndarray:
+    x, y, z = grid.meshes
+    return np.stack([np.broadcast_to(np.asarray(f(x, y, z), dtype=float), grid.shape)
+                     for f in fns])
+
+
 def one_form(grid: Grid, fx, fy, fz) -> Form1:
     """Build a 1-form from three component callables of (x, y, z)."""
-    x, y, z = grid.meshes
-    data = np.stack([
-        np.broadcast_to(np.asarray(f(x, y, z), dtype=float), grid.shape)
-        for f in (fx, fy, fz)
-    ])
-    return Form1(grid, data.copy())
+    return Form1(grid, _from_callables(grid, (fx, fy, fz)))
 
 
 def vector_field(grid: Grid, ux, uy, uz) -> VectorField:
-    x, y, z = grid.meshes
-    data = np.stack([
-        np.broadcast_to(np.asarray(u(x, y, z), dtype=float), grid.shape)
-        for u in (ux, uy, uz)
-    ])
-    return VectorField(grid, data.copy())
+    return VectorField(grid, _from_callables(grid, (ux, uy, uz)))
 
 
 def scale_by(f: Form0, obj):

@@ -228,7 +228,7 @@ def integrate(
         states = np.array(x_rec).reshape(-1, 3)
 
     ham = 0.5 * np.einsum("ij,ij->i", states, states)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):  # r <= 0 rows are discarded
         cas = np.where(states[:, 1] > 0, states[:, 0] * states[:, 1] ** (-h), np.nan)
     return Trajectory(times=times, states=states, hamiltonians=ham, casimirs=cas,
                       h=float(h), method=method)

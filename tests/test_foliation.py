@@ -5,6 +5,7 @@ import pytest
 
 from casimir_lab import foliation as fol
 from casimir_lab import forms3 as f3
+from casimir_lab.forms3 import calculus
 from casimir_lab.errors import InconsistencyError, PreconditionError
 from casimir_lab.fluid import helicity, lie_poisson_bracket, pairing
 
@@ -38,11 +39,32 @@ class TestIntegrability:
         _, _, z = grid32.meshes
         sine = f3.Form1(grid32, np.stack([np.sin(2 * np.pi * z), 0 * z, 0 * z]))
         with pytest.raises(PreconditionError, match="vanishes"):
-            fol.solve_eta(sine)
+            fol.FoliatedState.from_alpha(sine)
 
     def test_non_integrable_rejected(self, beltrami):
         with pytest.raises(PreconditionError, match="not integrable"):
-            fol.solve_eta(beltrami)
+            fol.FoliatedState.from_alpha(beltrami)
+
+    def test_from_alpha_takes_d_alpha_once_for_the_chain(self, foliated_state, monkeypatch):
+        # d(alpha), d(eta), d(gamma) at 6 derivatives each and d(chi) at 3;
+        # helicity takes its own d(alpha), 6 more
+        calls = []
+        derivative = calculus.spectral_derivative
+
+        def counted(*args):
+            calls.append(args[2])
+            return derivative(*args)
+
+        monkeypatch.setattr(calculus, "spectral_derivative", counted)
+        fol.FoliatedState.from_alpha(foliated_state.alpha)
+        assert len(calls) == 27
+
+    def test_check_integrability_matches_the_chain(self, foliated_state, beltrami):
+        for alpha in (foliated_state.alpha, beltrami):
+            rep = fol.check_integrability(alpha)
+            res = fol.FoliatedState.from_alpha(alpha, strict=False).residuals
+            assert rep["relative_residual"] == res["integrability"]
+            assert rep["min_abs"] == res["min_abs_alpha"]
 
 
 class TestMembershipGate:

@@ -247,11 +247,16 @@ class TestEvalAt:
         assert single.shape == (3,)
 
 
-def test_form_shape_validation(grid32):
-    with pytest.raises(InvalidParameterError):
-        f3.Form1(grid32, np.zeros(grid32.shape))
-    with pytest.raises(InvalidParameterError):
-        f3.Form0(grid32, np.zeros((3,) + grid32.shape))
+def test_form_shape_validation(grid16):
+    for cls in (f3.Form0, f3.Form1, f3.Form2, f3.Form3, f3.VectorField):
+        shape = (3,) + grid16.shape if cls.n_comp == 3 else grid16.shape
+        wrong = grid16.shape if cls.n_comp == 3 else (3,) + grid16.shape
+        with pytest.raises(InvalidParameterError, match="must have shape"):
+            cls(grid16, np.zeros(wrong))
+        ints = cls(grid16, np.ones(shape, dtype=int))
+        assert ints.data.dtype == float and np.all(ints.data == 1.0)
+        data = np.ones(shape)
+        assert cls(grid16, data).data is data  # float data is kept, not copied
 
 
 def test_mixed_grid_arithmetic_rejected(grid32, grid16):

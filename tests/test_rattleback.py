@@ -114,6 +114,12 @@ class TestIntegrate:
         assert np.all(tr.states[:, 2] == 5.0)
         assert np.all(tr.states[:, :2] == 0.0)
 
+    def test_singular_line_casimir_is_nan_without_warning(self):
+        # C = p r^(-h) has no value at r = 0; for h > 0 the discarded
+        # rows compute 0 ** (-h), which must not warn
+        tr = rb.integrate(rb.RattlebackState(0, 0, 5.0), 1.0, dt=1e-3, t_final=0.01)
+        assert np.all(np.isnan(tr.casimirs))
+
     def test_rk4_conservation(self):
         tr = rb.integrate(rb.RattlebackState(0.1, 0.2, 1.0), -2.0, dt=1e-3, t_final=20.0)
         h0, c0 = tr.hamiltonians[0], tr.casimirs[0]

@@ -60,6 +60,22 @@ class TestSuiteRunner:
         with pytest.raises(ValueError, match="unknown suite"):
             run_suite("nope")
 
+    def test_suite_warning_reaches_the_caller(self, monkeypatch):
+        def noisy(cfg):
+            warnings.warn("overflow in a suite", RuntimeWarning)
+            return [verify._check(cfg, "noisy", 0.0, 0.0)]
+
+        monkeypatch.setattr(verify, "SUITES", {"noisy": noisy})
+        with pytest.warns(RuntimeWarning, match="overflow in a suite"):
+            report = run_suite("noisy")
+        assert report["passed"]
+
+    def test_missing_measurement_cannot_pass(self):
+        cfg = SuiteConfig()
+        with pytest.raises(TypeError):
+            verify._check(cfg, "missing", None, 1.0)
+        assert not verify._check(cfg, "nan", float("nan"), 1.0)["pass"]
+
 
 class TestScenarioConfig:
     def test_minimal_defaults(self, tmp_path):
