@@ -41,6 +41,7 @@ SCENARIO_KINDS = ("rattleback", "fluid-helicity", "fluid-euler", "foliation-gv",
 TAIL_WARN_FRACTION = 1e-8
 MAX_STEPS = 10_000_000  # fixed steps of dt one scenario may take
 MAX_GRID = 256          # grid points per axis: one n = 256 field stack is 400 MB
+EULER_DT = 1e-2         # default fixed step of fluid-euler; every other kind's is 1e-3
 
 
 @dataclass
@@ -48,7 +49,8 @@ class Scenario:
     """One computation, read from a scenario file or from a subcommand's flags.
 
     ``stride`` and ``suite`` are set by subcommand flags only; a scenario
-    file gets their defaults.  Every value is type-checked on construction.
+    file gets their defaults.  ``dt`` left unset (None) is the kind's default
+    step.  Every value is type-checked on construction.
     """
 
     kind: str
@@ -58,7 +60,7 @@ class Scenario:
     field_spec: str | None = None
     h: float = -2.0
     ic: tuple = (0.1, 0.2, 1.0)
-    dt: float = 1e-3
+    dt: float | None = None
     t_final: float = 1.0
     method: str = "rk4"
     stride: int = 1
@@ -77,6 +79,8 @@ class Scenario:
         self.ic = tuple(float(v) for v in self.ic)
         _require(_is_real(self.h), "h", "a finite number", self.h)
         self.h = float(self.h)
+        if self.dt is None:
+            self.dt = EULER_DT if self.kind == "fluid-euler" else 1e-3
         for key in ("dt", "t_final"):
             value = getattr(self, key)
             _require(_is_real(value) and value > 0, key, "a positive finite number", value)
@@ -407,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_evo = scenario_parser(fl_sub, "evolve", "fluid-euler", "ideal Euler evolution")
     p_evo.add_argument("--field", dest="field_spec", required=True)
     p_evo.add_argument("--grid", type=int, default=32)
-    p_evo.add_argument("--dt", type=float, default=1e-3)
+    p_evo.add_argument("--dt", type=float, help=f"fixed step (default {EULER_DT:g})")
     p_evo.add_argument("--t-final", type=float, default=0.5)
     p_evo.add_argument("--out", help="diagnostics CSV path")
     p_evo.add_argument("--dump-fields", help="write the final state container here")

@@ -123,6 +123,44 @@ def euler_rhs(state: FluidState) -> Form1:
     return -interior(v, d(state.alpha))
 
 
+def _lower_triangle(rows) -> np.ndarray:
+    a = np.zeros((len(rows), len(rows)))
+    for i, row in enumerate(rows):
+        a[i, :i] = row
+    return a
+
+
+# Dormand-Prince 8(5,3) tableau, the 12 stages of the 8th-order solution:
+# DOP853_A[i, :i] are stage i's coefficients, DOP853_B the weights (B_2..B_5
+# vanish); values as in Hairer's DOP853 and scipy's dop853_coefficients
+DOP853_A = _lower_triangle((
+    (),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+     -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+     12.360567175794303, 0.6433927460157636),
+))
+DOP853_B = np.array([
+    0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+    0.04471061572777259,
+])
+
+
 @dataclass
 class EvolveDiagnostics:
     times: np.ndarray
@@ -132,19 +170,23 @@ class EvolveDiagnostics:
 
 def euler_evolve(state: FluidState, dt: float,
                  t_final: float) -> tuple[FluidState, EvolveDiagnostics]:
-    """Classical RK4 Euler evolution with 2/3-rule dealiasing of each right-hand side.
+    """Fixed-step DOP853 Euler evolution with 2/3-rule dealiasing of each right-hand side.
 
-    The RK4 state is alpha's coefficients on the 2/3-rule box
-    (``grid.box``), which is the dealiasing: nothing outside it is ever
-    formed.  A right-hand side is ``_rhs`` and a step ``_rk4_step``; steps
-    are dt, the last one shortened to end on t_final.  Diagnostics record
-    energy and helicity at t = 0 and after every step, read off the
+    The method is Dormand and Prince's explicit 8th-order Runge-Kutta
+    method (Prince & Dormand, J. Comput. Appl. Math. 7, 1981; Hairer,
+    Norsett & Wanner, *Solving ODEs I*, II.10) without its error estimate
+    or step control.  Its state is alpha's coefficients on the 2/3-rule
+    box (``grid.box``), which is the dealiasing: nothing outside it is ever
+    formed.  A right-hand side is ``_rhs`` and a step ``_dop853_step``;
+    steps are dt, the last one shortened to end on t_final.  Diagnostics
+    record energy and helicity at t = 0 and after every step, read off the
     coefficients by Parseval's theorem.  A state that is non-finite at
     t = 0 (once transformed) or after a step raises BlowUpError with that
     time.  Every array a right-hand side or a step writes lives in ``work``
-    or in three stage buffers, for this call only: the state alternates
-    between the transformed alpha and one of them.  The returned state and
-    diagnostics are new arrays.
+    or in the stage buffers, for this call only: the 12 stage slopes, the
+    stage state, one scratch array and the next state, which alternates
+    with the transformed alpha.  The returned state and diagnostics are new
+    arrays.
     """
     g = state.grid
     box = g.box
@@ -170,10 +212,11 @@ def euler_evolve(state: FluidState, dt: float,
         n_steps = _step_count(t_final, dt)
         t = 0.0
         record(t, a)
-        k1, k2, stage = np.empty_like(a), np.empty_like(a), np.empty_like(a)
+        k = np.empty((len(DOP853_B),) + a.shape, a.dtype)
+        stage, scratch, nxt = np.empty_like(a), np.empty_like(a), np.empty_like(a)
         for _ in range(n_steps):
             h = min(dt, t_final - t)
-            a, k2 = _rk4_step(a, rhs, h, k1, k2, stage), a
+            a, nxt = _dop853_step(a, rhs, h, k, stage, scratch, nxt), a
             t += h
             record(t, a)
     diag = EvolveDiagnostics(np.asarray(times), np.asarray(energies), np.asarray(helicities))
@@ -203,28 +246,30 @@ def _rhs(s: np.ndarray, g, work: dict, out: np.ndarray | None = None) -> np.ndar
     return rfft3_box(vxw, g, work, out)
 
 
-def _rk4_step(a: np.ndarray, rhs, h: float, k1: np.ndarray, k2: np.ndarray,
-              stage: np.ndarray) -> np.ndarray:
-    """a + h/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order into ``k2``.
+def _dop853_step(a: np.ndarray, rhs, h: float, k: np.ndarray, stage: np.ndarray,
+                 scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One DOP853 step, a + h sum_j B_j k_j, into ``out``.
 
-    ``k1`` holds k1, then k3, then k4; ``stage`` holds each stage state.
-    Every operation writes into one of the three buffers, so the step
-    allocates nothing; ``a`` is only read.
+    Stage slope k[i] is ``rhs`` at a + h sum_{j<i} A_ij k_j, formed in
+    ``stage``.  Every operation writes into ``k``, ``stage``, ``scratch`` or
+    ``out``, so the step allocates nothing; ``a`` is only read.
     """
-    rhs(a, k1)
-    np.add(a, np.multiply(0.5 * h, k1, out=stage), out=stage)
-    rhs(stage, k2)
-    np.add(a, np.multiply(0.5 * h, k2, out=stage), out=stage)
-    k2 *= 2.0
-    k2 += k1
-    rhs(stage, k1)  # k3
-    np.add(a, np.multiply(h, k1, out=stage), out=stage)
-    k1 *= 2.0
-    k2 += k1
-    k2 += rhs(stage, k1)  # k4
-    k2 *= h / 6.0
-    k2 += a
-    return k2
+    rhs(a, k[0])
+    for i in range(1, len(DOP853_B)):
+        rhs(_combine(a, h, DOP853_A[i], k, stage, scratch), k[i])
+    return _combine(a, h, DOP853_B, k, out, scratch)
+
+
+def _combine(a: np.ndarray, h: float, coefs: np.ndarray, k: np.ndarray, out: np.ndarray,
+             scratch: np.ndarray) -> np.ndarray:
+    """a + h * sum_j coefs[j] k[j] into ``out``, over the nonzero coefs in j order."""
+    terms = [(c, kj) for c, kj in zip(coefs, k) if c]
+    np.multiply(terms[0][0], terms[0][1], out=out)
+    for c, kj in terms[1:]:
+        out += np.multiply(c, kj, out=scratch)
+    out *= h
+    out += a
+    return out
 
 
 def subalgebra_orthogonality(alpha: Form1, beta: Form1, h_fn: Form0) -> float:

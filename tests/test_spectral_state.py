@@ -1,17 +1,20 @@
-"""The coefficient evolutions of euler_evolve (RK4) and transport (the
+"""The coefficient evolutions of euler_evolve (DOP853) and transport (the
 propagator exp(-t L_u)), both on the 2/3-rule box, against physical-space
-oracles: a plain RK4 loop over dealiased euler_rhs/generator, and the
-energy/helicity functionals evaluated on the grid.  Euler's workspace
-against a loop of fresh arrays written here, bit for bit.  The box
-transforms, the Leray multiplier and ``dealias`` against full-layout
-counterparts masked by a 2/3 rule built here from np.fft.fftfreq; curl,
-grad and the Parseval mean against spectral derivatives and grid means."""
+oracles: a DOP853 loop over dealiased euler_rhs with scipy's tableau, a
+plain RK4 loop over the dealiased generator, and the energy/helicity
+functionals evaluated on the grid.  Euler's workspace against a DOP853
+loop of fresh arrays written here, bit for bit.  The box transforms, the
+Leray multiplier and ``dealias`` against full-layout counterparts masked by
+a 2/3 rule built here from np.fft.fftfreq; curl, grad and the Parseval mean
+against spectral derivatives and grid means."""
 
+import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate._ivp import dop853_coefficients as dop853
 
 from casimir_lab import fluid
 from casimir_lab import forms3 as f3
@@ -19,6 +22,30 @@ from casimir_lab.errors import BlowUpError, InvalidParameterError
 from casimir_lab.fluid import FluidState, energy, euler_evolve, euler_rhs, helicity
 
 DT, STEPS = 1e-3, 10
+STAGES = dop853.N_STAGES  # 12: the stages of the 8th-order solution
+
+
+def _combine(a, h, coefs, k):
+    """a + h * sum_j coefs[j] k[j] over the nonzero coefs, summed in j order."""
+    total = None
+    for c, kj in zip(coefs, k):
+        if c:
+            total = c * kj if total is None else total + c * kj
+    return a + h * total
+
+
+def _dop853_step(rhs, a, h):
+    """One DOP853 step of fresh arrays with scipy's tableau."""
+    k = [rhs(a)]
+    for i in range(1, STAGES):
+        k.append(rhs(_combine(a, h, dop853.A[i, :i], k)))
+    return _combine(a, h, dop853.B, k)
+
+
+def _dop853_physical(rhs, a, dt, n_steps):
+    for _ in range(n_steps):
+        a = _dop853_step(rhs, a, dt)
+    return a
 
 
 def _rk4_physical(rhs, a, dt, n_steps):
@@ -49,13 +76,13 @@ def alpha(grid32, rng, beltrami):
 
 
 class TestEulerSpectralState:
-    def test_matches_physical_rk4(self, grid32, alpha):
+    def test_matches_physical_dop853(self, grid32, alpha):
         g = grid32
 
         def rhs(a):
             return f3.dealias(euler_rhs(FluidState(f3.Form1(g, a))).data, g)
 
-        expect = _rk4_physical(rhs, f3.dealias(alpha.data, g), DT, STEPS)
+        expect = _dop853_physical(rhs, f3.dealias(alpha.data, g), DT, STEPS)
         fin, _ = euler_evolve(FluidState(alpha), dt=DT, t_final=STEPS * DT)
         assert _rel(fin.alpha.data, expect) <= 1e-12
 
@@ -83,6 +110,30 @@ class TestEulerSpectralState:
         with pytest.raises(BlowUpError) as info:
             euler_evolve(FluidState(a), dt=5.0, t_final=1e3)
         assert 0.0 < info.value.time < 1e3
+
+
+class TestDop853:
+    def test_tableau_is_scipys(self):
+        assert np.array_equal(fluid.DOP853_A, dop853.A[:STAGES, :STAGES])
+        assert np.array_equal(fluid.DOP853_B, dop853.B)
+        # each stage's coefficients sum to its node and the weights to 1; a
+        # literal rounds by half an ulp of itself, so the bound scales with
+        # the row's entries (up to 43 in row 8)
+        for row, c in zip(np.vstack([fluid.DOP853_A, fluid.DOP853_B]),
+                          np.append(dop853.C[:STAGES], 1.0)):
+            assert abs(math.fsum(row) - c) <= 1e-15 * max(1.0, np.abs(row).sum())
+
+    def test_eighth_order(self, grid16, rng):
+        # halving dt divides the error by 2^8; asking 2^7 leaves room for the
+        # reference's own error and the next order's term
+        a, t_final = f3.random_form1(grid16, 4, rng, rms=0.5), 0.4
+
+        def final(m):
+            return euler_evolve(FluidState(a), dt=t_final / m, t_final=t_final)[0].alpha.data
+
+        ref = final(64)
+        coarse, fine = (np.abs(final(m) - ref).max() for m in (8, 16))
+        assert coarse / fine >= 2.0 ** 7
 
 
 # Python objects a call creates besides its arrays (array headers, shape
@@ -118,7 +169,7 @@ def _old_cross(a, b):
 
 def _unbuffered_euler(alpha, dt, t_final):
     """euler_evolve as a loop of fresh arrays: each multiplier and product
-    written as one expression and the RK4 stages in their summation order."""
+    written as one expression and the DOP853 sums in their summation order."""
     g, box = alpha.grid, alpha.grid.box
 
     def rhs(s):
@@ -135,19 +186,7 @@ def _unbuffered_euler(alpha, dt, t_final):
     sample(t, a)
     for _ in range(int(np.ceil(t_final / dt - 1e-12))):
         h = min(dt, t_final - t)
-        k1 = rhs(a)
-        k2 = rhs(a + 0.5 * h * k1)
-        stage = a + 0.5 * h * k2
-        k2 *= 2.0
-        k2 += k1
-        k3 = rhs(stage)
-        stage = a + h * k3
-        k3 *= 2.0
-        k2 += k3
-        k2 += rhs(stage)
-        k2 *= h / 6.0
-        k2 += a
-        a, t = k2, t + h
+        a, t = _dop853_step(rhs, a, h), t + h
         sample(t, a)
     return f3.irfft3_box(a, g), (times, energies, helicities)
 
@@ -155,7 +194,7 @@ def _unbuffered_euler(alpha, dt, t_final):
 @pytest.mark.parametrize("n", (16, 32))
 class TestEulerWorkspace:
     """One workspace per euler_evolve call: after the first call a
-    right-hand side allocates only its result and an RK4 step nothing
+    right-hand side allocates only its result and a DOP853 step nothing
     stack-sized, with every array bit for bit what fresh arrays give."""
 
     def test_warmed_rhs_allocates_only_its_result(self, n, rng):
@@ -168,7 +207,7 @@ class TestEulerWorkspace:
         assert _traced_peak(lambda: fluid._rhs(s, g, work)) <= s.nbytes + OBJECT_SLACK
         assert np.array_equal(fluid._rhs(s, g, work), first)
 
-    def test_warmed_rk4_step_allocates_no_stack(self, n, rng):
+    def test_warmed_dop853_step_allocates_no_stack(self, n, rng):
         # numpy may still buffer a broadcast multiply, at most one box scalar
         g = f3.Grid(n)
         a = f3.rfft3_box(f3.random_form1(g, 4, rng).data, g)
@@ -177,9 +216,10 @@ class TestEulerWorkspace:
         def rhs(s, out):
             return fluid._rhs(s, g, work, out)
 
+        k = np.empty((STAGES,) + a.shape, a.dtype)
         bufs = [np.empty_like(a) for _ in range(3)]
-        fluid._rk4_step(a, rhs, DT, *bufs)
-        assert _traced_peak(lambda: fluid._rk4_step(a, rhs, DT, *bufs)) < a.nbytes
+        fluid._dop853_step(a, rhs, DT, k, *bufs)
+        assert _traced_peak(lambda: fluid._dop853_step(a, rhs, DT, k, *bufs)) < a.nbytes
 
     def test_matches_unbuffered_loop(self, n, rng):
         g = f3.Grid(n)

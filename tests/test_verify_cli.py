@@ -85,6 +85,10 @@ class TestScenarioConfig:
         assert sc.grid == 32 and sc.dt == 1e-3
         assert sc.profile == "0.3*sin(2*pi*z)"
 
+    def test_default_step_by_kind(self):
+        assert cli.Scenario(kind="fluid-euler").dt == 1e-2
+        assert cli.Scenario(kind="rattleback").dt == 1e-3
+
     def test_unknown_keys_listed(self, tmp_path):
         path = tmp_path / "sc.json"
         path.write_text('{"kind":"rattleback","bogus":1,"wat":2}')
@@ -446,11 +450,16 @@ def test_profile_must_be_z_only(tmp_path, capsys, entry):
       "--grid", "16", "--dt", "1e-2", "--t-final", "0.05"],
      {"kind": "fluid-euler", "field": "sin(2*pi*z),cos(2*pi*y),sin(2*pi*x)",
       "grid": 16, "dt": 1e-2, "t_final": 0.05}),
+    (["fluid", "evolve", "--field", "sin(2*pi*z),cos(2*pi*y),sin(2*pi*x)",
+      "--grid", "16", "--t-final", "0.05"],
+     {"kind": "fluid-euler", "field": "sin(2*pi*z),cos(2*pi*y),sin(2*pi*x)",
+      "grid": 16, "t_final": 0.05}),
     (["fluid", "gv", "--profile", "0.15*sin(2*pi*z)",
       "--scale", "exp(0.1*sin(2*pi*(x+y)))"],
      {"kind": "foliation-gv", "profile": "0.15*sin(2*pi*z)",
       "scale": "exp(0.1*sin(2*pi*(x+y)))"}),
-], ids=["rattleback", "fluid-helicity", "fluid-euler", "foliation-gv"])
+], ids=["rattleback", "fluid-helicity", "fluid-euler", "fluid-euler-default-dt",
+        "foliation-gv"])
 def test_subcommand_and_scenario_print_identical_json(tmp_path, capsys, argv, doc):
     assert cli.main(argv) == 0
     from_flags = capsys.readouterr().out
