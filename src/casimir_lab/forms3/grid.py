@@ -65,6 +65,11 @@ class Grid:
         return (self.k_full[:, None, None], self.k_full[None, :, None],
                 self.k_half[None, None, :])
 
+    @property
+    def k(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The wavenumber multipliers ``leray_r`` reads: ``k_r`` on this layout."""
+        return self.k_r
+
     @cached_property
     def leray_factor(self) -> np.ndarray:
         """k / |k|^2 on rfftn layout, shape (3, n, n, n/2+1); zero at k = 0."""
@@ -82,9 +87,14 @@ class Box:
 
     Shape (2K+1, 2K+1, K+1): the x and y axes hold k = 0..K, -K..-1 in fft
     order, the z axis k = 0..K of the real transform.  K < n/2, so the box
-    never holds a Nyquist mode.  ``k_r`` and ``leray_factor`` mean what they
-    mean on ``Grid`` (the full rfftn layout), so ``leray_r`` takes either;
-    ``curl_r``, ``grad_r`` and ``mean_dot_r`` take the box.
+    never holds a Nyquist mode.  ``k_r`` are the axes' wavenumbers shaped to
+    broadcast, as on ``Grid``; the multipliers ``k``, ``ik_r`` and
+    ``leray_factor`` are box-shaped, contiguous and complex, so a multiply
+    into a box array neither casts nor broadcasts (numpy would buffer a
+    copy of the operand).  ``leray_r`` takes a Grid or a Box; ``curl_r``,
+    ``grad_r`` and ``mean_dot_r`` take the box.  ``forward``, ``inverse``,
+    ``forward_z`` and ``inverse_z`` are the DFT matrices of the box
+    transforms.
     """
 
     n: int
@@ -110,12 +120,20 @@ class Box:
         return (k[:, None, None], k[None, :, None], kz[None, None, :])
 
     @cached_property
+    def k(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self._filled(self.k_r)
+
+    @cached_property
     def ik_r(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(2j * np.pi * k for k in self.k_r)
+        return self._filled(2j * np.pi * k for k in self.k_r)
 
     @cached_property
     def leray_factor(self) -> np.ndarray:
-        return _leray_factor(self.k_r)
+        return _leray_factor(self.k_r).astype(complex)
+
+    def _filled(self, multipliers) -> tuple[np.ndarray, ...]:
+        return tuple(np.broadcast_to(m, self.shape).astype(complex, order="C")
+                     for m in multipliers)
 
     @cached_property
     def parseval_weight(self) -> np.ndarray:
@@ -128,6 +146,54 @@ class Box:
         w = np.full(self.keep + 1, 2.0)
         w[0] = 1.0
         return w / float(self.n) ** 6
+
+    @cached_property
+    def forward(self) -> np.ndarray:
+        """exp(-2 pi i k x / n), shape (2K+1, n): grid x to the box's kx (or y to ky)."""
+        return _unit_roots(self.n)[np.outer(-self.index, np.arange(self.n)) % self.n]
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """exp(2 pi i x k / n) / n, shape (n, 2K+1): the box's kx to grid x."""
+        return np.ascontiguousarray(self.forward.conj().T) / self.n
+
+    @cached_property
+    def forward_z(self) -> np.ndarray:
+        """Shape (n, 2(K+1)): real z values to kz = 0..K, interleaved (Re, Im),
+        so a real matrix product writes complex coefficients."""
+        w = self._roots_z()
+        return np.stack([w.real, w.imag], axis=-1).reshape(self.n, -1)
+
+    @cached_property
+    def inverse_z(self) -> np.ndarray:
+        """Shape (2(K+1), n): interleaved (Re, Im) of kz = 0..K to real z values.
+
+        The real part of the inverse sum, with each kz > 0 doubled for its
+        conjugate and the imaginary part of kz = 0 dropped, as irfft does.
+        """
+        w = self._roots_z().T / self.n
+        w[1:] *= 2.0
+        w[0] = w[0].real
+        return np.stack([w.real, w.imag], axis=1).reshape(-1, self.n)
+
+    def _roots_z(self) -> np.ndarray:
+        """exp(-2 pi i z k / n), shape (n, K+1)."""
+        return _unit_roots(self.n)[np.outer(np.arange(self.n), -np.arange(self.keep + 1))
+                                   % self.n]
+
+
+def _unit_roots(n: int) -> np.ndarray:
+    """exp(2 pi i j / n) for j = 0..n-1.
+
+    Evaluated at the angle reduced to (-pi, pi], so that entry n - j is the
+    exact conjugate of entry j; the quarter turns are exact.
+    """
+    j = np.arange(n)
+    turn = 2.0 * np.pi * np.abs(np.where(2 * j <= n, j, j - n)) / n
+    c, s = np.cos(turn), np.sin(turn)
+    quarter = 4 * j % n == 0
+    c[quarter], s[quarter] = np.round(c[quarter]), np.round(s[quarter])
+    return c + 1j * np.where(2 * j <= n, s, -s)
 
 
 def _leray_factor(k_r) -> np.ndarray:
@@ -160,44 +226,75 @@ def irfft3(spec: np.ndarray, grid: Grid) -> np.ndarray:
 
 def rfft3_box(data: np.ndarray, grid: Grid, work: dict | None = None,
               out: np.ndarray | None = None) -> np.ndarray:
-    """``rfft3(data)`` restricted to ``grid.box``, bit for bit.
+    """``rfft3(data)`` restricted to ``grid.box``, as dense DFT products.
 
-    rfftn runs rfft along z, then fft along y, then fft along x.  This runs
-    the same 1-D passes, each only on the lines that reach the box: every
-    line it skips would feed nothing but discarded coefficients.  ``work``
-    keeps the pass buffers between calls, one per name and shape (allocated
-    on first use; the pass outputs "x" and "y" are shared with
-    ``irfft3_box``).  The result goes to ``out``, or to a new array.
+    One matrix product per axis, against the box's DFT matrices: a real one
+    along z, then a complex one along x and one along y.  The y axis lies
+    between the others, so it is moved to the front for its pass and back
+    after it, making that pass a single product too.  Each pass maps n
+    points to the 2K+1 (or K+1) wavenumbers the box keeps, so the result
+    matches rfftn's to a few ulps of its largest coefficient, not bit for
+    bit.  ``work`` keeps the pass buffers between calls, one per name and
+    shape (allocated on first use and shared with ``irfft3_box``).  The
+    result goes to ``out`` (C-contiguous), or to a new array.
     """
-    n, m = grid.n, grid.box.keep
+    box = grid.box
+    n, (p, _, q) = grid.n, box.shape
     lead = data.shape[:-3]
     work = {} if work is None else work
-    z = np.fft.rfft(data, axis=-1, out=_buffer(work, "rz", lead + (n, n, n // 2 + 1)))
-    y = np.fft.fft(z[..., :m + 1], axis=-2, out=_buffer(work, "y", lead + (n, n, m + 1)))
-    y = _keep(y, -2, _buffer(work, "ky", lead + (n, 2 * m + 1, m + 1)), grid.box)
-    x = np.fft.fft(y, axis=-3, out=_buffer(work, "x", y.shape))
-    out = np.empty(lead + grid.box.shape, complex) if out is None else out
-    return _keep(x, -3, out, grid.box)
+    z = _buffer(work, "z", lead + (n, n, 2 * q), float)
+    np.matmul(data.reshape(-1, n), box.forward_z, out=z.reshape(-1, 2 * q))
+    x = _buffer(work, "x", lead + (p, n, q))
+    np.matmul(box.forward, z.view(complex).reshape(-1, n, n * q), out=x.reshape(-1, p, n * q))
+    y_in = _buffer(work, "y", (n,) + lead + (p, q))
+    np.copyto(y_in, _y_first(x))
+    y = _buffer(work, "y", (p,) + lead + (p, q))
+    np.matmul(box.forward, y_in.reshape(n, -1), out=y.reshape(p, -1))
+    out = np.empty(lead + box.shape, complex) if out is None else out
+    np.copyto(out, _y_back(y))
+    return out
 
 
-def irfft3_box(box: np.ndarray, grid: Grid, work: dict | None = None,
+def irfft3_box(coefs: np.ndarray, grid: Grid, work: dict | None = None,
                out: np.ndarray | None = None) -> np.ndarray:
-    """``irfft3`` of the box coefficients zero-filled to the full layout, bit for bit.
+    """``irfft3`` of box coefficients zero-filled to the full layout, as dense DFT products.
 
-    The reverse of ``rfft3_box``: zero-fill and ifft along x, zero-fill and
-    ifft along y, then irfft along z (which pads kz itself), as irfftn does
-    on the zero-filled stack minus its all-zero lines.  ``work`` and
-    ``out`` as for ``rfft3_box``; the zero-fill buffers are written only
-    inside the box.
+    The reverse of ``rfft3_box``: y (moved to the front and back), then x,
+    then a real product along z that keeps the real part of the
+    half-spectrum sum, as irfft does.  The zeros outside the box are never
+    formed.  ``work`` and ``out`` as for ``rfft3_box``.
     """
-    n, m = grid.n, grid.box.keep
-    lead = box.shape[:-3]
+    box = grid.box
+    n, (p, _, q) = grid.n, box.shape
+    lead = coefs.shape[:-3]
     work = {} if work is None else work
-    x = _fill(box, -3, _buffer(work, "zx", lead + (n, 2 * m + 1, m + 1)), grid.box)
-    x = np.fft.ifft(x, axis=-3, out=_buffer(work, "x", x.shape))
-    y = _fill(x, -2, _buffer(work, "zy", lead + (n, n, m + 1)), grid.box)
-    y = np.fft.ifft(y, axis=-2, out=_buffer(work, "y", y.shape))
-    return np.fft.irfft(y, n=n, axis=-1, out=out)
+    y_in = _buffer(work, "y", (p,) + lead + (p, q))
+    np.copyto(y_in, _y_first(coefs))
+    y = _buffer(work, "y", (n,) + lead + (p, q))
+    np.matmul(box.inverse, y_in.reshape(p, -1), out=y.reshape(n, -1))
+    x = _buffer(work, "x", lead + (p, n, q))
+    np.copyto(x, _y_back(y))
+    z = _buffer(work, "z", lead + (n, n, 2 * q), float)
+    np.matmul(box.inverse, x.reshape(-1, p, n * q), out=z.view(complex).reshape(-1, n, n * q))
+    out = np.empty(lead + grid.shape) if out is None else out
+    np.matmul(z.reshape(-1, 2 * q), box.inverse_z, out=out.reshape(-1, n, copy=False))
+    return out
+
+
+def _y_first(a: np.ndarray) -> np.ndarray:
+    """View of ``a`` with its y axis (the middle of the trailing three) in front.
+
+    Spelled out rather than np.moveaxis, whose tuple(generator) results pile
+    up on Python's tuple free list, memory tracemalloc counts as held.
+    """
+    nd = a.ndim
+    return a.transpose(nd - 2, *range(nd - 2), nd - 1)
+
+
+def _y_back(a: np.ndarray) -> np.ndarray:
+    """The inverse of ``_y_first``: the leading axis moved back to y."""
+    nd = a.ndim
+    return a.transpose(*range(1, nd - 1), 0, nd - 1)
 
 
 def _cross(a, b: np.ndarray, out: np.ndarray | None = None,
@@ -222,27 +319,6 @@ def _buffer(work: dict, key: str, shape: tuple, dtype=complex) -> np.ndarray:
     if buf is None:
         buf = work[key, shape] = np.zeros(shape, dtype)
     return buf
-
-
-def _box_halves(axis: int, box: Box):
-    """(box index, full index) pairs of k = 0..K and k = -K..-1 along ``axis``."""
-    m, tail = box.keep, (slice(None),) * (-1 - axis)
-    return (((..., slice(0, m + 1)) + tail, (..., slice(0, m + 1)) + tail),
-            ((..., slice(m + 1, None)) + tail, (..., slice(box.n - m, None)) + tail))
-
-
-def _keep(full: np.ndarray, axis: int, out: np.ndarray, box: Box) -> np.ndarray:
-    """Copy the box's wavenumbers along ``axis`` of a full fft axis into ``out``."""
-    for in_box, in_full in _box_halves(axis, box):
-        out[in_box] = full[in_full]
-    return out
-
-
-def _fill(coeffs: np.ndarray, axis: int, out: np.ndarray, box: Box) -> np.ndarray:
-    """Write a box axis of ``coeffs`` into its places along a full fft axis of ``out``."""
-    for in_box, in_full in _box_halves(axis, box):
-        out[in_full] = coeffs[in_box]
-    return out
 
 
 def dealias(data: np.ndarray, grid: Grid) -> np.ndarray:
@@ -271,7 +347,7 @@ def leray_r(spec: np.ndarray, layout: Grid | Box, out: np.ndarray | None = None,
 
     ``layout`` is a Grid for the full rfftn layout or grid.box for the box.
     """
-    kx, ky, kz = layout.k_r
+    kx, ky, kz = layout.k
     out = np.empty(spec.shape, complex) if out is None else out
     tmp = np.empty(spec.shape[1:], complex) if tmp is None else tmp
     # tmp = kx spec_0 + ky spec_1 + kz spec_2, with out[0] as scratch

@@ -66,7 +66,7 @@ def transport(alpha: Form1, u: VectorField, t_final: float, dt: float) -> Form1:
     h = t_final / left
     taken = 0
 
-    work = {}  # pass buffers of the pruned transforms, shared by every call
+    work = {}  # pass buffers of the box transforms, shared by every call
     # divergence shows up as inf/nan; the contract is the exception
     with np.errstate(over="ignore", invalid="ignore"):
         a = rfft3_box(alpha.data, g, work)

@@ -208,7 +208,8 @@ class TestEulerWorkspace:
         assert np.array_equal(fluid._rhs(s, g, work), first)
 
     def test_warmed_dop853_step_allocates_no_stack(self, n, rng):
-        # numpy may still buffer a broadcast multiply, at most one box scalar
+        # the box multipliers are box-shaped and complex, so no multiply
+        # buffers a copy of an operand: less than one box scalar
         g = f3.Grid(n)
         a = f3.rfft3_box(f3.random_form1(g, 4, rng).data, g)
         work = {}
@@ -219,7 +220,7 @@ class TestEulerWorkspace:
         k = np.empty((STAGES,) + a.shape, a.dtype)
         bufs = [np.empty_like(a) for _ in range(3)]
         fluid._dop853_step(a, rhs, DT, k, *bufs)
-        assert _traced_peak(lambda: fluid._dop853_step(a, rhs, DT, k, *bufs)) < a.nbytes
+        assert _traced_peak(lambda: fluid._dop853_step(a, rhs, DT, k, *bufs)) < a[0].nbytes
 
     def test_matches_unbuffered_loop(self, n, rng):
         g = f3.Grid(n)
@@ -351,10 +352,10 @@ def _zero_fill(box, g):
 
 @pytest.mark.parametrize("n", BOX_N)
 class TestBox:
-    """The pruned transforms run the same 1-D passes as rfftn/irfftn and skip
-    only lines of zeros, and the box Leray multiplier is the full one
-    restricted, so these are bit-identical; curl, grad and the Parseval mean
-    have grid-space oracles."""
+    """The dense box transforms agree with rfftn/irfftn to a few ulps of the
+    largest coefficient, and the box Leray multiplier is the full one
+    restricted, bit for bit; curl, grad and the Parseval mean have
+    grid-space oracles."""
 
     def test_layout(self, n):
         g = f3.Grid(n)
@@ -374,9 +375,8 @@ class TestBox:
         for lead in ((3,), (3,), ()):  # reused buffers, then a new shape
             data = rng.standard_normal(lead + g.shape)
             box = f3.rfft3_box(data, g, work)
-            assert np.array_equal(_zero_fill(box, g), f3.rfft3(data) * _mask(g))
-            assert np.array_equal(f3.irfft3_box(box, g, work),
-                                  f3.irfft3(_zero_fill(box, g), g))
+            assert _ulp_close(_zero_fill(box, g), f3.rfft3(data) * _mask(g))
+            assert _ulp_close(f3.irfft3_box(box, g, work), f3.irfft3(_zero_fill(box, g), g))
         assert np.array_equal(f3.rfft3_box(data, g), box)
 
     def test_shared_work_keeps_its_buffers(self, n, rng):
@@ -415,10 +415,16 @@ class TestBox:
             assert abs(got - _grid_mean_dot(xv, yv)) <= 1e-15 * scale
 
 
+def _ulp_close(got, ref):
+    """max|got - ref| within 8 ulps of max|ref|: the rounding of a dense DFT
+    product against an FFT's, which a mistaken twiddle or mode far exceeds."""
+    return np.abs(got - ref).max() <= 8 * np.finfo(float).eps * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("n", range(4, 66, 2))
 def test_dealias_is_the_masked_full_layout_filter(n, rng):
-    # the box round trip against the 2/3 mask on the full layout, bit for bit
+    # the box round trip against the 2/3 mask on the full layout
     g = f3.Grid(n)
     for lead in ((), (3,)):
         data = rng.standard_normal(lead + g.shape)
-        assert np.array_equal(f3.dealias(data, g), f3.irfft3(f3.rfft3(data) * _mask(g), g))
+        assert _ulp_close(f3.dealias(data, g), f3.irfft3(f3.rfft3(data) * _mask(g), g))

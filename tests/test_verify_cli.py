@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -492,3 +493,19 @@ def test_cli_import_leaves_out_scipy_and_sympy():
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_report_does_not_depend_on_blas_threads(tmp_path):
+    # the box transforms are BLAS matrix products: the report must not move
+    # with the number of threads BLAS splits them over
+    src = str(Path(casimir_lab.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"lie-poisson-{threads}.json"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "casimir_lab.cli", "verify", "--suite",
+                         "lie-poisson", "--grid", "8", "--report", str(path)],
+                       env=env, capture_output=True, check=True)
+        reports.append(path.read_bytes())
+    assert reports[0] == reports[1]
