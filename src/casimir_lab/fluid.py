@@ -17,6 +17,7 @@ from .errors import BlowUpError, InvalidParameterError, PreconditionError
 from .forms3 import (
     Form0,
     Form1,
+    Form2,
     VectorField,
     curl_r,
     d,
@@ -85,8 +86,9 @@ def coadjoint(u: VectorField, alpha: Form1) -> Form1:
     return -interior(u, d(alpha))
 
 
-def helicity(alpha: Form1) -> float:
-    return integrate3(wedge(alpha, d(alpha)))
+def helicity(alpha: Form1, da: Form2 | None = None) -> float:
+    """int alpha ^ d(alpha); ``da`` is d(alpha) when the caller already has it."""
+    return integrate3(wedge(alpha, d(alpha) if da is None else da))
 
 
 def helicity_gradient_check(alpha: Form1, da: Form1) -> tuple[float, float]:

@@ -182,9 +182,9 @@ class FoliatedState:
     @classmethod
     def from_alpha(cls, alpha: Form1, *, strict: bool = True) -> "FoliatedState":
         """Solve the chain, the library's one solver of eta, gamma and chi,
-        and record its residuals; the Frobenius test reuses the chain's
-        d(alpha).  With strict=True a state that fails a membership gate
-        raises; with strict=False it is returned, and
+        and record its residuals; the Frobenius test and the helicity
+        reuse the chain's d(alpha).  With strict=True a state that fails a
+        membership gate raises; with strict=False it is returned, and
         ``gate_failure(state.residuals)`` names the failure.  An overflowing
         alpha gives inf/nan residuals, which the gates refuse."""
         with np.errstate(over="ignore", invalid="ignore"):
@@ -201,7 +201,7 @@ class FoliatedState:
                 **chain,
                 "x_ref_normalization": float(
                     np.abs(np.sum(alpha.data * x.data, axis=0) - 1.0).max()),
-                "helicity": abs(helicity(alpha)),
+                "helicity": abs(helicity(alpha, da)),
             }
         if strict:
             _enforce_gates(res)

@@ -239,3 +239,17 @@ def test_criterion_13_full_cli_verify(cli_verify):
 
 def test_report_check_names_pinned(full_report):
     assert [c["check"] for c in full_report["checks"]] == REPORT_CHECKS
+
+
+# Transported states that fail the foliated-set gate.  A roundoff-level change
+# must not flip membership silently: moving a state in or out of these lists
+# is a deliberate change to the report.
+DEGRADED_PINNED = {
+    "gv-transport-casimir-drift": [0, 1, 2, 3, 4],
+    "gv-transport-nondivfree-drift": [0],
+}
+
+
+def test_transport_degraded_states_pinned(full_report):
+    by_name = {c["check"]: c for c in full_report["checks"]}
+    assert {name: by_name[name].get("degraded") for name in DEGRADED_PINNED} == DEGRADED_PINNED

@@ -47,7 +47,7 @@ class TestIntegrability:
 
     def test_from_alpha_takes_d_alpha_once_for_the_chain(self, foliated_state, monkeypatch):
         # d(alpha), d(eta), d(gamma) at 6 derivatives each and d(chi) at 3;
-        # helicity takes its own d(alpha), 6 more
+        # the Frobenius test and helicity reuse the chain's d(alpha)
         calls = []
         derivative = calculus.spectral_derivative
 
@@ -57,7 +57,7 @@ class TestIntegrability:
 
         monkeypatch.setattr(calculus, "spectral_derivative", counted)
         fol.FoliatedState.from_alpha(foliated_state.alpha)
-        assert len(calls) == 27
+        assert len(calls) == 21
 
     def test_check_integrability_matches_the_chain(self, foliated_state, beltrami):
         for alpha in (foliated_state.alpha, beltrami):

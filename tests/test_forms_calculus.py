@@ -19,6 +19,54 @@ class TestGrid:
         assert grid32.box.keep == 10
 
 
+def _fft_derivative(data, grid, axis):
+    """The rfft/multiply/irfft round trip along one axis, Nyquist mode zeroed."""
+    ax = data.ndim - 3 + axis
+    mult = 2j * np.pi * np.arange(grid.n // 2 + 1)
+    mult[-1] = 0.0
+    shape = [1] * data.ndim
+    shape[ax] = grid.n // 2 + 1
+    return np.fft.irfft(np.fft.rfft(data, axis=ax) * mult.reshape(shape), n=grid.n, axis=ax)
+
+
+class TestSpectralDerivative:
+    @pytest.mark.parametrize("n", [4, 8, 32])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_matches_fft_multiplier(self, n, lead, rng):
+        g = f3.Grid(n)
+        data = rng.standard_normal(lead + g.shape)
+        for axis in range(3):
+            ref = _fft_derivative(data, g, axis)
+            got = f3.spectral_derivative(data, g, axis)
+            assert got.shape == data.shape
+            # a dense product rounds unlike the FFT, but within a few ulps
+            assert np.abs(got - ref).max() <= 8 * np.finfo(float).eps * np.abs(ref).max()
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_constant_along_axis_is_exactly_zero(self, grid16, lead, rng):
+        for axis in range(3):
+            shape = list(lead + grid16.shape)
+            shape[len(lead) + axis] = 1
+            data = np.broadcast_to(7.3 + rng.standard_normal(shape), lead + grid16.shape)
+            assert np.all(f3.spectral_derivative(data, grid16, axis) == 0.0)
+
+    def test_makes_no_fft_call(self, grid16, rng, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.fft called")
+
+        for name in ("rfft", "irfft", "fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, refuse)
+        for axis in range(3):
+            f3.spectral_derivative(rng.standard_normal(grid16.shape), grid16, axis)
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 32])
+    def test_diff_matrix_is_antisymmetric_circulant(self, n):
+        dm = f3.Grid(n).diff_matrix
+        assert np.array_equal(dm, -dm.T)
+        assert np.all(np.diag(dm) == 0.0)
+        assert np.array_equal(np.roll(dm, 1, axis=(0, 1)), dm)
+
+
 class TestExteriorDerivative:
     def test_gradient_analytic(self, grid32):
         x, _, _ = grid32.meshes
