@@ -33,7 +33,7 @@ from . import foliation as fol
 from . import forms3 as f3
 from . import rattleback as rb
 from .errors import BlowUpError, CasimirLabError, ConfigError, ParseError
-from .fluid import FluidState, euler_evolve, helicity
+from .fluid import EULER_DT, FluidState, euler_evolve, helicity
 from .verify import DEFAULT_SEED, SUITES, SuiteConfig, run_suite
 
 SCENARIO_KINDS = ("rattleback", "fluid-helicity", "fluid-euler", "foliation-gv",
@@ -41,7 +41,6 @@ SCENARIO_KINDS = ("rattleback", "fluid-helicity", "fluid-euler", "foliation-gv",
 TAIL_WARN_FRACTION = 1e-8
 MAX_STEPS = 10_000_000  # fixed steps of dt one scenario may take
 MAX_GRID = 256          # grid points per axis: one n = 256 field stack is 400 MB
-EULER_DT = 1e-2         # default fixed step of fluid-euler; every other kind's is 1e-3
 
 
 @dataclass

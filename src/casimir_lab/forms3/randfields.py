@@ -6,22 +6,30 @@ import numpy as np
 
 from .forms import Form0, Form1, VectorField
 from .calculus import leray_project
-from .grid import Grid
+from .grid import Grid, _unit_roots
 
 
 def random_scalar_array(grid: Grid, bandwidth: int, rng: np.random.Generator,
                         rms: float = 1.0) -> np.ndarray:
-    """Real zero-mean scalar grid supported on modes with max |k| <= bandwidth."""
+    """Real zero-mean scalar grid supported on modes with max |k| <= bandwidth.
+
+    Each kept mode gets a complex standard normal coefficient, drawn in C
+    order over the fft-ordered cube, and the field is the real part of their
+    sum times n^-1.5.  The sum is three dense matrix products against the
+    kept columns of exp(2 pi i x k / n), one per axis; for z only the real
+    part is formed.
+    """
     n = grid.n
-    spec = np.zeros((n, n, n), dtype=complex)
-    k = grid.k_full
-    mask = (np.abs(k)[:, None, None] <= bandwidth) \
-        & (np.abs(k)[None, :, None] <= bandwidth) \
-        & (np.abs(k)[None, None, :] <= bandwidth)
-    m = int(mask.sum())
-    spec[mask] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    spec[0, 0, 0] = 0.0
-    f = np.fft.ifftn(spec).real * n ** 1.5
+    idx = np.flatnonzero(np.abs(grid.k_full) <= bandwidth)
+    b = idx.size
+    m = b ** 3
+    c = (rng.standard_normal(m) + 1j * rng.standard_normal(m)).reshape(b, b, b)
+    c[0, 0, 0] = 0.0
+    e = _unit_roots(n)[np.outer(np.arange(n), idx) % n]
+    c = (e @ c.reshape(b, b * b)).reshape(n, b, b)
+    c = e @ c
+    f = c.real @ e.real.T - c.imag @ e.imag.T
+    f *= n ** -1.5
     norm = float(np.sqrt(np.mean(f ** 2)))
     if norm > 0:
         f *= rms / norm

@@ -6,6 +6,7 @@ operations are fixed, so trajectories are IEEE-deterministic.  Point
 evaluation is a vectorized numpy contraction.
 """
 
+import math
 from array import array
 
 import numpy as np
@@ -54,7 +55,7 @@ def rk4_loop(p, r, s, h, dt, n_steps, stride, out):
         p = p + dt * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
         r = r + dt * (k1r + 2.0 * k2r + 2.0 * k3r + k4r) / 6.0
         s = s + dt * (k1s + 2.0 * k2s + 2.0 * k3s + k4s) / 6.0
-        if not (np.isfinite(p) and np.isfinite(r) and np.isfinite(s)):
+        if not (math.isfinite(p) and math.isfinite(r) and math.isfinite(s)):
             return m, STATUS_NONFINITE
         if step % stride == 0:
             out[m, 0] = p
@@ -150,12 +151,12 @@ def rk45_loop(p, r, s, h, t_final, rtol, atol, max_steps):
         sp = atol + rtol * max(abs(p), abs(np_))
         sr = atol + rtol * max(abs(r), abs(nr))
         ss = atol + rtol * max(abs(s), abs(ns))
-        err = np.sqrt(((ep / sp) ** 2 + (er / sr) ** 2 + (es / ss) ** 2) / 3.0)
+        err = math.sqrt(((ep / sp) ** 2 + (er / sr) ** 2 + (es / ss) ** 2) / 3.0)
 
         if err <= 1.0:
             t = t + dt
             p, r, s = np_, nr, ns
-            if not (np.isfinite(p) and np.isfinite(r) and np.isfinite(s)):
+            if not (math.isfinite(p) and math.isfinite(r) and math.isfinite(s)):
                 return times, states, STATUS_NONFINITE
             times.append(t)
             states.append(p)

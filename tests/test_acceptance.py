@@ -253,3 +253,14 @@ DEGRADED_PINNED = {
 def test_transport_degraded_states_pinned(full_report):
     by_name = {c["check"]: c for c in full_report["checks"]}
     assert {name: by_name[name].get("degraded") for name in DEGRADED_PINNED} == DEGRADED_PINNED
+
+
+# DOP853's drift at the suite's step, against the conservation bound: the
+# margin keeps a later increase of fluid.EULER_DT from passing unnoticed.
+EULER_DRIFT_MARGIN = 1e-2
+
+
+def test_euler_conservation_margin(full_report):
+    by_name = {c["check"]: c for c in full_report["checks"]}
+    for name in ("fluid-euler-helicity-conservation", "fluid-euler-energy-conservation"):
+        assert by_name[name]["value"] <= EULER_DRIFT_MARGIN * by_name[name]["tolerance"], name

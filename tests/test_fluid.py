@@ -75,6 +75,13 @@ class TestHelicityGradient:
         lhs, rhs = helicity_gradient_check(beltrami, dg)
         assert abs(lhs) <= 1e-10 and abs(rhs) <= 1e-10
 
+    def test_gauge_directions_read_roundoff(self, grid32, rng, beltrami):
+        # H is quadratic, so the centred difference is exact at any eps; at a
+        # small eps it would read ulps of H divided by 2 eps instead
+        for _ in range(20):
+            lhs, rhs = helicity_gradient_check(beltrami, f3.d(f3.random_form0(grid32, 4, rng)))
+            assert max(abs(lhs), abs(rhs)) <= 1e-13
+
     def test_euler_homogeneity(self, beltrami):
         lhs, rhs = helicity_gradient_check(beltrami, beltrami)
         expect = 2 * helicity(beltrami)

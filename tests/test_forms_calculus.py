@@ -67,6 +67,45 @@ class TestSpectralDerivative:
         assert np.array_equal(np.roll(dm, 1, axis=(0, 1)), dm)
 
 
+def _ifftn_random_scalar(grid, bandwidth, rng, rms=1.0):
+    """Band-limited random scalar through a full n^3 spectrum and ifftn."""
+    n = grid.n
+    spec = np.zeros((n, n, n), dtype=complex)
+    k = np.abs(grid.k_full)
+    mask = ((k[:, None, None] <= bandwidth) & (k[None, :, None] <= bandwidth)
+            & (k[None, None, :] <= bandwidth))
+    m = int(mask.sum())
+    spec[mask] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    spec[0, 0, 0] = 0.0
+    f = np.fft.ifftn(spec).real * n ** 1.5
+    norm = float(np.sqrt(np.mean(f ** 2)))
+    if norm > 0:
+        f *= rms / norm
+    return f
+
+
+class TestRandomFields:
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_matches_ifftn_reference(self, n):
+        g = f3.Grid(n)
+        for bandwidth in (0, 1, 2, n // 4, n // 2):
+            got_rng, ref_rng = np.random.default_rng(n + bandwidth), np.random.default_rng(n + bandwidth)
+            got = f3.random_scalar_array(g, bandwidth, got_rng, rms=0.7)
+            ref = _ifftn_random_scalar(g, bandwidth, ref_rng, rms=0.7)
+            # same draws in the same order, summed in another order
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+            assert np.abs(got - ref).max() <= 8 * np.finfo(float).eps * np.abs(ref).max()
+
+    def test_makes_no_fft_call(self, grid16, rng, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.fft called")
+
+        for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, refuse)
+        for bandwidth in (1, 4, 8):
+            f3.random_scalar_array(grid16, bandwidth, rng)
+
+
 class TestExteriorDerivative:
     def test_gradient_analytic(self, grid32):
         x, _, _ = grid32.meshes

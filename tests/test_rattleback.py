@@ -1,3 +1,4 @@
+import hashlib
 import time
 import tracemalloc
 
@@ -150,6 +151,17 @@ class TestIntegrate:
         t2 = rb.integrate(rb.RattlebackState(0.1, 0.2, 1.0), -2.0, dt=1.0, t_final=2.0,
                           method="rk45", rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(t1.states[-1], t2.states[-1], atol=1e-9)
+
+    @pytest.mark.parametrize("method, digest", [
+        ("rk4", "b2a082d3cea3f531e72ae279b8080c410790d438f6fa1293aee334b4f6f75211"),
+        ("rk45", "9b5d1dc791fb8093b4c670d1f511ab17169a0a3907787db1cad401e73b01fc32"),
+    ])
+    def test_trajectory_bits_pinned(self, method, digest):
+        # the loops' float operations are fixed: any change to their
+        # arithmetic (order, or a numpy scalar in place of a float) shows here
+        tr = rb.integrate(rb.RattlebackState(0.1, 0.2, 1.0), -2.0, dt=1e-3, t_final=5.0,
+                          method=method, rtol=1e-10, atol=1e-12)
+        assert hashlib.sha256(tr.states.tobytes()).hexdigest() == digest
 
     def test_parity_symmetry_bit_exact(self):
         t1 = rb.integrate(rb.RattlebackState(0.1, 0.2, 1.0), -2.0, dt=1e-3, t_final=3.0)

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import casimir_lab
-from casimir_lab import cli, fieldexpr, verify
+from casimir_lab import cli, fieldexpr, fluid, verify
 from casimir_lab import forms3 as f3
 from casimir_lab.errors import ConfigError, ParseError
 from casimir_lab.verify import SuiteConfig, report_json, run_suite
@@ -57,6 +57,17 @@ class TestSuiteRunner:
         assert not report["passed"]
         assert "rattleback-energy-conservation-rk4" in report["failed_checks"]
 
+    def test_lie_poisson_evolves_at_euler_dt(self, monkeypatch):
+        steps = []
+
+        def spy(state, dt, t_final):
+            steps.append(dt)
+            return fluid.euler_evolve(state, dt, t_final)
+
+        monkeypatch.setattr(verify, "euler_evolve", spy)
+        run_suite("lie-poisson", SuiteConfig(grid_n=8))
+        assert steps == [fluid.EULER_DT, fluid.EULER_DT]
+
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):
             run_suite("nope")
@@ -87,7 +98,7 @@ class TestScenarioConfig:
         assert sc.profile == "0.3*sin(2*pi*z)"
 
     def test_default_step_by_kind(self):
-        assert cli.Scenario(kind="fluid-euler").dt == 1e-2
+        assert cli.Scenario(kind="fluid-euler").dt == fluid.EULER_DT
         assert cli.Scenario(kind="rattleback").dt == 1e-3
 
     def test_unknown_keys_listed(self, tmp_path):
