@@ -19,11 +19,12 @@ configured seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from . import fieldexpr
 from . import foliation as fol
 from . import forms3 as f3
 from . import rattleback as rb
-from .errors import BlowUpError, CasimirLabError, ConfigError, ParseError
+from .errors import BlowUpError, CasimirLabError, ConfigError, FormatError, ParseError
 from .fluid import EULER_DT, FluidState, euler_evolve, helicity
 from .verify import DEFAULT_SEED, SUITES, SuiteConfig, run_suite
 
@@ -41,31 +42,32 @@ SCENARIO_KINDS = ("rattleback", "fluid-helicity", "fluid-euler", "foliation-gv",
 TAIL_WARN_FRACTION = 1e-8
 MAX_STEPS = 10_000_000  # fixed steps of dt one scenario may take
 MAX_GRID = 256          # grid points per axis: one n = 256 field stack is 400 MB
+_REQUIRED = {"fluid-helicity": "field", "fluid-euler": "field", "foliation-gv": "profile"}
 
 
 @dataclass
 class Scenario:
     """One computation, read from a scenario file or from a subcommand's flags.
 
-    ``stride`` and ``suite`` are set by subcommand flags only; a scenario
-    file gets their defaults.  ``dt`` left unset (None) is the kind's default
-    step.  Every value is type-checked on construction.
+    The fields are the scenario keys and their defaults the only defaults:
+    subcommand flags carry none.  ``dt`` and ``t_final`` left unset (None)
+    take the kind's default.  Every value is type-checked on construction.
     """
 
     kind: str
     grid: int = 32
     profile: str | None = None
     scale: str | None = None
-    field_spec: str | None = None
+    field: str | None = None
     h: float = -2.0
     ic: tuple = (0.1, 0.2, 1.0)
     dt: float | None = None
-    t_final: float = 1.0
+    t_final: float | None = None
     method: str = "rk4"
     stride: int = 1
     seed: int = DEFAULT_SEED
     suite: str = "all"
-    tolerances: dict = field(default_factory=dict)
+    tolerances: dict = dataclasses.field(default_factory=dict)
     out: str | None = None
     report: str | None = None
     dump_fields: str | None = None
@@ -80,6 +82,8 @@ class Scenario:
         self.h = float(self.h)
         if self.dt is None:
             self.dt = EULER_DT if self.kind == "fluid-euler" else 1e-3
+        if self.t_final is None:
+            self.t_final = {"rattleback": 100.0, "fluid-euler": 0.5}.get(self.kind, 1.0)
         for key in ("dt", "t_final"):
             value = getattr(self, key)
             _require(_is_real(value) and value > 0, key, "a positive finite number", value)
@@ -96,13 +100,18 @@ class Scenario:
                      f"at most {MAX_STEPS} steps of dt = {self.dt!r}", self.t_final)
         _require(self.suite in ("all", *SUITES), "suite",
                  f"one of {', '.join(['all', *SUITES])}", self.suite)
-        for key in ("profile", "scale", "field_spec", "out", "report", "dump_fields"):
+        for key in ("profile", "scale", "field", "out", "report", "dump_fields"):
             value = getattr(self, key)
-            _require(value is None or isinstance(value, str),
-                     "field" if key == "field_spec" else key, "a string", value)
+            _require(value is None or isinstance(value, str), key, "a string", value)
         _require(isinstance(self.tolerances, dict)
                  and all(map(_is_real, self.tolerances.values())), "tolerances",
                  "an object of check-name: bound", self.tolerances)
+        key = _REQUIRED.get(self.kind)
+        if key and not getattr(self, key):
+            raise ConfigError(f"{self.kind} scenario needs {key!r}")
+
+
+_SCENARIO_KEYS = frozenset(f.name for f in fields(Scenario))
 
 
 def _is_int(value) -> bool:
@@ -123,12 +132,6 @@ def _require(ok: bool, key: str, what: str, value) -> None:
         raise ConfigError(f"{key!r} must be {what}, got {value!r}")
 
 
-_SCENARIO_KEYS = {
-    "kind", "grid", "profile", "scale", "field", "h", "ic", "dt", "t_final",
-    "method", "seed", "tolerances", "out", "report", "dump_fields",
-}
-
-
 def load_config(path: str) -> Scenario:
     """Map a JSON document onto a Scenario, applying defaults."""
     if not os.path.exists(path):
@@ -145,8 +148,7 @@ def load_config(path: str) -> Scenario:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     if "kind" not in doc:
         raise ConfigError("config is missing the required key 'kind'")
-    return Scenario(**{("field_spec" if key == "field" else key): value
-                       for key, value in doc.items()})
+    return Scenario(**doc)
 
 
 def _seed_override(seed):
@@ -222,12 +224,6 @@ def _status(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _needs(sc: Scenario, value, key: str):
-    if not value:
-        raise ConfigError(f"{sc.kind} scenario needs {key!r}")
-    return value
-
-
 def _run_rattleback(sc: Scenario) -> dict:
     tr = rb.integrate(rb.RattlebackState(*sc.ic), sc.h, dt=sc.dt,
                       t_final=sc.t_final, method=sc.method, stride=sc.stride)
@@ -243,12 +239,12 @@ def _run_rattleback(sc: Scenario) -> dict:
 
 
 def _run_fluid_helicity(sc: Scenario) -> dict:
-    alpha = parse_field_spec(_needs(sc, sc.field_spec, "field"), sc.grid)
+    alpha = parse_field_spec(sc.field, sc.grid)
     return {"helicity": helicity(alpha), "grid": alpha.grid.n}
 
 
 def _run_fluid_euler(sc: Scenario) -> dict:
-    alpha = parse_field_spec(_needs(sc, sc.field_spec, "field"), sc.grid)
+    alpha = parse_field_spec(sc.field, sc.grid)
     state, diag = euler_evolve(FluidState(alpha), dt=sc.dt, t_final=sc.t_final)
     if sc.out:
         _write_csv(sc.out, "t,energy,helicity", diag.times, diag.energies,
@@ -265,7 +261,7 @@ def _run_fluid_euler(sc: Scenario) -> dict:
 
 
 def _run_foliation_gv(sc: Scenario) -> dict:
-    text = _needs(sc, sc.profile, "profile")
+    text = sc.profile
     _parse_expr(text, "profile")
     if {"x", "y"} & {v for kind, v, _ in fieldexpr.tokenize(text) if kind == "ident"}:
         raise ConfigError("profile must be an expression in z only (graph preset)")
@@ -338,9 +334,6 @@ def run_scenario(sc: Scenario, *, summary: bool = False) -> int:
 
 # --- subcommands -----------------------------------------------------------------
 
-_SCENARIO_FIELDS = {f.name for f in fields(Scenario)}
-
-
 def _parse_ic(text: str) -> tuple:
     try:
         p, r, s = map(float, text.split(","))
@@ -351,7 +344,7 @@ def _parse_ic(text: str) -> tuple:
 
 def cmd_scenario(args) -> int:
     """Map a subcommand's flags onto a Scenario and run it."""
-    values = {k: v for k, v in vars(args).items() if k in _SCENARIO_FIELDS}
+    values = {k: v for k, v in vars(args).items() if k in _SCENARIO_KEYS}
     if "ic" in values:
         values["ic"] = _parse_ic(values["ic"])
     return run_scenario(Scenario(**values), summary=args.summary)
@@ -370,16 +363,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # A flag left out sets nothing, so the Scenario's default applies.
     def scenario_parser(group, name, kind, help, summary=False):
-        p = group.add_parser(name, help=help)
+        p = group.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
         p.set_defaults(func=cmd_scenario, kind=kind, summary=summary)
         return p
 
-    def verify_flags(p, suites, default=None):
-        p.add_argument("--suite", choices=suites, default=default,
-                       required=default is None)
-        p.add_argument("--grid", type=int, default=32)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    def verify_flags(p, suites, required):
+        p.add_argument("--suite", choices=suites, required=required)
+        p.add_argument("--grid", type=int)
+        p.add_argument("--seed", type=int)
         p.add_argument("--report", help="JSON report path")
 
     p_rat = sub.add_parser("rattleback", help="rattleback spinning-top engine")
@@ -388,44 +381,44 @@ def build_parser() -> argparse.ArgumentParser:
                             "integrate and write t,p,r,s,H,C")
     p_sim.add_argument("--h", type=float, required=True, help="shape parameter")
     p_sim.add_argument("--ic", required=True, help="initial p,r,s")
-    p_sim.add_argument("--dt", type=float, default=1e-3)
-    p_sim.add_argument("--t-final", type=float, default=100.0)
-    p_sim.add_argument("--method", choices=("rk4", "rk45"), default="rk4")
-    p_sim.add_argument("--stride", type=int, default=1, help="record every k-th step")
+    p_sim.add_argument("--dt", type=float)
+    p_sim.add_argument("--t-final", type=float)
+    p_sim.add_argument("--method", choices=("rk4", "rk45"))
+    p_sim.add_argument("--stride", type=int, help="record every k-th step")
     p_sim.add_argument("--out", help="CSV output path")
     p_ver = scenario_parser(rat_sub, "verify", "verify-all",
                             "run the rattleback invariant suite", summary=True)
     p_ver.set_defaults(suite="rattleback")
-    p_ver.add_argument("--h", type=float, default=-2.0)
-    p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_ver.add_argument("--h", type=float)
+    p_ver.add_argument("--seed", type=int)
     p_ver.add_argument("--report", help="also write the full JSON report here")
 
     p_fluid = sub.add_parser("fluid", help="spectral torus fluid engine")
     fl_sub = p_fluid.add_subparsers(dest="subcommand", required=True)
     p_hel = scenario_parser(fl_sub, "helicity", "fluid-helicity",
                             "helicity of a 1-form field")
-    p_hel.add_argument("--field", dest="field_spec", required=True,
+    p_hel.add_argument("--field", required=True,
                        help="'ex,ey,ez' component expressions or an .f3rm path")
-    p_hel.add_argument("--grid", type=int, default=32)
+    p_hel.add_argument("--grid", type=int)
     p_evo = scenario_parser(fl_sub, "evolve", "fluid-euler", "ideal Euler evolution")
-    p_evo.add_argument("--field", dest="field_spec", required=True)
-    p_evo.add_argument("--grid", type=int, default=32)
+    p_evo.add_argument("--field", required=True)
+    p_evo.add_argument("--grid", type=int)
     p_evo.add_argument("--dt", type=float, help=f"fixed step (default {EULER_DT:g})")
-    p_evo.add_argument("--t-final", type=float, default=0.5)
+    p_evo.add_argument("--t-final", type=float)
     p_evo.add_argument("--out", help="diagnostics CSV path")
     p_evo.add_argument("--dump-fields", help="write the final state container here")
     p_gv = scenario_parser(fl_sub, "gv", "foliation-gv",
                            "Godbillon-Vey of a graph foliation")
-    p_gv.add_argument("--preset", default="graph", choices=("graph",))
+    p_gv.add_argument("--preset", choices=("graph",))
     p_gv.add_argument("--profile", required=True, help="slope a(z), expression in z")
     p_gv.add_argument("--scale", help="nonvanishing multiplier expression")
-    p_gv.add_argument("--grid", type=int, default=32)
+    p_gv.add_argument("--grid", type=int)
     p_gv.add_argument("--report", help="JSON report path")
     verify_flags(scenario_parser(fl_sub, "verify", "verify-all", "run a fluid suite"),
-                 ("lie-poisson", "godbillon-vey"))
+                 ("lie-poisson", "godbillon-vey"), required=True)
 
     verify_flags(scenario_parser(sub, "verify", "verify-all", "run verification suites"),
-                 ("all", *SUITES), default="all")
+                 ("all", *SUITES), required=False)
 
     p_run = sub.add_parser("run", help="execute a JSON scenario file")
     p_run.add_argument("--config", required=True)
@@ -438,7 +431,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code = args.func(args)
-    except (ConfigError, ParseError, OSError) as exc:
+    except (ConfigError, FormatError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2
     except BlowUpError as exc:

@@ -48,6 +48,8 @@ def load(path):
         version, n, rank_code, n_comp = (int(v) for v in header)
         if version != VERSION:
             raise FormatError(f"unsupported container version {version}")
+        if n < 4 or n % 2:
+            raise FormatError(f"grid size {n} in the header is not an even integer >= 4")
         body = np.frombuffer(fh.read(), dtype="<f8")
     if body.size != n_comp * n ** 3:
         raise FormatError(f"body has {body.size} values, expected {n_comp * n ** 3}")

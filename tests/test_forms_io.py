@@ -43,6 +43,15 @@ def test_bad_magic(tmp_path):
         io.load(path)
 
 
+@pytest.mark.parametrize("n", [0, 2, 5])
+def test_bad_header_grid(tmp_path, n):
+    path = tmp_path / "grid.f3rm"
+    path.write_bytes(b"F3RM" + np.array([1, n, 0, 1], dtype="<u4").tobytes()
+                     + b"\x00" * 8 * n ** 3)
+    with pytest.raises(FormatError, match=f"grid size {n} "):
+        io.load(path)
+
+
 def test_truncated_body(tmp_path, grid16, rng):
     path = tmp_path / "short.f3rm"
     io.save(path, f3.random_form0(grid16, 3, rng))

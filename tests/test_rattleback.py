@@ -1,10 +1,12 @@
 import hashlib
 import time
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
 
+from casimir_lab import kernels
 from casimir_lab import rattleback as rb
 from casimir_lab.errors import BlowUpError, DomainError, InvalidParameterError
 
@@ -197,6 +199,43 @@ class TestIntegrate:
                           t_final=1.0, stride=10)
         assert len(tr.times) == 101
         assert tr.times[1] == pytest.approx(1e-2)
+
+
+class TestRk45StepControl:
+    def test_zero_error_grows_step_fivefold(self):
+        # (0, 0, s) is a rest point: every error estimate is 0
+        times, states, status = kernels.rk45_loop(0.0, 0.0, 5.0, -2.0, 1.0,
+                                                  1e-10, 1e-12, 100)
+        assert status == kernels.STATUS_OK
+        np.testing.assert_allclose(np.diff(times)[:4], [1e-3, 5e-3, 2.5e-2, 1.25e-1],
+                                   rtol=1e-12)
+        assert times[-1] == 1.0
+        assert set(states[0::3]) == set(states[1::3]) == {0.0}
+        assert set(states[2::3]) == {5.0}
+
+    def test_large_error_shrinks_step_at_most_fivefold(self):
+        # err is about 2.7e3 at the first trial step of 1e-3: the raw factor
+        # 0.9 * err**-0.2 is about 0.19, clamped to 0.2, and the retry at 2e-4
+        # (err about 0.9) is accepted
+        times, _, status = kernels.rk45_loop(1.0, 2.0, 10.0, -2.0, 1.0, 0.0, 5e-16, 3)
+        assert status == kernels.STATUS_MAXSTEPS
+        assert times[1] == 1e-3 * 0.2
+
+    def test_step_budget_status(self):
+        times, states, status = kernels.rk45_loop(0.1, 0.2, 1.0, -2.0, 10.0,
+                                                  1e-10, 1e-12, 5)
+        assert status == kernels.STATUS_MAXSTEPS
+        assert len(times) <= 6 and len(states) == 3 * len(times)
+
+    def test_integrate_reports_exhausted_budget(self, monkeypatch):
+        def exhausted(p, r, s, h, t_final, rtol, atol, max_steps):
+            return array("d", [0.0, 0.5]), array("d", [p, r, s] * 2), kernels.STATUS_MAXSTEPS
+
+        monkeypatch.setattr(rb.kernels, "rk45_loop", exhausted)
+        with pytest.raises(BlowUpError, match="step budget exhausted") as err:
+            rb.integrate(rb.RattlebackState(0.1, 0.2, 1.0), -2.0, dt=1e-3,
+                         t_final=1.0, method="rk45")
+        assert err.value.time == 0.5
 
 
 def test_restricted_casimir_report():

@@ -1,8 +1,10 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -98,8 +100,31 @@ class TestScenarioConfig:
         assert sc.profile == "0.3*sin(2*pi*z)"
 
     def test_default_step_by_kind(self):
-        assert cli.Scenario(kind="fluid-euler").dt == fluid.EULER_DT
+        assert cli.Scenario(kind="fluid-euler", field="0,0,0").dt == fluid.EULER_DT
         assert cli.Scenario(kind="rattleback").dt == 1e-3
+
+    def test_default_t_final_by_kind(self):
+        assert cli.Scenario(kind="rattleback").t_final == 100.0
+        assert cli.Scenario(kind="fluid-euler", field="0,0,0").t_final == 0.5
+        assert cli.Scenario(kind="rattleback", t_final=2).t_final == 2.0
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"kind": "fluid-helicity"}, "field"),
+        ({"kind": "fluid-euler", "field": ""}, "field"),
+        ({"kind": "foliation-gv", "scale": "1"}, "profile"),
+    ])
+    def test_required_key_by_kind(self, tmp_path, capsys, doc, key):
+        message = f"{doc['kind']} scenario needs {key!r}"
+        with pytest.raises(ConfigError, match=message):
+            cli.Scenario(**doc)
+        assert _run_file(tmp_path, doc) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_file_sets_stride_and_suite(self, tmp_path):
+        path = tmp_path / "sc.json"
+        path.write_text('{"kind":"verify-all","suite":"forms","stride":3}')
+        sc = cli.load_config(str(path))
+        assert (sc.suite, sc.stride) == ("forms", 3)
 
     def test_unknown_keys_listed(self, tmp_path):
         path = tmp_path / "sc.json"
@@ -283,6 +308,101 @@ class TestCli:
         assert out.returncode == 0
 
 
+class TestExitPaths:
+    @pytest.mark.parametrize("text, message", [
+        ("{", "error: config is not valid JSON: "),
+        ("[1]", "error: config must be a JSON object\n"),
+        ('{"grid": 8}', "error: config is missing the required key 'kind'\n"),
+    ], ids=["invalid-json", "array", "no-kind"])
+    def test_malformed_config_exit_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "sc.json"
+        path.write_text(text)
+        assert cli.main(["run", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(message) and err.count("\n") == 1
+
+    def test_huge_integer_h_exit_2(self, tmp_path, capsys):
+        # an int beyond the float range: math.isfinite raises OverflowError
+        assert _run_file(tmp_path, {"kind": "rattleback", "h": 10 ** 400}) == 2
+        assert capsys.readouterr().err.startswith("error: 'h' must be a finite number")
+
+    def test_bad_seed_variable_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("CASIMIR_LAB_SEED", "abc")
+        assert cli.main(["verify", "--suite", "rattleback"]) == 2
+        assert capsys.readouterr().err == (
+            "error: CASIMIR_LAB_SEED must be an integer, got 'abc'\n")
+
+    def test_failing_check_exit_1(self, tmp_path, capsys):
+        doc = {"kind": "verify-all", "suite": "rattleback",
+               "tolerances": {"rattleback-jacobi-identity": -1}}
+        assert _run_file(tmp_path, doc) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(out)["failed_checks"] == ["rattleback-jacobi-identity"]
+        assert err == "failed checks: rattleback-jacobi-identity\n"
+
+    def test_blow_up_exit_1(self, capsys):
+        argv = ["fluid", "evolve", "--field", "1e200*sin(2*pi*z),1e200*cos(2*pi*z),0",
+                "--grid", "8"]
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+    def test_spectral_tail_warning(self, capsys):
+        assert cli.main(["fluid", "helicity", "--field", "x,0,0", "--grid", "8"]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["helicity"] == 0.0
+        assert err.startswith("warning: field component 'x' has a spectral tail fraction ")
+
+    def test_vector_field_container_accepted(self, tmp_path, capsys, beltrami):
+        path = tmp_path / "u.f3rm"
+        f3.io.save(path, f3.sharp(beltrami))
+        assert cli.main(["fluid", "helicity", "--field", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["helicity"] == pytest.approx(
+            2 * np.pi, abs=1e-10)
+
+    def test_two_form_container_exit_2(self, tmp_path, capsys, beltrami):
+        path = tmp_path / "beta.f3rm"
+        f3.io.save(path, f3.d(beltrami))
+        assert cli.main(["fluid", "helicity", "--field", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: container {path} holds rank 2, need a 1-form\n")
+
+    @pytest.mark.parametrize("header", [
+        b"NOPE" + np.array([1, 4, 1, 3], dtype="<u4").tobytes(),
+        b"F3RM" + np.array([2, 4, 1, 3], dtype="<u4").tobytes(),
+        b"F3RM" + np.array([1, 0, 1, 3], dtype="<u4").tobytes(),
+    ], ids=["magic", "version", "grid-0"])
+    def test_malformed_container_exit_2(self, tmp_path, capsys, header):
+        path = tmp_path / "bad.f3rm"
+        path.write_bytes(header)
+        assert cli.main(["fluid", "helicity", "--field", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_scenario_flags_carry_no_defaults():
+    # a flag left out must leave the Scenario's default in force, and every
+    # flag must name a scenario key
+    def leaves(parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from leaves(sub)
+        yield parser
+
+    scenario_parsers = [p for p in leaves(cli.build_parser())
+                        if p.get_default("func") is cli.cmd_scenario]
+    assert len(scenario_parsers) == 7
+    keys = {f.name for f in fields(cli.Scenario)}
+    for parser in scenario_parsers:
+        for action in parser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            assert action.default is argparse.SUPPRESS, (parser.prog, action.dest)
+            assert action.dest in keys | {"preset"}, (parser.prog, action.dest)
+
+
 def test_field_spec_component_count():
     with pytest.raises(ConfigError, match="three comma-separated"):
         cli.parse_field_spec("sin(2*pi*z),0", 32)
@@ -319,6 +439,8 @@ class TestScenarioTypes:
         ({"kind": "fluid-helicity", "grid": 7, "field": "0,0,0"}, "'grid'"),
         ({"kind": "fluid-helicity", "grid": 2, "field": "0,0,0"}, "'grid'"),
         ({"kind": "fluid-helicity", "grid": 100000, "field": "0,0,0"}, "'grid'"),
+        ({"kind": "verify-all", "suite": "bogus"}, "'suite'"),
+        ({"kind": "rattleback", "stride": 0}, "'stride'"),
     ])
     def test_bad_value_exit_2(self, tmp_path, capsys, doc, key):
         path = tmp_path / "sc.json"
@@ -470,14 +592,30 @@ def test_profile_must_be_z_only(tmp_path, capsys, entry):
       "--scale", "exp(0.1*sin(2*pi*(x+y)))"],
      {"kind": "foliation-gv", "profile": "0.15*sin(2*pi*z)",
       "scale": "exp(0.1*sin(2*pi*(x+y)))"}),
+    (["rattleback", "simulate", "--h", "-2", "--ic", "0.1,0.2,1.0"],
+     {"kind": "rattleback", "h": -2, "ic": [0.1, 0.2, 1.0]}),
+    (["fluid", "evolve", "--field", "sin(2*pi*z),cos(2*pi*z),0", "--grid", "8"],
+     {"kind": "fluid-euler", "field": "sin(2*pi*z),cos(2*pi*z),0", "grid": 8}),
+    (["rattleback", "simulate", "--h", "-2", "--ic", "0.1,0.2,1.0", "--t-final", "1",
+      "--stride", "10"],
+     {"kind": "rattleback", "h": -2, "ic": [0.1, 0.2, 1.0], "t_final": 1, "stride": 10}),
 ], ids=["rattleback", "fluid-helicity", "fluid-euler", "fluid-euler-default-dt",
-        "foliation-gv"])
+        "foliation-gv", "rattleback-defaults", "fluid-euler-defaults", "rattleback-stride"])
 def test_subcommand_and_scenario_print_identical_json(tmp_path, capsys, argv, doc):
     assert cli.main(argv) == 0
     from_flags = capsys.readouterr().out
     assert _run_file(tmp_path, doc) == 0
     assert capsys.readouterr().out == from_flags
     assert json.loads(from_flags)["kind"] == doc["kind"]
+
+
+def test_verify_subcommand_and_scenario_print_identical_json(tmp_path, capsys):
+    # the verify report has no "kind"; its suite comes from the file's "suite"
+    assert cli.main(["verify", "--suite", "rattleback"]) == 0
+    from_flags = capsys.readouterr().out
+    assert _run_file(tmp_path, {"kind": "verify-all", "suite": "rattleback"}) == 0
+    assert capsys.readouterr().out == from_flags
+    assert json.loads(from_flags)["suite"] == "rattleback"
 
 
 def test_status_lines_on_stderr(tmp_path, capsys):
