@@ -95,9 +95,16 @@ class Scenario:
             value = getattr(self, key)
             _require(_is_int(value) and value >= low, key, f"an integer >= {low}", value)
         _require(self.method in ("rk4", "rk45"), "method", "'rk4' or 'rk45'", self.method)
-        if self.kind == "fluid-euler" or (self.kind == "rattleback" and self.method == "rk4"):
+        rk4 = self.kind == "rattleback" and self.method == "rk4"
+        if self.kind == "fluid-euler" or rk4:
             _require(self.t_final / self.dt <= MAX_STEPS, "t_final",
                      f"at most {MAX_STEPS} steps of dt = {self.dt!r}", self.t_final)
+        if rk4:
+            _require(rb.rk4_step_count(self.t_final, self.dt) is not None, "t_final",
+                     f"a whole number of rk4 steps of dt = {self.dt!r}", self.t_final)
+        if self.kind == "rattleback" and self.method == "rk45":
+            _require(self.stride == 1, "stride",
+                     "1 with method 'rk45', which records every accepted step", self.stride)
         _require(self.suite in ("all", *SUITES), "suite",
                  f"one of {', '.join(['all', *SUITES])}", self.suite)
         for key in ("profile", "scale", "field", "out", "report", "dump_fields"):

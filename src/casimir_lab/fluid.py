@@ -217,7 +217,7 @@ def euler_evolve(state: FluidState, dt: float,
     # divergence shows up as inf/nan, from the first transform on; the
     # contract is the exception
     with np.errstate(over="ignore", invalid="ignore"):
-        a = rfft3_box(state.alpha.data, g, work)
+        a = rfft3_box(state.alpha.data, box, work)
         n_steps = _step_count(t_final, dt)
         t = 0.0
         record(t, a)
@@ -229,7 +229,7 @@ def euler_evolve(state: FluidState, dt: float,
             t += h
             record(t, a)
     diag = EvolveDiagnostics(np.asarray(times), np.asarray(energies), np.asarray(helicities))
-    return FluidState(Form1(g, irfft3_box(a, g, work))), diag
+    return FluidState(Form1(g, irfft3_box(a, box, work))), diag
 
 
 def _coef_buffers(s: np.ndarray, work: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -248,11 +248,11 @@ def _rhs(s: np.ndarray, g, work: dict, out: np.ndarray | None = None) -> np.ndar
     box = g.box
     coef, tmp = _coef_buffers(s, work)
     shape = s.shape[:-3] + g.shape
-    v = irfft3_box(leray_r(s, box, coef, tmp), g, work, _buffer(work, "v", shape, float))
-    w = irfft3_box(curl_r(s, box, coef, tmp), g, work, _buffer(work, "curl", shape, float))
+    v = irfft3_box(leray_r(s, box, coef, tmp), box, work, _buffer(work, "v", shape, float))
+    w = irfft3_box(curl_r(s, box, coef, tmp), box, work, _buffer(work, "curl", shape, float))
     vxw = _cross(v, w, _buffer(work, "v x curl", shape, float),
                  _buffer(work, "v x curl tmp", g.shape, float))
-    return rfft3_box(vxw, g, work, out)
+    return rfft3_box(vxw, box, work, out)
 
 
 def _dop853_step(a: np.ndarray, rhs, h: float, k: np.ndarray, stage: np.ndarray,

@@ -1,15 +1,14 @@
 """Spectral exterior calculus on the flat unit 3-torus."""
 
 from .grid import (
+    Box,
     Grid,
     curl_r,
     dealias,
     grad_r,
-    irfft3,
     irfft3_box,
     leray_r,
     mean_dot_r,
-    rfft3,
     rfft3_box,
     spectral_derivative,
     spectral_tail_fraction,

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..errors import RankError
 from .forms import Form0, Form1, Form2, Form3, VectorField, volume_form
-from .grid import _cross, irfft3, leray_r, rfft3, spectral_derivative
+from .grid import Box, _cross, irfft3_box, leray_r, rfft3_box, spectral_derivative
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -117,9 +117,15 @@ def vorticity_from(alpha: Form1) -> VectorField:
 
 
 def leray_project(v: VectorField) -> VectorField:
-    """Divergence-free part of v (mean flow is kept)."""
-    g = v.grid
-    return VectorField(g, irfft3(leray_r(rfft3(v.data), g), g))
+    """Divergence-free part of v (mean flow is kept) on the Nyquist-free box,
+    which drops the modes with some |k_i| = n/2.  The box is built per call,
+    not shared through ``Box.of``: its multipliers are not held between calls."""
+    return _leray_on(v, Box(v.grid.n, v.grid.n // 2 - 1))
+
+
+def _leray_on(v: VectorField, box: Box) -> VectorField:
+    work = {}  # pass buffers, shared by the two transforms
+    return VectorField(v.grid, irfft3_box(leray_r(rfft3_box(v.data, box, work), box), box, work))
 
 
 def contraction_identity_residual(v: VectorField, alpha: Form1) -> float:

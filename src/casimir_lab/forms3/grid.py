@@ -9,7 +9,7 @@ band-limited data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -48,11 +48,6 @@ class Grid:
         return np.fft.fftfreq(self.n, d=1.0 / self.n)
 
     @cached_property
-    def k_half(self) -> np.ndarray:
-        """Non-negative wavenumbers of the real transform (0 ... n/2)."""
-        return np.arange(self.n // 2 + 1, dtype=float)
-
-    @cached_property
     def diff_matrix(self) -> np.ndarray:
         """d/dx along one axis as a dense (n, n) matrix on the grid values.
 
@@ -72,48 +67,41 @@ class Grid:
         return d[np.subtract.outer(j, j) % n]
 
     @cached_property
-    def k_r(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Integer wavenumbers (kx, ky, kz), each shaped to broadcast on rfftn layout."""
-        return (self.k_full[:, None, None], self.k_full[None, :, None],
-                self.k_half[None, None, :])
-
-    @property
-    def k(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The wavenumber multipliers ``leray_r`` reads: ``k_r`` on this layout."""
-        return self.k_r
-
-    @cached_property
-    def leray_factor(self) -> np.ndarray:
-        """k / |k|^2 on rfftn layout, shape (3, n, n, n/2+1); zero at k = 0."""
-        return _leray_factor(self.k_r)
-
-    @cached_property
     def box(self) -> "Box":
-        """The 2/3-rule coefficient box of this grid and its multipliers."""
-        return Box(self.n)
+        """The 2/3-rule box of this grid: the one place that chooses K = n//3."""
+        return Box.of(self.n, self.n // 3)
 
 
 @dataclass(frozen=True, eq=False)
 class Box:
-    """The coefficients the 2/3 rule keeps: max|k_i| <= K = n//3.
+    """The rfftn coefficients with max|k_i| <= K = ``keep`` on an n-grid.
 
     Shape (2K+1, 2K+1, K+1): the x and y axes hold k = 0..K, -K..-1 in fft
-    order, the z axis k = 0..K of the real transform.  K < n/2, so the box
-    never holds a Nyquist mode.  ``k_r`` are the axes' wavenumbers shaped to
-    broadcast, as on ``Grid``; the multipliers ``k``, ``ik_r`` and
+    order, the z axis k = 0..K of the real transform.  0 <= K < n/2, so a
+    box never holds a Nyquist mode.  ``Grid.box`` is the 2/3-rule box,
+    K = n//3; ``Box.of`` builds each (n, K) once.  ``k_r`` are the axes'
+    wavenumbers shaped to broadcast; the multipliers ``k``, ``ik_r`` and
     ``leray_factor`` are box-shaped, contiguous and complex, so a multiply
     into a box array neither casts nor broadcasts (numpy would buffer a
-    copy of the operand).  ``leray_r`` takes a Grid or a Box; ``curl_r``,
-    ``grad_r`` and ``mean_dot_r`` take the box.  ``forward``, ``inverse``,
-    ``forward_z`` and ``inverse_z`` are the DFT matrices of the box
-    transforms.
+    copy of the operand).  ``leray_r``, ``curl_r``, ``grad_r`` and
+    ``mean_dot_r`` take the box.  ``forward``, ``inverse``, ``forward_z``
+    and ``inverse_z`` are the DFT matrices of the box transforms.
     """
 
     n: int
+    keep: int
 
-    @property
-    def keep(self) -> int:
-        return self.n // 3
+    def __post_init__(self):
+        ints = all(isinstance(v, (int, np.integer)) for v in (self.n, self.keep))
+        if not (ints and 0 <= 2 * self.keep < self.n):
+            raise InvalidParameterError(f"a box needs integers 0 <= keep < n/2, got "
+                                        f"n = {self.n!r}, keep = {self.keep!r}")
+
+    @classmethod
+    @cache
+    def of(cls, n: int, keep: int) -> "Box":
+        """The shared Box(n, keep): its matrices and multipliers are built once."""
+        return cls(n, keep)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -141,7 +129,11 @@ class Box:
 
     @cached_property
     def leray_factor(self) -> np.ndarray:
-        return _leray_factor(self.k_r).astype(complex)
+        """k / |k|^2 stacked over the three axes; zero at k = 0."""
+        kx, ky, kz = self.k_r
+        k2 = kx ** 2 + ky ** 2 + kz ** 2
+        k2[0, 0, 0] = np.inf
+        return np.stack(np.broadcast_arrays(kx / k2, ky / k2, kz / k2)).astype(complex)
 
     def _filled(self, multipliers) -> tuple[np.ndarray, ...]:
         return tuple(np.broadcast_to(m, self.shape).astype(complex, order="C")
@@ -208,14 +200,6 @@ def _unit_roots(n: int) -> np.ndarray:
     return c + 1j * np.where(2 * j <= n, s, -s)
 
 
-def _leray_factor(k_r) -> np.ndarray:
-    """k / |k|^2 stacked over the three axes; zero at k = 0."""
-    kx, ky, kz = k_r
-    k2 = kx ** 2 + ky ** 2 + kz ** 2
-    k2[0, 0, 0] = np.inf
-    return np.stack(np.broadcast_arrays(kx / k2, ky / k2, kz / k2))
-
-
 def spectral_derivative(data: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     """d/dx_axis of the trigonometric interpolant; works on trailing-3D stacks.
 
@@ -237,19 +221,9 @@ def spectral_derivative(data: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     return np.matmul(rel, dm.T)
 
 
-def rfft3(data: np.ndarray) -> np.ndarray:
-    """rfftn coefficients over the trailing three axes."""
-    return np.fft.rfftn(data, axes=(-3, -2, -1))
-
-
-def irfft3(spec: np.ndarray, grid: Grid) -> np.ndarray:
-    """Grid values from rfftn coefficients over the trailing three axes."""
-    return np.fft.irfftn(spec, s=grid.shape, axes=(-3, -2, -1))
-
-
-def rfft3_box(data: np.ndarray, grid: Grid, work: dict | None = None,
+def rfft3_box(data: np.ndarray, box: Box, work: dict | None = None,
               out: np.ndarray | None = None) -> np.ndarray:
-    """``rfft3(data)`` restricted to ``grid.box``, as dense DFT products.
+    """rfftn coefficients of ``data`` (trailing three axes) on ``box``, as DFT products.
 
     One matrix product per axis, against the box's DFT matrices: a real one
     along z, then a complex one along x and one along y.  The y axis lies
@@ -261,8 +235,7 @@ def rfft3_box(data: np.ndarray, grid: Grid, work: dict | None = None,
     shape (allocated on first use and shared with ``irfft3_box``).  The
     result goes to ``out`` (C-contiguous), or to a new array.
     """
-    box = grid.box
-    n, (p, _, q) = grid.n, box.shape
+    n, (p, _, q) = box.n, box.shape
     lead = data.shape[:-3]
     work = {} if work is None else work
     z = _buffer(work, "z", lead + (n, n, 2 * q), float)
@@ -278,17 +251,17 @@ def rfft3_box(data: np.ndarray, grid: Grid, work: dict | None = None,
     return out
 
 
-def irfft3_box(coefs: np.ndarray, grid: Grid, work: dict | None = None,
+def irfft3_box(coefs: np.ndarray, box: Box, work: dict | None = None,
                out: np.ndarray | None = None) -> np.ndarray:
-    """``irfft3`` of box coefficients zero-filled to the full layout, as dense DFT products.
+    """Grid values of ``box``'s coefficients: irfftn of them zero-filled to the
+    full layout, as dense DFT products.
 
     The reverse of ``rfft3_box``: y (moved to the front and back), then x,
     then a real product along z that keeps the real part of the
     half-spectrum sum, as irfft does.  The zeros outside the box are never
     formed.  ``work`` and ``out`` as for ``rfft3_box``.
     """
-    box = grid.box
-    n, (p, _, q) = grid.n, box.shape
+    n, (p, _, q) = box.n, box.shape
     lead = coefs.shape[:-3]
     work = {} if work is None else work
     y_in = _buffer(work, "y", (p,) + lead + (p, q))
@@ -299,7 +272,7 @@ def irfft3_box(coefs: np.ndarray, grid: Grid, work: dict | None = None,
     np.copyto(x, _y_back(y))
     z = _buffer(work, "z", lead + (n, n, 2 * q), float)
     np.matmul(box.inverse, x.reshape(-1, p, n * q), out=z.view(complex).reshape(-1, n, n * q))
-    out = np.empty(lead + grid.shape) if out is None else out
+    out = np.empty(lead + (n, n, n)) if out is None else out
     np.matmul(z.reshape(-1, 2 * q), box.inverse_z, out=out.reshape(-1, n, copy=False))
     return out
 
@@ -345,8 +318,10 @@ def _buffer(work: dict, key: str, shape: tuple, dtype=complex) -> np.ndarray:
 
 
 def dealias(data: np.ndarray, grid: Grid) -> np.ndarray:
-    """Zero every mode with max |k| beyond the 2/3-rule cutoff: a box round trip."""
-    return irfft3_box(rfft3_box(data, grid), grid)
+    """Zero every mode with max |k| beyond the 2/3-rule cutoff: a box round
+    trip, whose two transforms share their pass buffers."""
+    box, work = grid.box, {}
+    return irfft3_box(rfft3_box(data, box, work), box, work)
 
 
 # curl_r and leray_r write their result to ``out`` and use ``tmp`` for one
@@ -364,13 +339,10 @@ def grad_r(spec: np.ndarray, box: Box) -> np.ndarray:
     return np.stack([ik * spec for ik in box.ik_r])
 
 
-def leray_r(spec: np.ndarray, layout: Grid | Box, out: np.ndarray | None = None,
+def leray_r(spec: np.ndarray, box: Box, out: np.ndarray | None = None,
             tmp: np.ndarray | None = None) -> np.ndarray:
-    """Divergence-free part of a 3-stack of coefficients; the mean is kept.
-
-    ``layout`` is a Grid for the full rfftn layout or grid.box for the box.
-    """
-    kx, ky, kz = layout.k
+    """Box coefficients of the divergence-free part of a 3-stack; the mean is kept."""
+    kx, ky, kz = box.k
     out = np.empty(spec.shape, complex) if out is None else out
     tmp = np.empty(spec.shape[1:], complex) if tmp is None else tmp
     # tmp = kx spec_0 + ky spec_1 + kz spec_2, with out[0] as scratch
@@ -380,7 +352,7 @@ def leray_r(spec: np.ndarray, layout: Grid | Box, out: np.ndarray | None = None,
     np.multiply(kz, spec[2], out=out[0])
     tmp += out[0]
     for i in range(3):  # per component: broadcast over the stack, numpy copies tmp
-        np.multiply(layout.leray_factor[i], tmp, out=out[i])
+        np.multiply(box.leray_factor[i], tmp, out=out[i])
         np.subtract(spec[i], out[i], out=out[i])
     return out
 

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .forms import Form0, Form1, VectorField
-from .calculus import leray_project
-from .grid import Grid, _unit_roots
+from .forms import Form0, Form1, VectorField, form_of_rank
+from .calculus import _leray_on
+from .grid import Box, Grid, _unit_roots
 
 
 def random_scalar_array(grid: Grid, bandwidth: int, rng: np.random.Generator,
@@ -41,29 +41,28 @@ def random_form0(grid: Grid, bandwidth: int, rng, rms: float = 1.0) -> Form0:
 
 
 def random_form1(grid: Grid, bandwidth: int, rng, rms: float = 1.0) -> Form1:
-    return Form1(grid, np.stack([
-        random_scalar_array(grid, bandwidth, rng, rms) for _ in range(3)
-    ]))
+    return Form1(grid, _random_stack(grid, bandwidth, rng, rms))
 
 
 def random_form(grid: Grid, rank: int, bandwidth: int, rng, rms: float = 1.0):
-    from .forms import form_of_rank
-    n_comp = 1 if rank in (0, 3) else 3
-    if n_comp == 1:
+    if rank in (0, 3):
         return form_of_rank(rank, grid, random_scalar_array(grid, bandwidth, rng, rms))
-    return form_of_rank(rank, grid, np.stack([
-        random_scalar_array(grid, bandwidth, rng, rms) for _ in range(3)
-    ]))
+    return form_of_rank(rank, grid, _random_stack(grid, bandwidth, rng, rms))
 
 
 def random_vector_field(grid: Grid, bandwidth: int, rng, rms: float = 1.0) -> VectorField:
-    return VectorField(grid, np.stack([
-        random_scalar_array(grid, bandwidth, rng, rms) for _ in range(3)
-    ]))
+    return VectorField(grid, _random_stack(grid, bandwidth, rng, rms))
+
+
+def _random_stack(grid: Grid, bandwidth: int, rng, rms: float) -> np.ndarray:
+    """Three ``random_scalar_array`` draws, stacked as components."""
+    return np.stack([random_scalar_array(grid, bandwidth, rng, rms) for _ in range(3)])
 
 
 def random_divfree_field(grid: Grid, bandwidth: int, rng, rms: float = 1.0) -> VectorField:
-    v = leray_project(random_vector_field(grid, bandwidth, rng, rms))
+    """A random vector field's Leray projection on its bandwidth's box, at ``rms``."""
+    box = Box.of(grid.n, min(bandwidth, grid.n // 2 - 1))
+    v = _leray_on(random_vector_field(grid, bandwidth, rng, rms), box)
     norm = float(np.sqrt(np.mean(np.sum(v.data ** 2, axis=0))))
     if norm > 0:
         v = VectorField(grid, v.data * (rms / norm))

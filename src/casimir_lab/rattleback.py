@@ -174,6 +174,13 @@ def bianchi_vi_quiet(h: float) -> AlgebraStructure:
         return bianchi_vi(h)
 
 
+def rk4_step_count(t_final: float, dt: float) -> int | None:
+    """The number of fixed steps of dt that make up t_final, or None when
+    t_final is not a whole number of them (to 1e-9 of max(1, t_final))."""
+    n_steps = int(round(t_final / dt))
+    return n_steps if abs(n_steps * dt - t_final) <= 1e-9 * max(1.0, t_final) else None
+
+
 def integrate(
     xi0: RattlebackState,
     h: float,
@@ -202,8 +209,8 @@ def integrate(
         raise InvalidParameterError(f"unknown method {method!r}")
 
     if method == "rk4":
-        n_steps = int(round(t_final / dt))
-        if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
+        n_steps = rk4_step_count(t_final, dt)
+        if n_steps is None:
             raise InvalidParameterError("t_final must be an integer number of steps")
         n_rec = n_steps // stride + 1
         out = np.empty((n_rec, 3))

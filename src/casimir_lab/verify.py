@@ -467,6 +467,29 @@ def _canonical_profile(g, amplitudes):
                     + amplitudes[1] * np.cos(4 * np.pi * Z))
 
 
+def _chain_pool(g, a_prof, beta, rng, strict: bool = True):
+    """The canonical family, beta and 20 random rescalings, and a gauge shift of
+    each: the first three states, the only ones used again, and the
+    (residuals, GV) of the members and of the shifts."""
+    def measured(st):
+        return st.residuals, fol.godbillon_vey(st)
+
+    states = [fol.FoliatedState.from_alpha(beta, strict=strict)]
+    family, shifted = [measured(states[0])], []
+    for _ in range(20):
+        q = f3.random_scalar_array(g, 2, rng, rms=SCALING_RMS)
+        alpha_i = fol.graph_foliation_form(g, a_prof, f3.Form0(g, np.exp(q)))
+        st = fol.FoliatedState.from_alpha(alpha_i, strict=strict)
+        if len(states) < 3:
+            states.append(st)
+        family.append(measured(st))
+        f_gauge = f3.random_form0(g, 1, rng, rms=GAUGE_RMS)
+        g_gauge = f3.random_form0(g, 1, rng, rms=GAUGE_RMS)
+        shifted.append(measured(fol.gauge_shift(st, f_gauge, g_gauge)))
+        del st  # freed before the next member is solved
+    return states, family, shifted
+
+
 def suite_godbillon_vey(cfg: SuiteConfig) -> list[dict]:
     g = f3.Grid(cfg.grid_n)
     rng = np.random.default_rng(cfg.seed + 4)
@@ -495,24 +518,7 @@ def suite_godbillon_vey(cfg: SuiteConfig) -> list[dict]:
                               _rejects(fol.FoliatedState.from_alpha, vanishing),
                               note="a vanishing 1-form must be rejected"))
 
-    # canonical family: base, scalings, gauge shifts.  Only the first three
-    # states are used again; the rest are reduced at once to (residuals, GV).
-    def measured(st):
-        return st.residuals, fol.godbillon_vey(st)
-
-    states = [fol.FoliatedState.from_alpha(beta)]
-    family, shifted = [measured(states[0])], []
-    for _ in range(20):
-        q = f3.random_scalar_array(g, 2, rng, rms=SCALING_RMS)
-        alpha_i = fol.graph_foliation_form(g, a_prof, f3.Form0(g, np.exp(q)))
-        st = fol.FoliatedState.from_alpha(alpha_i)
-        if len(states) < 3:
-            states.append(st)
-        family.append(measured(st))
-        f_gauge = f3.random_form0(g, 1, rng, rms=GAUGE_RMS)
-        g_gauge = f3.random_form0(g, 1, rng, rms=GAUGE_RMS)
-        shifted.append(measured(fol.gauge_shift(st, f_gauge, g_gauge)))
-        del st  # freed before the next member is solved
+    states, family, shifted = _chain_pool(g, a_prof, beta, rng)
 
     def worst_residual(key, pool):
         return max(res[key] for res, _ in pool)

@@ -444,3 +444,28 @@ class TestTransportSuite:
 def test_helicity_hierarchy(foliated_state):
     assert abs(helicity(foliated_state.alpha)) <= 1e-11
     assert foliated_state.residuals["helicity"] <= 1e-11
+
+
+# 64 ulps: the level the chain's worst residuals settle at from n = 40 up
+ROUNDOFF_FLOOR = 64 * np.finfo(float).eps
+
+
+def test_chain_residuals_converge_spectrally():
+    # grid refinement as an oracle for the residuals truncation limits at
+    # n = 32: the random fields draw the same normals at every n, so the
+    # verify suite's chain pool is one family, whose worst residuals must
+    # fall 100x per step of 8 until they reach roundoff
+    from casimir_lab import verify
+
+    worst = []
+    for n in (24, 32, 40):
+        g = f3.Grid(n)
+        a_prof = verify._canonical_profile(g, verify.PROFILE_MAIN)
+        rng = np.random.default_rng(verify.DEFAULT_SEED + 4)  # the suite's stream
+        _, family, shifted = verify._chain_pool(
+            g, a_prof, fol.graph_foliation_form(g, a_prof), rng, strict=False)
+        worst.append({key: max(res[key] for res, _ in family + shifted)
+                      for key in ("gamma_defining", "chi_tangency", "chi_closure")})
+    for coarse, fine in zip(worst, worst[1:]):
+        for key, value in fine.items():
+            assert value <= max(coarse[key] / 100.0, ROUNDOFF_FLOOR), (key, worst)

@@ -4,9 +4,10 @@ oracles: a DOP853 loop over dealiased euler_rhs with scipy's tableau, a
 plain RK4 loop over the dealiased generator, and the energy/helicity
 functionals evaluated on the grid.  Euler's workspace against a DOP853
 loop of fresh arrays written here, bit for bit.  The box transforms, the
-Leray multiplier and ``dealias`` against full-layout counterparts masked by
-a 2/3 rule built here from np.fft.fftfreq; curl, grad and the Parseval mean
-against spectral derivatives and grid means."""
+Leray multiplier and ``dealias`` against np.fft.rfftn/irfftn and a
+full-layout Leray projection written out here, masked by boxes built here
+from np.fft.fftfreq; curl, grad and the Parseval mean against spectral
+derivatives and grid means."""
 
 import math
 import tracemalloc
@@ -62,12 +63,35 @@ def _rel(a, b):
     return float(np.abs(a - b).max() / np.abs(b).max())
 
 
-def _mask(g):
-    """The 2/3 rule on the full rfftn layout: max |k_i| <= n//3."""
-    k = np.abs(np.fft.fftfreq(g.n, d=1.0 / g.n))
-    kz = np.arange(g.n // 2 + 1)
-    kmax = np.maximum(np.maximum(k[:, None, None], k[None, :, None]), kz[None, None, :])
-    return kmax <= g.n // 3
+def _rfftn(data):
+    return np.fft.rfftn(data, axes=(-3, -2, -1))
+
+
+def _irfftn(spec, n):
+    return np.fft.irfftn(spec, s=(n, n, n), axes=(-3, -2, -1))
+
+
+def _full_k(n):
+    """Integer wavenumbers (kx, ky, kz) shaped to broadcast on the full rfftn layout."""
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    return k[:, None, None], k[None, :, None], np.arange(n // 2 + 1.0)[None, None, :]
+
+
+def _mask(n, keep=None):
+    """A box on the full rfftn layout: max |k_i| <= keep, by default the 2/3
+    rule's n//3."""
+    kx, ky, kz = (np.abs(k) for k in _full_k(n))
+    return np.maximum(np.maximum(kx, ky), kz) <= (n // 3 if keep is None else keep)
+
+
+def _full_leray(spec, n):
+    """The Leray projection on the full rfftn layout, s - k (k . s) / |k|^2,
+    with the mean kept."""
+    kx, ky, kz = _full_k(n)
+    k2 = kx ** 2 + ky ** 2 + kz ** 2
+    k2[0, 0, 0] = np.inf
+    dot = kx * spec[0] + ky * spec[1] + kz * spec[2]
+    return np.stack([spec[i] - (k / k2) * dot for i, k in enumerate((kx, ky, kz))])
 
 
 @pytest.fixture()
@@ -173,8 +197,8 @@ def _unbuffered_euler(alpha, dt, t_final):
     g, box = alpha.grid, alpha.grid.box
 
     def rhs(s):
-        return f3.rfft3_box(_old_cross(f3.irfft3_box(_old_leray(s, box), g),
-                                       f3.irfft3_box(_old_curl(s, box), g)), g)
+        return f3.rfft3_box(_old_cross(f3.irfft3_box(_old_leray(s, box), box),
+                                       f3.irfft3_box(_old_curl(s, box), box)), box)
 
     def sample(t, a):
         times.append(t)
@@ -182,13 +206,13 @@ def _unbuffered_euler(alpha, dt, t_final):
         helicities.append(f3.mean_dot_r(a, _old_curl(a, box), box))
 
     times, energies, helicities = [], [], []
-    a, t = f3.rfft3_box(alpha.data, g), 0.0
+    a, t = f3.rfft3_box(alpha.data, box), 0.0
     sample(t, a)
     for _ in range(int(np.ceil(t_final / dt - 1e-12))):
         h = min(dt, t_final - t)
         a, t = _dop853_step(rhs, a, h), t + h
         sample(t, a)
-    return f3.irfft3_box(a, g), (times, energies, helicities)
+    return f3.irfft3_box(a, box), (times, energies, helicities)
 
 
 @pytest.mark.parametrize("n", (16, 32))
@@ -200,7 +224,7 @@ class TestEulerWorkspace:
     def test_warmed_rhs_allocates_only_its_result(self, n, rng):
         g = f3.Grid(n)
         m = g.box.keep
-        s = f3.rfft3_box(f3.random_form1(g, 4, rng).data, g)
+        s = f3.rfft3_box(f3.random_form1(g, 4, rng).data, g.box)
         assert s.nbytes == 3 * (2 * m + 1) ** 2 * (m + 1) * 16
         work = {}
         first = fluid._rhs(s, g, work)
@@ -211,7 +235,7 @@ class TestEulerWorkspace:
         # the box multipliers are box-shaped and complex, so no multiply
         # buffers a copy of an operand: less than one box scalar
         g = f3.Grid(n)
-        a = f3.rfft3_box(f3.random_form1(g, 4, rng).data, g)
+        a = f3.rfft3_box(f3.random_form1(g, 4, rng).data, g.box)
         work = {}
 
         def rhs(s, out):
@@ -272,9 +296,9 @@ class TestTransportSpectralState:
         expect = _rk4_physical(rhs, alpha.data, 5e-4, 40)
         out = f3.transport(alpha, u, 0.02, 0.02)
         assert _rel(out.data, expect) <= 1e-10
-        high = ~_mask(g)
-        spec = f3.rfft3(alpha.data)
-        assert _rel(f3.rfft3(out.data)[:, high], spec[:, high]) <= 1e-12
+        high = ~_mask(g.n)
+        spec = _rfftn(alpha.data)
+        assert _rel(_rfftn(out.data)[:, high], spec[:, high]) <= 1e-12
 
     def test_zero_time_is_identity(self, grid32, alpha, rng):
         u = f3.random_divfree_field(grid32, 3, rng, rms=0.3)
@@ -300,9 +324,9 @@ def test_shared_step_rule(evolve, grid16, rng):
 
 
 def _box_values(rng, g, lead=(3,)):
-    """Box coefficients of full-band noise and the grid values they stand for."""
-    box = f3.rfft3_box(rng.standard_normal(lead + g.shape), g)
-    return box, f3.irfft3_box(box, g)
+    """2/3-box coefficients of full-band noise and the grid values they stand for."""
+    coefs = f3.rfft3_box(rng.standard_normal(lead + g.shape), g.box)
+    return coefs, f3.irfft3_box(coefs, g.box)
 
 
 def _grid_mean_dot(x, y):
@@ -314,19 +338,22 @@ class TestSpectralMultipliers:
         # against spectral_derivative of the box's grid values
         g = grid32
         spec, values = _box_values(rng, g)
-        curl = f3.irfft3_box(f3.curl_r(spec, g.box), g)
+        curl = f3.irfft3_box(f3.curl_r(spec, g.box), g.box)
         assert _rel(curl, f3.d(f3.Form1(g, values)).data) <= 1e-13
         spec, values = _box_values(rng, g, ())
-        grad = f3.irfft3_box(f3.grad_r(spec, g.box), g)
+        grad = f3.irfft3_box(f3.grad_r(spec, g.box), g.box)
         assert _rel(grad, f3.d(f3.Form0(g, values)).data) <= 1e-13
 
     def test_leray_is_divergence_free_projection(self, grid32, rng):
-        v = f3.random_vector_field(grid32, 5, rng) + f3.constant_field(grid32, 0.7, -0.2, 0.1)
-        p = f3.leray_project(v)
-        assert f3.divergence(p).linf() <= 1e-11 * v.linf()
-        assert (f3.leray_project(p) - p).linf() <= 1e-13 * v.linf()
-        np.testing.assert_allclose(p.data.mean(axis=(1, 2, 3)), v.data.mean(axis=(1, 2, 3)),
-                                   atol=1e-14)
+        # band-limited, then full-band noise with its Nyquist planes populated
+        mean = f3.constant_field(grid32, 0.7, -0.2, 0.1)
+        for v in (f3.random_vector_field(grid32, 5, rng) + mean,
+                  f3.VectorField(grid32, rng.standard_normal((3,) + grid32.shape)) + mean):
+            p = f3.leray_project(v)
+            assert f3.divergence(p).linf() <= 1e-11 * v.linf()
+            assert (f3.leray_project(p) - p).linf() <= 1e-13 * v.linf()
+            np.testing.assert_allclose(p.data.mean(axis=(1, 2, 3)),
+                                       v.data.mean(axis=(1, 2, 3)), atol=1e-14)
 
     def test_mean_dot_is_grid_mean(self, grid32, rng):
         (a, x), (b, y) = _box_values(rng, grid32), _box_values(rng, grid32)
@@ -337,47 +364,59 @@ class TestSpectralMultipliers:
 BOX_N = (4, 6, 8, 10, 32, 34)
 
 
-def _restrict(full, g):
-    """The 2/3-rule box's entries of a full rfftn-layout stack."""
-    i = g.box.index
-    return full[..., i[:, None], i, :g.box.keep + 1]
+def _restrict(full, box):
+    """The box's entries of a full rfftn-layout stack."""
+    i = box.index
+    return full[..., i[:, None], i, :box.keep + 1]
 
 
-def _zero_fill(box, g):
-    full = np.zeros(box.shape[:-3] + (g.n, g.n, g.n // 2 + 1), complex)
-    i = g.box.index
-    full[..., i[:, None], i, :g.box.keep + 1] = box
+def _zero_fill(coefs, box):
+    n = box.n
+    full = np.zeros(coefs.shape[:-3] + (n, n, n // 2 + 1), complex)
+    i = box.index
+    full[..., i[:, None], i, :box.keep + 1] = coefs
     return full
+
+
+def _keeps(n):
+    """Cutoffs to test a box at: the 2/3 rule's, the Nyquist-free one and 1."""
+    return sorted({n // 3, n // 2 - 1, 1})
 
 
 @pytest.mark.parametrize("n", BOX_N)
 class TestBox:
     """The dense box transforms agree with rfftn/irfftn to a few ulps of the
-    largest coefficient, and the box Leray multiplier is the full one
-    restricted, bit for bit; curl, grad and the Parseval mean have
-    grid-space oracles."""
+    largest coefficient, and the box Leray multiplier is the full-layout
+    projection restricted, bit for bit; curl, grad and the Parseval mean
+    have grid-space oracles."""
 
     def test_layout(self, n):
         g = f3.Grid(n)
         m = n // 3
+        assert g.box is f3.Box.of(n, m) is f3.Grid(n).box
         assert g.box.shape == (2 * m + 1, 2 * m + 1, m + 1)
         kx, ky, kz = g.box.k_r
         assert np.array_equal(kx.ravel(), np.r_[0:m + 1, -m:0])
         assert np.array_equal(ky.ravel(), kx.ravel())
         assert np.array_equal(kz.ravel(), np.arange(m + 1))
-        mask = _mask(g)
-        assert np.array_equal(_zero_fill(np.ones((3, *g.box.shape)), g) != 0,
+        mask = _mask(n)
+        assert np.array_equal(_zero_fill(np.ones((3, *g.box.shape)), g.box) != 0,
                               np.broadcast_to(mask, (3, *mask.shape)))
+        for keep in (-1, n // 2, n):  # 0 <= keep < n/2
+            with pytest.raises(InvalidParameterError):
+                f3.Box(n, keep)
 
     def test_transforms_match_full_layout(self, n, rng):
-        g = f3.Grid(n)
-        work = {}
-        for lead in ((3,), (3,), ()):  # reused buffers, then a new shape
-            data = rng.standard_normal(lead + g.shape)
-            box = f3.rfft3_box(data, g, work)
-            assert _ulp_close(_zero_fill(box, g), f3.rfft3(data) * _mask(g))
-            assert _ulp_close(f3.irfft3_box(box, g, work), f3.irfft3(_zero_fill(box, g), g))
-        assert np.array_equal(f3.rfft3_box(data, g), box)
+        for keep in _keeps(n):
+            box = f3.Box(n, keep)
+            work = {}
+            for lead in ((3,), (3,), ()):  # reused buffers, then a new shape
+                data = rng.standard_normal(lead + (n, n, n))
+                coefs = f3.rfft3_box(data, box, work)
+                assert _ulp_close(_zero_fill(coefs, box), _rfftn(data) * _mask(n, keep))
+                assert _ulp_close(f3.irfft3_box(coefs, box, work),
+                                  _irfftn(_zero_fill(coefs, box), n))
+            assert np.array_equal(f3.rfft3_box(data, box), coefs)
 
     def test_shared_work_keeps_its_buffers(self, n, rng):
         # scalar and 3-stack transforms through one work dict, as in transport's
@@ -386,30 +425,33 @@ class TestBox:
         work = {}
         fields = (rng.standard_normal((3,) + g.shape), rng.standard_normal(g.shape))
         for data in fields:
-            f3.irfft3_box(f3.rfft3_box(data, g, work), g, work)
+            f3.irfft3_box(f3.rfft3_box(data, g.box, work), g.box, work)
         first = dict(work)
         for data in fields + fields:
-            box = f3.rfft3_box(data, g, work)
-            assert np.array_equal(box, f3.rfft3_box(data, g))
-            assert np.array_equal(f3.irfft3_box(box, g, work), f3.irfft3_box(box, g))
+            coefs = f3.rfft3_box(data, g.box, work)
+            assert np.array_equal(coefs, f3.rfft3_box(data, g.box))
+            assert np.array_equal(f3.irfft3_box(coefs, g.box, work),
+                                  f3.irfft3_box(coefs, g.box))
         assert work.keys() == first.keys()
         assert all(work[key] is buf for key, buf in first.items())
 
     def test_multipliers_match_full_layout(self, n, rng):
         g = f3.Grid(n)
         (a, a_values), (b, b_values) = _box_values(rng, g), _box_values(rng, g)
-        assert np.array_equal(f3.leray_r(a, g.box),
-                              _restrict(f3.leray_r(_zero_fill(a, g), g), g))
+        for box in (g.box, f3.Box.of(n, n // 2 - 1)):
+            s = f3.rfft3_box(a_values, box)
+            assert np.array_equal(f3.leray_r(s, box),
+                                  _restrict(_full_leray(_zero_fill(s, box), n), box))
         # curl and grad against spectral_derivative of the grid values
         curl = f3.curl_r(a, g.box)
-        assert _rel(f3.irfft3_box(curl, g), f3.d(f3.Form1(g, a_values)).data) <= 1e-13
+        assert _rel(f3.irfft3_box(curl, g.box), f3.d(f3.Form1(g, a_values)).data) <= 1e-13
         f, f_values = _box_values(rng, g, ())
-        assert _rel(f3.irfft3_box(f3.grad_r(f, g.box), g),
+        assert _rel(f3.irfft3_box(f3.grad_r(f, g.box), g.box),
                     f3.d(f3.Form0(g, f_values)).data) <= 1e-13
         # the Parseval mean against the grid mean, relative to |x| |y|, the
         # scale of a dot product's roundoff (x . y may cancel)
         for x, y in ((a, b), (a, f3.leray_r(a, g.box)), (a, curl)):
-            xv, yv = f3.irfft3_box(x, g), f3.irfft3_box(y, g)
+            xv, yv = f3.irfft3_box(x, g.box), f3.irfft3_box(y, g.box)
             scale = np.sqrt(_grid_mean_dot(xv, xv) * _grid_mean_dot(yv, yv))
             got = f3.mean_dot_r(x, y, g.box)
             assert abs(got - _grid_mean_dot(xv, yv)) <= 1e-15 * scale
@@ -427,4 +469,21 @@ def test_dealias_is_the_masked_full_layout_filter(n, rng):
     g = f3.Grid(n)
     for lead in ((), (3,)):
         data = rng.standard_normal(lead + g.shape)
-        assert _ulp_close(f3.dealias(data, g), f3.irfft3(f3.rfft3(data) * _mask(g), g))
+        assert _ulp_close(f3.dealias(data, g), _irfftn(_rfftn(data) * _mask(n), n))
+
+
+def test_evolution_paths_use_no_fft(monkeypatch, grid16, rng):
+    # one spectral layout: Leray, the random fields, dealiasing and both
+    # evolutions run on box transforms, never on numpy.fft's
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.fft transform called")
+
+    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    g = grid16
+    alpha = f3.random_form1(g, 3, rng, rms=0.3)
+    u = f3.random_divfree_field(g, 2, rng, rms=0.3)
+    f3.leray_project(f3.sharp(alpha))
+    f3.dealias(alpha.data, g)
+    euler_evolve(FluidState(alpha), dt=DT, t_final=DT)
+    f3.transport(alpha, u, DT, DT)

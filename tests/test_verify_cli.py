@@ -332,6 +332,22 @@ class TestExitPaths:
         assert capsys.readouterr().err == (
             "error: CASIMIR_LAB_SEED must be an integer, got 'abc'\n")
 
+    @pytest.mark.parametrize("flags, keys, message", [
+        (["--t-final", "0.0015"], {"t_final": 0.0015},
+         "error: 't_final' must be a whole number of rk4 steps of dt = 0.001, got 0.0015\n"),
+        (["--method", "rk45", "--t-final", "1", "--stride", "1000"],
+         {"method": "rk45", "t_final": 1, "stride": 1000},
+         "error: 'stride' must be 1 with method 'rk45', which records every accepted "
+         "step, got 1000\n"),
+    ], ids=["partial-rk4-step", "rk45-stride"])
+    def test_rattleback_scenario_rules_exit_2(self, tmp_path, capsys, flags, keys, message):
+        argv = ["rattleback", "simulate", "--h", "-2", "--ic", "0.1,0.2,1", *flags]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", message)
+        doc = {"kind": "rattleback", "h": -2, "ic": [0.1, 0.2, 1.0], **keys}
+        assert _run_file(tmp_path, doc) == 2
+        assert capsys.readouterr() == ("", message)
+
     def test_failing_check_exit_1(self, tmp_path, capsys):
         doc = {"kind": "verify-all", "suite": "rattleback",
                "tolerances": {"rattleback-jacobi-identity": -1}}
