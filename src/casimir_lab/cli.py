@@ -33,7 +33,8 @@ from . import fieldexpr
 from . import foliation as fol
 from . import forms3 as f3
 from . import rattleback as rb
-from .errors import BlowUpError, CasimirLabError, ConfigError, FormatError, ParseError
+from .errors import (BlowUpError, CasimirLabError, ConfigError, EvalError, FormatError,
+                     ParseError)
 from .fluid import EULER_DT, FluidState, euler_evolve, helicity
 from .verify import DEFAULT_SEED, SUITES, SuiteConfig, run_suite
 
@@ -177,7 +178,10 @@ def _parse_expr(text: str, what: str):
 
 
 def _eval_expr_field(text: str, grid: f3.Grid, what: str) -> f3.Form0:
-    form = fieldexpr.eval_on_grid(_parse_expr(text, what), grid)
+    try:
+        form = fieldexpr.eval_on_grid(_parse_expr(text, what), grid)
+    except EvalError as exc:
+        raise ConfigError(f"cannot evaluate {what} {text!r}: {exc}") from None
     tail = f3.spectral_tail_fraction(form.data, grid)
     if tail > TAIL_WARN_FRACTION:
         print(f"warning: {what} {text!r} has a spectral tail fraction "

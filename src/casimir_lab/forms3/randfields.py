@@ -1,39 +1,25 @@
-"""Seeded band-limited random fields for property suites and tests."""
+"""Seeded band-limited random fields for property suites and tests.
+
+A field of bandwidth b draws a complex standard normal coefficient c_k for
+each mode with max |k_i| <= b, in C order over the fft-ordered cube, sets
+c_0 = 0, and is Re(sum_k c_k e^{2 pi i k.x}) scaled to grid rms ``rms``.
+b is clamped to n/2 - 1, so no Nyquist mode is drawn.  The sum is the
+inverse transform on ``Box.of(n, b)`` of the Hermitian part
+(c_k + conj(c_-k))/2 on kz >= 0; a stack of fields is one transform.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .forms import Form0, Form1, VectorField, form_of_rank
-from .calculus import _leray_on
-from .grid import Box, Grid, _unit_roots
+from .grid import Box, Grid, irfft3_box, leray_r
 
 
 def random_scalar_array(grid: Grid, bandwidth: int, rng: np.random.Generator,
                         rms: float = 1.0) -> np.ndarray:
-    """Real zero-mean scalar grid supported on modes with max |k| <= bandwidth.
-
-    Each kept mode gets a complex standard normal coefficient, drawn in C
-    order over the fft-ordered cube, and the field is the real part of their
-    sum times n^-1.5.  The sum is three dense matrix products against the
-    kept columns of exp(2 pi i x k / n), one per axis; for z only the real
-    part is formed.
-    """
-    n = grid.n
-    idx = np.flatnonzero(np.abs(grid.k_full) <= bandwidth)
-    b = idx.size
-    m = b ** 3
-    c = (rng.standard_normal(m) + 1j * rng.standard_normal(m)).reshape(b, b, b)
-    c[0, 0, 0] = 0.0
-    e = _unit_roots(n)[np.outer(np.arange(n), idx) % n]
-    c = (e @ c.reshape(b, b * b)).reshape(n, b, b)
-    c = e @ c
-    f = c.real @ e.real.T - c.imag @ e.imag.T
-    f *= n ** -1.5
-    norm = float(np.sqrt(np.mean(f ** 2)))
-    if norm > 0:
-        f *= rms / norm
-    return f
+    """Real zero-mean scalar grid supported on modes with max |k| <= bandwidth."""
+    return _random_stack(grid, bandwidth, rng, rms, count=1)[0]
 
 
 def random_form0(grid: Grid, bandwidth: int, rng, rms: float = 1.0) -> Form0:
@@ -54,16 +40,43 @@ def random_vector_field(grid: Grid, bandwidth: int, rng, rms: float = 1.0) -> Ve
     return VectorField(grid, _random_stack(grid, bandwidth, rng, rms))
 
 
-def _random_stack(grid: Grid, bandwidth: int, rng, rms: float) -> np.ndarray:
-    """Three ``random_scalar_array`` draws, stacked as components."""
-    return np.stack([random_scalar_array(grid, bandwidth, rng, rms) for _ in range(3)])
+def _random_stack(grid: Grid, bandwidth: int, rng, rms: float, count: int = 3) -> np.ndarray:
+    """``count`` ``random_scalar_array`` draws, stacked as components: one transform."""
+    coefs, box = _draw(grid, bandwidth, rng, count)
+    return _at_rms(irfft3_box(coefs, box), rms)
 
 
 def random_divfree_field(grid: Grid, bandwidth: int, rng, rms: float = 1.0) -> VectorField:
-    """A random vector field's Leray projection on its bandwidth's box, at ``rms``."""
+    """A random vector field's Leray projection on its bandwidth's box, at ``rms``.
+
+    Each drawn component is brought to unit rms, projected, and the
+    projection brought to ``rms``, all on the coefficients; then one
+    inverse transform.
+    """
+    coefs, box = _draw(grid, bandwidth, rng, 3)
+    v = _at_rms([leray_r(_at_rms(coefs, 1.0, box), box)], rms, box)[0]
+    return VectorField(grid, irfft3_box(v, box))
+
+
+def _draw(grid: Grid, bandwidth: int, rng, count: int) -> tuple[np.ndarray, Box]:
+    """``count`` fields' Hermitian coefficients, shape (count,) + box.shape, and their box."""
     box = Box.of(grid.n, min(bandwidth, grid.n // 2 - 1))
-    v = _leray_on(random_vector_field(grid, bandwidth, rng, rms), box)
-    norm = float(np.sqrt(np.mean(np.sum(v.data ** 2, axis=0))))
-    if norm > 0:
-        v = VectorField(grid, v.data * (rms / norm))
-    return v
+    p = 2 * box.keep + 1
+    c = np.stack([rng.standard_normal(p ** 3) + 1j * rng.standard_normal(p ** 3)
+                  for _ in range(count)]).reshape(count, p, p, p)
+    c[:, 0, 0, 0] = 0.0
+    c_neg = np.roll(c[:, ::-1, ::-1, ::-1], 1, axis=(1, 2, 3))  # c_-k in fft order
+    return 0.5 * (c + c_neg.conj())[..., :box.keep + 1], box
+
+
+def _at_rms(fields, rms: float, box: Box | None = None):
+    """Each of ``fields`` (scaled in place) brought to root mean square ``rms``;
+    a zero field is left as it is.  The fields are grid values, or
+    coefficients on ``box``, whose grid mean square is their Parseval sum
+    (``parseval_weight`` includes the inverse transform's 1/n^3)."""
+    for f in fields:
+        ms = np.mean(f ** 2) if box is None else np.sum(np.abs(f) ** 2 @ box.parseval_weight)
+        norm = float(np.sqrt(ms))
+        if norm > 0:
+            f *= rms / norm
+    return fields

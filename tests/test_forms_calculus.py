@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -84,26 +86,61 @@ def _ifftn_random_scalar(grid, bandwidth, rng, rms=1.0):
     return f
 
 
+def _grid_random_divfree(grid, bandwidth, rng, rms=1.0):
+    """Three ifftn scalars, projected by the Leray multiplier s - k (k . s) / |k|^2
+    on the full rfftn layout (mean kept), then rescaled."""
+    n = grid.n
+    s = np.fft.rfftn([_ifftn_random_scalar(grid, bandwidth, rng) for _ in range(3)],
+                     axes=(1, 2, 3))
+    kf = grid.k_full
+    kx, ky, kz = kf[:, None, None], kf[None, :, None], np.arange(n // 2 + 1.0)[None, None, :]
+    k2 = kx ** 2 + ky ** 2 + kz ** 2
+    k2[0, 0, 0] = np.inf
+    dot = kx * s[0] + ky * s[1] + kz * s[2]
+    s = np.stack([s[i] - (k / k2) * dot for i, k in enumerate((kx, ky, kz))])
+    v = np.fft.irfftn(s, grid.shape, axes=(1, 2, 3))
+    norm = float(np.sqrt(np.mean(np.sum(v ** 2, axis=0))))
+    if norm > 0:
+        v *= rms / norm
+    return v
+
+
 class TestRandomFields:
     @pytest.mark.parametrize("n", [8, 16, 32])
     def test_matches_ifftn_reference(self, n):
         g = f3.Grid(n)
-        for bandwidth in (0, 1, 2, n // 4, n // 2):
-            got_rng, ref_rng = np.random.default_rng(n + bandwidth), np.random.default_rng(n + bandwidth)
-            got = f3.random_scalar_array(g, bandwidth, got_rng, rms=0.7)
-            ref = _ifftn_random_scalar(g, bandwidth, ref_rng, rms=0.7)
-            # same draws in the same order, summed in another order
+        draws = ((f3.random_scalar_array, _ifftn_random_scalar),
+                 (lambda *args: f3.random_divfree_field(*args).data, _grid_random_divfree))
+        for draw, reference in draws:
+            for bandwidth in (0, 1, 2, n // 4):
+                got_rng, ref_rng = (np.random.default_rng(n + bandwidth) for _ in range(2))
+                got = draw(g, bandwidth, got_rng, 0.7)
+                ref = reference(g, bandwidth, ref_rng, 0.7)
+                # same draws in the same order, summed in another order
+                assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+                assert np.abs(got - ref).max() <= 8 * np.finfo(float).eps * np.abs(ref).max()
+            # no Nyquist mode is drawn: bandwidth n/2 is clamped to n/2 - 1
+            got_rng, ref_rng = (np.random.default_rng(n) for _ in range(2))
+            assert np.array_equal(draw(g, n // 2, got_rng, 0.7), draw(g, n // 2 - 1, ref_rng, 0.7))
             assert got_rng.bit_generator.state == ref_rng.bit_generator.state
-            assert np.abs(got - ref).max() <= 8 * np.finfo(float).eps * np.abs(ref).max()
 
     def test_makes_no_fft_call(self, grid16, rng, monkeypatch):
+        # each draw is one inverse box transform: no numpy.fft call, no forward transform
         def refuse(*args, **kwargs):
-            raise AssertionError("numpy.fft called")
+            raise AssertionError("numpy.fft or forward box transform called")
 
         for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
             monkeypatch.setattr(np.fft, name, refuse)
+        for module in [m for name, m in sys.modules.items() if name.startswith("casimir_lab")]:
+            if hasattr(module, "rfft3_box"):
+                monkeypatch.setattr(module, "rfft3_box", refuse)
         for bandwidth in (1, 4, 8):
             f3.random_scalar_array(grid16, bandwidth, rng)
+            f3.random_form1(grid16, bandwidth, rng)
+            f3.random_vector_field(grid16, bandwidth, rng)
+            f3.random_divfree_field(grid16, bandwidth, rng)
+            for rank in range(4):
+                f3.random_form(grid16, rank, bandwidth, rng)
 
 
 class TestExteriorDerivative:

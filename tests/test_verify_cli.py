@@ -303,8 +303,12 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_console_script_entrypoint(self):
+        # the child imports the casimir_lab under test, installed or not
+        src = str(Path(casimir_lab.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = subprocess.run([sys.executable, "-m", "casimir_lab.cli", "--version"],
-                             capture_output=True, text=True)
+                             capture_output=True, text=True, env=env)
         assert out.returncode == 0
 
 
@@ -347,6 +351,19 @@ class TestExitPaths:
         doc = {"kind": "rattleback", "h": -2, "ic": [0.1, 0.2, 1.0], **keys}
         assert _run_file(tmp_path, doc) == 2
         assert capsys.readouterr() == ("", message)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fluid", "helicity", "--field", "1/x,0,0"],
+         "error: cannot evaluate field component '1/x': "),
+        (["fluid", "gv", "--profile", "1/(z-z)"], "error: cannot evaluate profile '1/(z-z)': "),
+        (["fluid", "gv", "--profile", "0.1*sin(2*pi*z)", "--scale", "1/(y-y)"],
+         "error: cannot evaluate scale '1/(y-y)': "),
+    ], ids=["field", "profile", "scale"])
+    def test_non_finite_expression_exit_2(self, capsys, argv, message):
+        assert cli.main(argv + ["--grid", "8"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(message) and err.count("\n") == 1
+        assert err.endswith("expression evaluated to a non-finite value (node (0, 0, 0))\n")
 
     def test_failing_check_exit_1(self, tmp_path, capsys):
         doc = {"kind": "verify-all", "suite": "rattleback",
