@@ -170,18 +170,16 @@ def _seed_override(seed):
         raise ConfigError(f"CASIMIR_LAB_SEED must be an integer, got {env!r}") from None
 
 
-def _parse_expr(text: str, what: str):
-    try:
-        return fieldexpr.parse(text)
-    except ParseError as exc:
-        raise ConfigError(f"cannot parse {what} {text!r}: {exc}") from None
+def _expr_error(what: str, text: str, exc: ParseError | EvalError) -> ConfigError:
+    verb = "parse" if isinstance(exc, ParseError) else "evaluate"
+    return ConfigError(f"cannot {verb} {what} {text!r}: {exc}")
 
 
 def _eval_expr_field(text: str, grid: f3.Grid, what: str) -> f3.Form0:
     try:
-        form = fieldexpr.eval_on_grid(_parse_expr(text, what), grid)
-    except EvalError as exc:
-        raise ConfigError(f"cannot evaluate {what} {text!r}: {exc}") from None
+        form = fieldexpr.eval_on_grid(text, grid)
+    except (ParseError, EvalError) as exc:
+        raise _expr_error(what, text, exc) from None
     tail = f3.spectral_tail_fraction(form.data, grid)
     if tail > TAIL_WARN_FRACTION:
         print(f"warning: {what} {text!r} has a spectral tail fraction "
@@ -273,8 +271,11 @@ def _run_fluid_euler(sc: Scenario) -> dict:
 
 def _run_foliation_gv(sc: Scenario) -> dict:
     text = sc.profile
-    _parse_expr(text, "profile")
-    if {"x", "y"} & {v for kind, v, _ in fieldexpr.tokenize(text) if kind == "ident"}:
+    try:
+        tokens = fieldexpr.tokenize(text)
+    except ParseError as exc:
+        raise _expr_error("profile", text, exc) from None
+    if {"x", "y"} & {v for kind, v, _ in tokens if kind == "ident"}:
         raise ConfigError("profile must be an expression in z only (graph preset)")
     grid = f3.Grid(sc.grid)
     profile = _eval_expr_field(text, grid, "profile")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InconsistencyError, PreconditionError
-from .fluid import helicity, pairing
+from .fluid import helicity, lie_poisson_bracket
 from .forms3 import (
     Form0,
     Form1,
@@ -37,7 +37,6 @@ from .forms3 import (
     interior,
     scale_by,
     transport,
-    vf_bracket,
     wedge,
 )
 
@@ -52,7 +51,6 @@ __all__ = [
     "gv_variation",
     "xi_generator",
     "bracket_degeneracy_check",
-    "restricted_bracket",
     "gv_casimir_suite",
     "graph_foliation_form",
 ]
@@ -264,7 +262,7 @@ def _degeneracy_gate(state: FoliatedState, v: VectorField) -> tuple[dict, str | 
     alpha = state.alpha
     nu = Form2(state.grid, v.data)
     tangency = Form0(state.grid, np.sum(alpha.data * v.data, axis=0)).l2() / max(
-        alpha.l2() * v_l2(v), 1e-30)
+        alpha.l2() * v.l2(), 1e-30)
     dnu = d(nu)
     closure = (dnu - wedge(state.eta, nu)).l2() / max(
         dnu.l2(), state.eta.l2() * nu.l2(), 1e-30)
@@ -286,10 +284,6 @@ def xi_generator(state: FoliatedState, f: Form0) -> XiGenerator:
     return XiGenerator(v=v, residuals=res)
 
 
-def v_l2(v: VectorField) -> float:
-    return float(np.sqrt(np.mean(np.sum(v.data ** 2, axis=0))))
-
-
 def bracket_degeneracy_check(state: FoliatedState, a: VectorField, v: VectorField) -> float:
     """<alpha, [a, v]> for a leaf-tangent degeneracy representative a.
 
@@ -299,16 +293,7 @@ def bracket_degeneracy_check(state: FoliatedState, a: VectorField, v: VectorFiel
     _, failure = _degeneracy_gate(state, a)
     if failure:
         raise PreconditionError(failure)
-    return pairing(state.alpha, vf_bracket(a, v))
-
-
-def restricted_bracket(state: FoliatedState, u: VectorField, v: VectorField) -> float:
-    """<alpha, [u, v]> on functional-derivative representatives.
-
-    Antisymmetric in (u, v); invariant under shifting either argument by a
-    verified degeneracy field, which is what makes it well defined on cosets.
-    """
-    return pairing(state.alpha, vf_bracket(u, v))
+    return lie_poisson_bracket(state.alpha, a, v)
 
 
 def gv_casimir_suite(state: FoliatedState, fields: list[VectorField], t: float) -> dict:

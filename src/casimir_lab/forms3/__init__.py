@@ -27,7 +27,6 @@ from .forms import (
     vector_field,
     volume_form,
     zero_field,
-    zero_form,
 )
 from .calculus import (
     contraction_identity_residual,

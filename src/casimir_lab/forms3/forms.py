@@ -106,12 +106,6 @@ def form_of_rank(rank: int, grid: Grid, data) -> _GridObject:
     return cls(grid, data)
 
 
-def zero_form(grid: Grid, rank: int):
-    n_comp = FORM_CLASSES[rank].n_comp
-    shape = (n_comp,) + grid.shape if n_comp > 1 else grid.shape
-    return form_of_rank(rank, grid, np.zeros(shape))
-
-
 def zero_field(grid: Grid) -> VectorField:
     return VectorField(grid, np.zeros((3,) + grid.shape))
 

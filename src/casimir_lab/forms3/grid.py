@@ -29,10 +29,6 @@ class Grid:
     def shape(self) -> tuple[int, int, int]:
         return (self.n, self.n, self.n)
 
-    @property
-    def spacing(self) -> float:
-        return 1.0 / self.n
-
     @cached_property
     def axis_coords(self) -> np.ndarray:
         return np.arange(self.n) / self.n

@@ -1,4 +1,4 @@
-"""Serialization: the F3RM flat binary container, CSV grids, loop-curve CSV.
+"""Serialization: the F3RM flat binary container and loop-curve CSV.
 
 F3RM layout (little-endian):
     bytes 0..3   magic "F3RM"
@@ -65,21 +65,6 @@ def load(path):
         raise FormatError(f"rank {rank_code} container must have "
                           f"{FORM_CLASSES[rank_code].n_comp} components")
     return form_of_rank(rank_code, grid, data if n_comp > 1 else data[0])
-
-
-def to_csv(path, obj) -> None:
-    """Plain-text dump for small grids: columns i, j, k, c0[, c1, c2]."""
-    data = obj.data if obj.data.ndim == 4 else obj.data[None, ...]
-    n_comp = data.shape[0]
-    n = obj.grid.n
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "k"] + [f"c{c}" for c in range(n_comp)])
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    writer.writerow([i, j, k] + [repr(float(data[c, i, j, k]))
-                                                 for c in range(n_comp)])
 
 
 def read_loop_csv(path) -> np.ndarray:

@@ -14,7 +14,6 @@ class TestGrid:
                 f3.Grid(n)
 
     def test_spacing_and_coords(self, grid32):
-        assert grid32.spacing == 1.0 / 32
         assert grid32.axis_coords[1] == 1.0 / 32
 
     def test_dealias_cutoff(self, grid32):
@@ -384,7 +383,7 @@ def test_form_shape_validation(grid16):
 
 
 def test_mixed_grid_arithmetic_rejected(grid32, grid16):
-    a = f3.zero_form(grid32, 1)
-    b = f3.zero_form(grid16, 1)
+    a = f3.Form1(grid32, np.zeros((3,) + grid32.shape))
+    b = f3.Form1(grid16, np.zeros((3,) + grid16.shape))
     with pytest.raises(InvalidParameterError):
         a + b

@@ -61,18 +61,6 @@ def test_truncated_body(tmp_path, grid16, rng):
         io.load(path)
 
 
-def test_csv_dump(tmp_path, rng):
-    g = f3.Grid(4)
-    a = f3.random_form1(g, 1, rng)
-    path = tmp_path / "small.csv"
-    io.to_csv(path, a)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "i,j,k,c0,c1,c2"
-    assert len(lines) == 1 + 4 ** 3
-    i, j, k, c0, c1, c2 = lines[1].split(",")
-    assert float(c0) == a.data[0, int(i), int(j), int(k)]
-
-
 def test_loop_csv_roundtrip(tmp_path):
     pts = f3.circle_loop(0, (0.0, 0.25, 0.75), m=32)
     t = np.arange(33) / 32

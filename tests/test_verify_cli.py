@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import casimir_lab
 from casimir_lab import cli, fieldexpr, fluid, verify
 from casimir_lab import forms3 as f3
-from casimir_lab.errors import ConfigError, ParseError
+from casimir_lab.errors import ConfigError, EvalError, InconsistencyError, ParseError
 from casimir_lab.verify import SuiteConfig, report_json, run_suite
 
 
@@ -69,6 +69,20 @@ class TestSuiteRunner:
         monkeypatch.setattr(verify, "euler_evolve", spy)
         run_suite("lie-poisson", SuiteConfig(grid_n=8))
         assert steps == [fluid.EULER_DT, fluid.EULER_DT]
+
+    def test_gate_failure_aborts_only_its_suite(self, monkeypatch):
+        def broken(cfg):
+            raise InconsistencyError("defining identity gamma_defining residual too large")
+
+        monkeypatch.setattr(verify, "SUITES", {"broken": broken,
+                                               "rattleback": verify.SUITES["rattleback"]})
+        report = run_suite("all", SuiteConfig())
+        assert report["checks"][0] == {
+            "check": "broken-aborted", "value": None, "tolerance": None, "pass": False,
+            "note": "defining identity gamma_defining residual too large"}
+        assert len(report["checks"]) > 1
+        assert all(c["check"].startswith("rattleback-") for c in report["checks"][1:])
+        assert report["failed_checks"] == ["broken-aborted"] and not report["passed"]
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):
@@ -233,6 +247,17 @@ class TestCli:
         assert code == 2
         assert "offset 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("profile, message", [
+        ("z@", "cannot parse profile 'z@': unexpected character '@' (offset 1)"),
+        ("z+", "cannot parse profile 'z+': unexpected end of input (offset 2)"),
+        ("x+", "profile must be an expression in z only (graph preset)"),
+    ], ids=["tokenizer", "parser", "names-x"])
+    def test_profile_read_before_evaluation(self, capsys, profile, message):
+        # identifiers are read off the tokens, so a profile that names x or y
+        # gets the z-only message before the parser sees it
+        assert cli.main(["fluid", "gv", "--grid", "8", f"--profile={profile}"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("n", ["7", "2", "258"])
     def test_bad_grid_flag_exit_2(self, capsys, n):
         assert cli.main(["fluid", "helicity", "--grid", n, "--field", "0,0,0"]) == 2
@@ -372,6 +397,16 @@ class TestExitPaths:
         out, err = capsys.readouterr()
         assert json.loads(out)["failed_checks"] == ["rattleback-jacobi-identity"]
         assert err == "failed checks: rattleback-jacobi-identity\n"
+
+    def test_gate_abort_still_writes_report(self, tmp_path, capsys):
+        # at n = 16 the godbillon-vey chain misses its gamma_defining gate
+        path = tmp_path / "report.json"
+        assert cli.main(["verify", "--suite", "godbillon-vey", "--grid", "16",
+                         "--report", str(path)]) == 1
+        (record,) = json.loads(path.read_text())["checks"]
+        assert record["check"] == "godbillon-vey-aborted" and not record["pass"]
+        assert record["value"] is None and "gamma_defining" in record["note"]
+        assert capsys.readouterr().err.endswith("failed checks: godbillon-vey-aborted\n")
 
     def test_blow_up_exit_1(self, capsys):
         argv = ["fluid", "evolve", "--field", "1e200*sin(2*pi*z),1e200*cos(2*pi*z),0",
@@ -552,9 +587,11 @@ def test_run_never_raises(tmp_path, capsys, doc):
 
 def _unparseable(text):
     try:
-        fieldexpr.parse(text)
+        fieldexpr.eval_on_grid(text, f3.Grid(4))
     except ParseError:
         return True
+    except EvalError:
+        pass
     return False
 
 
