@@ -96,10 +96,8 @@ def integrate3(form: Form3) -> float:
 
 
 def divergence(v: VectorField) -> Form0:
-    g = v.grid
-    return Form0(g, spectral_derivative(v.data[0], g, 0)
-                 + spectral_derivative(v.data[1], g, 1)
-                 + spectral_derivative(v.data[2], g, 2))
+    """div v: d of the 2-form with v's components, read as a 0-form."""
+    return Form0(v.grid, d(Form2(v.grid, v.data)).data)
 
 
 def sharp(alpha: Form1) -> VectorField:

@@ -39,11 +39,6 @@ class Grid:
         return tuple(np.meshgrid(x, x, x, indexing="ij"))
 
     @cached_property
-    def k_full(self) -> np.ndarray:
-        """Integer wavenumbers in fft order (0, 1, ..., n/2-1, -n/2, ..., -1)."""
-        return np.fft.fftfreq(self.n, d=1.0 / self.n)
-
-    @cached_property
     def diff_matrix(self) -> np.ndarray:
         """d/dx along one axis as a dense (n, n) matrix on the grid values.
 
@@ -111,7 +106,7 @@ class Box:
 
     @cached_property
     def k_r(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        k = np.fft.fftfreq(self.n, d=1.0 / self.n)[self.index]
+        k = np.r_[0:self.keep + 1, -self.keep:0].astype(float)
         kz = np.arange(self.keep + 1, dtype=float)
         return (k[:, None, None], k[None, :, None], kz[None, None, :])
 
@@ -361,15 +356,13 @@ def mean_dot_r(a: np.ndarray, b: np.ndarray, box: Box) -> float:
 def spectral_tail_fraction(data: np.ndarray, grid: Grid) -> float:
     """Fraction of spectral energy at or beyond wavenumber n/2 - 1.
 
-    Used to warn about non-periodic or under-resolved inputs.  Scaling by the
-    peak keeps the squared spectrum finite and nonzero at any amplitude.
+    Used to warn about non-periodic or under-resolved inputs.  By Parseval it
+    is the mean square of what a round trip through the box K = n/2 - 2 drops
+    over the data's.  Scaling by the peak keeps both finite and nonzero.
     """
     peak = np.abs(data).max()
     if peak == 0.0:
         return 0.0
-    spec = np.fft.fftn(data / peak, axes=(-3, -2, -1))
-    k = np.abs(grid.k_full)
-    kmax = np.maximum(np.maximum(k[:, None, None], k[None, :, None]), k[None, None, :])
-    total = float(np.sum(np.abs(spec) ** 2))
-    tail = float(np.sum(np.abs(spec) ** 2 * (kmax >= grid.n // 2 - 1)))
-    return tail / total
+    scaled, box, work = data / peak, Box.of(grid.n, grid.n // 2 - 2), {}
+    tail = scaled - irfft3_box(rfft3_box(scaled, box, work), box, work)
+    return float(np.mean(tail ** 2) / np.mean(scaled ** 2))

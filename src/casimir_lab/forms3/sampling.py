@@ -13,32 +13,37 @@ import numpy as np
 from .. import kernels
 from ..errors import PreconditionError
 from .forms import Form0, Form3
-from .grid import Grid
+from .grid import Box, rfft3_box
 
 # How far (mod 1) a curve's closing row may sit from its first row.
 CLOSURE_TOL = 1e-12
 
 
-def _eval_scalar(data: np.ndarray, grid: Grid, pts: np.ndarray) -> np.ndarray:
-    coef = np.ascontiguousarray(np.fft.fftn(data) / grid.n ** 3)
-    return kernels.trig_eval(coef, np.ascontiguousarray(grid.k_full), pts)
+def _eval_scalar(data: np.ndarray, box: Box, pts: np.ndarray) -> np.ndarray:
+    coef = rfft3_box(data - data.flat[0], box)  # a constant has zero coefficients
+    coef[..., 1:] *= 2.0                         # kz > 0 stands for its conjugate too
+    coef /= box.n ** 3
+    kxy, _, kz = box.k_r
+    return kernels.trig_eval(coef, kxy.ravel(), kz.ravel(), pts) + data.flat[0]
 
 
 def eval_at(obj, points):
     """Evaluate a form or field at arbitrary points of the torus.
 
-    points: one (x, y, z) triple or an (m, 3) array.  Values are exact for
-    band-limited data and reproduce grid values at the nodes.
+    points: one (x, y, z) triple or an (m, 3) array, all finite.  The
+    interpolant is ``leray_project``'s, on the Nyquist-free box K = n/2 - 1:
+    exact for band-limited data without Nyquist modes, it reproduces their
+    grid values at the nodes, and constants exactly.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[-1] != 3:
-        raise PreconditionError("points must be (x, y, z) triples")
+    if pts.shape[-1] != 3 or not np.all(np.isfinite(pts)):
+        raise PreconditionError("points must be finite (x, y, z) triples")
     pts = np.ascontiguousarray(np.mod(pts, 1.0))
-    grid = obj.grid
+    box = Box.of(obj.grid.n, obj.grid.n // 2 - 1)
     if isinstance(obj, (Form0, Form3)):
-        vals = _eval_scalar(obj.data, grid, pts)
+        vals = _eval_scalar(obj.data, box, pts)
     else:
-        vals = np.stack([_eval_scalar(c, grid, pts) for c in obj.data], axis=-1)
+        vals = np.stack([_eval_scalar(c, box, pts) for c in obj.data], axis=-1)
     if np.asarray(points).ndim == 1:
         return vals[0]
     return vals
@@ -51,8 +56,8 @@ def closed_curve(points: np.ndarray) -> np.ndarray:
     row repeating the start (mod 1 in each coordinate, to CLOSURE_TOL).
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 9:
-        raise PreconditionError("curve must be an (m+1, 3) array with m >= 8")
+    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 9 or not np.all(np.isfinite(pts)):
+        raise PreconditionError("curve must be an (m+1, 3) array of finite points with m >= 8")
     gap = pts[-1] - pts[0]
     gap -= np.round(gap)
     if np.abs(gap).max() > CLOSURE_TOL:

@@ -179,20 +179,20 @@ def rk45_loop(p, r, s, h, t_final, rtol, atol, max_steps):
 
 # ---------------------------------------------------------------------------
 # Trigonometric-interpolant evaluation at scattered points.
-# coef is the full (n, n, n) FFT coefficient array divided by n^3; kvec the
-# integer wavenumbers in fft order.  Evaluation is a separable contraction,
-# n^3 + n^2 + n complex multiply-adds per point.
+# coef is a real field's (2K+1, 2K+1, K+1) box half spectrum, weighted so the
+# real part of its phase sum is the interpolant; kxy holds the box's x (and y)
+# wavenumbers, kz = 0..K.  Evaluation is a separable contraction.
 # ---------------------------------------------------------------------------
 
-def trig_eval(coef, kvec, pts):
-    """Contract the coefficient cube against per-point phases, in chunks."""
+def trig_eval(coef, kxy, kz, pts):
+    """Contract the half spectrum against per-point phases, in chunks."""
     out = np.empty(pts.shape[0])
     chunk = 512
     for lo in range(0, pts.shape[0], chunk):
         hi = min(lo + chunk, pts.shape[0])
-        ex = np.exp(2j * np.pi * np.outer(pts[lo:hi, 0], kvec))
-        ey = np.exp(2j * np.pi * np.outer(pts[lo:hi, 1], kvec))
-        ez = np.exp(2j * np.pi * np.outer(pts[lo:hi, 2], kvec))
+        ex = np.exp(2j * np.pi * np.outer(pts[lo:hi, 0], kxy))
+        ey = np.exp(2j * np.pi * np.outer(pts[lo:hi, 1], kxy))
+        ez = np.exp(2j * np.pi * np.outer(pts[lo:hi, 2], kz))
         t1 = np.tensordot(ez, coef, axes=(1, 2))      # (m, i, j)
         t2 = np.einsum("mij,mj->mi", t1, ey)
         out[lo:hi] = np.einsum("mi,mi->m", t2, ex).real

@@ -196,17 +196,22 @@ def integrate(
 
     method="rk4" takes fixed steps of size dt and records every ``stride``-th
     step; method="rk45" is adaptive Dormand-Prince (dt is ignored) and records
-    every accepted step.  No conservation projection is applied: drift in H
-    and C is a genuine accuracy diagnostic.
+    every accepted step, so it takes no stride but 1.  No conservation
+    projection is applied: drift in H and C is a genuine accuracy diagnostic.
     """
     if not (dt > 0):
         raise InvalidParameterError("dt must be positive")
-    if not (t_final > 0):
-        raise InvalidParameterError("t_final must be positive")
+    if not (0 < t_final < math.inf):
+        raise InvalidParameterError("t_final must be positive and finite")
     if not math.isfinite(h):
         raise InvalidParameterError("h must be finite")
     if method not in ("rk4", "rk45"):
         raise InvalidParameterError(f"unknown method {method!r}")
+    if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
+        raise InvalidParameterError(f"stride must be an integer >= 1, got {stride!r}")
+    if method == "rk45" and stride != 1:
+        raise InvalidParameterError("stride must be 1 with method 'rk45', "
+                                    "which records every accepted step")
 
     if method == "rk4":
         n_steps = rk4_step_count(t_final, dt)

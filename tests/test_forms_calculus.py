@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from casimir_lab import forms3 as f3
-from casimir_lab.errors import InvalidParameterError, RankError
+from casimir_lab.errors import InvalidParameterError, PreconditionError, RankError
 
 
 class TestGrid:
@@ -72,7 +72,7 @@ def _ifftn_random_scalar(grid, bandwidth, rng, rms=1.0):
     """Band-limited random scalar through a full n^3 spectrum and ifftn."""
     n = grid.n
     spec = np.zeros((n, n, n), dtype=complex)
-    k = np.abs(grid.k_full)
+    k = np.abs(np.fft.fftfreq(n, 1 / n))
     mask = ((k[:, None, None] <= bandwidth) & (k[None, :, None] <= bandwidth)
             & (k[None, None, :] <= bandwidth))
     m = int(mask.sum())
@@ -91,7 +91,7 @@ def _grid_random_divfree(grid, bandwidth, rng, rms=1.0):
     n = grid.n
     s = np.fft.rfftn([_ifftn_random_scalar(grid, bandwidth, rng) for _ in range(3)],
                      axes=(1, 2, 3))
-    kf = grid.k_full
+    kf = np.fft.fftfreq(n, 1 / n)
     kx, ky, kz = kf[:, None, None], kf[None, :, None], np.arange(n // 2 + 1.0)[None, None, :]
     k2 = kx ** 2 + ky ** 2 + kz ** 2
     k2[0, 0, 0] = np.inf
@@ -328,6 +328,15 @@ class TestVorticity:
         a = f3.random_form1(grid32, 5, rng)
         assert f3.divergence(f3.vorticity_from(a)).linf() <= 1e-11
 
+    def test_divergence_is_d_of_the_flux_form(self, grid16, rng):
+        # the sum of the three partials, in that order, bit for bit
+        v = f3.random_vector_field(grid16, 5, rng)
+        div = f3.divergence(v)
+        assert isinstance(div, f3.Form0)
+        ref = sum(f3.spectral_derivative(v.data[i], grid16, i) for i in range(3))
+        assert np.array_equal(div.data, ref)
+        assert np.array_equal(div.data, f3.d(f3.Form2(grid16, v.data)).data)
+
 
 class TestLeray:
     def test_projects_gradients_away(self, grid32, rng):
@@ -345,9 +354,15 @@ class TestLeray:
 
 
 class TestEvalAt:
-    def test_constants(self, grid32):
-        c = f3.Form0(grid32, np.full(grid32.shape, 2.5))
-        assert f3.eval_at(c, (0.123, 0.456, 0.789)) == pytest.approx(2.5, abs=1e-13)
+    def test_constants(self, rng):
+        # exact: each component is evaluated relative to its first node
+        pts = rng.uniform(-2.0, 2.0, (9, 3))
+        for n in (4, 8, 32):
+            g = f3.Grid(n)
+            for c in (2.5, -1e-300, 7e300):
+                assert np.all(f3.eval_at(f3.Form0(g, np.full(g.shape, c)), pts) == c)
+            a = f3.flat(f3.constant_field(g, 1.0, -0.3, 1e-7))
+            assert np.all(f3.eval_at(a, pts) == np.array([1.0, -0.3, 1e-7]))
 
     def test_analytic_point(self, grid32):
         x, _, _ = grid32.meshes
@@ -361,6 +376,11 @@ class TestEvalAt:
         stored = np.array([f.data[int(32 * p[0]), int(32 * p[1]), int(32 * p[2])]
                            for p in pts])
         assert np.abs(vals - stored).max() <= 1e-13
+        # the widest draw, K = n/2 - 1, has no Nyquist mode for eval_at to drop
+        for n in (4, 8, 32):
+            f = f3.random_form0(f3.Grid(n), n // 2 - 1, rng)
+            idx = rng.integers(0, n, (min(n ** 3, 256), 3))
+            assert np.abs(f3.eval_at(f, idx / n) - f.data[tuple(idx.T)]).max() <= 1e-13
 
     def test_vector_output_shape(self, grid32, rng):
         a = f3.random_form1(grid32, 4, rng)
@@ -368,6 +388,16 @@ class TestEvalAt:
         assert out.shape == (7, 3)
         single = f3.eval_at(a, (0.0, 0.0, 0.0))
         assert single.shape == (3,)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_points(self, grid16, rng, bad):
+        f = f3.random_form0(grid16, 3, rng)
+        with pytest.raises(PreconditionError, match="finite"):
+            f3.eval_at(f, (bad, 0.0, 0.0))
+        pts = rng.random((5, 3))
+        pts[3, 1] = bad
+        with pytest.raises(PreconditionError, match="finite"):
+            f3.eval_at(f3.random_form1(grid16, 3, rng), pts)
 
 
 def test_form_shape_validation(grid16):

@@ -179,6 +179,22 @@ class TestIntegrate:
         with pytest.raises(InvalidParameterError):
             rb.integrate(xi, -2.0, dt=1e-3, t_final=1.0, method="euler")
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"stride": 0}, "stride must be an integer >= 1"),
+        ({"stride": -2}, "stride must be an integer >= 1"),
+        ({"stride": 2.0}, "stride must be an integer >= 1"),
+        ({"stride": True}, "stride must be an integer >= 1"),
+        ({"t_final": float("inf")}, "t_final must be positive and finite"),
+        ({"t_final": float("nan")}, "t_final must be positive and finite"),
+        ({"method": "rk45", "stride": 5}, "stride must be 1 with method 'rk45'"),
+    ])
+    def test_argument_contract(self, kwargs, match):
+        # each of these used to raise ZeroDivisionError, ValueError or
+        # OverflowError, or (rk45) silently drop the stride
+        args = {"dt": 1e-3, "t_final": 1.0, **kwargs}
+        with pytest.raises(InvalidParameterError, match=match):
+            rb.integrate(rb.RattlebackState(0.1, 0.2, 1.0), -2.0, **args)
+
     def test_blowup_reports_time(self):
         # h > 0 with large state doubles s self-amplification until overflow
         with pytest.raises(BlowUpError) as err:

@@ -472,14 +472,19 @@ def test_dealias_is_the_masked_full_layout_filter(n, rng):
         assert _ulp_close(f3.dealias(data, g), _irfftn(_rfftn(data) * _mask(n), n))
 
 
-def test_evolution_paths_use_no_fft(monkeypatch, grid16, rng):
-    # one spectral layout: Leray, the random fields, dealiasing and both
-    # evolutions run on box transforms, never on numpy.fft's
+def _refuse_fft(monkeypatch, names):
     def refuse(*args, **kwargs):
         raise AssertionError("numpy.fft transform called")
 
-    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+    for name in names:
         monkeypatch.setattr(np.fft, name, refuse)
+
+
+def test_evolution_paths_use_no_fft(monkeypatch, grid16, rng):
+    # one spectral layout: Leray, the random fields, dealiasing, both
+    # evolutions, point evaluation and the tail check run on box transforms,
+    # never on numpy.fft's
+    _refuse_fft(monkeypatch, ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"))
     g = grid16
     alpha = f3.random_form1(g, 3, rng, rms=0.3)
     u = f3.random_divfree_field(g, 2, rng, rms=0.3)
@@ -487,3 +492,18 @@ def test_evolution_paths_use_no_fft(monkeypatch, grid16, rng):
     f3.dealias(alpha.data, g)
     euler_evolve(FluidState(alpha), dt=DT, t_final=DT)
     f3.transport(alpha, u, DT, DT)
+    pts = rng.random((5, 3))
+    assert f3.eval_at(f3.Form0(g, alpha.data[0]), pts).shape == (5,)
+    assert f3.eval_at(alpha, pts).shape == (5, 3)
+    assert f3.spectral_tail_fraction(alpha.data, g) >= 0.0
+
+
+def test_loop_integral_uses_no_fftn(monkeypatch, grid16, rng):
+    # the curve velocity keeps its 1-D FFT (a curve has any length m); the
+    # integrand's point evaluation takes no n-dimensional transform
+    _refuse_fft(monkeypatch, ("fftn", "ifftn", "rfftn", "irfftn"))
+    dz = f3.coordinate_oneform(grid16, 2)
+    assert fluid.loop_integral(dz, f3.circle_loop(2, (0.3, 0.6, 0.0))) \
+        == pytest.approx(1.0, abs=1e-13)
+    alpha = f3.random_form1(grid16, 3, rng)
+    assert math.isfinite(fluid.loop_integral(alpha, f3.circle_loop(0, (0.0, 0.2, 0.5))))

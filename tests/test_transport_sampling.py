@@ -107,6 +107,15 @@ class TestCurves:
         with pytest.raises(PreconditionError, match="open curve"):
             f3.closed_curve(pts)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_curve_rejected(self, grid32, bad):
+        pts = f3.circle_loop(0, (0.0, 0.3, 0.8))
+        pts[17, 1] = bad
+        with pytest.raises(PreconditionError, match="finite"):
+            f3.closed_curve(pts)
+        with pytest.raises(PreconditionError, match="finite"):
+            loop_integral(f3.coordinate_oneform(grid32, 0), pts)
+
     def test_velocity_of_winding_circle(self):
         pts = f3.closed_curve(f3.circle_loop(2, (0.3, 0.6, 0.0), m=128))
         vel = f3.curve_velocity(pts)
@@ -149,6 +158,14 @@ class TestLoopIntegral:
         assert loop_integral(dy, pts) == pytest.approx(3.0, abs=1e-12)
 
 
+def _fftn_tail_fraction(data, n):
+    """The energy fraction of the fftn modes with max|k_i| >= n/2 - 1."""
+    spec = np.abs(np.fft.fftn(data / np.abs(data).max(), axes=(-3, -2, -1))) ** 2
+    k = np.abs(np.fft.fftfreq(n, 1 / n))
+    kmax = np.maximum(np.maximum(k[:, None, None], k[None, :, None]), k[None, None, :])
+    return float(np.sum(spec * (kmax >= n // 2 - 1)) / np.sum(spec))
+
+
 class TestDealias:
     def test_filter_removes_high_modes(self, grid32):
         x, _, _ = grid32.meshes
@@ -163,6 +180,16 @@ class TestDealias:
         assert f3.spectral_tail_fraction(clean, grid32) <= 1e-16
         ramp = grid32.meshes[0]  # sawtooth: slow spectral decay
         assert f3.spectral_tail_fraction(ramp, grid32) > 1e-8
+
+    @pytest.mark.parametrize("n", range(4, 34, 2))
+    def test_tail_fraction_matches_fftn_formula(self, n):
+        rng = np.random.default_rng(n)
+        g = f3.Grid(n)
+        smooth = f3.random_scalar_array(g, max(1, n // 4), rng)
+        for data in (rng.standard_normal(g.shape), rng.standard_normal((3,) + g.shape),
+                     smooth + 1e-3 * rng.standard_normal(g.shape)):
+            assert f3.spectral_tail_fraction(data, g) \
+                == pytest.approx(_fftn_tail_fraction(data, n), rel=1e-12, abs=1e-15)
 
     def test_tail_fraction_is_scale_free(self):
         # unscaled, 1e308 overflows the squared spectrum (nan) and 1e-170
