@@ -35,7 +35,7 @@ from . import forms3 as f3
 from . import rattleback as rb
 from .errors import (BlowUpError, CasimirLabError, ConfigError, EvalError, FormatError,
                      ParseError)
-from .fluid import EULER_DT, FluidState, euler_evolve, helicity
+from .fluid import EULER_DT, FluidState, euler_dt, euler_evolve, helicity
 from .verify import DEFAULT_SEED, SUITES, SuiteConfig, run_suite
 
 SCENARIO_KINDS = ("rattleback", "fluid-helicity", "fluid-euler", "foliation-gv",
@@ -81,8 +81,10 @@ class Scenario:
         self.ic = tuple(float(v) for v in self.ic)
         _require(_is_real(self.h), "h", "a finite number", self.h)
         self.h = float(self.h)
+        _require(_is_int(self.grid) and 4 <= self.grid <= MAX_GRID and self.grid % 2 == 0,
+                 "grid", f"an even integer from 4 to {MAX_GRID}", self.grid)
         if self.dt is None:
-            self.dt = EULER_DT if self.kind == "fluid-euler" else 1e-3
+            self.dt = euler_dt(f3.Grid(self.grid)) if self.kind == "fluid-euler" else 1e-3
         if self.t_final is None:
             self.t_final = {"rattleback": 100.0, "fluid-euler": 0.5}.get(self.kind, 1.0)
         for key in ("dt", "t_final"):
@@ -90,8 +92,6 @@ class Scenario:
             _require(_is_real(value) and value > 0, key, "a positive finite number", value)
             setattr(self, key, float(value))
         self.seed = _seed_override(self.seed)
-        _require(_is_int(self.grid) and 4 <= self.grid <= MAX_GRID and self.grid % 2 == 0,
-                 "grid", f"an even integer from 4 to {MAX_GRID}", self.grid)
         for key, low in (("stride", 1), ("seed", 0)):
             value = getattr(self, key)
             _require(_is_int(value) and value >= low, key, f"an integer >= {low}", value)
@@ -415,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_evo = scenario_parser(fl_sub, "evolve", "fluid-euler", "ideal Euler evolution")
     p_evo.add_argument("--field", required=True)
     p_evo.add_argument("--grid", type=int)
-    p_evo.add_argument("--dt", type=float, help=f"fixed step (default {EULER_DT:g})")
+    p_evo.add_argument("--dt", type=float,
+                       help=f"fixed step (default {EULER_DT:g} * min(1, 10 / (grid // 3)))")
     p_evo.add_argument("--t-final", type=float)
     p_evo.add_argument("--out", help="diagnostics CSV path")
     p_evo.add_argument("--dump-fields", help="write the final state container here")

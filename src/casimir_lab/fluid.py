@@ -51,6 +51,7 @@ __all__ = [
     "euler_rhs",
     "euler_evolve",
     "EULER_DT",
+    "euler_dt",
     "subalgebra_orthogonality",
     "loop_integral",
     "helicity_density_check",
@@ -164,10 +165,17 @@ DOP853_B = np.array([
 ])
 
 
-# The Euler step wherever none is given: the verify suite's evolutions and
-# the CLI's default.  Drift grows as about dt^8.7; at 2e-2 helicity and
-# energy drift about 3e-9, more than 150x inside the suite's 1e-6 bound.
+# The Euler step at n = 32, where its margin was measured: drift grows as
+# about dt^8.7; at 2e-2 helicity and energy drift about 3e-9, more than 150x
+# inside the suite's 1e-6 bound.
 EULER_DT = 2e-2
+
+
+def euler_dt(grid) -> float:
+    """The Euler step wherever none is given (the verify suite's evolutions
+    and the CLI's default): EULER_DT, shortened in proportion to the 2/3-rule
+    cutoff above n = 32's K = 10, so the fastest kept mode keeps its margin."""
+    return EULER_DT * min(1, 10 / grid.box.keep)
 
 
 @dataclass

@@ -45,7 +45,6 @@ __all__ = [
     "XiGenerator",
     "check_integrability",
     "gate_failure",
-    "chi_from",
     "godbillon_vey",
     "gauge_shift",
     "gv_variation",
@@ -57,7 +56,6 @@ __all__ = [
 
 INTEGRABILITY_TOL = 1e-9
 NONVANISH_FLOOR = 1e-6
-CHI_TOL = 1e-8
 DEGENERACY_TOL = 1e-9
 # A variation alpha_dot is tangent to the integrable stratum when alpha +
 # VARIATION_EPS * alpha_dot is integrable to VARIATION_TANGENCY_TOL.
@@ -149,18 +147,6 @@ def _solve_chi(alpha: Form1, da: Form2, eta: Form1, deta: Form2,
         "chi_closure": (dchi - wedge(eta, chi)).l2()
                        / max(dchi.l2(), eta.l2() * chi.l2(), 1e-30),
     }
-
-
-def chi_from(alpha: Form1, eta: Form1, gamma: Form1) -> Form2:
-    """chi = 2 (eta ^ gamma - d(gamma)); verifies alpha^chi = 0 and d(chi) = eta^chi."""
-    chi, res = _solve_chi(alpha, d(alpha), eta, d(eta), gamma)
-    r1, r2 = res["chi_tangency"], res["chi_closure"]
-    if not (r1 <= CHI_TOL and r2 <= CHI_TOL):  # a NaN fails
-        raise InconsistencyError(
-            f"chi identities failed: |alpha^chi| rel {r1:.3e}, "
-            f"|d(chi) - eta^chi| rel {r2:.3e} (tol {CHI_TOL:g})"
-        )
-    return chi
 
 
 @dataclass(frozen=True, eq=False)

@@ -223,20 +223,23 @@ def rfft3_box(data: np.ndarray, box: Box, work: dict | None = None,
     points to the 2K+1 (or K+1) wavenumbers the box keeps, so the result
     matches rfftn's to a few ulps of its largest coefficient, not bit for
     bit.  ``work`` keeps the pass buffers between calls, one per name and
-    shape (allocated on first use and shared with ``irfft3_box``).  The
-    result goes to ``out`` (C-contiguous), or to a new array.
+    shape (allocated on first use and shared with ``irfft3_box``); without
+    it each pass's input is released once read.  The result goes to ``out``
+    (C-contiguous), or to a new array.
     """
     n, (p, _, q) = box.n, box.shape
     lead = data.shape[:-3]
-    work = {} if work is None else work
     z = _buffer(work, "z", lead + (n, n, 2 * q), float)
     np.matmul(data.reshape(-1, n), box.forward_z, out=z.reshape(-1, 2 * q))
     x = _buffer(work, "x", lead + (p, n, q))
     np.matmul(box.forward, z.view(complex).reshape(-1, n, n * q), out=x.reshape(-1, p, n * q))
+    del z
     y_in = _buffer(work, "y", (n,) + lead + (p, q))
     np.copyto(y_in, _y_first(x))
+    del x
     y = _buffer(work, "y", (p,) + lead + (p, q))
     np.matmul(box.forward, y_in.reshape(n, -1), out=y.reshape(p, -1))
+    del y_in
     out = np.empty(lead + box.shape, complex) if out is None else out
     np.copyto(out, _y_back(y))
     return out
@@ -254,15 +257,17 @@ def irfft3_box(coefs: np.ndarray, box: Box, work: dict | None = None,
     """
     n, (p, _, q) = box.n, box.shape
     lead = coefs.shape[:-3]
-    work = {} if work is None else work
     y_in = _buffer(work, "y", (p,) + lead + (p, q))
     np.copyto(y_in, _y_first(coefs))
     y = _buffer(work, "y", (n,) + lead + (p, q))
     np.matmul(box.inverse, y_in.reshape(p, -1), out=y.reshape(n, -1))
+    del y_in
     x = _buffer(work, "x", lead + (p, n, q))
     np.copyto(x, _y_back(y))
+    del y
     z = _buffer(work, "z", lead + (n, n, 2 * q), float)
     np.matmul(box.inverse, x.reshape(-1, p, n * q), out=z.view(complex).reshape(-1, n, n * q))
+    del x
     out = np.empty(lead + (n, n, n)) if out is None else out
     np.matmul(z.reshape(-1, 2 * q), box.inverse_z, out=out.reshape(-1, n, copy=False))
     return out
@@ -299,9 +304,12 @@ def _cross(a, b: np.ndarray, out: np.ndarray | None = None,
     return out
 
 
-def _buffer(work: dict, key: str, shape: tuple, dtype=complex) -> np.ndarray:
+def _buffer(work: dict | None, key: str, shape: tuple, dtype=complex) -> np.ndarray:
     """work[key, shape], allocated zeroed on first use: scalar and 3-stack
-    transforms sharing one ``work`` keep their own buffers."""
+    transforms sharing one ``work`` keep their own buffers.  Without a
+    ``work`` dict, a fresh array."""
+    if work is None:
+        return np.empty(shape, dtype)
     buf = work.get((key, shape))
     if buf is None:
         buf = work[key, shape] = np.zeros(shape, dtype)

@@ -1,4 +1,4 @@
-"""Serialization: the F3RM flat binary container and loop-curve CSV.
+"""Serialization: the F3RM flat binary container.
 
 F3RM layout (little-endian):
     bytes 0..3   magic "F3RM"
@@ -10,8 +10,6 @@ F3RM layout (little-endian):
 """
 
 from __future__ import annotations
-
-import csv
 
 import numpy as np
 
@@ -65,33 +63,3 @@ def load(path):
         raise FormatError(f"rank {rank_code} container must have "
                           f"{FORM_CLASSES[rank_code].n_comp} components")
     return form_of_rank(rank_code, grid, data if n_comp > 1 else data[0])
-
-
-def read_loop_csv(path) -> np.ndarray:
-    """Read a parametric loop (columns t, x, y, z) sampled uniformly in t.
-
-    The final row must repeat the starting position (mod 1) and the t column
-    must be uniform; returns the (m+1, 3) position samples including the
-    closing row.
-    """
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or not row[0].strip():
-                continue
-            try:
-                rows.append([float(v) for v in row[:4]])
-            except ValueError:
-                if rows:
-                    raise FormatError(f"non-numeric row in loop file: {row!r}") from None
-                continue  # header line
-    if len(rows) < 10:
-        raise FormatError("loop file needs at least 10 sample rows")
-    arr = np.asarray(rows, dtype=float)
-    if arr.shape[1] != 4:
-        raise FormatError("loop file must have columns t, x, y, z")
-    t = arr[:, 0]
-    dt = np.diff(t)
-    if dt.size and (dt.min() <= 0 or np.abs(dt - dt.mean()).max() > 1e-9 * max(1.0, t[-1])):
-        raise FormatError("loop parameter column must be uniform and increasing")
-    return arr[:, 1:]

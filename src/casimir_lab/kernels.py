@@ -24,12 +24,13 @@ STATUS_MAXSTEPS = 2
 # rhs = (-h*p*s, -r*s, r*r + h*p*p).
 # ---------------------------------------------------------------------------
 
-def rk4_loop(p, r, s, h, dt, n_steps, stride, out):
-    """Fixed-step RK4.  Fills out[m] = (p, r, s) every ``stride`` steps.
+def rk4_loop(p, r, s, h, dt, n_steps, stride):
+    """Fixed-step RK4.  Records the initial state and every ``stride``-th step.
 
-    out[0] must hold the initial state.  Returns (rows_filled, status).
+    Returns (states, status): ``states`` is the flat (p, r, s) array('d')
+    buffer, as for ``rk45_loop``.
     """
-    m = 1
+    states = array("d", [p, r, s])
     for step in range(1, n_steps + 1):
         k1p = -h * p * s
         k1r = -r * s
@@ -56,18 +57,19 @@ def rk4_loop(p, r, s, h, dt, n_steps, stride, out):
         r = r + dt * (k1r + 2.0 * k2r + 2.0 * k3r + k4r) / 6.0
         s = s + dt * (k1s + 2.0 * k2s + 2.0 * k3s + k4s) / 6.0
         if not (math.isfinite(p) and math.isfinite(r) and math.isfinite(s)):
-            return m, STATUS_NONFINITE
+            return states, STATUS_NONFINITE
         if step % stride == 0:
-            out[m, 0] = p
-            out[m, 1] = r
-            out[m, 2] = s
-            m += 1
-    return m, STATUS_OK
+            states.append(p)
+            states.append(r)
+            states.append(s)
+    return states, STATUS_OK
 
 
 def rk45_loop(p, r, s, h, t_final, rtol, atol, max_steps):
     """Adaptive Dormand-Prince 5(4).  Records the initial state and every
     accepted step, so memory grows with the output, not the step budget.
+    The slope at an accepted point is the next step's first stage (FSAL):
+    an attempted step takes six right-hand sides.
 
     Returns (times, states, status): ``times`` and the flat (p, r, s)
     ``states`` are array('d') buffers.
@@ -76,15 +78,14 @@ def rk45_loop(p, r, s, h, t_final, rtol, atol, max_steps):
     dt = min(1e-3, t_final)
     times = array("d", [t])
     states = array("d", [p, r, s])
+    k1p = -h * p * s
+    k1r = -r * s
+    k1s = r * r + h * p * p
     for _ in range(max_steps):
         if t >= t_final:
             return times, states, STATUS_OK
         if dt > t_final - t:
             dt = t_final - t
-
-        k1p = -h * p * s
-        k1r = -r * s
-        k1s = r * r + h * p * p
 
         ap = p + dt * 0.2 * k1p
         ar = r + dt * 0.2 * k1r
@@ -130,7 +131,7 @@ def rk45_loop(p, r, s, h, t_final, rtol, atol, max_steps):
         k6r = -ar * as_
         k6s = ar * ar + h * ap * ap
 
-        # 5th-order solution (b row); k7 = rhs at the new point (FSAL).
+        # 5th-order solution (b row); k7 = rhs at the new point, the next k1.
         np_ = p + dt * (35.0 / 384.0 * k1p + 500.0 / 1113.0 * k3p + 125.0 / 192.0 * k4p
                         - 2187.0 / 6784.0 * k5p + 11.0 / 84.0 * k6p)
         nr = r + dt * (35.0 / 384.0 * k1r + 500.0 / 1113.0 * k3r + 125.0 / 192.0 * k4r
@@ -156,6 +157,7 @@ def rk45_loop(p, r, s, h, t_final, rtol, atol, max_steps):
         if err <= 1.0:
             t = t + dt
             p, r, s = np_, nr, ns
+            k1p, k1r, k1s = k7p, k7r, k7s
             if not (math.isfinite(p) and math.isfinite(r) and math.isfinite(s)):
                 return times, states, STATUS_NONFINITE
             times.append(t)

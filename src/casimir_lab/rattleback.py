@@ -217,16 +217,13 @@ def integrate(
         n_steps = rk4_step_count(t_final, dt)
         if n_steps is None:
             raise InvalidParameterError("t_final must be an integer number of steps")
-        n_rec = n_steps // stride + 1
-        out = np.empty((n_rec, 3))
-        out[0] = xi0.as_array()
-        filled, status = kernels.rk4_loop(
-            xi0.p, xi0.r, xi0.s, float(h), float(dt), n_steps, stride, out
+        x_rec, status = kernels.rk4_loop(
+            xi0.p, xi0.r, xi0.s, float(h), float(dt), n_steps, stride
         )
+        rows = len(x_rec) // 3
         if status == kernels.STATUS_NONFINITE:
-            raise BlowUpError("state became non-finite", time=filled * stride * dt)
-        times = np.arange(filled) * (stride * dt)
-        states = out[:filled]
+            raise BlowUpError("state became non-finite", time=rows * stride * dt)
+        times = np.arange(rows) * (stride * dt)
     else:
         max_steps = 10_000_000
         t_rec, x_rec, status = kernels.rk45_loop(
@@ -236,8 +233,9 @@ def integrate(
             raise BlowUpError("state became non-finite", time=t_rec[-1])
         if status == kernels.STATUS_MAXSTEPS:
             raise BlowUpError("step budget exhausted", time=t_rec[-1])
-        times = np.array(t_rec)
-        states = np.array(x_rec).reshape(-1, 3)
+        times = np.frombuffer(t_rec)
+    # writable views of the loops' array('d') records, not copies
+    states = np.frombuffer(x_rec).reshape(-1, 3)
 
     ham = 0.5 * np.einsum("ij,ij->i", states, states)
     with np.errstate(divide="ignore", invalid="ignore"):  # r <= 0 rows are discarded

@@ -21,10 +21,10 @@ from . import forms3 as f3
 from . import rattleback as rb
 from .errors import InconsistencyError, PreconditionError
 from .fluid import (
-    EULER_DT,
     FluidState,
     coadjoint,
     energy,
+    euler_dt,
     euler_evolve,
     euler_rhs,
     helicity,
@@ -407,12 +407,12 @@ def suite_lie_poisson(cfg: SuiteConfig) -> list[dict]:
                   + 0.5 * beltrami.data)
     st = FluidState(ar)
     h0, e0 = helicity(ar), energy(ar)
-    _, diag = euler_evolve(st, dt=EULER_DT, t_final=0.5)
+    _, diag = euler_evolve(st, dt=euler_dt(g), t_final=0.5)
     checks.append(_check(cfg, "fluid-euler-helicity-conservation",
                          float(np.abs(diag.helicities - h0).max() / abs(h0)), 1e-6))
     checks.append(_check(cfg, "fluid-euler-energy-conservation",
                          float(np.abs(diag.energies - e0).max() / e0), 1e-6))
-    fin_b, _ = euler_evolve(FluidState(beltrami), dt=EULER_DT, t_final=0.5)
+    fin_b, _ = euler_evolve(FluidState(beltrami), dt=euler_dt(g), t_final=0.5)
     checks.append(_check(cfg, "fluid-euler-beltrami-persistence",
                          (fin_b.alpha - beltrami).l2() / beltrami.l2(), 1e-6))
 

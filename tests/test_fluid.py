@@ -6,7 +6,9 @@ from casimir_lab.errors import PreconditionError
 from casimir_lab.fluid import (
     FluidState,
     coadjoint,
+    EULER_DT,
     energy,
+    euler_dt,
     euler_evolve,
     euler_rhs,
     helicity,
@@ -115,6 +117,14 @@ class TestEuler:
         expect = f3.d(f3.Form0(grid32, 0.5 * np.sin(2 * np.pi * z) ** 2))
         assert (rhs - expect).linf() <= 1e-12
         assert f3.leray_project(f3.sharp(rhs)).linf() <= 1e-10
+
+    def test_step_follows_the_cutoff(self):
+        # EULER_DT exactly up to n = 32's cutoff K = 10, then shortened as 10/K
+        for n in (4, 16, 30, 32):
+            assert euler_dt(f3.Grid(n)) == EULER_DT
+        for n, keep in ((34, 11), (48, 16), (64, 21), (256, 85)):
+            assert f3.Grid(n).box.keep == keep
+            assert euler_dt(f3.Grid(n)) == EULER_DT * (10 / keep)
 
     def test_beltrami_persists(self, beltrami):
         fin, _ = euler_evolve(FluidState(beltrami), dt=1e-2, t_final=0.05)

@@ -127,8 +127,6 @@ class TestNanFailsEveryGate:
         st = foliated_state
         nan = f3.Form1(st.grid, np.full_like(st.alpha.data, np.nan))
         with np.errstate(invalid="ignore"):
-            with pytest.raises(InconsistencyError, match="chi identities"):
-                fol.chi_from(st.alpha, nan, st.gamma)
             with pytest.raises(PreconditionError, match="integrable stratum"):
                 fol.gv_variation(st, nan)
             with pytest.raises(PreconditionError, match="degeneracy gates"):
@@ -268,11 +266,6 @@ class TestChi:
         assert foliated_state.residuals["chi_tangency"] <= 1e-8
         assert foliated_state.residuals["chi_closure"] <= 1e-8
 
-    def test_chi_from_verifies(self, foliated_state):
-        chi = fol.chi_from(foliated_state.alpha, foliated_state.eta,
-                           foliated_state.gamma)
-        assert np.array_equal(chi.data, foliated_state.chi.data)
-
     def test_hand_gauge_chi(self, grid32, graph_profile):
         # eta = a' dx, gamma = a'' dx gives chi = -2 a''' dz^dx
         a = graph_profile.data
@@ -284,7 +277,7 @@ class TestChi:
         app = f3.spectral_derivative(ap, grid32, 2)
         eta = f3.Form1(grid32, np.stack([ap, 0 * a, 0 * a]))
         gamma = f3.Form1(grid32, np.stack([app, 0 * a, 0 * a]))
-        chi = fol.chi_from(beta, eta, gamma)
+        chi, _ = fol._solve_chi(beta, f3.d(beta), eta, f3.d(eta), gamma)
         expect = np.zeros((3,) + grid32.shape)
         expect[1] = -2.0 * d3a
         assert np.abs(chi.data - expect).max() <= 1e-9
@@ -292,11 +285,6 @@ class TestChi:
     def test_closed_form_zero_chi(self, grid32):
         st = graph_state(grid32, f3.Form0(grid32, np.full(grid32.shape, 0.7)))
         assert st.chi.linf() == 0.0
-
-    def test_inconsistent_inputs_rejected(self, grid32, foliated_state, rng):
-        bogus = f3.random_form1(grid32, 3, rng)
-        with pytest.raises(InconsistencyError):
-            fol.chi_from(foliated_state.alpha, bogus, foliated_state.gamma)
 
 
 class TestVariation:

@@ -59,26 +59,3 @@ def test_truncated_body(tmp_path, grid16, rng):
     path.write_bytes(data[:-16])
     with pytest.raises(FormatError, match="body"):
         io.load(path)
-
-
-def test_loop_csv_roundtrip(tmp_path):
-    pts = f3.circle_loop(0, (0.0, 0.25, 0.75), m=32)
-    t = np.arange(33) / 32
-    path = tmp_path / "loop.csv"
-    with open(path, "w") as fh:
-        fh.write("t,x,y,z\n")
-        for ti, p in zip(t, pts):
-            fh.write(f"{float(ti)!r},{float(p[0])!r},{float(p[1])!r},{float(p[2])!r}\n")
-    back = io.read_loop_csv(path)
-    np.testing.assert_array_equal(back, pts)
-
-
-def test_loop_csv_rejects_nonuniform(tmp_path):
-    path = tmp_path / "bad.csv"
-    with open(path, "w") as fh:
-        fh.write("t,x,y,z\n")
-        ts = [0.0, 0.1, 0.25, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
-        for ti in ts:
-            fh.write(f"{ti},{ti % 1.0},0.5,0.5\n")
-    with pytest.raises(FormatError, match="uniform"):
-        io.read_loop_csv(path)

@@ -148,6 +148,28 @@ class TestIntegrate:
         assert tr.times[-1] == 1.0
         assert peak < 4 * 2**20
 
+    def test_rk4_memory_follows_output(self):
+        # records grow with the rows a stride keeps, not with the steps taken
+        tracemalloc.start()
+        try:
+            tr = rb.integrate(rb.RattlebackState(0.1, 0.2, 1.0), -2.0, dt=1e-3,
+                              t_final=20.0, stride=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(tr.times) == 101 and tr.times[-1] == 20.0
+        assert peak < 64 * 2**10
+
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    def test_records_are_writable_views(self, method):
+        # both methods hand back the loop's array('d') records without a copy
+        tr = rb.integrate(rb.RattlebackState(0.1, 0.2, 1.0), -2.0, dt=1e-3,
+                          t_final=1.0, method=method)
+        assert not tr.states.base.flags.owndata
+        assert tr.states.flags.writeable and tr.times.flags.writeable
+        if method == "rk45":
+            assert not tr.times.flags.owndata
+
     def test_rk4_matches_rk45_endpoint(self):
         t1 = rb.integrate(rb.RattlebackState(0.1, 0.2, 1.0), -2.0, dt=1e-4, t_final=2.0)
         t2 = rb.integrate(rb.RattlebackState(0.1, 0.2, 1.0), -2.0, dt=1.0, t_final=2.0,

@@ -457,6 +457,19 @@ class TestBox:
             assert abs(got - _grid_mean_dot(xv, yv)) <= 1e-15 * scale
 
 
+def test_transforms_without_work_release_each_pass(rng):
+    # without a work dict a pass's input is freed once read, so a transform
+    # holds two of its n^3-sized arrays at a time, not its four pass buffers
+    # and its result
+    n = 32
+    box = f3.Box.of(n, n // 2 - 1)
+    data = rng.standard_normal((n, n, n))
+    coefs = f3.rfft3_box(data, box)  # builds the box's DFT matrices
+    f3.irfft3_box(coefs, box)
+    assert _traced_peak(lambda: f3.rfft3_box(data, box)) < 2.5 * data.nbytes
+    assert _traced_peak(lambda: f3.irfft3_box(coefs, box)) < 2.5 * data.nbytes
+
+
 def _ulp_close(got, ref):
     """max|got - ref| within 8 ulps of max|ref|: the rounding of a dense DFT
     product against an FFT's, which a mistaken twiddle or mode far exceeds."""

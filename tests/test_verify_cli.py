@@ -115,6 +115,8 @@ class TestScenarioConfig:
 
     def test_default_step_by_kind(self):
         assert cli.Scenario(kind="fluid-euler", field="0,0,0").dt == fluid.EULER_DT
+        assert (cli.Scenario(kind="fluid-euler", field="0,0,0", grid=64).dt
+                == fluid.euler_dt(f3.Grid(64)) < fluid.EULER_DT)
         assert cli.Scenario(kind="rattleback").dt == 1e-3
 
     def test_default_t_final_by_kind(self):
