@@ -15,8 +15,8 @@ The choice is metric dependent only up to the allowed gauge freedom
 
 under which GV is invariant and chi shifts by a member of the degeneracy
 family nu = q d(alpha) + d(q alpha); both facts are verified, not assumed.
-Every accepted state caches its defining-identity residuals so downstream
-claims carry provenance.
+Every accepted state caches its GV and its defining-identity residuals so
+downstream claims carry provenance.
 """
 
 from __future__ import annotations
@@ -138,25 +138,28 @@ def _solve_chi(alpha: Form1, da: Form2, eta: Form1, deta: Form2,
     certificate alpha ^ d(eta) = 0, alpha ^ chi = 0 and d(chi) = eta ^ chi."""
     chi = 2.0 * (wedge(eta, gamma) - d(gamma))
     dchi = d(chi)
+    alpha_l2, deta_l2, chi_l2 = alpha.l2(), deta.l2(), chi.l2()
     return chi, {
         "eta_defining": (da - wedge(alpha, eta)).l2() / max(da.l2(), 1e-30),
-        "gamma_defining": (deta - wedge(alpha, gamma)).l2() / max(deta.l2(), 1e-30),
+        "gamma_defining": (deta - wedge(alpha, gamma)).l2() / max(deta_l2, 1e-30),
         "gamma_certificate": wedge(alpha, deta).l2()
-                             / max(alpha.l2() * deta.l2(), 1e-30),
-        "chi_tangency": wedge(alpha, chi).l2() / max(alpha.l2() * chi.l2(), 1e-30),
+                             / max(alpha_l2 * deta_l2, 1e-30),
+        "chi_tangency": wedge(alpha, chi).l2() / max(alpha_l2 * chi_l2, 1e-30),
         "chi_closure": (dchi - wedge(eta, chi)).l2()
-                       / max(dchi.l2(), eta.l2() * chi.l2(), 1e-30),
+                       / max(dchi.l2(), eta.l2() * chi_l2, 1e-30),
     }
 
 
 @dataclass(frozen=True, eq=False)
 class FoliatedState:
-    """An accepted integrable 1-form with its solved chain and residual record."""
+    """An accepted integrable 1-form with its solved chain, its GV and its
+    residual record."""
 
     alpha: Form1
     eta: Form1
     gamma: Form1
     chi: Form2
+    gv: float
     residuals: dict = field(default_factory=dict)
 
     @property
@@ -178,6 +181,7 @@ class FoliatedState:
             deta = d(eta)
             gamma = interior(x, deta)
             chi, chain = _solve_chi(alpha, da, eta, deta, gamma)
+            gv = integrate3(wedge(eta, deta))
             frobenius = _frobenius(alpha, da)
             res = {
                 "integrability": frobenius["relative_residual"],
@@ -189,12 +193,13 @@ class FoliatedState:
             }
         if strict:
             _enforce_gates(res)
-        return cls(alpha=alpha, eta=eta, gamma=gamma, chi=chi, residuals=res)
+        return cls(alpha=alpha, eta=eta, gamma=gamma, chi=chi, gv=gv, residuals=res)
 
 
 def godbillon_vey(state: FoliatedState) -> float:
-    """GV = int eta ^ d(eta); gauge, scaling and diffeomorphism invariant."""
-    return integrate3(wedge(state.eta, d(state.eta)))
+    """GV = int eta ^ d(eta); gauge, scaling and diffeomorphism invariant.
+    Computed when the state is solved, from the chain's own d(eta)."""
+    return state.gv
 
 
 def gauge_shift(state: FoliatedState, f: Form0, g: Form0) -> FoliatedState:
@@ -207,9 +212,11 @@ def gauge_shift(state: FoliatedState, f: Form0, g: Form0) -> FoliatedState:
     alpha = state.alpha
     eta = state.eta + scale_by(f, alpha)
     gamma = state.gamma + scale_by(f, state.eta) - d(f) + scale_by(g, alpha)
-    chi, chain = _solve_chi(alpha, d(alpha), eta, d(eta), gamma)
+    deta = d(eta)
+    chi, chain = _solve_chi(alpha, d(alpha), eta, deta, gamma)
     res = {**state.residuals, **chain}
-    return FoliatedState(alpha=alpha, eta=eta, gamma=gamma, chi=chi, residuals=res)
+    return FoliatedState(alpha=alpha, eta=eta, gamma=gamma, chi=chi,
+                         gv=integrate3(wedge(eta, deta)), residuals=res)
 
 
 def chi_shift_expected(state: FoliatedState, f: Form0, g: Form0) -> Form2:

@@ -27,8 +27,9 @@ STATUS_MAXSTEPS = 2
 def rk4_loop(p, r, s, h, dt, n_steps, stride):
     """Fixed-step RK4.  Records the initial state and every ``stride``-th step.
 
-    Returns (states, status): ``states`` is the flat (p, r, s) array('d')
-    buffer, as for ``rk45_loop``.
+    Returns (states, status, step): ``states`` is the flat (p, r, s)
+    array('d') buffer, as for ``rk45_loop``; ``step`` is the step the loop
+    stopped at, the one that went non-finite or ``n_steps``.
     """
     states = array("d", [p, r, s])
     for step in range(1, n_steps + 1):
@@ -57,12 +58,12 @@ def rk4_loop(p, r, s, h, dt, n_steps, stride):
         r = r + dt * (k1r + 2.0 * k2r + 2.0 * k3r + k4r) / 6.0
         s = s + dt * (k1s + 2.0 * k2s + 2.0 * k3s + k4s) / 6.0
         if not (math.isfinite(p) and math.isfinite(r) and math.isfinite(s)):
-            return states, STATUS_NONFINITE
+            return states, STATUS_NONFINITE, step
         if step % stride == 0:
             states.append(p)
             states.append(r)
             states.append(s)
-    return states, STATUS_OK
+    return states, STATUS_OK, n_steps
 
 
 def rk45_loop(p, r, s, h, t_final, rtol, atol, max_steps):

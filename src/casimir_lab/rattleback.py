@@ -217,13 +217,12 @@ def integrate(
         n_steps = rk4_step_count(t_final, dt)
         if n_steps is None:
             raise InvalidParameterError("t_final must be an integer number of steps")
-        x_rec, status = kernels.rk4_loop(
+        x_rec, status, step = kernels.rk4_loop(
             xi0.p, xi0.r, xi0.s, float(h), float(dt), n_steps, stride
         )
-        rows = len(x_rec) // 3
         if status == kernels.STATUS_NONFINITE:
-            raise BlowUpError("state became non-finite", time=rows * stride * dt)
-        times = np.arange(rows) * (stride * dt)
+            raise BlowUpError("state became non-finite", time=step * dt)
+        times = np.arange(len(x_rec) // 3) * (stride * dt)
     else:
         max_steps = 10_000_000
         t_rec, x_rec, status = kernels.rk45_loop(

@@ -218,6 +218,17 @@ class TestGodbillonVey:
         assert st.residuals["chi_closure"] <= 1e-8
         assert abs(fol.godbillon_vey(st)) <= 1e-9
 
+    def test_cached_gv_is_the_chain_integral(self, foliated_state, rng):
+        g = foliated_state.grid
+        shifted = fol.gauge_shift(foliated_state, f3.random_form0(g, 2, rng, rms=0.3),
+                                  f3.random_form0(g, 2, rng, rms=0.3))
+        u = f3.random_divfree_field(g, 4, rng, rms=0.5)
+        transported = fol.FoliatedState.from_alpha(
+            f3.transport(foliated_state.alpha, u, 0.2, 0.2), strict=False)
+        for st in (foliated_state, shifted, transported):
+            assert st.gv == f3.integrate3(f3.wedge(st.eta, f3.d(st.eta)))
+            assert fol.godbillon_vey(st) == st.gv
+
 
 class TestGaugeShift:
     def test_identity_shift(self, foliated_state):

@@ -217,12 +217,14 @@ class TestIntegrate:
         with pytest.raises(InvalidParameterError, match=match):
             rb.integrate(rb.RattlebackState(0.1, 0.2, 1.0), -2.0, **args)
 
-    def test_blowup_reports_time(self):
-        # h > 0 with large state doubles s self-amplification until overflow
+    @pytest.mark.parametrize("stride", [1, 1000, 5000])
+    def test_blowup_reports_time(self, stride):
+        # h > 0 with a huge state overflows in the first step; the time is
+        # that step's, not the end of its stride block
         with pytest.raises(BlowUpError) as err:
             rb.integrate(rb.RattlebackState(1e150, 1e150, 1e150), 2.0,
-                         dt=1e-3, t_final=10.0)
-        assert err.value.time > 0
+                         dt=1e-3, t_final=10.0, stride=stride)
+        assert err.value.time == 1e-3
 
     def test_rk45_nan_error_estimate_stops(self):
         # the first trial step overflows, so the error estimate is NaN
