@@ -36,7 +36,7 @@ from .forms3 import (
     curve_velocity,
     wedge,
 )
-from .forms3.grid import _buffer, _cross
+from .forms3.grid import _cross
 from .forms3.transport import _step_count
 
 __all__ = [
@@ -199,100 +199,71 @@ def euler_evolve(state: FluidState, dt: float,
     record energy and helicity at t = 0 and after every step, read off the
     coefficients by Parseval's theorem.  A state that is non-finite at
     t = 0 (once transformed) or after a step raises BlowUpError with that
-    time.  Every array a right-hand side or a step writes lives in ``work``
-    or in the stage buffers, for this call only: the 12 stage slopes, the
-    stage state, one scratch array and the next state, which alternates
-    with the transformed alpha.  The returned state and diagnostics are new
-    arrays.
+    time.
     """
-    g = state.grid
-    box = g.box
-    work = {}  # transform buffers and right-hand-side arrays, shared by every call
+    box = state.grid.box
 
-    def rhs(s, out):
-        return _rhs(s, g, work, out)
+    def rhs(s):
+        return _rhs(s, box)
 
     times, energies, helicities = [], [], []
 
     def record(t, a):
         if not np.all(np.isfinite(a)):
             raise BlowUpError("state became non-finite", time=t)
-        coef, tmp = _coef_buffers(a, work)
         times.append(t)
-        energies.append(0.5 * mean_dot_r(a, leray_r(a, box, coef, tmp), box))
-        helicities.append(mean_dot_r(a, curl_r(a, box, coef, tmp), box))
+        energies.append(0.5 * mean_dot_r(a, leray_r(a, box), box))
+        helicities.append(mean_dot_r(a, curl_r(a, box), box))
 
     # divergence shows up as inf/nan, from the first transform on; the
     # contract is the exception
     with np.errstate(over="ignore", invalid="ignore"):
-        a = rfft3_box(state.alpha.data, box, work)
+        a = rfft3_box(state.alpha.data, box)
         n_steps = _step_count(t_final, dt)
         t = 0.0
         record(t, a)
-        k = np.empty((len(DOP853_B),) + a.shape, a.dtype)
-        stage, scratch, nxt = np.empty_like(a), np.empty_like(a), np.empty_like(a)
         for _ in range(n_steps):
             h = min(dt, t_final - t)
-            a, nxt = _dop853_step(a, rhs, h, k, stage, scratch, nxt), a
+            a = _dop853_step(a, rhs, h)
             t += h
             record(t, a)
     diag = EvolveDiagnostics(np.asarray(times), np.asarray(energies), np.asarray(helicities))
-    return FluidState(Form1(g, irfft3_box(a, box, work))), diag
+    return FluidState(Form1(state.grid, irfft3_box(a, box))), diag
 
 
-def _coef_buffers(s: np.ndarray, work: dict) -> tuple[np.ndarray, np.ndarray]:
-    """A box 3-stack and a box scalar for ``leray_r``/``curl_r`` results."""
-    return _buffer(work, "coef", s.shape), _buffer(work, "coef tmp", s.shape[1:])
-
-
-def _rhs(s: np.ndarray, g, work: dict, out: np.ndarray | None = None) -> np.ndarray:
+def _rhs(s: np.ndarray, box) -> np.ndarray:
     """Box coefficients of v x curl(alpha), v = Leray(alpha), from alpha's box coefficients.
 
     The product of the oracle ``euler_rhs`` (two inverse box transforms,
-    one forward), with the 2/3 mask applied by the box itself.  The
-    result goes to ``out``, or to a new array; every other array it writes
-    is a ``work`` buffer, allocated on the first call.
+    one forward), with the 2/3 mask applied by the box itself.
     """
-    box = g.box
-    coef, tmp = _coef_buffers(s, work)
-    shape = s.shape[:-3] + g.shape
-    v = irfft3_box(leray_r(s, box, coef, tmp), box, work, _buffer(work, "v", shape, float))
-    w = irfft3_box(curl_r(s, box, coef, tmp), box, work, _buffer(work, "curl", shape, float))
-    vxw = _cross(v, w, _buffer(work, "v x curl", shape, float),
-                 _buffer(work, "v x curl tmp", g.shape, float))
-    return rfft3_box(vxw, box, work, out)
+    return rfft3_box(_cross(irfft3_box(leray_r(s, box), box),
+                            irfft3_box(curl_r(s, box), box)), box)
 
 
-def _dop853_step(a: np.ndarray, rhs, h: float, k: np.ndarray, stage: np.ndarray,
-                 scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """One DOP853 step, a + h sum_j B_j k_j, into ``out``.
-
-    Stage slope k[i] is ``rhs`` at a + h sum_{j<i} A_ij k_j, formed in
-    ``stage``.  Every operation writes into ``k``, ``stage``, ``scratch`` or
-    ``out``, so the step allocates nothing; ``a`` is only read.
-    """
-    rhs(a, k[0])
+def _dop853_step(a: np.ndarray, rhs, h: float) -> np.ndarray:
+    """One DOP853 step, a + h sum_j B_j k_j; stage slope k_i is ``rhs`` at
+    a + h sum_{j<i} A_ij k_j."""
+    k = [rhs(a)]
     for i in range(1, len(DOP853_B)):
-        rhs(_combine(a, h, DOP853_A[i], k, stage, scratch), k[i])
-    return _combine(a, h, DOP853_B, k, out, scratch)
+        k.append(rhs(_combine(a, h, DOP853_A[i], k)))
+    return _combine(a, h, DOP853_B, k)
 
 
-def _combine(a: np.ndarray, h: float, coefs: np.ndarray, k: np.ndarray, out: np.ndarray,
-             scratch: np.ndarray) -> np.ndarray:
-    """a + h * sum_j coefs[j] k[j] into ``out``, over the nonzero coefs in j order.
+def _combine(a: np.ndarray, h: float, coefs: np.ndarray, k) -> np.ndarray:
+    """a + h * sum_j coefs[j] k[j], over the nonzero coefs in j order.
 
     The coefficients are real, so the sums run on float64 views of the
     complex arrays: the same values as the complex arithmetic, half the
     flops (a complex times a real differs only in the sign of a zero).
     """
-    o, s = out.view(float), scratch.view(float)
-    terms = [(c, kj.view(float)) for c, kj in zip(coefs, k) if c]
-    np.multiply(terms[0][0], terms[0][1], out=o)
-    for c, kj in terms[1:]:
-        o += np.multiply(c, kj, out=s)
-    o *= h
-    o += a.view(float)
-    return out
+    (c0, k0), *terms = [(c, kj.view(float)) for c, kj in zip(coefs, k) if c]
+    total = c0 * k0
+    for c, kj in terms:
+        total += c * kj
+    total *= h
+    total += a.view(float)
+    return total.view(complex)
 
 
 def subalgebra_orthogonality(alpha: Form1, beta: Form1, h_fn: Form0) -> float:

@@ -118,8 +118,8 @@ def leray_project(v: VectorField) -> VectorField:
     """Divergence-free part of v (mean flow is kept) on the Nyquist-free box,
     which drops the modes with some |k_i| = n/2.  The box is built per call,
     not shared through ``Box.of``: its multipliers are not held between calls."""
-    box, work = Box(v.grid.n, v.grid.n // 2 - 1), {}  # work: the transforms' shared buffers
-    return VectorField(v.grid, irfft3_box(leray_r(rfft3_box(v.data, box, work), box), box, work))
+    box = Box(v.grid.n, v.grid.n // 2 - 1)
+    return VectorField(v.grid, irfft3_box(leray_r(rfft3_box(v.data, box), box), box))
 
 
 def contraction_identity_residual(v: VectorField, alpha: Form1) -> float:

@@ -241,8 +241,7 @@ def spectral_derivative(data: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     return np.matmul(rel, dm.T)
 
 
-def rfft3_box(data: np.ndarray, box: Box, work: dict | None = None,
-              out: np.ndarray | None = None) -> np.ndarray:
+def rfft3_box(data: np.ndarray, box: Box) -> np.ndarray:
     """rfftn coefficients of ``data`` (trailing three axes) on ``box``, as DFT products.
 
     One matrix product per axis, against the box's DFT matrices: a real one
@@ -251,55 +250,38 @@ def rfft3_box(data: np.ndarray, box: Box, work: dict | None = None,
     after it, making that pass a single product too.  Each pass maps n
     points to the 2K+1 (or K+1) wavenumbers the box keeps, so the result
     matches rfftn's to a few ulps of its largest coefficient, not bit for
-    bit.  ``work`` keeps the pass buffers between calls, one per name and
-    shape (allocated on first use and shared with ``irfft3_box``); without
-    it each pass's input is released once read.  The result goes to ``out``
-    (C-contiguous), or to a new array.
+    bit.  Each pass's input is released once read; the result is a new
+    C-contiguous array.
     """
     n, (p, _, q) = box.n, box.shape
     lead = data.shape[:-3]
-    z = _buffer(work, "z", lead + (n, n, 2 * q), float)
-    np.matmul(data.reshape(-1, n), box.forward_z, out=z.reshape(-1, 2 * q))
-    x = _buffer(work, "x", lead + (p, n, q))
-    np.matmul(box.forward, z.view(complex).reshape(-1, n, n * q), out=x.reshape(-1, p, n * q))
+    z = np.matmul(data.reshape(-1, n), box.forward_z)
+    x = np.matmul(box.forward, z.view(complex).reshape(-1, n, n * q))
     del z
-    y_in = _buffer(work, "y", (n,) + lead + (p, q))
-    np.copyto(y_in, _y_first(x))
+    y_in = _y_first(x.reshape(lead + (p, n, q))).reshape(n, -1)
     del x
-    y = _buffer(work, "y", (p,) + lead + (p, q))
-    np.matmul(box.forward, y_in.reshape(n, -1), out=y.reshape(p, -1))
+    y = np.matmul(box.forward, y_in)
     del y_in
-    out = np.empty(lead + box.shape, complex) if out is None else out
-    np.copyto(out, _y_back(y))
-    return out
+    return np.ascontiguousarray(_y_back(y.reshape((p,) + lead + (p, q))))
 
 
-def irfft3_box(coefs: np.ndarray, box: Box, work: dict | None = None,
-               out: np.ndarray | None = None) -> np.ndarray:
+def irfft3_box(coefs: np.ndarray, box: Box) -> np.ndarray:
     """Grid values of ``box``'s coefficients: irfftn of them zero-filled to the
     full layout, as dense DFT products.
 
     The reverse of ``rfft3_box``: y (moved to the front and back), then x,
     then a real product along z that keeps the real part of the
     half-spectrum sum, as irfft does.  The zeros outside the box are never
-    formed.  ``work`` and ``out`` as for ``rfft3_box``.
+    formed.  Each pass's input is released once read.
     """
     n, (p, _, q) = box.n, box.shape
     lead = coefs.shape[:-3]
-    y_in = _buffer(work, "y", (p,) + lead + (p, q))
-    np.copyto(y_in, _y_first(coefs))
-    y = _buffer(work, "y", (n,) + lead + (p, q))
-    np.matmul(box.inverse, y_in.reshape(p, -1), out=y.reshape(n, -1))
-    del y_in
-    x = _buffer(work, "x", lead + (p, n, q))
-    np.copyto(x, _y_back(y))
+    y = np.matmul(box.inverse, _y_first(coefs).reshape(p, -1))
+    x = np.ascontiguousarray(_y_back(y.reshape((n,) + lead + (p, q))))
     del y
-    z = _buffer(work, "z", lead + (n, n, 2 * q), float)
-    np.matmul(box.inverse, x.reshape(-1, p, n * q), out=z.view(complex).reshape(-1, n, n * q))
+    z = np.matmul(box.inverse, x.reshape(-1, p, n * q))
     del x
-    out = np.empty(lead + (n, n, n)) if out is None else out
-    np.matmul(z.reshape(-1, 2 * q), box.inverse_z, out=out.reshape(-1, n, copy=False))
-    return out
+    return np.matmul(z.view(float).reshape(-1, 2 * q), box.inverse_z).reshape(lead + (n, n, n))
 
 
 def _y_first(a: np.ndarray) -> np.ndarray:
@@ -318,48 +300,25 @@ def _y_back(a: np.ndarray) -> np.ndarray:
     return a.transpose(*range(1, nd - 1), 0, nd - 1)
 
 
-def _cross(a, b: np.ndarray, out: np.ndarray | None = None,
-           tmp: np.ndarray | None = None) -> np.ndarray:
-    """Pointwise a x b of two 3-stacks (``a`` may be a triple of arrays that
-    broadcast against ``b``) into ``out``, with ``tmp`` for one scalar
-    product; either is allocated when not given."""
-    out = np.empty(a.shape, np.result_type(a, b)) if out is None else out
-    tmp = np.empty(out.shape[1:], out.dtype) if tmp is None else tmp
+def _cross(a, b: np.ndarray) -> np.ndarray:
+    """Pointwise a x b of two 3-stacks; ``a`` may be a triple of arrays that
+    broadcast against ``b``."""
+    out = np.empty(b.shape, np.result_type(a[0], b))
     for i in range(3):  # out_i = a_j b_k - a_k b_j, (i, j, k) cyclic
         j, k = (i + 1) % 3, (i + 2) % 3
         np.multiply(a[j], b[k], out=out[i])
-        np.multiply(a[k], b[j], out=tmp)
-        np.subtract(out[i], tmp, out=out[i])
+        out[i] -= a[k] * b[j]
     return out
 
 
-def _buffer(work: dict | None, key: str, shape: tuple, dtype=complex) -> np.ndarray:
-    """work[key, shape], allocated zeroed on first use: scalar and 3-stack
-    transforms sharing one ``work`` keep their own buffers.  Without a
-    ``work`` dict, a fresh array."""
-    if work is None:
-        return np.empty(shape, dtype)
-    buf = work.get((key, shape))
-    if buf is None:
-        buf = work[key, shape] = np.zeros(shape, dtype)
-    return buf
-
-
 def dealias(data: np.ndarray, grid: Grid) -> np.ndarray:
-    """Zero every mode with max |k| beyond the 2/3-rule cutoff: a box round
-    trip, whose two transforms share their pass buffers."""
-    box, work = grid.box, {}
-    return irfft3_box(rfft3_box(data, box, work), box, work)
+    """Zero every mode with max |k| beyond the 2/3-rule cutoff: a box round trip."""
+    return irfft3_box(rfft3_box(data, grid.box), grid.box)
 
 
-# curl_r and leray_r write their result to ``out`` and use ``tmp`` for one
-# scalar term; either is allocated when not given.
-
-
-def curl_r(spec: np.ndarray, box: Box, out: np.ndarray | None = None,
-           tmp: np.ndarray | None = None) -> np.ndarray:
+def curl_r(spec: np.ndarray, box: Box) -> np.ndarray:
     """Box coefficients of the curl (d of a 1-form) from a 3-stack's box coefficients."""
-    return _cross(box.ik_r, spec, np.empty(spec.shape, complex) if out is None else out, tmp)
+    return _cross(box.ik_r, spec)
 
 
 def grad_r(spec: np.ndarray, box: Box) -> np.ndarray:
@@ -367,22 +326,10 @@ def grad_r(spec: np.ndarray, box: Box) -> np.ndarray:
     return np.stack([ik * spec for ik in box.ik_r])
 
 
-def leray_r(spec: np.ndarray, box: Box, out: np.ndarray | None = None,
-            tmp: np.ndarray | None = None) -> np.ndarray:
+def leray_r(spec: np.ndarray, box: Box) -> np.ndarray:
     """Box coefficients of the divergence-free part of a 3-stack; the mean is kept."""
     kx, ky, kz = box.k
-    out = np.empty(spec.shape, complex) if out is None else out
-    tmp = np.empty(spec.shape[1:], complex) if tmp is None else tmp
-    # tmp = kx spec_0 + ky spec_1 + kz spec_2, with out[0] as scratch
-    np.multiply(kx, spec[0], out=tmp)
-    np.multiply(ky, spec[1], out=out[0])
-    tmp += out[0]
-    np.multiply(kz, spec[2], out=out[0])
-    tmp += out[0]
-    for i in range(3):  # per component: broadcast over the stack, numpy copies tmp
-        np.multiply(box.leray_factor[i], tmp, out=out[i])
-        np.subtract(spec[i], out[i], out=out[i])
-    return out
+    return spec - box.leray_factor * (kx * spec[0] + ky * spec[1] + kz * spec[2])
 
 
 def mean_dot_r(a: np.ndarray, b: np.ndarray, box: Box) -> float:
@@ -400,6 +347,6 @@ def spectral_tail_fraction(data: np.ndarray, grid: Grid) -> float:
     peak = np.abs(data).max()
     if peak == 0.0:
         return 0.0
-    scaled, box, work = data / peak, Box.of(grid.n, grid.n // 2 - 2), {}
-    tail = scaled - irfft3_box(rfft3_box(scaled, box, work), box, work)
+    scaled, box = data / peak, Box.of(grid.n, grid.n // 2 - 2)
+    tail = scaled - irfft3_box(rfft3_box(scaled, box), box)
     return float(np.mean(tail ** 2) / np.mean(scaled ** 2))

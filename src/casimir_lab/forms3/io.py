@@ -48,7 +48,10 @@ def load(path):
             raise FormatError(f"unsupported container version {version}")
         if n < 4 or n % 2:
             raise FormatError(f"grid size {n} in the header is not an even integer >= 4")
-        body = np.frombuffer(fh.read(), dtype="<f8")
+        raw = fh.read()
+    if len(raw) % 8:
+        raise FormatError(f"body has {len(raw)} bytes, not a whole number of float64 values")
+    body = np.frombuffer(raw, dtype="<f8")
     if body.size != n_comp * n ** 3:
         raise FormatError(f"body has {body.size} values, expected {n_comp * n ** 3}")
     grid = Grid(n)

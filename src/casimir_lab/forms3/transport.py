@@ -67,22 +67,18 @@ def transport(alpha: Form1, u: VectorField, t_final: float, dt: float) -> Form1:
     taken = 0
 
     box = g.box
-    work = {}  # pass buffers of the box transforms, shared by every call
     # divergence shows up as inf/nan; the contract is the exception
     with np.errstate(over="ignore", invalid="ignore"):
-        a = rfft3_box(alpha.data, box, work)
-        high = alpha.data - irfft3_box(a, box, work)  # the modes above the cutoff
-        forcing = _rhs(high, d(Form1(g, high)).data, u, box, work)
-        total, term = np.empty_like(a), np.empty_like(a)
+        a = rfft3_box(alpha.data, box)
+        high = alpha.data - irfft3_box(a, box)  # the modes above the cutoff
+        forcing = _rhs(high, d(Form1(g, high)).data, u, box)
         while left:
-            np.copyto(total, a)
-            np.copyto(term, a)
+            total, term = a.copy(), a
             for degree in range(1, MAX_DEGREE + 1):
-                step = _rhs(irfft3_box(term, box, work),
-                            irfft3_box(curl_r(term, box), box, work), u, box, work)
+                term = _rhs(irfft3_box(term, box), irfft3_box(curl_r(term, box), box), u, box)
                 if degree == 1:
-                    step += forcing
-                np.multiply(step, h / degree, out=term)
+                    term += forcing
+                term *= h / degree
                 total += term
                 # a nan or inf also ends the series; the check below raises
                 if not np.abs(term).max() > SERIES_TOL * np.abs(total).max():
@@ -94,9 +90,9 @@ def transport(alpha: Form1, u: VectorField, t_final: float, dt: float) -> Form1:
                 continue
             if not np.all(np.isfinite(total)):
                 raise BlowUpError("state became non-finite", time=t_final - (left - 1) * h)
-            a, total = total, a
+            a = total
             taken, left = taken + 1, left - 1
-        return Form1(g, irfft3_box(a, box, work) + high)
+        return Form1(g, irfft3_box(a, box) + high)
 
 
 def _step_count(t_final: float, dt: float) -> int:
@@ -116,11 +112,11 @@ def _substep_count(n_dt: int, t_rho: float, why: str = "transport") -> int:
     return math.ceil(n_sub)
 
 
-def _rhs(alpha: np.ndarray, curl: np.ndarray, u: np.ndarray, box, work: dict) -> np.ndarray:
+def _rhs(alpha: np.ndarray, curl: np.ndarray, u: np.ndarray, box) -> np.ndarray:
     """Box coefficients of -L_u alpha = u x curl(alpha) - grad(u . alpha), from
     the grid values of alpha and its curl."""
-    out = rfft3_box(_cross(u, curl), box, work)
-    out -= grad_r(rfft3_box(_dot(u, alpha), box, work), box)
+    out = rfft3_box(_cross(u, curl), box)
+    out -= grad_r(rfft3_box(_dot(u, alpha), box), box)
     return out
 
 

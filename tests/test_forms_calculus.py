@@ -27,15 +27,16 @@ class TestGrid:
     def test_first_grid_keeps_field_temporaries_in_the_heap(self):
         # glibc's dynamic thresholds depend on what the process freed before,
         # so the probe runs in a fresh interpreter: a rattleback run leaves
-        # them alone, and after the first Grid warmed chain solves at n = 32
-        # reuse their temporaries instead of faulting them in (about 19k
-        # faults for five units without the pin, none with it)
+        # them alone, and after the first Grid warmed units at n = 32 reuse
+        # their temporaries instead of faulting them in.  Without the pin,
+        # five chain solves take about 19k faults, three Euler evolutions
+        # about 300k and three transports about 270k; with it, next to none.
         src = str(Path(casimir_lab.__file__).resolve().parents[1])
         code = """if True:
             import resource, sys
             sys.path.insert(0, sys.argv[1])
             import numpy as np
-            from casimir_lab import foliation as fol, forms3 as f3, rattleback as rb
+            from casimir_lab import fluid, foliation as fol, forms3 as f3, rattleback as rb
             from casimir_lab.forms3 import grid
             rb.integrate(rb.RattlebackState(0.1, 0.2, 1.0), -2.0, dt=1e-3, t_final=0.1)
             print(grid._pin_heap_thresholds.cache_info().currsize)
@@ -45,17 +46,28 @@ class TestGrid:
             scale = f3.Form0(g, np.exp(f3.random_scalar_array(g, 2, rng, rms=0.05)))
             alpha = fol.graph_foliation_form(g, profile, scale)
             f, h = (f3.random_form0(g, 1, rng, rms=0.1) for _ in range(2))
-            for i in range(6):
-                fol.gauge_shift(fol.FoliatedState.from_alpha(alpha), f, h)
-                if i == 0:
-                    start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start)
+            beta = f3.random_form1(g, 4, rng, rms=0.5)
+            u = f3.random_divfree_field(g, 3, rng, rms=0.3)
+            units = (
+                (5, lambda: fol.gauge_shift(fol.FoliatedState.from_alpha(alpha), f, h)),
+                (3, lambda: fluid.euler_evolve(fluid.FluidState(beta), 2e-2, 0.2)),
+                (3, lambda: f3.transport(beta, u, 0.2, 2e-2)),
+            )
+            for count, unit in units:
+                unit()  # warm-up
+                start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                for _ in range(count):
+                    unit()
+                print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start)
         """
         out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                              text=True, check=True)
-        pinned_by_rattleback, faults = map(int, out.stdout.split())
+        pinned_by_rattleback, *faults = map(int, out.stdout.split())
         assert pinned_by_rattleback == 0
-        assert faults <= 3000
+        chain, euler, transport = faults
+        assert chain <= 3000
+        assert euler <= 3000
+        assert transport <= 3000
 
 
 def _fft_derivative(data, grid, axis):

@@ -52,10 +52,11 @@ def test_bad_header_grid(tmp_path, n):
         io.load(path)
 
 
-def test_truncated_body(tmp_path, grid16, rng):
+@pytest.mark.parametrize("cut", [16, 3])  # whole values short, and a partial value
+def test_truncated_body(tmp_path, grid16, rng, cut):
     path = tmp_path / "short.f3rm"
     io.save(path, f3.random_form0(grid16, 3, rng))
     data = path.read_bytes()
-    path.write_bytes(data[:-16])
+    path.write_bytes(data[:-cut])
     with pytest.raises(FormatError, match="body"):
         io.load(path)

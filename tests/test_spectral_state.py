@@ -2,8 +2,8 @@
 propagator exp(-t L_u)), both on the 2/3-rule box, against physical-space
 oracles: a DOP853 loop over dealiased euler_rhs with scipy's tableau, a
 plain RK4 loop over the dealiased generator, and the energy/helicity
-functionals evaluated on the grid.  Euler's workspace against a DOP853
-loop of fresh arrays written here, bit for bit.  The box transforms, the
+functionals evaluated on the grid.  euler_evolve against a DOP853 loop
+written out here, bit for bit.  The box transforms, the
 Leray multiplier and ``dealias`` against np.fft.rfftn/irfftn and a
 full-layout Leray projection written out here, masked by boxes built here
 from np.fft.fftfreq; curl, grad and the Parseval mean against spectral
@@ -160,11 +160,6 @@ class TestDop853:
         assert coarse / fine >= 2.0 ** 7
 
 
-# Python objects a call creates besides its arrays (array headers, shape
-# tuples, slices): below one box scalar at n = 16, 11,616 bytes
-OBJECT_SLACK = 4096
-
-
 def _traced_peak(fn):
     """Peak of tracemalloc's traced memory during fn(), above the level before it."""
     tracemalloc.start()
@@ -217,34 +212,8 @@ def _unbuffered_euler(alpha, dt, t_final):
 
 @pytest.mark.parametrize("n", (16, 32))
 class TestEulerWorkspace:
-    """One workspace per euler_evolve call: after the first call a
-    right-hand side allocates only its result and a DOP853 step nothing
-    stack-sized, with every array bit for bit what fresh arrays give."""
-
-    def test_warmed_rhs_allocates_only_its_result(self, n, rng):
-        g = f3.Grid(n)
-        m = g.box.keep
-        s = f3.rfft3_box(f3.random_form1(g, 4, rng).data, g.box)
-        assert s.nbytes == 3 * (2 * m + 1) ** 2 * (m + 1) * 16
-        work = {}
-        first = fluid._rhs(s, g, work)
-        assert _traced_peak(lambda: fluid._rhs(s, g, work)) <= s.nbytes + OBJECT_SLACK
-        assert np.array_equal(fluid._rhs(s, g, work), first)
-
-    def test_warmed_dop853_step_allocates_no_stack(self, n, rng):
-        # the box multipliers are box-shaped and complex, so no multiply
-        # buffers a copy of an operand: less than one box scalar
-        g = f3.Grid(n)
-        a = f3.rfft3_box(f3.random_form1(g, 4, rng).data, g.box)
-        work = {}
-
-        def rhs(s, out):
-            return fluid._rhs(s, g, work, out)
-
-        k = np.empty((STAGES,) + a.shape, a.dtype)
-        bufs = [np.empty_like(a) for _ in range(3)]
-        fluid._dop853_step(a, rhs, DT, k, *bufs)
-        assert _traced_peak(lambda: fluid._dop853_step(a, rhs, DT, k, *bufs)) < a[0].nbytes
+    """euler_evolve bit for bit against the loop of fresh arrays above, with
+    scipy's tableau and each multiplier written as one expression."""
 
     def test_matches_unbuffered_loop(self, n, rng):
         g = f3.Grid(n)
@@ -255,30 +224,6 @@ class TestEulerWorkspace:
         assert np.array_equal(diag.times, times)
         assert np.array_equal(diag.energies, energies)
         assert np.array_equal(diag.helicities, helicities)
-
-    def test_results_outlive_the_workspace(self, n, rng, monkeypatch):
-        g = f3.Grid(n)
-        seen = []  # every array a right-hand side reads or writes, and its work dict
-        rhs = fluid._rhs
-
-        def spy(s, grid, work, out=None):
-            seen.append((s, out, work))
-            return rhs(s, grid, work, out)
-
-        monkeypatch.setattr(fluid, "_rhs", spy)
-
-        def arrays(alpha):
-            state, diag = euler_evolve(FluidState(alpha), dt=DT, t_final=3 * DT)
-            return [state.alpha.data, diag.times, diag.energies, diag.helicities]
-
-        alpha = f3.random_form1(g, 4, rng, rms=0.5)
-        first = arrays(alpha)
-        kept = [x.copy() for x in first]
-        results = first + arrays(0.5 * alpha)
-        assert all(np.array_equal(x, y) for x, y in zip(first, kept))
-        buffers = [x for s, out, work in seen for x in (s, out, *work.values())]
-        assert len({id(work) for _, _, work in seen}) == 2
-        assert not any(np.shares_memory(x, b) for x in results for b in buffers)
 
 
 class TestTransportSpectralState:
@@ -409,31 +354,11 @@ class TestBox:
     def test_transforms_match_full_layout(self, n, rng):
         for keep in _keeps(n):
             box = f3.Box(n, keep)
-            work = {}
-            for lead in ((3,), (3,), ()):  # reused buffers, then a new shape
+            for lead in ((3,), ()):
                 data = rng.standard_normal(lead + (n, n, n))
-                coefs = f3.rfft3_box(data, box, work)
+                coefs = f3.rfft3_box(data, box)
                 assert _ulp_close(_zero_fill(coefs, box), _rfftn(data) * _mask(n, keep))
-                assert _ulp_close(f3.irfft3_box(coefs, box, work),
-                                  _irfftn(_zero_fill(coefs, box), n))
-            assert np.array_equal(f3.rfft3_box(data, box), coefs)
-
-    def test_shared_work_keeps_its_buffers(self, n, rng):
-        # scalar and 3-stack transforms through one work dict, as in transport's
-        # right-hand side: neither replaces the other's buffers
-        g = f3.Grid(n)
-        work = {}
-        fields = (rng.standard_normal((3,) + g.shape), rng.standard_normal(g.shape))
-        for data in fields:
-            f3.irfft3_box(f3.rfft3_box(data, g.box, work), g.box, work)
-        first = dict(work)
-        for data in fields + fields:
-            coefs = f3.rfft3_box(data, g.box, work)
-            assert np.array_equal(coefs, f3.rfft3_box(data, g.box))
-            assert np.array_equal(f3.irfft3_box(coefs, g.box, work),
-                                  f3.irfft3_box(coefs, g.box))
-        assert work.keys() == first.keys()
-        assert all(work[key] is buf for key, buf in first.items())
+                assert _ulp_close(f3.irfft3_box(coefs, box), _irfftn(_zero_fill(coefs, box), n))
 
     def test_multipliers_match_full_layout(self, n, rng):
         g = f3.Grid(n)
@@ -458,9 +383,8 @@ class TestBox:
 
 
 def test_transforms_without_work_release_each_pass(rng):
-    # without a work dict a pass's input is freed once read, so a transform
-    # holds two of its n^3-sized arrays at a time, not its four pass buffers
-    # and its result
+    # a pass's input is freed once read, so a transform holds two of its
+    # n^3-sized arrays at a time, not its four pass arrays and its result
     n = 32
     box = f3.Box.of(n, n // 2 - 1)
     data = rng.standard_normal((n, n, n))

@@ -442,13 +442,16 @@ class TestExitPaths:
         b"NOPE" + np.array([1, 4, 1, 3], dtype="<u4").tobytes(),
         b"F3RM" + np.array([2, 4, 1, 3], dtype="<u4").tobytes(),
         b"F3RM" + np.array([1, 0, 1, 3], dtype="<u4").tobytes(),
-    ], ids=["magic", "version", "grid-0"])
+        # 1,539 body bytes: not a whole number of float64 values
+        b"F3RM" + np.array([1, 4, 1, 3], dtype="<u4").tobytes() + bytes(1539),
+    ], ids=["magic", "version", "grid-0", "odd-body"])
     def test_malformed_container_exit_2(self, tmp_path, capsys, header):
         path = tmp_path / "bad.f3rm"
         path.write_bytes(header)
         assert cli.main(["fluid", "helicity", "--field", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def test_scenario_flags_carry_no_defaults():
