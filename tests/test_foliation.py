@@ -468,7 +468,7 @@ def test_chain_residuals_converge_spectrally():
         a_prof = verify._canonical_profile(g, verify.PROFILE_MAIN)
         rng = np.random.default_rng(verify.DEFAULT_SEED + 4)  # the suite's stream
         _, family, shifted = verify._chain_pool(
-            g, a_prof, fol.graph_foliation_form(g, a_prof), rng, strict=False)
+            g, a_prof, fol.graph_foliation_form(g, a_prof), rng)
         worst.append({key: max(res[key] for res, _ in family + shifted)
                       for key in ("gamma_defining", "chi_tangency", "chi_closure")})
     for coarse, fine in zip(worst, worst[1:]):

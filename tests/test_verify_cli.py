@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -70,30 +71,51 @@ class TestSuiteRunner:
         run_suite("lie-poisson", SuiteConfig(grid_n=8))
         assert steps == [fluid.EULER_DT, fluid.EULER_DT]
 
-    def test_gate_failure_aborts_only_its_suite(self, monkeypatch):
-        def broken(cfg):
+    def test_gate_failure_stops_only_its_unit(self, monkeypatch):
+        rattleback = verify.SUITES["rattleback"]
+        monkeypatch.setattr(verify, "SUITES", {})
+
+        @verify._unit("broken", "broken-first", "broken-second")
+        def stopped(cfg, fx):  # stops before it builds its fixture "states"
             raise InconsistencyError("defining identity gamma_defining residual too large")
 
-        monkeypatch.setattr(verify, "SUITES", {"broken": broken,
-                                               "rattleback": verify.SUITES["rattleback"]})
+        @verify._unit("broken", "broken-after")
+        def after(cfg, fx):
+            return [verify._check(cfg, "broken-after", 0.0, 0.0)]
+
+        @verify._unit("broken", "broken-reader")
+        def reader(cfg, fx):
+            return [verify._check(cfg, "broken-reader", fx["states"], 0.0)]
+
+        verify.SUITES["rattleback"] = rattleback
         report = run_suite("all", SuiteConfig())
-        assert report["checks"][0] == {
-            "check": "broken-aborted", "value": None, "tolerance": None, "pass": False,
-            "note": "defining identity gamma_defining residual too large"}
-        assert len(report["checks"]) > 1
-        assert all(c["check"].startswith("rattleback-") for c in report["checks"][1:])
-        assert report["failed_checks"] == ["broken-aborted"] and not report["passed"]
+        note = "defining identity gamma_defining residual too large"
+        assert report["checks"][:4] == [
+            {"check": "broken-first", "value": None, "tolerance": None, "pass": False,
+             "note": note},
+            {"check": "broken-second", "value": None, "tolerance": None, "pass": False,
+             "note": note},
+            {"check": "broken-after", "value": 0.0, "tolerance": 0.0, "pass": True},
+            {"check": "broken-reader", "value": None, "tolerance": None, "pass": False,
+             "note": "fixture 'states' was not built: a gate stopped its unit"}]
+        assert len(report["checks"]) > 4
+        assert all(c["check"].startswith("rattleback-") and c["pass"]
+                   for c in report["checks"][4:])
+        assert report["failed_checks"] == ["broken-first", "broken-second", "broken-reader"]
+        assert not report["passed"]
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):
             run_suite("nope")
 
     def test_suite_warning_reaches_the_caller(self, monkeypatch):
-        def noisy(cfg):
+        monkeypatch.setattr(verify, "SUITES", {})
+
+        @verify._unit("noisy", "noisy")
+        def noisy(cfg, fx):
             warnings.warn("overflow in a suite", RuntimeWarning)
             return [verify._check(cfg, "noisy", 0.0, 0.0)]
 
-        monkeypatch.setattr(verify, "SUITES", {"noisy": noisy})
         with pytest.warns(RuntimeWarning, match="overflow in a suite"):
             report = run_suite("noisy")
         assert report["passed"]
@@ -103,6 +125,36 @@ class TestSuiteRunner:
         with pytest.raises(TypeError):
             verify._check(cfg, "missing", None, 1.0)
         assert not verify._check(cfg, "nan", float("nan"), 1.0)["pass"]
+
+
+@pytest.fixture(scope="module")
+def godbillon_vey_32():
+    """One godbillon-vey run at n = 32 under tracemalloc: its report and the
+    peak of traced memory during the run, above the level before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = run_suite("godbillon-vey", SuiteConfig(grid_n=32))
+        return report, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestCheckUnits:
+    def test_godbillon_vey_memory_is_bounded_by_its_units(self, godbillon_vey_32):
+        # what a unit builds is freed when it returns; a suite that held every
+        # field to its end peaked at 66.4 MiB
+        report, peak = godbillon_vey_32
+        assert report["passed"]
+        assert peak <= 33 * 2 ** 20, peak / 2 ** 20
+
+    def test_gate_stopped_report_keeps_every_check(self, godbillon_vey_32):
+        # at n = 16 the pool states miss their gates, which stops checks
+        # rather than the suite: every n = 32 check has a record, in order
+        coarse = run_suite("godbillon-vey", SuiteConfig(grid_n=16))
+        assert not coarse["passed"]
+        assert ([c["check"] for c in coarse["checks"]]
+                == [c["check"] for c in godbillon_vey_32[0]["checks"]])
 
 
 class TestScenarioConfig:
@@ -401,14 +453,31 @@ class TestExitPaths:
         assert err == "failed checks: rattleback-jacobi-identity\n"
 
     def test_gate_abort_still_writes_report(self, tmp_path, capsys):
-        # at n = 16 the godbillon-vey chain misses its gamma_defining gate
+        # at n = 16 the chain pool's states miss their gamma_defining gate: the
+        # pool is measured, and only the units reading pool states 1 and 2 stop
         path = tmp_path / "report.json"
         assert cli.main(["verify", "--suite", "godbillon-vey", "--grid", "16",
                          "--report", str(path)]) == 1
-        (record,) = json.loads(path.read_text())["checks"]
-        assert record["check"] == "godbillon-vey-aborted" and not record["pass"]
-        assert record["value"] is None and "gamma_defining" in record["note"]
-        assert capsys.readouterr().err.endswith("failed checks: godbillon-vey-aborted\n")
+        checks = json.loads(path.read_text())["checks"]
+        names = [c["check"] for c in checks]
+        first_stopped = names.index("gv-chi-gauge-shift-formula")
+        stopped = set(names[first_stopped:]) - {"gv-variation-profile-deformation",
+                                                 "gv-nonzero-example-gap"}
+        measured_misses = {"gv-gamma-defining-residual", "gv-gamma-solvability-certificate",
+                           "gv-chi-tangency", "gv-chi-closure"}
+        for c in checks:
+            if c["check"] in stopped:
+                assert c["value"] is None and c["tolerance"] is None and not c["pass"]
+                assert c["note"].startswith("defining identity gamma_defining residual ")
+            elif c["check"] in measured_misses:
+                assert c["value"] > c["tolerance"] and not c["pass"]
+            else:
+                assert c["pass"], c
+        assert len(stopped) == 17
+        # the integrability controls need no chain: measured as at n = 32
+        assert [c["value"] is not None for c in checks[:4]] == [True, True, False, False]
+        failed = [n for n in names if n in stopped | measured_misses]
+        assert capsys.readouterr().err.endswith("failed checks: " + ", ".join(failed) + "\n")
 
     def test_blow_up_exit_1(self, capsys):
         argv = ["fluid", "evolve", "--field", "1e200*sin(2*pi*z),1e200*cos(2*pi*z),0",
