@@ -114,6 +114,9 @@ class Scenario:
         _require(isinstance(self.tolerances, dict)
                  and all(map(_is_real, self.tolerances.values())), "tolerances",
                  "an object of check-name: bound", self.tolerances)
+        names = {check for units in SUITES.values() for unit in units for check in unit.checks}
+        unknown = [key for key in self.tolerances if key not in names]
+        _require(not unknown, "tolerances", "keyed by check names", unknown)
         key = _REQUIRED.get(self.kind)
         if key and not getattr(self, key):
             raise ConfigError(f"{self.kind} scenario needs {key!r}")

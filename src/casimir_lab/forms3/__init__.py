@@ -24,7 +24,6 @@ from .forms import (
     form_of_rank,
     one_form,
     scale_by,
-    vector_field,
     volume_form,
     zero_field,
 )

@@ -128,19 +128,11 @@ def coordinate_oneform(grid: Grid, axis: int) -> Form1:
     return Form1(grid, data)
 
 
-def _from_callables(grid: Grid, fns) -> np.ndarray:
-    x, y, z = grid.meshes
-    return np.stack([np.broadcast_to(np.asarray(f(x, y, z), dtype=float), grid.shape)
-                     for f in fns])
-
-
 def one_form(grid: Grid, fx, fy, fz) -> Form1:
     """Build a 1-form from three component callables of (x, y, z)."""
-    return Form1(grid, _from_callables(grid, (fx, fy, fz)))
-
-
-def vector_field(grid: Grid, ux, uy, uz) -> VectorField:
-    return VectorField(grid, _from_callables(grid, (ux, uy, uz)))
+    x, y, z = grid.meshes
+    return Form1(grid, np.stack([np.broadcast_to(np.asarray(f(x, y, z), dtype=float), grid.shape)
+                                 for f in (fx, fy, fz)]))
 
 
 def scale_by(f: Form0, obj):

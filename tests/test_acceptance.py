@@ -14,7 +14,7 @@ import pytest
 
 from casimir_lab import cli
 from casimir_lab import rattleback as rb
-from casimir_lab.verify import DEFAULT_SEED
+from casimir_lab.verify import DEFAULT_SEED, SUITES
 
 # criterion number -> (check name, pinned tolerance or None for dynamic)
 CRITERIA_CHECKS = {
@@ -239,6 +239,12 @@ def test_criterion_13_full_cli_verify(cli_verify):
 
 def test_report_check_names_pinned(full_report):
     assert [c["check"] for c in full_report["checks"]] == REPORT_CHECKS
+
+
+def test_units_declare_the_report_checks():
+    # the declared names are what a scenario's tolerances may key; no suite runs
+    assert [check for units in SUITES.values() for unit in units
+             for check in unit.checks] == REPORT_CHECKS
 
 
 # Transported states that fail the foliated-set gate.  A roundoff-level change

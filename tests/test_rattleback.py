@@ -286,6 +286,14 @@ def test_restricted_casimir_report():
             assert sub["residual"] == 0.0
 
 
+def test_restricted_casimir_report_fails_on_nan(monkeypatch):
+    grads = [np.ones(3), np.full(3, np.nan), np.ones(3)]
+    monkeypatch.setattr(rb, "_monomial_gradients", lambda xi: grads)
+    rep = rb.restricted_casimir_report(3.7, -2.0)
+    sub = rep["checks"]["bracket_trivial_on_line"]
+    assert np.isnan(sub["residual"]) and not sub["pass"] and not rep["pass"]
+
+
 def test_chirality_reversal_snapshot():
     # frozen regression: spin flips to ~ -s0 and swings back near +s0
     tr = rb.integrate(rb.RattlebackState(0.01, 0.02, 1.0), -2.0, dt=1e-3, t_final=40.0)

@@ -126,6 +126,19 @@ class TestSuiteRunner:
             verify._check(cfg, "missing", None, 1.0)
         assert not verify._check(cfg, "nan", float("nan"), 1.0)["pass"]
 
+    @pytest.mark.parametrize("samples", [
+        [float("nan"), 0.0, 1e-3], [0.0, float("nan"), 1e-3], [0.0, 1e-3, float("nan")],
+    ], ids=["first", "middle", "last"])
+    def test_nan_sample_fails_the_check(self, samples):
+        rec = verify._check(SuiteConfig(), "nan-sample", samples, 1.0)
+        assert np.isnan(rec["value"]) and rec["pass"] is False
+
+    def test_nan_sample_fails_its_suite(self, monkeypatch):
+        monkeypatch.setattr(verify.rb, "casimir_gradient_check", lambda xi, h: float("nan"))
+        report = run_suite("rattleback")
+        assert report["failed_checks"] == ["rattleback-casimir-gradient-kernel"]
+        assert not report["passed"]
+
 
 @pytest.fixture(scope="module")
 def godbillon_vey_32():
@@ -451,6 +464,13 @@ class TestExitPaths:
         out, err = capsys.readouterr()
         assert json.loads(out)["failed_checks"] == ["rattleback-jacobi-identity"]
         assert err == "failed checks: rattleback-jacobi-identity\n"
+
+    def test_unknown_tolerance_key_exit_2(self, tmp_path, capsys):
+        doc = {"kind": "verify-all", "suite": "rattleback",
+               "tolerances": {"rattleback-jacobi-identty": -1}}
+        assert _run_file(tmp_path, doc) == 2
+        assert capsys.readouterr() == ("", "error: 'tolerances' must be keyed by check "
+                                           "names, got ['rattleback-jacobi-identty']\n")
 
     def test_gate_abort_still_writes_report(self, tmp_path, capsys):
         # at n = 16 the chain pool's states miss their gamma_defining gate: the
