@@ -36,7 +36,7 @@ from . import rattleback as rb
 from .errors import (BlowUpError, CasimirLabError, ConfigError, EvalError, FormatError,
                      ParseError)
 from .fluid import EULER_DT, FluidState, euler_dt, euler_evolve, helicity
-from .verify import DEFAULT_SEED, SUITES, SuiteConfig, run_suite
+from .verify import DEFAULT_SEED, SUITES, SuiteConfig, report_json, run_suite
 
 SCENARIO_KINDS = ("rattleback", "fluid-helicity", "fluid-euler", "foliation-gv",
                   "verify-all")
@@ -296,54 +296,38 @@ _RUNNERS = {
 }
 
 
-def _run_verify(sc: Scenario, summary: bool) -> int:
-    cfg = SuiteConfig(grid_n=sc.grid, seed=sc.seed, tolerances=sc.tolerances,
-                      rattleback_h=sc.h)
-    report = run_suite(sc.suite, cfg)
-    text = _dumps(report)
-    if sc.report:
-        with open(sc.report, "w") as fh:
-            fh.write(text)
-        _status(f"report written to {sc.report}")
-    if summary:
-        named = {c["check"]: {"residual": c["value"], "tolerance": c["tolerance"],
-                              "pass": c["pass"]}
-                 for c in report["checks"]}
-        print(_dumps(named))
-    elif not sc.report:
-        print(text)
-    if not report["passed"]:
-        _status("failed checks: " + ", ".join(report["failed_checks"]))
-        return 1
-    return 0
-
-
-def _dumps(doc: dict) -> str:
-    """Sorted, indented JSON (``report_json``'s bytes); NaN or Infinity raises."""
-    try:
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError:  # NaN and Infinity are not JSON
-        raise CasimirLabError("the result holds NaN or Infinity, which JSON "
-                              "cannot hold") from None
-
-
 def run_scenario(sc: Scenario, *, summary: bool = False) -> int:
     """Run a Scenario and print its JSON document; exit codes as for the CLI.
 
     A verify scenario prints the full report unless it writes one to
     ``report``; ``summary`` prints a {check: {residual, tolerance, pass}}
-    digest instead.  Other kinds print one document, which a ``report``
-    path (foliation-gv) also receives.  Overflow warnings are off: a document
-    holding NaN or Infinity raises CasimirLabError (exit 1), printing nothing.
+    digest instead.  A check whose value is NaN or Infinity is a failed
+    record with a null value, so the report is always written.  Other kinds
+    print one document, which a ``report`` path also receives.  Overflow
+    warnings are off: such a document holding NaN or Infinity raises
+    CasimirLabError (exit 1), printing nothing.
     """
+    is_verify = sc.kind == "verify-all"
     with np.errstate(over="ignore", invalid="ignore"):
-        if sc.kind == "verify-all":
-            return _run_verify(sc, summary)
-        text = _dumps({"kind": sc.kind, **_RUNNERS[sc.kind](sc)})
+        if is_verify:
+            doc = run_suite(sc.suite, SuiteConfig(grid_n=sc.grid, seed=sc.seed,
+                                                  tolerances=sc.tolerances,
+                                                  rattleback_h=sc.h))
+        else:
+            doc = {"kind": sc.kind, **_RUNNERS[sc.kind](sc)}
+    text = report_json(doc)
     if sc.report:
         with open(sc.report, "w") as fh:
             fh.write(text)
-    print(text)
+        _status(f"report written to {sc.report}")
+    if summary:
+        print(report_json({c["check"]: {"residual": c["value"], "tolerance": c["tolerance"],
+                                         "pass": c["pass"]} for c in doc["checks"]}))
+    elif not (is_verify and sc.report):
+        print(text)
+    if is_verify and not doc["passed"]:
+        _status("failed checks: " + ", ".join(doc["failed_checks"]))
+        return 1
     return 0
 
 

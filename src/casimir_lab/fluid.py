@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, InvalidParameterError, PreconditionError
+from .errors import BlowUpError, InvalidParameterError
 from .forms3 import (
-    Form0,
     Form1,
     Form2,
     VectorField,
@@ -29,7 +28,6 @@ from .forms3 import (
     leray_r,
     mean_dot_r,
     rfft3_box,
-    scale_by,
     sharp,
     vf_bracket,
     closed_curve,
@@ -52,7 +50,6 @@ __all__ = [
     "euler_evolve",
     "EULER_DT",
     "euler_dt",
-    "subalgebra_orthogonality",
     "loop_integral",
     "helicity_density_check",
 ]
@@ -264,24 +261,6 @@ def _combine(a: np.ndarray, h: float, coefs: np.ndarray, k) -> np.ndarray:
     total *= h
     total += a.view(float)
     return total.view(complex)
-
-
-def subalgebra_orthogonality(alpha: Form1, beta: Form1, h_fn: Form0) -> float:
-    """<alpha, Y> for the leaf-tangent field Y with i_Y mu = d(h_fn * beta).
-
-    Vanishes whenever alpha is a function multiple of the integrable defining
-    form beta; the returned pairing is the raw residual.
-    """
-    from .foliation import check_integrability  # local import avoids a module cycle
-
-    report = check_integrability(beta)
-    if not report["integrable"]:
-        raise PreconditionError(
-            f"beta is not integrable: residual {report['relative_residual']:.3e}"
-        )
-    nu = d(scale_by(h_fn, beta))
-    y = VectorField(alpha.grid, nu.data)
-    return pairing(alpha, y)
 
 
 def loop_integral(alpha: Form1, points: np.ndarray) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InconsistencyError, PreconditionError
-from .fluid import helicity, lie_poisson_bracket
+from .fluid import helicity, lie_poisson_bracket, pairing
 from .forms3 import (
     Form0,
     Form1,
@@ -44,6 +44,7 @@ __all__ = [
     "FoliatedState",
     "XiGenerator",
     "check_integrability",
+    "subalgebra_orthogonality",
     "gate_failure",
     "godbillon_vey",
     "gauge_shift",
@@ -83,6 +84,21 @@ def _frobenius(alpha: Form1, da: Form2) -> dict:
         "min_abs": float(np.sqrt(np.sum(alpha.data ** 2, axis=0).min())),
         "integrable": rel <= INTEGRABILITY_TOL,
     }
+
+
+def subalgebra_orthogonality(alpha: Form1, beta: Form1, h_fn: Form0) -> float:
+    """<alpha, Y> for the leaf-tangent field Y with i_Y mu = d(h_fn * beta).
+
+    Vanishes whenever alpha is a function multiple of the integrable defining
+    form beta; the returned pairing is the raw residual.
+    """
+    report = check_integrability(beta)
+    if not report["integrable"]:
+        raise PreconditionError(
+            f"beta is not integrable: residual {report['relative_residual']:.3e}"
+        )
+    nu = d(scale_by(h_fn, beta))
+    return pairing(alpha, VectorField(alpha.grid, nu.data))
 
 
 def _reference_field(alpha: Form1) -> VectorField:

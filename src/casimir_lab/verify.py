@@ -3,11 +3,12 @@
 Each check yields a record {check, value, tolerance, pass}: ``value`` is the
 largest of the check's measured residuals, its samples (each relative to the
 natural scale of the identity, noted per check), and ``tolerance`` the bound
-it must satisfy.  ``_check`` alone reduces the samples, so a NaN sample
-becomes the value and fails the check.  Reports are
-deterministic: random data comes from a seeded generator whose seed is in
-the header, so identical scenario + seed reproduces the report byte for
-byte.  Wall-clock timing is deliberately excluded from reports.
+it must satisfy.  ``_check`` alone reduces the samples and judges the
+value, so a NaN sample fails the check; a value that is not finite is
+recorded as null and named in the record's note, so the report stays JSON.
+Reports are deterministic: random data comes from a seeded generator whose
+seed is in the header, so identical scenario + seed reproduces the report
+byte for byte.  Wall-clock timing is deliberately excluded from reports.
 
 A suite is a sequence of check units, functions of ``(cfg, fx)`` returning
 the records of one check or of a small group.  ``fx`` holds what several
@@ -19,6 +20,7 @@ noting the gate's message, for each check it would have written.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +29,7 @@ from . import __version__, kernels
 from . import foliation as fol
 from . import forms3 as f3
 from . import rattleback as rb
-from .errors import InconsistencyError, PreconditionError
+from .errors import CasimirLabError, InconsistencyError, PreconditionError
 from .fluid import (
     FluidState,
     coadjoint,
@@ -41,7 +43,6 @@ from .fluid import (
     lie_poisson_bracket,
     loop_integral,
     pairing,
-    subalgebra_orthogonality,
 )
 
 DEFAULT_SEED = 1729
@@ -78,14 +79,21 @@ def _check(cfg: SuiteConfig, name: str, value, default_tol: float, **extra) -> d
     """The record of one residual or of a list of samples, valued at their largest."""
     tol = cfg.tol(name, default_tol)
     value = float(np.max(value))
-    rec = {"check": name, "value": value, "tolerance": tol, "pass": value <= tol}
-    rec.update(extra)
-    return rec
+    rec = {"check": name, "value": value, "tolerance": tol, "pass": value <= tol, **extra}
+    return _finite(rec, "value")
 
 
 def _gate_check(name: str, passed: bool, **extra) -> dict:
-    rec = {"check": name, "value": None, "tolerance": None, "pass": bool(passed)}
-    rec.update(extra)
+    rec = {"check": name, "value": None, "tolerance": None, "pass": bool(passed), **extra}
+    return _finite(rec, "value_observed")
+
+
+def _finite(rec: dict, key: str) -> dict:
+    """``rec``; failed, with ``rec[key]`` null and named in its note, when that
+    float is not finite (JSON cannot hold it)."""
+    if key in rec and not math.isfinite(rec[key]):
+        rec["note"] = "; ".join(filter(None, [rec.get("note"), f"{key} is {rec[key]}"]))
+        rec[key], rec["pass"] = None, False
     return rec
 
 
@@ -181,9 +189,9 @@ def _rb_trajectories(cfg, fx):
     (-p0, r0, s0) mirroring (p0, r0, s0) bit for bit, the singular line
     (0, 0, s), and at h = -2 the chirality reversal snapshot."""
     h, checks = cfg.rattleback_h, []
-    for method, opts in (("rk4", {}), ("rk45", {"rtol": 1e-10, "atol": 1e-12})):
+    for method in ("rk4", "rk45"):
         tr = rb.integrate(rb.RattlebackState(0.1, 0.2, 1.0), h, dt=1e-3, t_final=100.0,
-                          method=method, **opts)
+                          method=method)
         h_drift = float(np.abs(tr.hamiltonians - tr.hamiltonians[0]).max() / tr.hamiltonians[0])
         c_drift = float(np.abs(tr.casimirs - tr.casimirs[0]).max() / abs(tr.casimirs[0]))
         checks += [_check(cfg, f"rattleback-energy-conservation-{method}", h_drift, 1e-8),
@@ -192,8 +200,8 @@ def _rb_trajectories(cfg, fx):
     t2 = rb.integrate(rb.RattlebackState(-0.1, 0.2, 1.0), h, dt=1e-3, t_final=5.0)
     mirror = float(np.abs(t2.states - t1.states * np.array([-1.0, 1.0, 1.0])).max())
     checks.append(_check(cfg, "rattleback-parity-symmetry", mirror, 0.0))
-    for key, sub in rb.restricted_casimir_report(3.7, h)["checks"].items():
-        checks.append(_check(cfg, f"rattleback-{key.replace('_', '-')}", sub["residual"], 0.0))
+    for key, residual in rb.restricted_casimir_report(3.7, h).items():
+        checks.append(_check(cfg, f"rattleback-{key.replace('_', '-')}", residual, 0.0))
     line = rb.integrate(rb.RattlebackState(0.0, 0.0, 5.0), h, dt=1e-3, t_final=1.0).states
     checks.append(_check(cfg, "rattleback-singular-line-constant",
                          [np.abs(line[:, :2]).max(), np.abs(line[:, 2] - 5.0).max()], 0.0))
@@ -443,7 +451,7 @@ def _lp_foliated(cfg, fx):
     orthogonality = []
     for _ in range(20):
         h_fn = f3.random_form0(g, bw, rng)
-        val = abs(subalgebra_orthogonality(alpha, beta, h_fn))
+        val = abs(fol.subalgebra_orthogonality(alpha, beta, h_fn))
         nu = f3.d(f3.scale_by(h_fn, beta))
         orthogonality.append(val / max(1.0, alpha.l2() * nu.l2()))
     w_fol = f3.vorticity_from(alpha)
@@ -759,5 +767,10 @@ def run_suite(name: str, cfg: SuiteConfig | None = None) -> dict:
     }
 
 
-def report_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)
+def report_json(doc: dict) -> str:
+    """Sorted, indented JSON; a document holding NaN or Infinity raises."""
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # NaN and Infinity are not JSON
+        raise CasimirLabError("the result holds NaN or Infinity, which JSON "
+                              "cannot hold") from None

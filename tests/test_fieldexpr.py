@@ -23,6 +23,11 @@ class TestParse:
             fe.evaluate("sin(w)", ORIGIN)
         assert err.value.offset == 4
 
+    def test_malformed_number(self):
+        with pytest.raises(ParseError, match="malformed number '1.2.3'") as err:
+            fe.tokenize("1.2.3")
+        assert err.value.offset == 0
+
     def test_unbalanced_parens(self):
         for text in ("sin(", "(x+y", "x+y)"):
             with pytest.raises(ParseError):

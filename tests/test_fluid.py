@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from casimir_lab import forms3 as f3
-from casimir_lab.errors import PreconditionError
+from casimir_lab.errors import InvalidParameterError, PreconditionError
 from casimir_lab.fluid import (
     FluidState,
     coadjoint,
@@ -16,10 +16,17 @@ from casimir_lab.fluid import (
     helicity_gradient_check,
     lie_poisson_bracket,
     pairing,
-    subalgebra_orthogonality,
     velocity_of,
 )
-from casimir_lab.foliation import graph_foliation_form
+from casimir_lab.foliation import graph_foliation_form, subalgebra_orthogonality
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_state_rejects_non_finite_component(grid16, bad):
+    data = np.zeros((3,) + grid16.shape)
+    data[2, 1, 2, 3] = bad
+    with pytest.raises(InvalidParameterError, match="fluid state must have finite components"):
+        FluidState(f3.Form1(grid16, data))
 
 
 class TestPairing:

@@ -79,6 +79,13 @@ class TestMembershipGate:
         with pytest.raises(PreconditionError, match="not integrable"):
             fol.FoliatedState.from_alpha(beltrami)
 
+    def test_xi_generator_on_a_lenient_solve_fails_its_gate(self, beltrami):
+        # the contact form's leaves do not exist: nu = d(alpha) + d(alpha) is
+        # not leaf tangent, so the degeneracy gate refuses it
+        st = fol.FoliatedState.from_alpha(beltrami, strict=False)
+        with pytest.raises(InconsistencyError, match="field fails degeneracy gates: tangency "):
+            fol.xi_generator(st, f3.Form0(beltrami.grid, np.ones(beltrami.grid.shape)))
+
     def test_defining_identity_failure(self, foliated_state):
         res = {**foliated_state.residuals, "gamma_defining": 1e-6}
         failure = fol.gate_failure(res)

@@ -52,6 +52,20 @@ def test_bad_header_grid(tmp_path, n):
         io.load(path)
 
 
+@pytest.mark.parametrize("header, n_values, match", [
+    (np.array([1, 4], dtype="<u4"), 0, "truncated header"),
+    (np.array([1, 4, io.FIELD_RANK_CODE, 2], dtype="<u4"), 2 * 64,
+     "vector field container must have 3 components"),
+    (np.array([1, 4, 7, 1], dtype="<u4"), 64, "unknown rank code 7"),
+    (np.array([1, 4, 1, 1], dtype="<u4"), 64, "rank 1 container must have 3 components"),
+], ids=["truncated-header", "field-components", "rank-code", "rank-components"])
+def test_malformed_header(tmp_path, header, n_values, match):
+    path = tmp_path / "bad.f3rm"
+    path.write_bytes(b"F3RM" + header.tobytes() + bytes(8 * n_values))
+    with pytest.raises(FormatError, match=match):
+        io.load(path)
+
+
 @pytest.mark.parametrize("cut", [16, 3])  # whole values short, and a partial value
 def test_truncated_body(tmp_path, grid16, rng, cut):
     path = tmp_path / "short.f3rm"

@@ -9,6 +9,7 @@ import pytest
 from casimir_lab import kernels
 from casimir_lab import rattleback as rb
 from casimir_lab.errors import BlowUpError, DomainError, InvalidParameterError
+from casimir_lab.verify import run_suite
 
 
 def test_bianchi_vi_structure_constants():
@@ -234,6 +235,16 @@ class TestIntegrate:
                          dt=1e-3, t_final=10.0, method="rk45")
         assert time.perf_counter() - t0 < 1.0
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"h": float("nan")}, "h must be finite"),
+        ({"h": float("inf")}, "h must be finite"),
+        ({"t_final": 1.0005}, "t_final must be an integer number of steps"),
+    ])
+    def test_refusals(self, kwargs, match):
+        args = {"h": -2.0, "dt": 1e-3, "t_final": 1.0, **kwargs}
+        with pytest.raises(InvalidParameterError, match=match):
+            rb.integrate(rb.RattlebackState(0.1, 0.2, 1.0), **args)
+
     def test_stride_sampling(self):
         tr = rb.integrate(rb.RattlebackState(0.1, 0.2, 1.0), -2.0, dt=1e-3,
                           t_final=1.0, stride=10)
@@ -261,6 +272,13 @@ class TestRk45StepControl:
         assert status == kernels.STATUS_MAXSTEPS
         assert times[1] == 1e-3 * 0.2
 
+    def test_nan_parameter_stops_on_the_error_estimate(self):
+        # every stage is NaN, so the first trial step is neither accepted nor shrunk
+        times, states, status = kernels.rk45_loop(0.1, 0.2, 1.0, float("nan"), 1.0,
+                                                  1e-10, 1e-12, 100)
+        assert status == kernels.STATUS_NONFINITE
+        assert list(times) == [0.0] and list(states) == [0.1, 0.2, 1.0]
+
     def test_step_budget_status(self):
         times, states, status = kernels.rk45_loop(0.1, 0.2, 1.0, -2.0, 10.0,
                                                   1e-10, 1e-12, 5)
@@ -280,18 +298,19 @@ class TestRk45StepControl:
 
 def test_restricted_casimir_report():
     for s0, h in ((1.0, -2.0), (0.0, -2.0), (-7.3, -1.5)):
-        rep = rb.restricted_casimir_report(s0, h)
-        assert rep["pass"]
-        for sub in rep["checks"].values():
-            assert sub["residual"] == 0.0
+        assert rb.restricted_casimir_report(s0, h) == {
+            "rhs_zero_on_line": 0.0, "poisson_matrix_zero_on_line": 0.0,
+            "bracket_trivial_on_line": 0.0}
 
 
 def test_restricted_casimir_report_fails_on_nan(monkeypatch):
     grads = [np.ones(3), np.full(3, np.nan), np.ones(3)]
     monkeypatch.setattr(rb, "_monomial_gradients", lambda xi: grads)
-    rep = rb.restricted_casimir_report(3.7, -2.0)
-    sub = rep["checks"]["bracket_trivial_on_line"]
-    assert np.isnan(sub["residual"]) and not sub["pass"] and not rep["pass"]
+    assert np.isnan(rb.restricted_casimir_report(3.7, -2.0)["bracket_trivial_on_line"])
+    report = run_suite("rattleback")
+    assert "rattleback-bracket-trivial-on-line" in report["failed_checks"]
+    rec = next(c for c in report["checks"] if c["check"] == "rattleback-bracket-trivial-on-line")
+    assert rec["value"] is None and rec["pass"] is False and rec["note"] == "value is nan"
 
 
 def test_chirality_reversal_snapshot():

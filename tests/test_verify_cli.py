@@ -131,7 +131,19 @@ class TestSuiteRunner:
     ], ids=["first", "middle", "last"])
     def test_nan_sample_fails_the_check(self, samples):
         rec = verify._check(SuiteConfig(), "nan-sample", samples, 1.0)
-        assert np.isnan(rec["value"]) and rec["pass"] is False
+        assert rec["value"] is None and rec["pass"] is False and rec["note"] == "value is nan"
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    def test_non_finite_value_is_null_and_failed(self, value):
+        rec = verify._check(SuiteConfig(), "non-finite", value, 1.0)
+        assert (rec["value"], rec["pass"], rec["note"]) == (None, False, f"value is {value}")
+        assert json.loads(report_json(rec))["tolerance"] == 1.0
+
+    def test_non_finite_gate_observation_is_null_and_failed(self):
+        rec = verify._gate_check("control", True, value_observed=float("nan"), note="control")
+        assert rec["value_observed"] is None and rec["pass"] is False
+        assert rec["note"] == "control; value_observed is nan"
+        assert verify._gate_check("control", True, value_observed=2.0)["pass"] is True
 
     def test_nan_sample_fails_its_suite(self, monkeypatch):
         monkeypatch.setattr(verify.rb, "casimir_gradient_check", lambda xi, h: float("nan"))
@@ -393,6 +405,25 @@ class TestCli:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["verify", "--suite", "rattleback"],
+                                      ["rattleback", "verify"]], ids=["verify", "digest"])
+    def test_nan_check_is_a_failed_record_in_the_report(self, tmp_path, capsys, monkeypatch,
+                                                       argv):
+        monkeypatch.setattr(verify.rb, "casimir_gradient_check", lambda xi, h: float("nan"))
+        path = tmp_path / "r.json"
+        assert cli.main(argv + ["--report", str(path)]) == 1
+        records = {c["check"]: c for c in json.loads(path.read_text())["checks"]}
+        rec = records["rattleback-casimir-gradient-kernel"]
+        assert (rec["value"], rec["pass"], rec["note"]) == (None, False, "value is nan")
+        out, err = capsys.readouterr()
+        assert err == (f"report written to {path}\n"
+                       "failed checks: rattleback-casimir-gradient-kernel\n")
+        if argv[0] == "rattleback":
+            assert json.loads(out)["rattleback-casimir-gradient-kernel"] == {
+                "residual": None, "tolerance": 1e-12, "pass": False}
+        else:
+            assert out == ""
 
     def test_console_script_entrypoint(self):
         # the child imports the casimir_lab under test, installed or not
