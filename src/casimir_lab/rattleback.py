@@ -18,7 +18,6 @@ Casimir of the restricted (trivial) bracket on the line.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +26,11 @@ from . import kernels
 from .errors import BlowUpError, DomainError, InvalidParameterError
 
 __all__ = [
-    "AlgebraStructure",
     "RattlebackState",
     "Trajectory",
+    "antisymmetry_residual",
     "bianchi_vi",
+    "jacobi_residual",
     "poisson_matrix",
     "rattleback_rhs",
     "hamiltonian",
@@ -40,36 +40,6 @@ __all__ = [
     "integrate",
     "restricted_casimir_report",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class AlgebraStructure:
-    """Structure constants c[k, i, j] of e_k in [e_i, e_j], plus the shape parameter h."""
-
-    c: np.ndarray
-    h: float
-
-    def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
-        if c.shape != (3, 3, 3):
-            raise InvalidParameterError("structure constants must be a 3x3x3 array")
-        object.__setattr__(self, "c", c)
-        if not np.isfinite(self.h):
-            raise InvalidParameterError("parameter h must be finite")
-        if self.antisymmetry_residual() > 0.0:
-            raise InvalidParameterError("structure constants must be antisymmetric in (i, j)")
-        scale = max(1.0, float(np.abs(c).max()))
-        if self.jacobi_residual() > 1e-14 * scale * scale:
-            raise InvalidParameterError("structure constants violate the Jacobi identity")
-
-    def antisymmetry_residual(self) -> float:
-        return float(np.abs(self.c + self.c.transpose(0, 2, 1)).max())
-
-    def jacobi_residual(self) -> float:
-        # sum_m c[m,i,j] c[l,m,k] + cyclic in (i, j, k), for every l.
-        t = np.einsum("mij,lmk->lijk", self.c, self.c)
-        res = t + t.transpose(0, 2, 3, 1) + t.transpose(0, 3, 1, 2)
-        return float(np.abs(res).max())
 
 
 @dataclass(frozen=True)
@@ -99,8 +69,6 @@ class Trajectory:
     states: np.ndarray          # shape (m, 3), rows (p, r, s)
     hamiltonians: np.ndarray
     casimirs: np.ndarray        # nan where r <= 0 leaves the Casimir chart
-    h: float
-    method: str
 
     def __post_init__(self):
         if len(self.times) != len(self.states):
@@ -109,33 +77,39 @@ class Trajectory:
             raise InvalidParameterError("times must be strictly increasing")
 
 
-def bianchi_vi(h: float) -> AlgebraStructure:
-    """Structure constants of Bianchi VI_h in the ordered basis (P, R, S).
+def bianchi_vi(h: float) -> np.ndarray:
+    """Structure constants c[k, i, j] of e_k in [e_i, e_j] for Bianchi VI_h,
+    in the ordered basis (P, R, S).
 
-    Emits a warning for h >= -1: the algebraic identities hold for any h,
-    but the chiral spinning-top interpretation needs h < -1.
+    The algebraic identities hold for any finite h; the chiral spinning-top
+    interpretation needs h < -1.
     """
     if not (isinstance(h, (int, float)) and math.isfinite(h)):
         raise InvalidParameterError("h must be a finite real number")
-    h = float(h)
-    if h >= -1:
-        warnings.warn(
-            f"h = {h:g} is outside the chiral regime h < -1; "
-            "algebraic identities still hold",
-            stacklevel=2,
-        )
     c = np.zeros((3, 3, 3))
     # [S, P] = h P, [S, R] = R, [P, R] = 0; indices (P, R, S) = (0, 1, 2).
     c[0, 2, 0] = h
     c[0, 0, 2] = -h
     c[1, 2, 1] = 1.0
     c[1, 1, 2] = -1.0
-    return AlgebraStructure(c=c, h=h)
+    return c
 
 
-def poisson_matrix(alg: AlgebraStructure, xi: RattlebackState) -> np.ndarray:
+def antisymmetry_residual(c: np.ndarray) -> float:
+    """Max-norm of c[k, i, j] + c[k, j, i]."""
+    return float(np.abs(c + c.transpose(0, 2, 1)).max())
+
+
+def jacobi_residual(c: np.ndarray) -> float:
+    """Max-norm of sum_m c[m,i,j] c[l,m,k] + cyclic in (i, j, k), over every l."""
+    t = np.einsum("mij,lmk->lijk", c, c)
+    res = t + t.transpose(0, 2, 3, 1) + t.transpose(0, 3, 1, 2)
+    return float(np.abs(res).max())
+
+
+def poisson_matrix(c: np.ndarray, xi: RattlebackState) -> np.ndarray:
     """Lie-Poisson matrix J_ij = c[k, i, j] xi_k, so that {F, G} = grad F . J grad G."""
-    return np.einsum("kij,k->ij", alg.c, xi.as_array())
+    return np.einsum("kij,k->ij", c, xi.as_array())
 
 
 def rattleback_rhs(xi: RattlebackState, h: float) -> RattlebackState:
@@ -163,15 +137,8 @@ def casimir_gradient(xi: RattlebackState, h: float) -> np.ndarray:
 
 def casimir_gradient_check(xi: RattlebackState, h: float) -> float:
     """Max-norm of J grad C; vanishes identically when C is a Casimir."""
-    j = poisson_matrix(bianchi_vi_quiet(h), xi)
+    j = poisson_matrix(bianchi_vi(h), xi)
     return float(np.abs(j @ casimir_gradient(xi, h)).max())
-
-
-def bianchi_vi_quiet(h: float) -> AlgebraStructure:
-    """bianchi_vi without the chirality-regime warning (internal plumbing)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return bianchi_vi(h)
 
 
 def rk4_step_count(t_final: float, dt: float) -> int | None:
@@ -239,8 +206,7 @@ def integrate(
     ham = 0.5 * np.einsum("ij,ij->i", states, states)
     with np.errstate(divide="ignore", invalid="ignore"):  # r <= 0 rows are discarded
         cas = np.where(states[:, 1] > 0, states[:, 0] * states[:, 1] ** (-h), np.nan)
-    return Trajectory(times=times, states=states, hamiltonians=ham, casimirs=cas,
-                      h=float(h), method=method)
+    return Trajectory(times=times, states=states, hamiltonians=ham, casimirs=cas)
 
 
 def restricted_casimir_report(s0: float, h: float) -> dict:
@@ -253,7 +219,7 @@ def restricted_casimir_report(s0: float, h: float) -> dict:
     bracket restricted to the line.  Each is a numpy max, which keeps a NaN.
     """
     xi = RattlebackState(0.0, 0.0, float(s0))
-    j = poisson_matrix(bianchi_vi_quiet(h), xi)
+    j = poisson_matrix(bianchi_vi(h), xi)
     # {phi(s), F} = grad phi . J grad F with grad phi = (0, 0, phi'(s)).
     # J = 0 makes every such bracket vanish exactly; probe a monomial basis.
     grad_phi = np.array([0.0, 0.0, 1.0])  # any phi'(s0) rescales this

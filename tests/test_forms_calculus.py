@@ -8,6 +8,7 @@ import pytest
 
 import casimir_lab
 from casimir_lab import forms3 as f3
+from casimir_lab.forms3 import grid
 from casimir_lab.errors import InvalidParameterError, PreconditionError, RankError
 
 
@@ -16,6 +17,13 @@ class TestGrid:
         for n in (3, 5, 2, 0, -4):
             with pytest.raises(InvalidParameterError):
                 f3.Grid(n)
+
+    def test_pin_without_mallopt_is_a_noop(self, monkeypatch):
+        def no_library(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(grid.ctypes, "CDLL", no_library)
+        assert grid._pin_heap_thresholds.__wrapped__() is None
 
     def test_spacing_and_coords(self, grid32):
         assert grid32.axis_coords[1] == 1.0 / 32
@@ -254,6 +262,8 @@ class TestWedge:
             f3.wedge(a, b)
         with pytest.raises(RankError):
             f3.wedge(f3.random_form(grid32, 2, 4, rng), f3.random_form(grid32, 2, 4, rng))
+        with pytest.raises(RankError, match="wedge expects differential forms"):
+            f3.wedge(f3.zero_field(grid32), a)
 
     def test_leibniz(self, grid32, rng):
         for ra, rk in ((0, 0), (0, 1), (1, 1), (0, 2)):
@@ -467,3 +477,14 @@ def test_mixed_grid_arithmetic_rejected(grid32, grid16):
     b = f3.Form1(grid16, np.zeros((3,) + grid16.shape))
     with pytest.raises(InvalidParameterError):
         a + b
+
+
+def test_form_product_is_not_a_scalar_product(grid16, rng):
+    a = f3.random_form1(grid16, 2, rng)
+    with pytest.raises(TypeError):
+        a * a
+
+
+def test_form_of_rank_rejects_rank_4(grid16):
+    with pytest.raises(InvalidParameterError, match="form rank must be 0..3, got 4"):
+        f3.form_of_rank(4, grid16, np.zeros(grid16.shape))

@@ -1,10 +1,13 @@
 import hashlib
+import math
 import time
 import tracemalloc
 from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casimir_lab import kernels
 from casimir_lab import rattleback as rb
@@ -13,26 +16,26 @@ from casimir_lab.verify import run_suite
 
 
 def test_bianchi_vi_structure_constants():
-    alg = rb.bianchi_vi_quiet(-2.0)
+    c = rb.bianchi_vi(-2.0)
+    assert c.shape == (3, 3, 3)
     # coefficient of P in [S, P] and its antisymmetric partner
-    assert alg.c[0, 2, 0] == -2.0
-    assert alg.c[0, 0, 2] == 2.0
+    assert c[0, 2, 0] == -2.0
+    assert c[0, 0, 2] == 2.0
     # [S, R] = R
-    assert alg.c[1, 2, 1] == 1.0
+    assert c[1, 2, 1] == 1.0
     # [P, R] = 0
-    assert np.all(alg.c[:, 0, 1] == 0.0)
+    assert np.all(c[:, 0, 1] == 0.0)
 
 
 def test_bianchi_vi_h_zero_center():
-    with pytest.warns(UserWarning):
-        alg = rb.bianchi_vi(0.0)
-    assert np.all(alg.c[0, 2, :] == 0.0)  # [S, P] = 0
-    assert alg.antisymmetry_residual() == 0.0
+    c = rb.bianchi_vi(0.0)
+    assert np.all(c[0, 2, :] == 0.0)  # [S, P] = 0
+    assert rb.antisymmetry_residual(c) == 0.0
 
 
 @pytest.mark.parametrize("h", [-2.0, -1.5, 0.0, 3.7])
 def test_jacobi_identity_any_h(h):
-    assert rb.bianchi_vi_quiet(h).jacobi_residual() <= 1e-14
+    assert rb.jacobi_residual(rb.bianchi_vi(h)) <= 1e-14
 
 
 def test_bianchi_vi_rejects_nonfinite():
@@ -40,25 +43,20 @@ def test_bianchi_vi_rejects_nonfinite():
         rb.bianchi_vi(float("nan"))
 
 
-def test_warns_outside_chiral_regime():
-    with pytest.warns(UserWarning, match="chiral"):
-        rb.bianchi_vi(-0.5)
-
-
 def test_poisson_matrix_hand_value():
-    alg = rb.bianchi_vi_quiet(-2.0)
-    j = rb.poisson_matrix(alg, rb.RattlebackState(1.0, 1.0, 1.0))
+    c = rb.bianchi_vi(-2.0)
+    j = rb.poisson_matrix(c, rb.RattlebackState(1.0, 1.0, 1.0))
     expected = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, -1.0], [-2.0, 1.0, 0.0]])
     np.testing.assert_array_equal(j, expected)
 
 
 def test_poisson_matrix_zero_point_and_singular_line():
-    alg = rb.bianchi_vi_quiet(-2.0)
-    assert np.all(rb.poisson_matrix(alg, rb.RattlebackState(0, 0, 0)) == 0.0)
+    c = rb.bianchi_vi(-2.0)
+    assert np.all(rb.poisson_matrix(c, rb.RattlebackState(0, 0, 0)) == 0.0)
     for s in (1.0, -7.3, 1e6):
-        assert np.all(rb.poisson_matrix(alg, rb.RattlebackState(0, 0, s)) == 0.0)
+        assert np.all(rb.poisson_matrix(c, rb.RattlebackState(0, 0, s)) == 0.0)
     # rank 2 off the singular set
-    j = rb.poisson_matrix(alg, rb.RattlebackState(0.5, 0.2, 0.0))
+    j = rb.poisson_matrix(c, rb.RattlebackState(0.5, 0.2, 0.0))
     assert np.linalg.matrix_rank(j) == 2
 
 
@@ -73,11 +71,11 @@ def test_rhs_hand_values(state, h, expected):
 
 
 def test_rhs_equals_bracket_flow(rng):
-    alg = rb.bianchi_vi_quiet(-2.0)
+    c = rb.bianchi_vi(-2.0)
     for _ in range(50):
         xi = rb.RattlebackState(*rng.uniform(-3, 3, 3))
         rhs = rb.rattleback_rhs(xi, -2.0).as_array()
-        jgh = rb.poisson_matrix(alg, xi) @ xi.as_array()
+        jgh = rb.poisson_matrix(c, xi) @ xi.as_array()
         np.testing.assert_allclose(rhs, jgh, rtol=0, atol=1e-13 * max(1, np.abs(jgh).max()))
 
 
@@ -99,6 +97,8 @@ def test_casimir_domain_error():
         rb.casimir(rb.RattlebackState(1.0, 0.0, 1.0), -2.0)
     with pytest.raises(DomainError):
         rb.casimir(rb.RattlebackState(1.0, -2.0, 1.0), -1.5)
+    with pytest.raises(DomainError, match="r > 0"):
+        rb.casimir_gradient(rb.RattlebackState(1.0, 0.0, 1.0), -2.0)
 
 
 @pytest.mark.parametrize("state,h", [
@@ -279,6 +279,16 @@ class TestRk45StepControl:
         assert status == kernels.STATUS_NONFINITE
         assert list(times) == [0.0] and list(states) == [0.1, 0.2, 1.0]
 
+    def test_overflowing_error_norm_rejects_the_step(self):
+        # (ep / sp) ** 2 overflows at the first trial step; Python's float **
+        # raises there, where the step must be rejected and shrunk instead
+        times, states, status = kernels.rk45_loop(
+            3677251.21097939, 1.00151274357786, 139.38441910650408, -2.0, 1.0,
+            1e-10, 1e-12, 50)
+        assert status == kernels.STATUS_MAXSTEPS
+        assert len(times) == 42 and len(states) == 3 * 42
+        assert all(map(math.isfinite, times)) and all(map(math.isfinite, states))
+
     def test_step_budget_status(self):
         times, states, status = kernels.rk45_loop(0.1, 0.2, 1.0, -2.0, 10.0,
                                                   1e-10, 1e-12, 5)
@@ -294,6 +304,23 @@ class TestRk45StepControl:
             rb.integrate(rb.RattlebackState(0.1, 0.2, 1.0), -2.0, dt=1e-3,
                          t_final=1.0, method="rk45")
         assert err.value.time == 0.5
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(state=st.tuples(_finite, _finite, _finite), h=_finite,
+       t_final=st.floats(min_value=1e-300, max_value=1e300),
+       rtol=st.floats(min_value=0.0, max_value=1.0),
+       atol=st.floats(min_value=1e-300, max_value=1.0),
+       max_steps=st.integers(min_value=1, max_value=50))
+def test_rk45_loop_never_raises_nor_records_nonfinite(state, h, t_final, rtol, atol,
+                                                      max_steps):
+    times, states, status = kernels.rk45_loop(*state, h, t_final, rtol, atol, max_steps)
+    assert status in (kernels.STATUS_OK, kernels.STATUS_NONFINITE, kernels.STATUS_MAXSTEPS)
+    assert len(states) == 3 * len(times)
+    assert all(map(math.isfinite, times)) and all(map(math.isfinite, states))
 
 
 def test_restricted_casimir_report():
@@ -326,12 +353,10 @@ def test_chirality_reversal_snapshot():
 def test_trajectory_invariants():
     with pytest.raises(InvalidParameterError):
         rb.Trajectory(times=np.array([0.0, 0.0]), states=np.zeros((2, 3)),
-                      hamiltonians=np.zeros(2), casimirs=np.zeros(2),
-                      h=-2.0, method="rk4")
+                      hamiltonians=np.zeros(2), casimirs=np.zeros(2))
     with pytest.raises(InvalidParameterError):
         rb.Trajectory(times=np.array([0.0]), states=np.zeros((2, 3)),
-                      hamiltonians=np.zeros(2), casimirs=np.zeros(2),
-                      h=-2.0, method="rk4")
+                      hamiltonians=np.zeros(2), casimirs=np.zeros(2))
 
 
 def test_state_rejects_nonfinite():

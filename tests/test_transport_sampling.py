@@ -122,6 +122,12 @@ class TestCurves:
         np.testing.assert_allclose(vel[:, 2], 1.0, atol=1e-12)
         np.testing.assert_allclose(vel[:, :2], 0.0, atol=1e-12)
 
+    def test_odd_sample_count_loop_integral(self, grid32):
+        # an odd m has no Nyquist mode to zero
+        pts = f3.circle_loop(0, (0.0, 0.3, 0.8), m=127)
+        dx = f3.coordinate_oneform(grid32, 0)
+        assert loop_integral(dx, pts) == pytest.approx(1.0, abs=1e-12)
+
     def test_velocity_of_wavy_loop(self):
         m = 256
         t = np.arange(m) / m

@@ -30,6 +30,8 @@ def _run_file(tmp_path, doc) -> int:
 class TestSuiteRunner:
     def test_record_shape(self):
         report = run_suite("rattleback", SuiteConfig())
+        assert sorted(report) == ["checks", "failed_checks", "grid", "library", "passed",
+                                  "seed", "suite", "version"]
         assert report["library"] == "casimir-lab"
         assert report["suite"] == "rattleback"
         assert report["passed"]
@@ -529,6 +531,22 @@ class TestExitPaths:
         assert [c["value"] is not None for c in checks[:4]] == [True, True, False, False]
         failed = [n for n in names if n in stopped | measured_misses]
         assert capsys.readouterr().err.endswith("failed checks: " + ", ".join(failed) + "\n")
+
+    def test_failed_gate_record_still_writes_report(self, tmp_path, capsys, monkeypatch):
+        # a gv_variation that accepts any variation fails the tangency gate's
+        # record and no other; only the units the variation checks read run
+        monkeypatch.setitem(verify.SUITES, "godbillon-vey", [
+            verify._gv_fixtures, verify._gv_chain_residuals, verify._gv_variations])
+        monkeypatch.setattr(verify.fol, "gv_variation",
+                            lambda state, adot: f3.integrate3(f3.wedge(adot, state.chi)))
+        path = tmp_path / "r.json"
+        assert cli.main(["verify", "--suite", "godbillon-vey", "--report", str(path)]) == 1
+        doc = json.loads(path.read_text())
+        assert doc["failed_checks"] == ["gv-variation-tangency-gate"]
+        assert doc["checks"][-1] == {
+            "check": "gv-variation-tangency-gate", "value": None, "tolerance": None,
+            "pass": False, "note": "a non-tangent variation must be rejected"}
+        assert capsys.readouterr().err.endswith("failed checks: gv-variation-tangency-gate\n")
 
     def test_blow_up_exit_1(self, capsys):
         argv = ["fluid", "evolve", "--field", "1e200*sin(2*pi*z),1e200*cos(2*pi*z),0",
