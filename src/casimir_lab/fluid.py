@@ -18,16 +18,16 @@ from .forms3 import (
     Form1,
     Form2,
     VectorField,
-    curl_r,
+    curl_cs,
     d,
     eval_at,
     integrate3,
     interior,
-    irfft3_box,
+    irfft3_cs,
+    leray_cs,
     leray_project,
-    leray_r,
-    mean_dot_r,
-    rfft3_box,
+    mean_dot_cs,
+    rfft3_cs,
     sharp,
     vf_bracket,
     closed_curve,
@@ -190,13 +190,14 @@ def euler_evolve(state: FluidState, dt: float,
     method (Prince & Dormand, J. Comput. Appl. Math. 7, 1981; Hairer,
     Norsett & Wanner, *Solving ODEs I*, II.10) without its error estimate
     or step control.  Its state is alpha's coefficients on the 2/3-rule
-    box (``grid.box``), which is the dealiasing: nothing outside it is ever
-    formed.  A right-hand side is ``_rhs`` and a step ``_dop853_step``;
-    steps are dt, the last one shortened to end on t_final.  Diagnostics
-    record energy and helicity at t = 0 and after every step, read off the
-    coefficients by Parseval's theorem.  A state that is non-finite at
-    t = 0 (once transformed) or after a step raises BlowUpError with that
-    time.
+    box (``grid.box``) in the cos/sin layout (see ``Box``), so every pass of
+    its transforms is a real matrix product; the box is the dealiasing:
+    nothing outside it is ever formed.  A right-hand side is ``_rhs`` and a
+    step ``_dop853_step``; steps are dt, the last one shortened to end on
+    t_final.  Diagnostics record energy and helicity at t = 0 and after
+    every step, read off the cos/sin coefficients by Parseval's theorem.
+    A state that is non-finite at t = 0 (once transformed) or after a step
+    raises BlowUpError with that time.
     """
     box = state.grid.box
 
@@ -209,13 +210,13 @@ def euler_evolve(state: FluidState, dt: float,
         if not np.all(np.isfinite(a)):
             raise BlowUpError("state became non-finite", time=t)
         times.append(t)
-        energies.append(0.5 * mean_dot_r(a, leray_r(a, box), box))
-        helicities.append(mean_dot_r(a, curl_r(a, box), box))
+        energies.append(0.5 * mean_dot_cs(a, leray_cs(a, box), box))
+        helicities.append(mean_dot_cs(a, curl_cs(a, box), box))
 
     # divergence shows up as inf/nan, from the first transform on; the
     # contract is the exception
     with np.errstate(over="ignore", invalid="ignore"):
-        a = rfft3_box(state.alpha.data, box)
+        a = rfft3_cs(state.alpha.data, box)
         n_steps = _step_count(t_final, dt)
         t = 0.0
         record(t, a)
@@ -225,17 +226,17 @@ def euler_evolve(state: FluidState, dt: float,
             t += h
             record(t, a)
     diag = EvolveDiagnostics(np.asarray(times), np.asarray(energies), np.asarray(helicities))
-    return FluidState(Form1(state.grid, irfft3_box(a, box))), diag
+    return FluidState(Form1(state.grid, irfft3_cs(a, box))), diag
 
 
 def _rhs(s: np.ndarray, box) -> np.ndarray:
-    """Box coefficients of v x curl(alpha), v = Leray(alpha), from alpha's box coefficients.
+    """cs-layout box coefficients of v x curl(alpha), v = Leray(alpha), from alpha's.
 
     The product of the oracle ``euler_rhs`` (two inverse box transforms,
     one forward), with the 2/3 mask applied by the box itself.
     """
-    return rfft3_box(_cross(irfft3_box(leray_r(s, box), box),
-                            irfft3_box(curl_r(s, box), box)), box)
+    return rfft3_cs(_cross(irfft3_cs(leray_cs(s, box), box),
+                           irfft3_cs(curl_cs(s, box), box)), box)
 
 
 def _dop853_step(a: np.ndarray, rhs, h: float) -> np.ndarray:

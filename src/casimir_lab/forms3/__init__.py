@@ -3,13 +3,16 @@
 from .grid import (
     Box,
     Grid,
-    curl_r,
+    curl_cs,
     dealias,
-    grad_r,
+    grad_cs,
     irfft3_box,
+    irfft3_cs,
+    leray_cs,
     leray_r,
-    mean_dot_r,
+    mean_dot_cs,
     rfft3_box,
+    rfft3_cs,
     spectral_derivative,
     spectral_tail_fraction,
 )

@@ -94,18 +94,33 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class Box:
-    """The rfftn coefficients with max|k_i| <= K = ``keep`` on an n-grid.
+    """The Fourier coefficients with max|k_i| <= K = ``keep`` on an n-grid.
 
-    Shape (2K+1, 2K+1, K+1): the x and y axes hold k = 0..K, -K..-1 in fft
-    order, the z axis k = 0..K of the real transform.  0 <= K < n/2, so a
-    box never holds a Nyquist mode.  ``Grid.box`` is the 2/3-rule box,
-    K = n//3; ``Box.of`` builds each (n, K) once.  ``k_r`` are the axes'
-    wavenumbers shaped to broadcast; the multipliers ``k``, ``ik_r`` and
-    ``leray_factor`` are box-shaped, contiguous and complex, so a multiply
-    into a box array neither casts nor broadcasts (numpy would buffer a
-    copy of the operand).  ``leray_r``, ``curl_r``, ``grad_r`` and
-    ``mean_dot_r`` take the box.  ``forward``, ``inverse``, ``forward_z``
-    and ``inverse_z`` are the DFT matrices of the box transforms.
+    Shape (2K+1, 2K+1, K+1) in either of two layouts.  The fft layout holds
+    rfftn's coefficients: the x and y axes hold k = 0..K, -K..-1 in fft
+    order, the z axis k = 0..K of the real transform.  The cos/sin (cs)
+    layout keeps that z axis and holds the real basis along x and y,
+    f = A_0 + sum_k A_k cos 2 pi k x + B_k sin 2 pi k x, in the same rows:
+    A_k in the row of k >= 0, B_k in the row of -k (so the sines run
+    k = K..1), where A_k = a_k + a_-k and B_k = i (a_k - a_-k) in the fft
+    layout's a_k.  0 <= K < n/2, so a box never holds a Nyquist mode.
+    ``Grid.box`` is the 2/3-rule box, K = n//3; ``Box.of`` builds each
+    (n, K) once.
+
+    fft layout (one-shot work: ``rfft3_box``, ``irfft3_box``, ``leray_r``):
+    ``k_r`` are the axes' wavenumbers shaped to broadcast; the multipliers
+    ``k`` and ``leray_factor`` are box-shaped, contiguous and complex, so a
+    multiply into a box array neither casts nor broadcasts (numpy would
+    buffer a copy of the operand).  ``forward`` and ``inverse`` are its x
+    and y DFT matrices.
+
+    cs layout (time evolution: ``rfft3_cs``, ``irfft3_cs``, ``curl_cs``,
+    ``grad_cs``, ``leray_cs``, ``mean_dot_cs``): ``forward_cs`` and
+    ``inverse_cs`` are its real x and y DFT matrices, so every pass of its
+    transforms is a real matrix product; ``diff_cs`` and ``ikz`` are its
+    derivatives, ``inverse_laplacian_cs`` and ``parseval_cs`` its Leray and
+    Parseval weights.  ``forward_z`` and ``inverse_z``, the z pass, are
+    shared by both layouts.
     """
 
     n: int
@@ -144,10 +159,6 @@ class Box:
         return self._filled(self.k_r)
 
     @cached_property
-    def ik_r(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._filled(2j * np.pi * k for k in self.k_r)
-
-    @cached_property
     def leray_factor(self) -> np.ndarray:
         """k / |k|^2 stacked over the three axes; zero at k = 0."""
         kx, ky, kz = self.k_r
@@ -180,6 +191,61 @@ class Box:
     def inverse(self) -> np.ndarray:
         """exp(2 pi i x k / n) / n, shape (n, 2K+1): the box's kx to grid x."""
         return np.ascontiguousarray(self.forward.conj().T) / self.n
+
+    @cached_property
+    def forward_cs(self) -> np.ndarray:
+        """Rows [1; 2 cos(2 pi k x / n), k = 1..K; 2 sin(2 pi k x / n), k = K..1],
+        shape (2K+1, n): grid x to the cs layout's rows (or y to its columns)."""
+        return np.vstack([np.ones((1, self.n)), 2.0 * self._cos_sin()])
+
+    @cached_property
+    def inverse_cs(self) -> np.ndarray:
+        """Columns [1, cos, sin] / n in ``forward_cs``'s order, shape (n, 2K+1):
+        the cs layout's rows to grid x."""
+        return np.ascontiguousarray(np.vstack([np.ones((1, self.n)), self._cos_sin()]).T
+                                    / self.n)
+
+    def _cos_sin(self) -> np.ndarray:
+        """cos(2 pi k x / n) for k = 1..K over sin(2 pi k x / n) for k = K..1,
+        shape (2K, n), from the fft layout's roots."""
+        k = np.arange(1, self.keep + 1)
+        w = _unit_roots(self.n)[np.outer(np.r_[k, k[::-1]], np.arange(self.n)) % self.n]
+        return np.vstack([w.real[:self.keep], w.imag[self.keep:]])
+
+    @cached_property
+    def diff_cs(self) -> np.ndarray:
+        """d/dx on the cs layout's rows (or d/dy on its columns), shape
+        (2K+1, 2K+1): row k >= 0 takes 2 pi k times row -k's sine, and row -k
+        takes -2 pi k times row k's cosine.  One nonzero per row, so a matrix
+        product with it rounds each entry once, as a multiply would."""
+        p, k = 2 * self.keep + 1, self.k_r[0].ravel()
+        d = np.zeros((p, p))
+        d[np.arange(1, p), np.arange(p - 1, 0, -1)] = 2.0 * np.pi * k[1:]
+        return d
+
+    @cached_property
+    def ikz(self) -> np.ndarray:
+        """2 pi i kz, box-shaped and complex: d/dz."""
+        return self._filled([2j * np.pi * self.k_r[2]])[0]
+
+    @cached_property
+    def inverse_laplacian_cs(self) -> np.ndarray:
+        """1 / (4 pi^2 |k|^2) on the float view of a cs-layout array; zero at k = 0."""
+        kx, ky, kz = self.k_r
+        k2 = kx ** 2 + ky ** 2 + kz ** 2
+        k2[0, 0, 0] = np.inf
+        return np.repeat(1.0 / (4.0 * np.pi ** 2 * k2), 2, axis=-1)
+
+    @cached_property
+    def parseval_cs(self) -> np.ndarray:
+        """``parseval_weight`` times 1/2 per cos or sin row and column, on the
+        float view of a cs-layout array, flattened: the grid mean of f g is
+        the sum of these weights times the products of their cs coefficients
+        (each kz's real and imaginary parts)."""
+        w = np.full(2 * self.keep + 1, 0.5)
+        w[0] = 1.0
+        wz = np.repeat(self.parseval_weight, 2)
+        return (w[:, None, None] * w[None, :, None] * wz[None, None, :]).ravel()
 
     @cached_property
     def forward_z(self) -> np.ndarray:
@@ -284,6 +350,38 @@ def irfft3_box(coefs: np.ndarray, box: Box) -> np.ndarray:
     return np.matmul(z.view(float).reshape(-1, 2 * q), box.inverse_z).reshape(lead + (n, n, n))
 
 
+def rfft3_cs(data: np.ndarray, box: Box) -> np.ndarray:
+    """cs-layout coefficients of ``data`` (trailing three axes) on ``box``.
+
+    Three real matrix products on the float view of the interleaved
+    (Re, Im) kz coefficients: z against ``forward_z``, one x-plane at a
+    time, then x and y against ``forward_cs``, y as a batch over the x
+    rows, which lands in the box's layout with no transposed copy.  They
+    equal ``rfft3_box``'s coefficients changed to the cos/sin basis to a
+    few ulps of the largest.  Each pass's input is released once read; the
+    result is a new C-contiguous complex array.
+    """
+    n, (p, _, q) = box.n, box.shape
+    lead = data.shape[:-3]
+    z = np.matmul(data.reshape(-1, n, n), box.forward_z)
+    x = np.matmul(box.forward_cs, z.reshape(-1, n, 2 * n * q))
+    del z
+    return np.matmul(box.forward_cs, x.reshape(lead + (p, n, 2 * q))).view(complex)
+
+
+def irfft3_cs(coefs: np.ndarray, box: Box) -> np.ndarray:
+    """Grid values of ``box``'s cs-layout coefficients: the reverse of
+    ``rfft3_cs``, y (a batch over the x rows) and x against ``inverse_cs``,
+    then z against ``inverse_z``, all real matrix products.  Each pass's
+    input is released once read."""
+    n, (p, _, q) = box.n, box.shape
+    lead = coefs.shape[:-3]
+    y = np.matmul(box.inverse_cs, coefs.view(float))
+    x = np.matmul(box.inverse_cs, y.reshape(lead + (p, 2 * n * q)))
+    del y
+    return np.matmul(x.reshape(-1, 2 * q), box.inverse_z).reshape(lead + (n, n, n))
+
+
 def _y_first(a: np.ndarray) -> np.ndarray:
     """View of ``a`` with its y axis (the middle of the trailing three) in front.
 
@@ -316,25 +414,68 @@ def dealias(data: np.ndarray, grid: Grid) -> np.ndarray:
     return irfft3_box(rfft3_box(data, grid.box), grid.box)
 
 
-def curl_r(spec: np.ndarray, box: Box) -> np.ndarray:
-    """Box coefficients of the curl (d of a 1-form) from a 3-stack's box coefficients."""
-    return _cross(box.ik_r, spec)
-
-
-def grad_r(spec: np.ndarray, box: Box) -> np.ndarray:
-    """Box coefficients of the gradient (d of a 0-form) from a scalar's box coefficients."""
-    return np.stack([ik * spec for ik in box.ik_r])
-
-
 def leray_r(spec: np.ndarray, box: Box) -> np.ndarray:
     """Box coefficients of the divergence-free part of a 3-stack; the mean is kept."""
     kx, ky, kz = box.k
     return spec - box.leray_factor * (kx * spec[0] + ky * spec[1] + kz * spec[2])
 
 
-def mean_dot_r(a: np.ndarray, b: np.ndarray, box: Box) -> float:
-    """Grid mean of sum_i a_i b_i for real fields, from their box coefficients (Parseval)."""
-    return float(np.sum(np.sum((a * b.conj()).real, axis=0) @ box.parseval_weight))
+def _d_cs(spec: np.ndarray, box: Box, axis: int, out: np.ndarray) -> np.ndarray:
+    """d/dx_axis of cs-layout coefficients, written into ``out`` (C-contiguous).
+
+    Along x or y it swaps each k's cos and sin rows, A_k' = 2 pi k B_k and
+    B_k' = -2 pi k A_k: a real product with ``diff_cs`` on the float views
+    (which beats a multiply on the rows reversed, whose strides numpy
+    iterates slowly).  Along z it is the multiply by 2 pi i kz.
+    """
+    if axis == 2:
+        return np.multiply(spec, box.ikz, out=out)
+    f, o = spec.view(float), out.view(float)
+    if axis == 0:  # x rows against everything after them
+        f, o = (a.reshape(a.shape[:-3] + (a.shape[-3], -1)) for a in (f, o))
+    np.matmul(box.diff_cs, f, out=o)
+    return out
+
+
+def grad_cs(spec: np.ndarray, box: Box) -> np.ndarray:
+    """cs-layout coefficients of the gradient (d of a 0-form) from a scalar's."""
+    out = np.empty((3,) + spec.shape, complex)
+    for axis in range(3):
+        _d_cs(spec, box, axis, out[axis])
+    return out
+
+
+def curl_cs(spec: np.ndarray, box: Box) -> np.ndarray:
+    """cs-layout coefficients of the curl (d of a 1-form) from a 3-stack's.
+
+    d/dx of components 1 and 2, d/dy of 0 and 2 and d/dz of 0 and 1, each
+    pair at once, then curl_i = d_j a_k - d_k a_j, (i, j, k) cyclic.
+    """
+    dx, dy, dz = (_d_cs(spec[pair], box, axis, np.empty((2,) + spec.shape[1:], complex))
+                  for axis, pair in enumerate((slice(1, 3), slice(0, 3, 2), slice(0, 2))))
+    out = np.empty_like(spec)
+    np.subtract(dy[1], dz[1], out=out[0])
+    np.subtract(dz[0], dx[1], out=out[1])
+    np.subtract(dx[0], dy[0], out=out[2])
+    return out
+
+
+def leray_cs(spec: np.ndarray, box: Box) -> np.ndarray:
+    """cs-layout coefficients of the divergence-free part of a 3-stack,
+    a + grad(div(a) / (4 pi^2 |k|^2)); the mean is kept."""
+    div = _d_cs(spec[0], box, 0, np.empty(spec.shape[1:], complex))
+    div += _d_cs(spec[1], box, 1, np.empty_like(div))
+    div += _d_cs(spec[2], box, 2, np.empty_like(div))
+    div.view(float)[...] *= box.inverse_laplacian_cs
+    out = grad_cs(div, box)
+    out += spec
+    return out
+
+
+def mean_dot_cs(a: np.ndarray, b: np.ndarray, box: Box) -> float:
+    """Grid mean of sum_i a_i b_i for real fields, from their cs-layout
+    coefficients (Parseval)."""
+    return float(np.sum(a.view(float) * b.view(float), axis=0).ravel() @ box.parseval_cs)
 
 
 def spectral_tail_fraction(data: np.ndarray, grid: Grid) -> float:

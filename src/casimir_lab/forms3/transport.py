@@ -4,11 +4,12 @@ This is the pullback transport along the flow of u: for u = d/dx the profile
 translates, alpha(t) = f(x - t) dx.  Divergence-free u preserves the helicity
 integral of alpha; any u preserves foliation invariants of integrable alpha.
 
-The state is alpha's coefficients on the 2/3-rule box, as for Euler:
-derivatives are multiplies, the box is the dealiasing, and only the products
-u x curl(alpha) and u . alpha are formed on the grid.  -L_u is linear in
-alpha and constant in time, so the exact flow is exp(-t L_u) alpha;
-``transport`` applies it as a truncated Taylor series over equal substeps
+The state is alpha's coefficients on the 2/3-rule box in the cos/sin (cs)
+layout, as for Euler (see ``Box``): every transform pass is a real matrix
+product, derivatives are multiplies and row swaps, the box is the
+dealiasing, and only the products u x curl(alpha) and u . alpha are formed
+on the grid.  -L_u is linear in alpha and constant in time, so the exact
+flow is exp(-t L_u) alpha; ``transport`` applies it as a truncated Taylor series over equal substeps
 (Al-Mohy & Higham, "Computing the action of the matrix exponential", SIAM
 J. Sci. Comput. 33, 2011; see Hochbruck & Ostermann, "Exponential
 integrators", Acta Numerica 19, 2010).
@@ -24,7 +25,7 @@ import numpy as np
 from ..errors import BlowUpError, InvalidParameterError
 from .calculus import _dot, d, lie_derivative
 from .forms import Form1, VectorField
-from .grid import _cross, curl_r, dealias, grad_r, irfft3_box, rfft3_box, spectral_derivative
+from .grid import _cross, curl_cs, dealias, grad_cs, irfft3_cs, rfft3_cs, spectral_derivative
 
 MAX_SUBSTEPS = 10_000  # substeps one transport call may take
 SUBSTEP_NORM = 8.0     # bound on h * rho for one substep
@@ -42,10 +43,10 @@ def transport(alpha: Form1, u: VectorField, t_final: float, dt: float) -> Form1:
     over u_i d_i, exact for constant u on the corner mode); more than
     MAX_SUBSTEPS raises InvalidParameterError before any transform.  Each
     substep sums the Taylor series of exp(-h L_u) to at most MAX_DEGREE
-    terms, stopping once a term is below SERIES_TOL of the partial sum; a
-    series that has not converged by then is discarded and the substeps
-    left are halved, so an unconverged sum is never kept, and a halving
-    past MAX_SUBSTEPS raises InvalidParameterError.  u is projected onto
+    terms, stopping once a term's largest cs-layout coefficient is below
+    SERIES_TOL of the partial sum's; a series that has not converged by then
+    is discarded and the substeps left are halved, so an unconverged sum is
+    never kept, and a halving past MAX_SUBSTEPS raises InvalidParameterError.  u is projected onto
     the box on entry (a no-op for compliant fields); alpha's modes above the
     cutoff are carried through untouched as grid values and, as every
     increment is cut to the box, enter only each substep's first Taylor
@@ -69,13 +70,13 @@ def transport(alpha: Form1, u: VectorField, t_final: float, dt: float) -> Form1:
     box = g.box
     # divergence shows up as inf/nan; the contract is the exception
     with np.errstate(over="ignore", invalid="ignore"):
-        a = rfft3_box(alpha.data, box)
-        high = alpha.data - irfft3_box(a, box)  # the modes above the cutoff
+        a = rfft3_cs(alpha.data, box)
+        high = alpha.data - irfft3_cs(a, box)  # the modes above the cutoff
         forcing = _rhs(high, d(Form1(g, high)).data, u, box)
         while left:
             total, term = a.copy(), a
             for degree in range(1, MAX_DEGREE + 1):
-                term = _rhs(irfft3_box(term, box), irfft3_box(curl_r(term, box), box), u, box)
+                term = _rhs(irfft3_cs(term, box), irfft3_cs(curl_cs(term, box), box), u, box)
                 if degree == 1:
                     term += forcing
                 term *= h / degree
@@ -92,7 +93,7 @@ def transport(alpha: Form1, u: VectorField, t_final: float, dt: float) -> Form1:
                 raise BlowUpError("state became non-finite", time=t_final - (left - 1) * h)
             a = total
             taken, left = taken + 1, left - 1
-        return Form1(g, irfft3_box(a, box) + high)
+        return Form1(g, irfft3_cs(a, box) + high)
 
 
 def _step_count(t_final: float, dt: float) -> int:
@@ -113,10 +114,10 @@ def _substep_count(n_dt: int, t_rho: float, why: str = "transport") -> int:
 
 
 def _rhs(alpha: np.ndarray, curl: np.ndarray, u: np.ndarray, box) -> np.ndarray:
-    """Box coefficients of -L_u alpha = u x curl(alpha) - grad(u . alpha), from
-    the grid values of alpha and its curl."""
-    out = rfft3_box(_cross(u, curl), box)
-    out -= grad_r(rfft3_box(_dot(u, alpha), box), box)
+    """cs-layout box coefficients of -L_u alpha = u x curl(alpha) - grad(u . alpha),
+    from the grid values of alpha and its curl."""
+    out = rfft3_cs(_cross(u, curl), box)
+    out -= grad_cs(rfft3_cs(_dot(u, alpha), box), box)
     return out
 
 

@@ -163,8 +163,10 @@ def integrate(
 
     method="rk4" takes fixed steps of size dt and records every ``stride``-th
     step; method="rk45" is adaptive Dormand-Prince (dt is ignored) and records
-    every accepted step, so it takes no stride but 1.  No conservation
-    projection is applied: drift in H and C is a genuine accuracy diagnostic.
+    every accepted step, so it takes no stride but 1.  ``rtol`` and ``atol``
+    must be finite and >= 0 with a positive sum, as rk45's error norm divides
+    by atol + rtol |x|.  No conservation projection is applied: drift in H and
+    C is a genuine accuracy diagnostic.
     """
     if not (dt > 0):
         raise InvalidParameterError("dt must be positive")
@@ -174,6 +176,9 @@ def integrate(
         raise InvalidParameterError("h must be finite")
     if method not in ("rk4", "rk45"):
         raise InvalidParameterError(f"unknown method {method!r}")
+    if not (0 <= rtol < math.inf and 0 <= atol < math.inf and rtol + atol > 0):
+        raise InvalidParameterError(f"rtol and atol must be finite and >= 0 with a positive "
+                                    f"sum, got rtol = {rtol!r}, atol = {atol!r}")
     if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
         raise InvalidParameterError(f"stride must be an integer >= 1, got {stride!r}")
     if method == "rk45" and stride != 1:

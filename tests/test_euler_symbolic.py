@@ -71,5 +71,5 @@ def test_euler_rhs_matches_closed_form(n):
     expect = _on_grid(rhs, g)
     scale = np.abs(expect).max()
     assert np.abs(euler_rhs(FluidState(a)).data - expect).max() <= 1e-12 * scale
-    coefs = _rhs(f3.rfft3_box(a.data, g.box), g.box)
-    assert np.abs(f3.irfft3_box(coefs, g.box) - expect).max() <= 1e-12 * scale
+    coefs = _rhs(f3.rfft3_cs(a.data, g.box), g.box)
+    assert np.abs(f3.irfft3_cs(coefs, g.box) - expect).max() <= 1e-12 * scale

@@ -210,6 +210,12 @@ class TestIntegrate:
         ({"t_final": float("inf")}, "t_final must be positive and finite"),
         ({"t_final": float("nan")}, "t_final must be positive and finite"),
         ({"method": "rk45", "stride": 5}, "stride must be 1 with method 'rk45'"),
+        # ZeroDivisionError in the error norm, a NaN reported as a blow-up at
+        # t = 0, and a negative atol that ran
+        ({"method": "rk45", "rtol": 0.0, "atol": 0.0}, "rtol and atol must be finite"),
+        ({"method": "rk45", "rtol": float("nan")}, "rtol and atol must be finite"),
+        ({"method": "rk45", "atol": -1.0}, "rtol and atol must be finite"),
+        ({"method": "rk45", "rtol": float("inf")}, "rtol and atol must be finite"),
     ])
     def test_argument_contract(self, kwargs, match):
         # each of these used to raise ZeroDivisionError, ValueError or

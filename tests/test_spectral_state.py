@@ -1,13 +1,15 @@
 """The coefficient evolutions of euler_evolve (DOP853) and transport (the
-propagator exp(-t L_u)), both on the 2/3-rule box, against physical-space
-oracles: a DOP853 loop over dealiased euler_rhs with scipy's tableau, a
-plain RK4 loop over the dealiased generator, and the energy/helicity
-functionals evaluated on the grid.  euler_evolve against a DOP853 loop
-written out here, bit for bit.  The box transforms, the
-Leray multiplier and ``dealias`` against np.fft.rfftn/irfftn and a
-full-layout Leray projection written out here, masked by boxes built here
-from np.fft.fftfreq; curl, grad and the Parseval mean against spectral
-derivatives and grid means."""
+propagator exp(-t L_u)), both on the 2/3-rule box in the cos/sin layout,
+against physical-space oracles: a DOP853 loop over dealiased euler_rhs with
+scipy's tableau, a plain RK4 loop over the dealiased generator, and the
+energy/helicity functionals evaluated on the grid.  euler_evolve against a
+DOP853 loop written out here, bit for bit, and against the same loop in the
+fft layout.  The box transforms, the Leray multiplier and ``dealias``
+against np.fft.rfftn/irfftn and a full-layout Leray projection written out
+here, masked by boxes built here from np.fft.fftfreq; the cos/sin
+transforms against the fft layout's coefficients changed to that basis;
+curl, grad, Leray and the Parseval mean against spectral derivatives,
+``leray_project`` and grid means."""
 
 import math
 import tracemalloc
@@ -171,49 +173,80 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-def _old_leray(s, box):
+def _cs_d(s, box, axis):
+    """d/dx_axis of cos/sin coefficients as one expression: row k's cosine
+    and row -k's sine swap, times 2 pi k_r (the sine rows run k = K..1)."""
+    k = box.k_r[axis]
+    if axis == 2:
+        return 2j * np.pi * k * s
+    p = 2 * box.keep + 1
+    return 2 * np.pi * k * np.take(s, (p - np.arange(p)) % p, axis=s.ndim - 3 + axis)
+
+
+def _cs_leray(s, box):
     kx, ky, kz = box.k_r
-    return s - box.leray_factor * (kx * s[0] + ky * s[1] + kz * s[2])
+    k2 = kx ** 2 + ky ** 2 + kz ** 2
+    k2[0, 0, 0] = np.inf
+    div = _cs_d(s[0], box, 0) + _cs_d(s[1], box, 1) + _cs_d(s[2], box, 2)
+    phi = div * (1.0 / (4.0 * np.pi ** 2 * k2))
+    return s + np.stack([_cs_d(phi, box, axis) for axis in range(3)])
 
 
-def _old_curl(s, box):
-    ikx, iky, ikz = box.ik_r
+def _cs_curl(s, box):
+    return np.stack([_cs_d(s[2], box, 1) - _cs_d(s[1], box, 2),
+                     _cs_d(s[0], box, 2) - _cs_d(s[2], box, 0),
+                     _cs_d(s[1], box, 0) - _cs_d(s[0], box, 1)])
+
+
+def _fft_curl(s, box):
+    ikx, iky, ikz = (2j * np.pi * k for k in box.k_r)
     return np.stack([iky * s[2] - ikz * s[1], ikz * s[0] - ikx * s[2], ikx * s[1] - iky * s[0]])
 
 
-def _old_cross(a, b):
+def _fft_mean_dot(a, b, box):
+    return float(np.sum(np.sum((a * b.conj()).real, axis=0) @ box.parseval_weight))
+
+
+def _cross(a, b):
     return np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
                      a[0] * b[1] - a[1] * b[0]])
 
 
-def _unbuffered_euler(alpha, dt, t_final):
+# forward, inverse, Leray, curl and Parseval mean of each layout
+LAYOUTS = {"cs": (f3.rfft3_cs, f3.irfft3_cs, _cs_leray, _cs_curl, f3.mean_dot_cs),
+           "fft": (f3.rfft3_box, f3.irfft3_box, f3.leray_r, _fft_curl, _fft_mean_dot)}
+
+
+def _unbuffered_euler(alpha, dt, t_final, layout="cs"):
     """euler_evolve as a loop of fresh arrays: each multiplier and product
-    written as one expression and the DOP853 sums in their summation order."""
-    g, box = alpha.grid, alpha.grid.box
+    written as one expression and the DOP853 sums in their summation order;
+    ``layout="fft"`` runs it on the fft layout's transforms and multipliers."""
+    box = alpha.grid.box
+    fwd, inv, leray, curl, mean_dot = LAYOUTS[layout]
 
     def rhs(s):
-        return f3.rfft3_box(_old_cross(f3.irfft3_box(_old_leray(s, box), box),
-                                       f3.irfft3_box(_old_curl(s, box), box)), box)
+        return fwd(_cross(inv(leray(s, box), box), inv(curl(s, box), box)), box)
 
     def sample(t, a):
         times.append(t)
-        energies.append(0.5 * f3.mean_dot_r(a, _old_leray(a, box), box))
-        helicities.append(f3.mean_dot_r(a, _old_curl(a, box), box))
+        energies.append(0.5 * mean_dot(a, leray(a, box), box))
+        helicities.append(mean_dot(a, curl(a, box), box))
 
     times, energies, helicities = [], [], []
-    a, t = f3.rfft3_box(alpha.data, box), 0.0
+    a, t = fwd(alpha.data, box), 0.0
     sample(t, a)
     for _ in range(int(np.ceil(t_final / dt - 1e-12))):
         h = min(dt, t_final - t)
         a, t = _dop853_step(rhs, a, h), t + h
         sample(t, a)
-    return f3.irfft3_box(a, box), (times, energies, helicities)
+    return inv(a, box), (times, energies, helicities)
 
 
 @pytest.mark.parametrize("n", (16, 32))
 class TestEulerWorkspace:
     """euler_evolve bit for bit against the loop of fresh arrays above, with
-    scipy's tableau and each multiplier written as one expression."""
+    scipy's tableau and each multiplier written as one expression, and
+    against the same loop in the fft layout to roundoff."""
 
     def test_matches_unbuffered_loop(self, n, rng):
         g = f3.Grid(n)
@@ -224,6 +257,11 @@ class TestEulerWorkspace:
         assert np.array_equal(diag.times, times)
         assert np.array_equal(diag.energies, energies)
         assert np.array_equal(diag.helicities, helicities)
+        values, (times, energies, helicities) = _unbuffered_euler(alpha, DT, STEPS * DT, "fft")
+        assert _rel(fin.alpha.data, values) <= 1e-13
+        assert np.array_equal(diag.times, times)
+        assert _rel(diag.energies, np.asarray(energies)) <= 1e-13
+        assert _rel(diag.helicities, np.asarray(helicities)) <= 1e-13
 
 
 class TestTransportSpectralState:
@@ -274,6 +312,12 @@ def _box_values(rng, g, lead=(3,)):
     return coefs, f3.irfft3_box(coefs, g.box)
 
 
+def _cs_values(rng, g, lead=(3,)):
+    """2/3-box cos/sin coefficients of full-band noise and the grid values they stand for."""
+    coefs = f3.rfft3_cs(rng.standard_normal(lead + g.shape), g.box)
+    return coefs, f3.irfft3_cs(coefs, g.box)
+
+
 def _grid_mean_dot(x, y):
     return float(np.mean(np.sum(x * y, axis=0)))
 
@@ -282,11 +326,11 @@ class TestSpectralMultipliers:
     def test_curl_and_grad_match_d(self, grid32, rng):
         # against spectral_derivative of the box's grid values
         g = grid32
-        spec, values = _box_values(rng, g)
-        curl = f3.irfft3_box(f3.curl_r(spec, g.box), g.box)
+        spec, values = _cs_values(rng, g)
+        curl = f3.irfft3_cs(f3.curl_cs(spec, g.box), g.box)
         assert _rel(curl, f3.d(f3.Form1(g, values)).data) <= 1e-13
-        spec, values = _box_values(rng, g, ())
-        grad = f3.irfft3_box(f3.grad_r(spec, g.box), g.box)
+        spec, values = _cs_values(rng, g, ())
+        grad = f3.irfft3_cs(f3.grad_cs(spec, g.box), g.box)
         assert _rel(grad, f3.d(f3.Form0(g, values)).data) <= 1e-13
 
     def test_leray_is_divergence_free_projection(self, grid32, rng):
@@ -301,8 +345,8 @@ class TestSpectralMultipliers:
                                        v.data.mean(axis=(1, 2, 3)), atol=1e-14)
 
     def test_mean_dot_is_grid_mean(self, grid32, rng):
-        (a, x), (b, y) = _box_values(rng, grid32), _box_values(rng, grid32)
-        got = f3.mean_dot_r(a, b, grid32.box)
+        (a, x), (b, y) = _cs_values(rng, grid32), _cs_values(rng, grid32)
+        got = f3.mean_dot_cs(a, b, grid32.box)
         assert got == pytest.approx(_grid_mean_dot(x, y), rel=1e-12)
 
 
@@ -362,24 +406,60 @@ class TestBox:
 
     def test_multipliers_match_full_layout(self, n, rng):
         g = f3.Grid(n)
-        (a, a_values), (b, b_values) = _box_values(rng, g), _box_values(rng, g)
+        a_values = _box_values(rng, g)[1]
         for box in (g.box, f3.Box.of(n, n // 2 - 1)):
             s = f3.rfft3_box(a_values, box)
             assert np.array_equal(f3.leray_r(s, box),
                                   _restrict(_full_leray(_zero_fill(s, box), n), box))
-        # curl and grad against spectral_derivative of the grid values
-        curl = f3.curl_r(a, g.box)
-        assert _rel(f3.irfft3_box(curl, g.box), f3.d(f3.Form1(g, a_values)).data) <= 1e-13
-        f, f_values = _box_values(rng, g, ())
-        assert _rel(f3.irfft3_box(f3.grad_r(f, g.box), g.box),
+        # the cos/sin curl, grad and Leray against spectral_derivative and
+        # leray_project of the grid values
+        (a, a_values), (b, b_values) = _cs_values(rng, g), _cs_values(rng, g)
+        curl = f3.curl_cs(a, g.box)
+        assert _rel(f3.irfft3_cs(curl, g.box), f3.d(f3.Form1(g, a_values)).data) <= 1e-13
+        f, f_values = _cs_values(rng, g, ())
+        assert _rel(f3.irfft3_cs(f3.grad_cs(f, g.box), g.box),
                     f3.d(f3.Form0(g, f_values)).data) <= 1e-13
+        leray = f3.leray_cs(a, g.box)
+        assert _rel(f3.irfft3_cs(leray, g.box),
+                    f3.leray_project(f3.VectorField(g, a_values)).data) <= 1e-13
         # the Parseval mean against the grid mean, relative to |x| |y|, the
         # scale of a dot product's roundoff (x . y may cancel)
-        for x, y in ((a, b), (a, f3.leray_r(a, g.box)), (a, curl)):
-            xv, yv = f3.irfft3_box(x, g.box), f3.irfft3_box(y, g.box)
+        for x, y in ((a, b), (a, leray), (a, curl)):
+            xv, yv = f3.irfft3_cs(x, g.box), f3.irfft3_cs(y, g.box)
             scale = np.sqrt(_grid_mean_dot(xv, xv) * _grid_mean_dot(yv, yv))
-            got = f3.mean_dot_r(x, y, g.box)
+            got = f3.mean_dot_cs(x, y, g.box)
             assert abs(got - _grid_mean_dot(xv, yv)) <= 1e-15 * scale
+
+
+def _to_cs(coefs, box):
+    """fft-layout box coefficients changed to the cos/sin basis along x and y:
+    row k >= 0 holds A_k = a_k + a_-k and row -k holds B_k = i (a_k - a_-k)."""
+    p = 2 * box.keep + 1
+    basis = np.eye(p, dtype=complex)
+    for k in range(1, box.keep + 1):
+        basis[k, p - k] = 1.0
+        basis[p - k, k], basis[p - k, p - k] = 1j, -1j
+    x = np.matmul(basis, coefs.reshape(coefs.shape[:-3] + (p, -1))).reshape(coefs.shape)
+    return np.matmul(basis, x)
+
+
+@pytest.mark.parametrize("n", range(4, 66, 2))
+def test_cs_transforms_are_the_basis_change(n, rng):
+    # every K from the mean alone to the Nyquist-free box.  The bound is
+    # 8 ulps of the data's largest coefficient: K = 0 keeps only the mean,
+    # a sum of n^3 values whose cancellation leaves its own size no measure
+    # of the two summation orders' roundoff
+    for lead in ((), (3,)):
+        data = rng.standard_normal(lead + (n, n, n))
+        scale = np.abs(f3.rfft3_box(data, f3.Box.of(n, n // 2 - 1))).max()
+        for keep in sorted({0, 1, n // 3, n // 2 - 1}):
+            box = f3.Box.of(n, keep)
+            got = f3.rfft3_cs(data, box)
+            assert got.shape == lead + box.shape and got.flags.c_contiguous
+            assert np.abs(got - _to_cs(f3.rfft3_box(data, box), box)).max() \
+                <= 8 * np.finfo(float).eps * scale
+        g = f3.Grid(n)
+        assert _ulp_close(f3.irfft3_cs(f3.rfft3_cs(data, g.box), g.box), f3.dealias(data, g))
 
 
 def test_transforms_without_work_release_each_pass(rng):
@@ -388,10 +468,11 @@ def test_transforms_without_work_release_each_pass(rng):
     n = 32
     box = f3.Box.of(n, n // 2 - 1)
     data = rng.standard_normal((n, n, n))
-    coefs = f3.rfft3_box(data, box)  # builds the box's DFT matrices
-    f3.irfft3_box(coefs, box)
-    assert _traced_peak(lambda: f3.rfft3_box(data, box)) < 2.5 * data.nbytes
-    assert _traced_peak(lambda: f3.irfft3_box(coefs, box)) < 2.5 * data.nbytes
+    for forward, inverse in ((f3.rfft3_box, f3.irfft3_box), (f3.rfft3_cs, f3.irfft3_cs)):
+        coefs = forward(data, box)  # builds the box's DFT matrices
+        inverse(coefs, box)
+        assert _traced_peak(lambda: forward(data, box)) < 2.5 * data.nbytes
+        assert _traced_peak(lambda: inverse(coefs, box)) < 2.5 * data.nbytes
 
 
 def _ulp_close(got, ref):

@@ -859,15 +859,18 @@ def test_cli_import_leaves_out_scipy_and_sympy():
 
 def test_report_does_not_depend_on_blas_threads(tmp_path):
     # the box transforms are BLAS matrix products: the report must not move
-    # with the number of threads BLAS splits them over
+    # with the number of threads BLAS splits them over, for Euler
+    # (lie-poisson) or for 1-form transport (forms)
     src = str(Path(casimir_lab.__file__).resolve().parents[1])
-    reports = []
-    for threads in ("1", "2"):
-        path = tmp_path / f"lie-poisson-{threads}.json"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        subprocess.run([sys.executable, "-m", "casimir_lab.cli", "verify", "--suite",
-                         "lie-poisson", "--grid", "8", "--report", str(path)],
-                       env=env, capture_output=True, check=True)
-        reports.append(path.read_bytes())
-    assert reports[0] == reports[1]
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for suite, grid in (("lie-poisson", "8"), ("forms", "16")):
+        reports = []
+        for threads in ("1", "2"):
+            path = tmp_path / f"{suite}-{threads}.json"
+            subprocess.run([sys.executable, "-m", "casimir_lab.cli", "verify", "--suite",
+                            suite, "--grid", grid, "--report", str(path)],
+                           env=dict(env, OPENBLAS_NUM_THREADS=threads), capture_output=True,
+                           check=True)
+            reports.append(path.read_bytes())
+        assert reports[0] == reports[1], suite
