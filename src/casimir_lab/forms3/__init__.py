@@ -6,12 +6,9 @@ from .grid import (
     curl_cs,
     dealias,
     grad_cs,
-    irfft3_box,
     irfft3_cs,
     leray_cs,
-    leray_r,
     mean_dot_cs,
-    rfft3_box,
     rfft3_cs,
     spectral_derivative,
     spectral_tail_fraction,

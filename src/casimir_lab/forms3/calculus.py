@@ -12,7 +12,7 @@ import numpy as np
 
 from ..errors import RankError
 from .forms import Form0, Form1, Form2, Form3, VectorField, volume_form
-from .grid import Box, _cross, irfft3_box, leray_r, rfft3_box, spectral_derivative
+from .grid import Box, _cross, irfft3_cs, leray_cs, rfft3_cs, spectral_derivative
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -116,10 +116,9 @@ def vorticity_from(alpha: Form1) -> VectorField:
 
 def leray_project(v: VectorField) -> VectorField:
     """Divergence-free part of v (mean flow is kept) on the Nyquist-free box,
-    which drops the modes with some |k_i| = n/2.  The box is built per call,
-    not shared through ``Box.of``: its multipliers are not held between calls."""
-    box = Box(v.grid.n, v.grid.n // 2 - 1)
-    return VectorField(v.grid, irfft3_box(leray_r(rfft3_box(v.data, box), box), box))
+    which drops the modes with some |k_i| = n/2."""
+    box = Box.of(v.grid.n, v.grid.n // 2 - 1)
+    return VectorField(v.grid, irfft3_cs(leray_cs(rfft3_cs(v.data, box), box), box))
 
 
 def contraction_identity_residual(v: VectorField, alpha: Form1) -> float:

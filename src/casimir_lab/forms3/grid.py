@@ -96,31 +96,23 @@ class Grid:
 class Box:
     """The Fourier coefficients with max|k_i| <= K = ``keep`` on an n-grid.
 
-    Shape (2K+1, 2K+1, K+1) in either of two layouts.  The fft layout holds
-    rfftn's coefficients: the x and y axes hold k = 0..K, -K..-1 in fft
-    order, the z axis k = 0..K of the real transform.  The cos/sin (cs)
-    layout keeps that z axis and holds the real basis along x and y,
-    f = A_0 + sum_k A_k cos 2 pi k x + B_k sin 2 pi k x, in the same rows:
-    A_k in the row of k >= 0, B_k in the row of -k (so the sines run
-    k = K..1), where A_k = a_k + a_-k and B_k = i (a_k - a_-k) in the fft
-    layout's a_k.  0 <= K < n/2, so a box never holds a Nyquist mode.
-    ``Grid.box`` is the 2/3-rule box, K = n//3; ``Box.of`` builds each
-    (n, K) once.
+    Shape (2K+1, 2K+1, K+1), in the cos/sin (cs) layout: the z axis holds
+    kz = 0..K of the real transform, and the x and y axes the real basis
+    f = A_0 + sum_k A_k cos 2 pi k x + B_k sin 2 pi k x, with A_k in row k
+    (k = 0..K) and B_k in row 2K+1-k (so the sines run k = K..1).  In the
+    coefficients a_k of the complex exponentials, A_k = a_k + a_-k and
+    B_k = i (a_k - a_-k).  0 <= K < n/2, so a box never holds a Nyquist
+    mode.  ``Grid.box`` is the 2/3-rule box, K = n//3; ``Box.of`` builds
+    each (n, K) once.
 
-    fft layout (one-shot work: ``rfft3_box``, ``irfft3_box``, ``leray_r``):
-    ``k_r`` are the axes' wavenumbers shaped to broadcast; the multipliers
-    ``k`` and ``leray_factor`` are box-shaped, contiguous and complex, so a
-    multiply into a box array neither casts nor broadcasts (numpy would
-    buffer a copy of the operand).  ``forward`` and ``inverse`` are its x
-    and y DFT matrices.
-
-    cs layout (time evolution: ``rfft3_cs``, ``irfft3_cs``, ``curl_cs``,
-    ``grad_cs``, ``leray_cs``, ``mean_dot_cs``): ``forward_cs`` and
-    ``inverse_cs`` are its real x and y DFT matrices, so every pass of its
-    transforms is a real matrix product; ``diff_cs`` and ``ikz`` are its
-    derivatives, ``inverse_laplacian_cs`` and ``parseval_cs`` its Leray and
-    Parseval weights.  ``forward_z`` and ``inverse_z``, the z pass, are
-    shared by both layouts.
+    ``rfft3_cs``, ``irfft3_cs``, ``curl_cs``, ``grad_cs``, ``leray_cs`` and
+    ``mean_dot_cs`` work on it.  ``forward_cs`` and ``inverse_cs`` are its
+    real x and y DFT matrices and ``forward_z`` and ``inverse_z`` its z
+    pass, so every pass of its transforms is a real matrix product;
+    ``k_r`` are the axes' signed wavenumbers shaped to broadcast (row
+    2K+1-k stands for -k), ``diff_cs`` and ``ikz`` its derivatives,
+    ``inverse_laplacian_cs`` and ``parseval_cs`` its Leray and Parseval
+    weights.
     """
 
     n: int
@@ -144,53 +136,10 @@ class Box:
         return (2 * m + 1, 2 * m + 1, m + 1)
 
     @cached_property
-    def index(self) -> np.ndarray:
-        """Positions of the box's kx (and ky) along a full fft axis."""
-        return np.r_[0:self.keep + 1, self.n - self.keep:self.n]
-
-    @cached_property
     def k_r(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         k = np.r_[0:self.keep + 1, -self.keep:0].astype(float)
         kz = np.arange(self.keep + 1, dtype=float)
         return (k[:, None, None], k[None, :, None], kz[None, None, :])
-
-    @cached_property
-    def k(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._filled(self.k_r)
-
-    @cached_property
-    def leray_factor(self) -> np.ndarray:
-        """k / |k|^2 stacked over the three axes; zero at k = 0."""
-        kx, ky, kz = self.k_r
-        k2 = kx ** 2 + ky ** 2 + kz ** 2
-        k2[0, 0, 0] = np.inf
-        return np.stack(np.broadcast_arrays(kx / k2, ky / k2, kz / k2)).astype(complex)
-
-    def _filled(self, multipliers) -> tuple[np.ndarray, ...]:
-        return tuple(np.broadcast_to(m, self.shape).astype(complex, order="C")
-                     for m in multipliers)
-
-    @cached_property
-    def parseval_weight(self) -> np.ndarray:
-        """Weights along kz that turn a half-spectrum sum into a grid mean.
-
-        kz = 1..K stand for themselves and their conjugates, kz = 0 holds
-        both.  The 1/n^6 undoes the unnormalized forward transforms of the
-        two factors.
-        """
-        w = np.full(self.keep + 1, 2.0)
-        w[0] = 1.0
-        return w / float(self.n) ** 6
-
-    @cached_property
-    def forward(self) -> np.ndarray:
-        """exp(-2 pi i k x / n), shape (2K+1, n): grid x to the box's kx (or y to ky)."""
-        return _unit_roots(self.n)[np.outer(-self.index, np.arange(self.n)) % self.n]
-
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        """exp(2 pi i x k / n) / n, shape (n, 2K+1): the box's kx to grid x."""
-        return np.ascontiguousarray(self.forward.conj().T) / self.n
 
     @cached_property
     def forward_cs(self) -> np.ndarray:
@@ -207,7 +156,7 @@ class Box:
 
     def _cos_sin(self) -> np.ndarray:
         """cos(2 pi k x / n) for k = 1..K over sin(2 pi k x / n) for k = K..1,
-        shape (2K, n), from the fft layout's roots."""
+        shape (2K, n), from the unit roots."""
         k = np.arange(1, self.keep + 1)
         w = _unit_roots(self.n)[np.outer(np.r_[k, k[::-1]], np.arange(self.n)) % self.n]
         return np.vstack([w.real[:self.keep], w.imag[self.keep:]])
@@ -225,8 +174,9 @@ class Box:
 
     @cached_property
     def ikz(self) -> np.ndarray:
-        """2 pi i kz, box-shaped and complex: d/dz."""
-        return self._filled([2j * np.pi * self.k_r[2]])[0]
+        """2 pi i kz, box-shaped, contiguous and complex, so a multiply into a
+        box array neither casts nor broadcasts: d/dz."""
+        return np.broadcast_to(2j * np.pi * self.k_r[2], self.shape).astype(complex, order="C")
 
     @cached_property
     def inverse_laplacian_cs(self) -> np.ndarray:
@@ -238,13 +188,18 @@ class Box:
 
     @cached_property
     def parseval_cs(self) -> np.ndarray:
-        """``parseval_weight`` times 1/2 per cos or sin row and column, on the
-        float view of a cs-layout array, flattened: the grid mean of f g is
-        the sum of these weights times the products of their cs coefficients
-        (each kz's real and imaginary parts)."""
+        """Weights on the float view of a cs-layout array, flattened: the grid
+        mean of f g is the sum of these weights times the products of their
+        cs coefficients (each kz's real and imaginary parts).
+
+        1/2 per cos or sin row and column; along z, kz = 1..K stand for
+        themselves and their conjugates and kz = 0 holds both, so they
+        weigh 2 and 1.  The 1/n^6 undoes the unnormalized forward
+        transforms of the two factors.
+        """
         w = np.full(2 * self.keep + 1, 0.5)
         w[0] = 1.0
-        wz = np.repeat(self.parseval_weight, 2)
+        wz = np.repeat(np.r_[1.0, np.full(self.keep, 2.0)] / float(self.n) ** 6, 2)
         return (w[:, None, None] * w[None, :, None] * wz[None, None, :]).ravel()
 
     @cached_property
@@ -307,49 +262,6 @@ def spectral_derivative(data: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     return np.matmul(rel, dm.T)
 
 
-def rfft3_box(data: np.ndarray, box: Box) -> np.ndarray:
-    """rfftn coefficients of ``data`` (trailing three axes) on ``box``, as DFT products.
-
-    One matrix product per axis, against the box's DFT matrices: a real one
-    along z, then a complex one along x and one along y.  The y axis lies
-    between the others, so it is moved to the front for its pass and back
-    after it, making that pass a single product too.  Each pass maps n
-    points to the 2K+1 (or K+1) wavenumbers the box keeps, so the result
-    matches rfftn's to a few ulps of its largest coefficient, not bit for
-    bit.  Each pass's input is released once read; the result is a new
-    C-contiguous array.
-    """
-    n, (p, _, q) = box.n, box.shape
-    lead = data.shape[:-3]
-    z = np.matmul(data.reshape(-1, n), box.forward_z)
-    x = np.matmul(box.forward, z.view(complex).reshape(-1, n, n * q))
-    del z
-    y_in = _y_first(x.reshape(lead + (p, n, q))).reshape(n, -1)
-    del x
-    y = np.matmul(box.forward, y_in)
-    del y_in
-    return np.ascontiguousarray(_y_back(y.reshape((p,) + lead + (p, q))))
-
-
-def irfft3_box(coefs: np.ndarray, box: Box) -> np.ndarray:
-    """Grid values of ``box``'s coefficients: irfftn of them zero-filled to the
-    full layout, as dense DFT products.
-
-    The reverse of ``rfft3_box``: y (moved to the front and back), then x,
-    then a real product along z that keeps the real part of the
-    half-spectrum sum, as irfft does.  The zeros outside the box are never
-    formed.  Each pass's input is released once read.
-    """
-    n, (p, _, q) = box.n, box.shape
-    lead = coefs.shape[:-3]
-    y = np.matmul(box.inverse, _y_first(coefs).reshape(p, -1))
-    x = np.ascontiguousarray(_y_back(y.reshape((n,) + lead + (p, q))))
-    del y
-    z = np.matmul(box.inverse, x.reshape(-1, p, n * q))
-    del x
-    return np.matmul(z.view(float).reshape(-1, 2 * q), box.inverse_z).reshape(lead + (n, n, n))
-
-
 def rfft3_cs(data: np.ndarray, box: Box) -> np.ndarray:
     """cs-layout coefficients of ``data`` (trailing three axes) on ``box``.
 
@@ -357,9 +269,9 @@ def rfft3_cs(data: np.ndarray, box: Box) -> np.ndarray:
     (Re, Im) kz coefficients: z against ``forward_z``, one x-plane at a
     time, then x and y against ``forward_cs``, y as a batch over the x
     rows, which lands in the box's layout with no transposed copy.  They
-    equal ``rfft3_box``'s coefficients changed to the cos/sin basis to a
-    few ulps of the largest.  Each pass's input is released once read; the
-    result is a new C-contiguous complex array.
+    equal the box's entries of rfftn's coefficients changed to the cos/sin
+    basis to a few ulps of the largest.  Each pass's input is released once
+    read; the result is a new C-contiguous complex array.
     """
     n, (p, _, q) = box.n, box.shape
     lead = data.shape[:-3]
@@ -382,22 +294,6 @@ def irfft3_cs(coefs: np.ndarray, box: Box) -> np.ndarray:
     return np.matmul(x.reshape(-1, 2 * q), box.inverse_z).reshape(lead + (n, n, n))
 
 
-def _y_first(a: np.ndarray) -> np.ndarray:
-    """View of ``a`` with its y axis (the middle of the trailing three) in front.
-
-    Spelled out rather than np.moveaxis, whose tuple(generator) results pile
-    up on Python's tuple free list, memory tracemalloc counts as held.
-    """
-    nd = a.ndim
-    return a.transpose(nd - 2, *range(nd - 2), nd - 1)
-
-
-def _y_back(a: np.ndarray) -> np.ndarray:
-    """The inverse of ``_y_first``: the leading axis moved back to y."""
-    nd = a.ndim
-    return a.transpose(*range(1, nd - 1), 0, nd - 1)
-
-
 def _cross(a, b: np.ndarray) -> np.ndarray:
     """Pointwise a x b of two 3-stacks; ``a`` may be a triple of arrays that
     broadcast against ``b``."""
@@ -411,13 +307,7 @@ def _cross(a, b: np.ndarray) -> np.ndarray:
 
 def dealias(data: np.ndarray, grid: Grid) -> np.ndarray:
     """Zero every mode with max |k| beyond the 2/3-rule cutoff: a box round trip."""
-    return irfft3_box(rfft3_box(data, grid.box), grid.box)
-
-
-def leray_r(spec: np.ndarray, box: Box) -> np.ndarray:
-    """Box coefficients of the divergence-free part of a 3-stack; the mean is kept."""
-    kx, ky, kz = box.k
-    return spec - box.leray_factor * (kx * spec[0] + ky * spec[1] + kz * spec[2])
+    return irfft3_cs(rfft3_cs(data, grid.box), grid.box)
 
 
 def _d_cs(spec: np.ndarray, box: Box, axis: int, out: np.ndarray) -> np.ndarray:
@@ -489,5 +379,5 @@ def spectral_tail_fraction(data: np.ndarray, grid: Grid) -> float:
     if peak == 0.0:
         return 0.0
     scaled, box = data / peak, Box.of(grid.n, grid.n // 2 - 2)
-    tail = scaled - irfft3_box(rfft3_box(scaled, box), box)
+    tail = scaled - irfft3_cs(rfft3_cs(scaled, box), box)
     return float(np.mean(tail ** 2) / np.mean(scaled ** 2))

@@ -4,8 +4,9 @@ A field of bandwidth b draws a complex standard normal coefficient c_k for
 each mode with max |k_i| <= b, in C order over the fft-ordered cube, sets
 c_0 = 0, and is Re(sum_k c_k e^{2 pi i k.x}) scaled to grid rms ``rms``.
 b is clamped to n/2 - 1, so no Nyquist mode is drawn.  The sum is the
-inverse transform on ``Box.of(n, b)`` of the Hermitian part
-(c_k + conj(c_-k))/2 on kz >= 0; a stack of fields is one transform.
+inverse cs transform on ``Box.of(n, b)`` of the Hermitian part
+h_k = (c_k + conj(c_-k))/2 on kz >= 0, changed to the cos/sin basis along
+x and y; a stack of fields is one transform.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .forms import Form0, Form1, VectorField, form_of_rank
-from .grid import Box, Grid, irfft3_box, leray_r
+from .grid import Box, Grid, irfft3_cs, leray_cs, mean_dot_cs
 
 
 def random_scalar_array(grid: Grid, bandwidth: int, rng: np.random.Generator,
@@ -43,7 +44,7 @@ def random_vector_field(grid: Grid, bandwidth: int, rng, rms: float = 1.0) -> Ve
 def _random_stack(grid: Grid, bandwidth: int, rng, rms: float, count: int = 3) -> np.ndarray:
     """``count`` ``random_scalar_array`` draws, stacked as components: one transform."""
     coefs, box = _draw(grid, bandwidth, rng, count)
-    return _at_rms(irfft3_box(coefs, box), rms)
+    return _at_rms(irfft3_cs(coefs, box), rms)
 
 
 def random_divfree_field(grid: Grid, bandwidth: int, rng, rms: float = 1.0) -> VectorField:
@@ -54,28 +55,40 @@ def random_divfree_field(grid: Grid, bandwidth: int, rng, rms: float = 1.0) -> V
     inverse transform.
     """
     coefs, box = _draw(grid, bandwidth, rng, 3)
-    v = _at_rms([leray_r(_at_rms(coefs, 1.0, box), box)], rms, box)[0]
-    return VectorField(grid, irfft3_box(v, box))
+    v = _at_rms([leray_cs(_at_rms(coefs, 1.0, box), box)], rms, box)[0]
+    return VectorField(grid, irfft3_cs(v, box))
 
 
 def _draw(grid: Grid, bandwidth: int, rng, count: int) -> tuple[np.ndarray, Box]:
-    """``count`` fields' Hermitian coefficients, shape (count,) + box.shape, and their box."""
+    """``count`` fields' cs-layout coefficients, shape (count,) + box.shape, and their box."""
     box = Box.of(grid.n, min(bandwidth, grid.n // 2 - 1))
-    p = 2 * box.keep + 1
+    m = box.keep
+    p = 2 * m + 1
     c = np.stack([rng.standard_normal(p ** 3) + 1j * rng.standard_normal(p ** 3)
                   for _ in range(count)]).reshape(count, p, p, p)
     c[:, 0, 0, 0] = 0.0
     c_neg = np.roll(c[:, ::-1, ::-1, ::-1], 1, axis=(1, 2, 3))  # c_-k in fft order
-    return 0.5 * (c + c_neg.conj())[..., :box.keep + 1], box
+    h = 0.5 * (c[..., :m + 1] + c_neg[..., :m + 1].conj())
+    for axis in (1, 2):  # rows k = 0..K, -K..-1 to A_k, then B_k for k = K..1
+        rows = h.swapaxes(0, axis)
+        cos, sin = rows[1:m + 1], rows[m + 1:]
+        b = rows[m:0:-1] - sin  # h_k - h_-k, k = K..1
+        cos += sin[::-1]
+        np.multiply(b, 1j, out=sin)
+    return h, box
 
 
 def _at_rms(fields, rms: float, box: Box | None = None):
     """Each of ``fields`` (scaled in place) brought to root mean square ``rms``;
     a zero field is left as it is.  The fields are grid values, or
-    coefficients on ``box``, whose grid mean square is their Parseval sum
-    (``parseval_weight`` includes the inverse transform's 1/n^3)."""
+    cs-layout coefficients on ``box``, whose grid mean square is their
+    Parseval sum (``parseval_cs`` includes the inverse transform's 1/n^3)."""
     for f in fields:
-        ms = np.mean(f ** 2) if box is None else np.sum(np.abs(f) ** 2 @ box.parseval_weight)
+        if box is None:
+            ms = np.mean(f ** 2)
+        else:
+            stack = f.reshape((-1,) + box.shape)
+            ms = mean_dot_cs(stack, stack, box)
         norm = float(np.sqrt(ms))
         if norm > 0:
             f *= rms / norm

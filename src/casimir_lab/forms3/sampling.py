@@ -13,18 +13,17 @@ import numpy as np
 from .. import kernels
 from ..errors import PreconditionError
 from .forms import Form0, Form3
-from .grid import Box, rfft3_box
+from .grid import Box, rfft3_cs
 
 # How far (mod 1) a curve's closing row may sit from its first row.
 CLOSURE_TOL = 1e-12
 
 
 def _eval_scalar(data: np.ndarray, box: Box, pts: np.ndarray) -> np.ndarray:
-    coef = rfft3_box(data - data.flat[0], box)  # a constant has zero coefficients
-    coef[..., 1:] *= 2.0                         # kz > 0 stands for its conjugate too
+    coef = rfft3_cs(data - data.flat[0], box)  # a constant has zero coefficients
+    coef[..., 1:] *= 2.0                        # kz > 0 stands for its conjugate too
     coef /= box.n ** 3
-    kxy, _, kz = box.k_r
-    return kernels.trig_eval(coef, kxy.ravel(), kz.ravel(), pts) + data.flat[0]
+    return kernels.trig_eval(coef, pts) + data.flat[0]
 
 
 def eval_at(obj, points):

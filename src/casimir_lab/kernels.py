@@ -185,21 +185,33 @@ def rk45_loop(p, r, s, h, t_final, rtol, atol, max_steps):
 
 # ---------------------------------------------------------------------------
 # Trigonometric-interpolant evaluation at scattered points.
-# coef is a real field's (2K+1, 2K+1, K+1) box half spectrum, weighted so the
-# real part of its phase sum is the interpolant; kxy holds the box's x (and y)
-# wavenumbers, kz = 0..K.  Evaluation is a separable contraction.
+# coef is a real field's (2K+1, 2K+1, K+1) cos/sin-layout box coefficients,
+# weighted so that the real part of their sum against per-point bases is the
+# interpolant: [1, cos 2 pi k x (k = 1..K), sin 2 pi k x (k = K..1)] along x
+# and y, exp(2 pi i kz z) for kz = 0..K along z.  Evaluation is a separable
+# contraction.
 # ---------------------------------------------------------------------------
 
-def trig_eval(coef, kxy, kz, pts):
-    """Contract the half spectrum against per-point phases, in chunks."""
+def _cs_basis(x, keep):
+    """[1, cos 2 pi k x for k = 1..K, sin 2 pi k x for k = K..1] per point,
+    shape (m, 2K+1): the box's rows along x (or columns along y)."""
+    t = 2.0 * np.pi * np.outer(x, np.arange(1, keep + 1))
+    return np.hstack([np.ones((x.size, 1)), np.cos(t), np.sin(t[:, ::-1])])
+
+
+def trig_eval(coef, pts):
+    """Contract the coefficients against per-point bases, in chunks: z as
+    one real product of Re(c e^(2 pi i kz z)) = Re c cos - Im c sin over
+    coef's float view, then y and x."""
+    p, _, q = coef.shape
+    flat = coef.view(float).reshape(p * p, 2 * q).T
     out = np.empty(pts.shape[0])
     chunk = 512
     for lo in range(0, pts.shape[0], chunk):
         hi = min(lo + chunk, pts.shape[0])
-        ex = np.exp(2j * np.pi * np.outer(pts[lo:hi, 0], kxy))
-        ey = np.exp(2j * np.pi * np.outer(pts[lo:hi, 1], kxy))
-        ez = np.exp(2j * np.pi * np.outer(pts[lo:hi, 2], kz))
-        t1 = np.tensordot(ez, coef, axes=(1, 2))      # (m, i, j)
-        t2 = np.einsum("mij,mj->mi", t1, ey)
-        out[lo:hi] = np.einsum("mi,mi->m", t2, ex).real
+        tz = 2.0 * np.pi * np.outer(pts[lo:hi, 2], np.arange(q))
+        ez = np.stack([np.cos(tz), -np.sin(tz)], axis=-1).reshape(hi - lo, 2 * q)
+        t1 = (ez @ flat).reshape(hi - lo, p, p)      # (m, i, j)
+        t2 = np.einsum("mij,mj->mi", t1, _cs_basis(pts[lo:hi, 1], q - 1))
+        out[lo:hi] = np.einsum("mi,mi->m", t2, _cs_basis(pts[lo:hi, 0], q - 1))
     return out

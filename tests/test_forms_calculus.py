@@ -188,9 +188,11 @@ class TestRandomFields:
 
         for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
             monkeypatch.setattr(np.fft, name, refuse)
-        for module in [m for name, m in sys.modules.items() if name.startswith("casimir_lab")]:
-            if hasattr(module, "rfft3_box"):
-                monkeypatch.setattr(module, "rfft3_box", refuse)
+        patched = [m for name, m in sys.modules.items()
+                   if name.startswith("casimir_lab") and hasattr(m, "rfft3_cs")]
+        assert grid in patched
+        for module in patched:
+            monkeypatch.setattr(module, "rfft3_cs", refuse)
         for bandwidth in (1, 4, 8):
             f3.random_scalar_array(grid16, bandwidth, rng)
             f3.random_form1(grid16, bandwidth, rng)
@@ -441,6 +443,22 @@ class TestEvalAt:
             f = f3.random_form0(f3.Grid(n), n // 2 - 1, rng)
             idx = rng.integers(0, n, (min(n ** 3, 256), 3))
             assert np.abs(f3.eval_at(f, idx / n) - f.data[tuple(idx.T)]).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [6, 8, 32])
+    def test_off_grid_matches_shifted_interpolant(self, n, rng):
+        # at the nodes shifted by half a cell, against the interpolant
+        # shifted by its Fourier phases exp(2 pi i k.s): node reproduction
+        # cannot tell mode k from k - n, nor catch a wrong sine-row order
+        g = f3.Grid(n)
+        shift = np.full(3, 0.5 / n)
+        k = np.fft.fftfreq(n, 1 / n)
+        phase = np.exp(2j * np.pi * shift[0] * (k[:, None, None] + k[None, :, None]
+                                                + np.arange(n // 2 + 1)[None, None, :]))
+        pts = np.stack([m.ravel() for m in g.meshes], axis=-1) + shift
+        for bandwidth in sorted({1, n // 3, n // 2 - 1}):
+            f = f3.random_form0(g, bandwidth, rng)
+            shifted = np.fft.irfftn(np.fft.rfftn(f.data) * phase, g.shape, axes=(0, 1, 2))
+            assert np.abs(f3.eval_at(f, pts) - shifted.ravel()).max() <= 1e-13
 
     def test_vector_output_shape(self, grid32, rng):
         a = f3.random_form1(grid32, 4, rng)

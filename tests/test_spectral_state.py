@@ -3,13 +3,12 @@ propagator exp(-t L_u)), both on the 2/3-rule box in the cos/sin layout,
 against physical-space oracles: a DOP853 loop over dealiased euler_rhs with
 scipy's tableau, a plain RK4 loop over the dealiased generator, and the
 energy/helicity functionals evaluated on the grid.  euler_evolve against a
-DOP853 loop written out here, bit for bit, and against the same loop in the
-fft layout.  The box transforms, the Leray multiplier and ``dealias``
-against np.fft.rfftn/irfftn and a full-layout Leray projection written out
-here, masked by boxes built here from np.fft.fftfreq; the cos/sin
-transforms against the fft layout's coefficients changed to that basis;
-curl, grad, Leray and the Parseval mean against spectral derivatives,
-``leray_project`` and grid means."""
+DOP853 loop written out here, bit for bit, and against the same loop on
+np.fft.rfftn/irfftn's coefficients.  The box transforms, ``leray_cs`` and
+``dealias`` against np.fft.rfftn/irfftn and a full-layout Leray projection
+written out here, masked by boxes built here from np.fft.fftfreq, with the
+rfftn coefficients changed to the cos/sin basis; curl, grad, Leray and the
+Parseval mean against spectral derivatives and grid means."""
 
 import math
 import tracemalloc
@@ -77,6 +76,11 @@ def _full_k(n):
     """Integer wavenumbers (kx, ky, kz) shaped to broadcast on the full rfftn layout."""
     k = np.fft.fftfreq(n, d=1.0 / n)
     return k[:, None, None], k[None, :, None], np.arange(n // 2 + 1.0)[None, None, :]
+
+
+def _index(box):
+    """Positions of the box's kx (and ky) along a full fft axis."""
+    return np.r_[0:box.keep + 1, box.n - box.keep:box.n]
 
 
 def _mask(n, keep=None):
@@ -204,7 +208,22 @@ def _fft_curl(s, box):
 
 
 def _fft_mean_dot(a, b, box):
-    return float(np.sum(np.sum((a * b.conj()).real, axis=0) @ box.parseval_weight))
+    """The grid mean of a . b from rfftn-layout box coefficients: kz = 1..K
+    stand for themselves and their conjugates."""
+    w = np.r_[1.0, np.full(box.keep, 2.0)] / float(box.n) ** 6
+    return float(np.sum(np.sum((a * b.conj()).real, axis=0) @ w))
+
+
+def _fft_forward(data, box):
+    return _restrict(_rfftn(data), box)
+
+
+def _fft_inverse(coefs, box):
+    return _irfftn(_zero_fill(coefs, box), box.n)
+
+
+def _fft_leray(s, box):
+    return _restrict(_full_leray(_zero_fill(s, box), box.n), box)
 
 
 def _cross(a, b):
@@ -212,15 +231,17 @@ def _cross(a, b):
                      a[0] * b[1] - a[1] * b[0]])
 
 
-# forward, inverse, Leray, curl and Parseval mean of each layout
+# forward, inverse, Leray, curl and Parseval mean of each layout; "fft" is
+# rfftn's, restricted to the box, with numpy's transforms
 LAYOUTS = {"cs": (f3.rfft3_cs, f3.irfft3_cs, _cs_leray, _cs_curl, f3.mean_dot_cs),
-           "fft": (f3.rfft3_box, f3.irfft3_box, f3.leray_r, _fft_curl, _fft_mean_dot)}
+           "fft": (_fft_forward, _fft_inverse, _fft_leray, _fft_curl, _fft_mean_dot)}
 
 
 def _unbuffered_euler(alpha, dt, t_final, layout="cs"):
     """euler_evolve as a loop of fresh arrays: each multiplier and product
     written as one expression and the DOP853 sums in their summation order;
-    ``layout="fft"`` runs it on the fft layout's transforms and multipliers."""
+    ``layout="fft"`` runs it on numpy's rfftn/irfftn restricted to the box
+    and the full-layout Leray projection."""
     box = alpha.grid.box
     fwd, inv, leray, curl, mean_dot = LAYOUTS[layout]
 
@@ -246,7 +267,7 @@ def _unbuffered_euler(alpha, dt, t_final, layout="cs"):
 class TestEulerWorkspace:
     """euler_evolve bit for bit against the loop of fresh arrays above, with
     scipy's tableau and each multiplier written as one expression, and
-    against the same loop in the fft layout to roundoff."""
+    against the same loop on numpy's transforms to roundoff."""
 
     def test_matches_unbuffered_loop(self, n, rng):
         g = f3.Grid(n)
@@ -306,12 +327,6 @@ def test_shared_step_rule(evolve, grid16, rng):
             evolve(a, dt, t_final)
 
 
-def _box_values(rng, g, lead=(3,)):
-    """2/3-box coefficients of full-band noise and the grid values they stand for."""
-    coefs = f3.rfft3_box(rng.standard_normal(lead + g.shape), g.box)
-    return coefs, f3.irfft3_box(coefs, g.box)
-
-
 def _cs_values(rng, g, lead=(3,)):
     """2/3-box cos/sin coefficients of full-band noise and the grid values they stand for."""
     coefs = f3.rfft3_cs(rng.standard_normal(lead + g.shape), g.box)
@@ -355,14 +370,14 @@ BOX_N = (4, 6, 8, 10, 32, 34)
 
 def _restrict(full, box):
     """The box's entries of a full rfftn-layout stack."""
-    i = box.index
+    i = _index(box)
     return full[..., i[:, None], i, :box.keep + 1]
 
 
 def _zero_fill(coefs, box):
     n = box.n
     full = np.zeros(coefs.shape[:-3] + (n, n, n // 2 + 1), complex)
-    i = box.index
+    i = _index(box)
     full[..., i[:, None], i, :box.keep + 1] = coefs
     return full
 
@@ -375,9 +390,9 @@ def _keeps(n):
 @pytest.mark.parametrize("n", BOX_N)
 class TestBox:
     """The dense box transforms agree with rfftn/irfftn to a few ulps of the
-    largest coefficient, and the box Leray multiplier is the full-layout
-    projection restricted, bit for bit; curl, grad and the Parseval mean
-    have grid-space oracles."""
+    largest coefficient, and ``leray_cs`` is the one-expression cos/sin
+    projection, bit for bit, and the full-layout projection to roundoff;
+    curl, grad and the Parseval mean have grid-space oracles."""
 
     def test_layout(self, n):
         g = f3.Grid(n)
@@ -400,17 +415,20 @@ class TestBox:
             box = f3.Box(n, keep)
             for lead in ((3,), ()):
                 data = rng.standard_normal(lead + (n, n, n))
-                coefs = f3.rfft3_box(data, box)
+                cs = f3.rfft3_cs(data, box)
+                coefs = _from_cs(cs, box)
                 assert _ulp_close(_zero_fill(coefs, box), _rfftn(data) * _mask(n, keep))
-                assert _ulp_close(f3.irfft3_box(coefs, box), _irfftn(_zero_fill(coefs, box), n))
+                assert _ulp_close(f3.irfft3_cs(cs, box), _irfftn(_zero_fill(coefs, box), n))
 
     def test_multipliers_match_full_layout(self, n, rng):
         g = f3.Grid(n)
-        a_values = _box_values(rng, g)[1]
+        a_values = _cs_values(rng, g)[1]
         for box in (g.box, f3.Box.of(n, n // 2 - 1)):
-            s = f3.rfft3_box(a_values, box)
-            assert np.array_equal(f3.leray_r(s, box),
-                                  _restrict(_full_leray(_zero_fill(s, box), n), box))
+            s = f3.rfft3_cs(a_values, box)
+            leray = f3.leray_cs(s, box)
+            assert np.array_equal(leray, _cs_leray(s, box))
+            assert _rel(f3.irfft3_cs(leray, box),
+                        _irfftn(_full_leray(_rfftn(a_values), n), n)) <= 1e-13
         # the cos/sin curl, grad and Leray against spectral_derivative and
         # leray_project of the grid values
         (a, a_values), (b, b_values) = _cs_values(rng, g), _cs_values(rng, g)
@@ -431,35 +449,53 @@ class TestBox:
             assert abs(got - _grid_mean_dot(xv, yv)) <= 1e-15 * scale
 
 
+def _change_basis(basis, coefs):
+    """``basis`` (p, p) applied along the x and the y axis of box coefficients."""
+    p = basis.shape[0]
+    x = np.matmul(basis, coefs.reshape(coefs.shape[:-3] + (p, -1))).reshape(coefs.shape)
+    return np.matmul(basis, x)
+
+
 def _to_cs(coefs, box):
-    """fft-layout box coefficients changed to the cos/sin basis along x and y:
+    """rfftn-layout box coefficients changed to the cos/sin basis along x and y:
     row k >= 0 holds A_k = a_k + a_-k and row -k holds B_k = i (a_k - a_-k)."""
     p = 2 * box.keep + 1
     basis = np.eye(p, dtype=complex)
     for k in range(1, box.keep + 1):
         basis[k, p - k] = 1.0
         basis[p - k, k], basis[p - k, p - k] = 1j, -1j
-    x = np.matmul(basis, coefs.reshape(coefs.shape[:-3] + (p, -1))).reshape(coefs.shape)
-    return np.matmul(basis, x)
+    return _change_basis(basis, coefs)
+
+
+def _from_cs(coefs, box):
+    """The inverse of ``_to_cs``: a_k = (A_k - i B_k)/2 and a_-k = (A_k + i B_k)/2."""
+    p = 2 * box.keep + 1
+    basis = np.eye(p, dtype=complex)
+    for k in range(1, box.keep + 1):
+        basis[k, k], basis[k, p - k] = 0.5, -0.5j
+        basis[p - k, k], basis[p - k, p - k] = 0.5, 0.5j
+    return _change_basis(basis, coefs)
 
 
 @pytest.mark.parametrize("n", range(4, 66, 2))
 def test_cs_transforms_are_the_basis_change(n, rng):
-    # every K from the mean alone to the Nyquist-free box.  The bound is
+    # every K from the mean alone to the Nyquist-free box, forward and
+    # inverse against rfftn and irfftn.  The forward bound is
     # 8 ulps of the data's largest coefficient: K = 0 keeps only the mean,
     # a sum of n^3 values whose cancellation leaves its own size no measure
     # of the two summation orders' roundoff
     for lead in ((), (3,)):
         data = rng.standard_normal(lead + (n, n, n))
-        scale = np.abs(f3.rfft3_box(data, f3.Box.of(n, n // 2 - 1))).max()
+        full = _rfftn(data)
+        scale = np.abs(_restrict(full, f3.Box.of(n, n // 2 - 1))).max()
         for keep in sorted({0, 1, n // 3, n // 2 - 1}):
             box = f3.Box.of(n, keep)
             got = f3.rfft3_cs(data, box)
             assert got.shape == lead + box.shape and got.flags.c_contiguous
-            assert np.abs(got - _to_cs(f3.rfft3_box(data, box), box)).max() \
+            assert np.abs(got - _to_cs(_restrict(full, box), box)).max() \
                 <= 8 * np.finfo(float).eps * scale
-        g = f3.Grid(n)
-        assert _ulp_close(f3.irfft3_cs(f3.rfft3_cs(data, g.box), g.box), f3.dealias(data, g))
+            assert _ulp_close(f3.irfft3_cs(got, box),
+                              _irfftn(_zero_fill(_from_cs(got, box), box), n))
 
 
 def test_transforms_without_work_release_each_pass(rng):
@@ -468,11 +504,10 @@ def test_transforms_without_work_release_each_pass(rng):
     n = 32
     box = f3.Box.of(n, n // 2 - 1)
     data = rng.standard_normal((n, n, n))
-    for forward, inverse in ((f3.rfft3_box, f3.irfft3_box), (f3.rfft3_cs, f3.irfft3_cs)):
-        coefs = forward(data, box)  # builds the box's DFT matrices
-        inverse(coefs, box)
-        assert _traced_peak(lambda: forward(data, box)) < 2.5 * data.nbytes
-        assert _traced_peak(lambda: inverse(coefs, box)) < 2.5 * data.nbytes
+    coefs = f3.rfft3_cs(data, box)  # builds the box's DFT matrices
+    f3.irfft3_cs(coefs, box)
+    assert _traced_peak(lambda: f3.rfft3_cs(data, box)) < 2.5 * data.nbytes
+    assert _traced_peak(lambda: f3.irfft3_cs(coefs, box)) < 2.5 * data.nbytes
 
 
 def _ulp_close(got, ref):
