@@ -26,11 +26,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InconsistencyError, PreconditionError
-from .fluid import helicity, lie_poisson_bracket, pairing
+from .fluid import lie_poisson_bracket, pairing
 from .forms3 import (
     Form0,
     Form1,
     Form2,
+    Form3,
     VectorField,
     d,
     integrate3,
@@ -39,6 +40,7 @@ from .forms3 import (
     transport,
     wedge,
 )
+from .forms3.calculus import _dot
 
 __all__ = [
     "FoliatedState",
@@ -70,18 +72,20 @@ def check_integrability(alpha: Form1) -> dict:
     An overflowing alpha gives inf/nan residuals, which the gates refuse.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _frobenius(alpha, d(alpha))
+        da = d(alpha)
+        return _frobenius(alpha, da, wedge(alpha, da), _dot(alpha.data, alpha.data))
 
 
-def _frobenius(alpha: Form1, da: Form2) -> dict:
-    """check_integrability's record, given alpha's d(alpha)."""
-    res = wedge(alpha, da).l2()
+def _frobenius(alpha: Form1, da: Form2, a_da: Form3, alpha_sq: np.ndarray) -> dict:
+    """check_integrability's record, given d(alpha), alpha ^ d(alpha) and
+    |alpha|^2 pointwise."""
+    res = a_da.l2()
     scale = alpha.l2() * da.l2()
     rel = res / scale if scale > 0 else res
     return {
         "residual": res,
         "relative_residual": rel,
-        "min_abs": float(np.sqrt(np.sum(alpha.data ** 2, axis=0).min())),
+        "min_abs": float(np.sqrt(alpha_sq.min())),
         "integrable": rel <= INTEGRABILITY_TOL,
     }
 
@@ -101,14 +105,15 @@ def subalgebra_orthogonality(alpha: Form1, beta: Form1, h_fn: Form0) -> float:
     return pairing(alpha, VectorField(alpha.grid, nu.data))
 
 
-def _reference_field(alpha: Form1) -> VectorField:
-    """X = alpha_sharp / |alpha|^2, so i_X alpha = 1 pointwise.
+def _reference_field(alpha: Form1, alpha_sq: np.ndarray) -> VectorField:
+    """X = alpha_sharp / |alpha|^2, so i_X alpha = 1 pointwise, given
+    |alpha|^2 pointwise.
 
     Where alpha vanishes or |alpha|^2 overflows X is NaN or zero; the gates
     reject such an alpha.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return VectorField(alpha.grid, alpha.data / np.sum(alpha.data ** 2, axis=0))
+        return VectorField(alpha.grid, alpha.data / alpha_sq)
 
 
 def gate_failure(res: dict) -> PreconditionError | InconsistencyError | None:
@@ -185,27 +190,31 @@ class FoliatedState:
     @classmethod
     def from_alpha(cls, alpha: Form1, *, strict: bool = True) -> "FoliatedState":
         """Solve the chain, the library's one solver of eta, gamma and chi,
-        and record its residuals; the Frobenius test and the helicity
-        reuse the chain's d(alpha).  With strict=True a state that fails a
+        and record its residuals; the Frobenius test and the helicity share
+        one alpha ^ d(alpha), made from the chain's d(alpha), and X and
+        min |alpha| one |alpha|^2.  With strict=True a state that fails a
         membership gate raises; with strict=False it is returned, and
         ``gate_failure(state.residuals)`` names the failure.  An overflowing
         alpha gives inf/nan residuals, which the gates refuse."""
         with np.errstate(over="ignore", invalid="ignore"):
-            x = _reference_field(alpha)
+            alpha_sq = _dot(alpha.data, alpha.data)
+            x = _reference_field(alpha, alpha_sq)
             da = d(alpha)
+            a_da = wedge(alpha, da)
+            frobenius = _frobenius(alpha, da, a_da, alpha_sq)
+            helicity = abs(integrate3(a_da))
+            del alpha_sq, a_da  # not held through the chain solve, whose peak sets RSS
             eta = interior(x, da)
             deta = d(eta)
             gamma = interior(x, deta)
             chi, chain = _solve_chi(alpha, da, eta, deta, gamma)
             gv = integrate3(wedge(eta, deta))
-            frobenius = _frobenius(alpha, da)
             res = {
                 "integrability": frobenius["relative_residual"],
                 "min_abs_alpha": frobenius["min_abs"],
                 **chain,
-                "x_ref_normalization": float(
-                    np.abs(np.sum(alpha.data * x.data, axis=0) - 1.0).max()),
-                "helicity": abs(helicity(alpha, da)),
+                "x_ref_normalization": float(np.abs(_dot(alpha.data, x.data) - 1.0).max()),
+                "helicity": helicity,
             }
         if strict:
             _enforce_gates(res)

@@ -63,8 +63,14 @@ class _GridObject:
         return bool(np.all(np.isfinite(self.data)))
 
     def l2(self) -> float:
-        """L2 norm: sqrt of the grid mean of the squared component sum."""
-        return float(np.sqrt(np.mean(self.data ** 2) * (self.data.size // self.grid.n ** 3)))
+        """L2 norm: sqrt of the grid mean of the squared component sum.
+
+        One einsum pass over the raveled data, with no squared copy.  Not
+        ``np.vdot``: BLAS ddot splits the sum over its threads, so its last
+        bits move with the BLAS thread count; einsum's do not.
+        """
+        flat = self.data.ravel()
+        return float(np.sqrt(np.einsum("i,i->", flat, flat) / self.grid.n ** 3))
 
     def linf(self) -> float:
         return float(np.abs(self.data).max())

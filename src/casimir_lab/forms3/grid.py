@@ -298,10 +298,11 @@ def _cross(a, b: np.ndarray) -> np.ndarray:
     """Pointwise a x b of two 3-stacks; ``a`` may be a triple of arrays that
     broadcast against ``b``."""
     out = np.empty(b.shape, np.result_type(a[0], b))
+    tmp = np.empty(b.shape[1:], out.dtype)  # one scratch row for the a_k b_j
     for i in range(3):  # out_i = a_j b_k - a_k b_j, (i, j, k) cyclic
         j, k = (i + 1) % 3, (i + 2) % 3
         np.multiply(a[j], b[k], out=out[i])
-        out[i] -= a[k] * b[j]
+        out[i] -= np.multiply(a[k], b[j], out=tmp)
     return out
 
 

@@ -1,3 +1,4 @@
+import math
 import platform
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 import casimir_lab
 from casimir_lab import forms3 as f3
-from casimir_lab.forms3 import grid
+from casimir_lab.forms3 import calculus, grid
 from casimir_lab.errors import InvalidParameterError, PreconditionError, RankError
 
 
@@ -274,6 +275,67 @@ class TestWedge:
             lhs = f3.d(f3.wedge(a, b))
             rhs = f3.wedge(f3.d(a), b) + (-1.0) ** ra * f3.wedge(a, f3.d(b))
             assert (lhs - rhs).l2() <= 1e-11 * max(rhs.l2(), 1.0)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+def _stack_pairs(n, rng):
+    """Pairs of random 3-stacks on an n^3 grid: contiguous, strided along y,
+    components reversed with z flipped, and axes transposed."""
+    a, b = rng.standard_normal((2, 3, n, n, n))
+    wide = rng.standard_normal((2, 3, n, 2 * n, n))
+    return [(a, b), (wide[0][:, :, ::2], wide[1][:, :, 1::2]),
+            (a[::-1], b[..., ::-1]), (a.transpose(0, 3, 2, 1), b)]
+
+
+class TestPointwiseKernels:
+    @pytest.mark.parametrize("n", [8, 32, 48])
+    def test_dot_is_the_component_sum_bit_for_bit(self, n, rng):
+        for a, b in _stack_pairs(n, rng):
+            want = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+            assert np.array_equal(_bits(calculus._dot(a, b)), _bits(want))
+
+    @pytest.mark.parametrize("n", [8, 32, 48])
+    def test_cross_is_the_component_formula_bit_for_bit(self, n, rng):
+        for a, b in _stack_pairs(n, rng):
+            want = np.stack([a[1] * b[2] - a[2] * b[1],
+                             a[2] * b[0] - a[0] * b[2],
+                             a[0] * b[1] - a[1] * b[0]])
+            assert np.array_equal(_bits(grid._cross(a, b)), _bits(want))
+
+    def test_self_wedge_gives_exact_zeros(self, grid16, rng):
+        for a, _ in _stack_pairs(16, rng):
+            w = f3.wedge(f3.Form1(grid16, a), f3.Form1(grid16, a))
+            assert np.array_equal(_bits(w.data), np.zeros(w.data.shape, np.int64))
+
+    @pytest.mark.parametrize("rank", [0, 1, 2])
+    def test_l2_within_the_summation_bound_of_fsum(self, grid16, rng, rank):
+        form = f3.random_form(grid16, rank, 5, rng)
+        x = form.data.ravel()
+        want = math.sqrt(math.fsum(x * x) / grid16.n ** 3)
+        # recursive summation of m nonnegative terms is within gamma_(m-1) of
+        # the exact sum (Higham, 2nd ed., ch. 4); the squares, the division
+        # and the square root add a few roundings, u each
+        u = np.finfo(float).eps / 2
+        assert abs(form.l2() - want) <= (x.size + 4) * u * want
+
+    def test_l2_reads_strided_data_like_its_copy(self, grid16, rng):
+        for a, _ in _stack_pairs(16, rng):
+            got = f3.Form1(grid16, a).l2()
+            assert got == f3.Form1(grid16, np.ascontiguousarray(a)).l2()
+
+    def test_l2_special_values(self, grid16):
+        data = np.zeros((3,) + grid16.shape)
+        zero = f3.Form1(grid16, data).l2()
+        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+        data[1, 2, 3, 4] = -np.inf
+        assert f3.Form1(grid16, data).l2() == np.inf
+        data[1, 2, 3, 4] = np.nan
+        assert math.isnan(f3.Form1(grid16, data).l2())
+        data[1, 2, 3, 4] = 1e200  # an overflowing square
+        assert f3.Form1(grid16, data).l2() == np.inf
 
 
 class TestInterior:

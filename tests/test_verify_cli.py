@@ -860,11 +860,13 @@ def test_cli_import_leaves_out_scipy_and_sympy():
 def test_report_does_not_depend_on_blas_threads(tmp_path):
     # the box transforms are BLAS matrix products: the report must not move
     # with the number of threads BLAS splits them over, for Euler
-    # (lie-poisson) or for 1-form transport (forms)
+    # (lie-poisson), for 1-form transport (forms) or for the foliation
+    # chain's residual norms (godbillon-vey), whose sums a BLAS dot would
+    # split over its threads
     src = str(Path(casimir_lab.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    for suite, grid in (("lie-poisson", "8"), ("forms", "16")):
+    for suite, grid in (("lie-poisson", "8"), ("forms", "16"), ("godbillon-vey", "32")):
         reports = []
         for threads in ("1", "2"):
             path = tmp_path / f"{suite}-{threads}.json"
