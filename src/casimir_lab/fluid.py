@@ -16,6 +16,7 @@ import numpy as np
 from .errors import BlowUpError, InvalidParameterError
 from .forms3 import (
     Form1,
+    Form2,
     VectorField,
     curl_cs,
     d,
@@ -84,9 +85,9 @@ def coadjoint(u: VectorField, alpha: Form1) -> Form1:
     return -interior(u, d(alpha))
 
 
-def helicity(alpha: Form1) -> float:
-    """int alpha ^ d(alpha)."""
-    return integrate3(wedge(alpha, d(alpha)))
+def helicity(alpha: Form1, da: Form2 | None = None) -> float:
+    """int alpha ^ d(alpha); ``da`` is d(alpha) when the caller already has it."""
+    return integrate3(wedge(alpha, d(alpha) if da is None else da))
 
 
 def helicity_gradient_check(alpha: Form1, da: Form1) -> tuple[float, float]:

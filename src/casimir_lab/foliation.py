@@ -26,12 +26,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InconsistencyError, PreconditionError
-from .fluid import lie_poisson_bracket, pairing
+from .fluid import helicity, lie_poisson_bracket, pairing
 from .forms3 import (
     Form0,
     Form1,
     Form2,
-    Form3,
     VectorField,
     d,
     integrate3,
@@ -40,7 +39,6 @@ from .forms3 import (
     transport,
     wedge,
 )
-from .forms3.calculus import _dot
 
 __all__ = [
     "FoliatedState",
@@ -72,14 +70,18 @@ def check_integrability(alpha: Form1) -> dict:
     An overflowing alpha gives inf/nan residuals, which the gates refuse.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        da = d(alpha)
-        return _frobenius(alpha, da, wedge(alpha, da), _dot(alpha.data, alpha.data))
+        return _frobenius(alpha, d(alpha), _abs_sq(alpha))
 
 
-def _frobenius(alpha: Form1, da: Form2, a_da: Form3, alpha_sq: np.ndarray) -> dict:
-    """check_integrability's record, given d(alpha), alpha ^ d(alpha) and
-    |alpha|^2 pointwise."""
-    res = a_da.l2()
+def _abs_sq(alpha: Form1) -> np.ndarray:
+    """|alpha|^2 pointwise, i_V alpha for V = alpha_sharp (without sharp's
+    copy)."""
+    return interior(VectorField(alpha.grid, alpha.data), alpha).data
+
+
+def _frobenius(alpha: Form1, da: Form2, alpha_sq: np.ndarray) -> dict:
+    """check_integrability's record, given d(alpha) and |alpha|^2 pointwise."""
+    res = wedge(alpha, da).l2()
     scale = alpha.l2() * da.l2()
     rel = res / scale if scale > 0 else res
     return {
@@ -190,20 +192,18 @@ class FoliatedState:
     @classmethod
     def from_alpha(cls, alpha: Form1, *, strict: bool = True) -> "FoliatedState":
         """Solve the chain, the library's one solver of eta, gamma and chi,
-        and record its residuals; the Frobenius test and the helicity share
-        one alpha ^ d(alpha), made from the chain's d(alpha), and X and
-        min |alpha| one |alpha|^2.  With strict=True a state that fails a
+        and record its residuals; the Frobenius test and the helicity
+        reuse the chain's d(alpha), and X and min |alpha| share one
+        |alpha|^2.  With strict=True a state that fails a
         membership gate raises; with strict=False it is returned, and
         ``gate_failure(state.residuals)`` names the failure.  An overflowing
         alpha gives inf/nan residuals, which the gates refuse."""
         with np.errstate(over="ignore", invalid="ignore"):
-            alpha_sq = _dot(alpha.data, alpha.data)
+            alpha_sq = _abs_sq(alpha)
             x = _reference_field(alpha, alpha_sq)
             da = d(alpha)
-            a_da = wedge(alpha, da)
-            frobenius = _frobenius(alpha, da, a_da, alpha_sq)
-            helicity = abs(integrate3(a_da))
-            del alpha_sq, a_da  # not held through the chain solve, whose peak sets RSS
+            frobenius = _frobenius(alpha, da, alpha_sq)
+            del alpha_sq  # not held through the chain solve, whose peak sets RSS
             eta = interior(x, da)
             deta = d(eta)
             gamma = interior(x, deta)
@@ -213,8 +213,8 @@ class FoliatedState:
                 "integrability": frobenius["relative_residual"],
                 "min_abs_alpha": frobenius["min_abs"],
                 **chain,
-                "x_ref_normalization": float(np.abs(_dot(alpha.data, x.data) - 1.0).max()),
-                "helicity": helicity,
+                "x_ref_normalization": float(np.abs(interior(x, alpha).data - 1.0).max()),
+                "helicity": abs(helicity(alpha, da)),
             }
         if strict:
             _enforce_gates(res)
