@@ -154,21 +154,32 @@ def _enforce_gates(res: dict) -> None:
             del failure
 
 
+def _gap(a, b) -> float:
+    """||a - b||, with the difference written into ``b``: a fresh product
+    that the caller drops."""
+    np.subtract(a.data, b.data, out=b.data)
+    return b.l2()
+
+
 def _solve_chi(alpha: Form1, da: Form2, eta: Form1, deta: Form2,
                gamma: Form1) -> tuple[Form2, dict]:
     """chi = 2 (eta ^ gamma - d(gamma)) and the relative residuals of the chain:
     d(alpha) = alpha ^ eta, d(eta) = alpha ^ gamma, the solvability
-    certificate alpha ^ d(eta) = 0, alpha ^ chi = 0 and d(chi) = eta ^ chi."""
-    chi = 2.0 * (wedge(eta, gamma) - d(gamma))
+    certificate alpha ^ d(eta) = 0, alpha ^ chi = 0 and d(chi) = eta ^ chi.
+    chi and each difference are formed in place in a fresh wedge."""
+    chi = wedge(eta, gamma).data
+    chi -= d(gamma).data
+    chi *= 2.0
+    chi = Form2(alpha.grid, chi)
     dchi = d(chi)
     alpha_l2, deta_l2, chi_l2 = alpha.l2(), deta.l2(), chi.l2()
     return chi, {
-        "eta_defining": (da - wedge(alpha, eta)).l2() / max(da.l2(), 1e-30),
-        "gamma_defining": (deta - wedge(alpha, gamma)).l2() / max(deta_l2, 1e-30),
+        "eta_defining": _gap(da, wedge(alpha, eta)) / max(da.l2(), 1e-30),
+        "gamma_defining": _gap(deta, wedge(alpha, gamma)) / max(deta_l2, 1e-30),
         "gamma_certificate": wedge(alpha, deta).l2()
                              / max(alpha_l2 * deta_l2, 1e-30),
         "chi_tangency": wedge(alpha, chi).l2() / max(alpha_l2 * chi_l2, 1e-30),
-        "chi_closure": (dchi - wedge(eta, chi)).l2()
+        "chi_closure": _gap(dchi, wedge(eta, chi))
                        / max(dchi.l2(), eta.l2() * chi_l2, 1e-30),
     }
 
@@ -235,8 +246,13 @@ def gauge_shift(state: FoliatedState, f: Form0, g: Form0) -> FoliatedState:
     the degeneracy family (pure g shifts realize the formula with q = g).
     """
     alpha = state.alpha
-    eta = state.eta + scale_by(f, alpha)
-    gamma = state.gamma + scale_by(f, state.eta) - d(f) + scale_by(g, alpha)
+    eta = f.data * alpha.data
+    eta += state.eta.data
+    gamma = f.data * state.eta.data
+    gamma += state.gamma.data
+    gamma -= d(f).data
+    gamma += g.data * alpha.data
+    eta, gamma = Form1(state.grid, eta), Form1(state.grid, gamma)
     deta = d(eta)
     chi, chain = _solve_chi(alpha, d(alpha), eta, deta, gamma)
     res = {**state.residuals, **chain}
@@ -279,10 +295,9 @@ def _degeneracy_gate(state: FoliatedState, v: VectorField) -> tuple[dict, str | 
     relative residuals and the failure message, or None if both pass."""
     alpha = state.alpha
     nu = Form2(state.grid, v.data)
-    tangency = Form0(state.grid, np.sum(alpha.data * v.data, axis=0)).l2() / max(
-        alpha.l2() * v.l2(), 1e-30)
+    tangency = interior(v, alpha).l2() / max(alpha.l2() * v.l2(), 1e-30)
     dnu = d(nu)
-    closure = (dnu - wedge(state.eta, nu)).l2() / max(
+    closure = _gap(dnu, wedge(state.eta, nu)) / max(
         dnu.l2(), state.eta.l2() * nu.l2(), 1e-30)
     res = {"tangency": tangency, "condon": closure}
     if tangency <= DEGENERACY_TOL and closure <= DEGENERACY_TOL:
@@ -294,8 +309,11 @@ def _degeneracy_gate(state: FoliatedState, v: VectorField) -> tuple[dict, str | 
 def xi_generator(state: FoliatedState, f: Form0) -> XiGenerator:
     """Construct the degeneracy field of f and verify its membership gates."""
     alpha = state.alpha
-    nu = scale_by(f, d(alpha)) + d(scale_by(f, alpha))
-    v = VectorField(state.grid, nu.data)
+    nu = d(scale_by(f, alpha)).data
+    f_da = d(alpha).data
+    f_da *= f.data
+    nu += f_da
+    v = VectorField(state.grid, nu)
     res, failure = _degeneracy_gate(state, v)
     if failure:
         raise InconsistencyError(failure)

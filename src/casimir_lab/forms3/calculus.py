@@ -23,23 +23,42 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def d(form):
-    """Exterior derivative: gradient, curl or divergence of the components."""
+    """Exterior derivative: gradient, curl or divergence of the components.
+
+    One axis at a time, each derivative written or summed into the result
+    before the next is taken.  The curl takes each axis's pair of
+    components in one call, d/dx of a1 and a2, d/dy of a0 and a2, d/dz of
+    a0 and a1; curl_1 = d_z a0 - d_x a2 is formed as -d_x a2 + d_z a0,
+    the same bits.
+    """
     g = form.grid
     if isinstance(form, Form0):
         f = form.data
-        return Form1(g, np.stack([spectral_derivative(f, g, ax) for ax in range(3)]))
+        out = np.empty((3,) + f.shape)
+        for ax in range(3):
+            out[ax] = spectral_derivative(f, g, ax)
+        return Form1(g, out)
     if isinstance(form, Form1):
         a = form.data
-        return Form2(g, np.stack([
-            spectral_derivative(a[2], g, 1) - spectral_derivative(a[1], g, 2),
-            spectral_derivative(a[0], g, 2) - spectral_derivative(a[2], g, 0),
-            spectral_derivative(a[1], g, 0) - spectral_derivative(a[0], g, 1),
-        ]))
+        out = np.empty(a.shape)
+        dx = spectral_derivative(a[1:3], g, 0)
+        out[2] = dx[0]
+        np.negative(dx[1], out=out[1])
+        del dx
+        dy = spectral_derivative(a[0::2], g, 1)
+        out[2] -= dy[0]
+        out[0] = dy[1]
+        del dy
+        dz = spectral_derivative(a[0:2], g, 2)
+        out[1] += dz[0]
+        out[0] -= dz[1]
+        return Form2(g, out)
     if isinstance(form, Form2):
         b = form.data
-        return Form3(g, spectral_derivative(b[0], g, 0)
-                     + spectral_derivative(b[1], g, 1)
-                     + spectral_derivative(b[2], g, 2))
+        out = spectral_derivative(b[0], g, 0)
+        out += spectral_derivative(b[1], g, 1)
+        out += spectral_derivative(b[2], g, 2)
+        return Form3(g, out)
     raise RankError("d of a 3-form exceeds the top rank")
 
 

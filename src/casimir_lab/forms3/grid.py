@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -88,8 +88,14 @@ class Grid:
 
     @cached_property
     def box(self) -> "Box":
-        """The 2/3-rule box of this grid: the one place that chooses K = n//3."""
-        return Box.of(self.n, self.n // 3)
+        """The 2/3-rule box of this grid: the one place that chooses its K.
+
+        K = (n - 1)//3, the largest K with 3K < n (Orszag, J. Atmos. Sci.
+        28, 1971): a product of two modes within K then aliases only onto
+        modes beyond K, which the box drops.  n//3 would give 3K = n when 3
+        divides n, and fold a product of edge modes back onto |k| = K.
+        """
+        return Box.of(self.n, (self.n - 1) // 3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,8 +108,8 @@ class Box:
     (k = 0..K) and B_k in row 2K+1-k (so the sines run k = K..1).  In the
     coefficients a_k of the complex exponentials, A_k = a_k + a_-k and
     B_k = i (a_k - a_-k).  0 <= K < n/2, so a box never holds a Nyquist
-    mode.  ``Grid.box`` is the 2/3-rule box, K = n//3; ``Box.of`` builds
-    each (n, K) once.
+    mode.  ``Grid.box`` is the 2/3-rule box, K = (n - 1)//3; ``Box.of``
+    shares the boxes in use.
 
     ``rfft3_cs``, ``irfft3_cs``, ``curl_cs``, ``grad_cs``, ``leray_cs`` and
     ``mean_dot_cs`` work on it.  ``forward_cs`` and ``inverse_cs`` are its
@@ -125,9 +131,12 @@ class Box:
                                         f"n = {self.n!r}, keep = {self.keep!r}")
 
     @classmethod
-    @cache
+    @lru_cache(maxsize=8)
     def of(cls, n: int, keep: int) -> "Box":
-        """The shared Box(n, keep): its matrices and multipliers are built once."""
+        """The shared Box(n, keep): its matrices and multipliers are built once
+        while it stays among the 8 most recently used.  A full verify at one
+        n uses 7 boxes, which all stay; a box left behind is dropped with
+        its cached arrays (266 MB for the Nyquist-free box at n = 256)."""
         return cls(n, keep)
 
     @property
@@ -246,20 +255,23 @@ def spectral_derivative(data: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
 
     One real matrix product against ``grid.diff_matrix`` along the axis:
     ``D @ (..., n, n*n)`` for x, the broadcast ``D @ data`` for y and
-    ``(..., n) @ D.T`` for z.  It matches the rfft/irfft multiplier to a few
+    ``(..., n) @ D`` for z.  It matches the rfft/irfft multiplier to a few
     ulps of the result's largest value.  D's rows sum to zero, but a matrix
     product cancels them only up to roundoff, so the data is first
-    differenced against its first node along the axis: a field constant
-    along it differentiates to exact zeros.
+    differenced against ``first``, its first node along the axis (a view):
+    a field constant along it differentiates to exact zeros.  Along z the
+    difference is taken as ``first - data``: D.T == -D exactly, so
+    ``(first - data) @ D`` is ``(data - first) @ D.T`` bit for bit, without
+    BLAS's slower kernel for a transposed operand.
     """
     n, dm = grid.n, grid.diff_matrix
-    ax = data.ndim - 3 + axis
-    rel = data - np.take(data, [0], axis=ax)
+    first = data[(Ellipsis, slice(0, 1)) + (slice(None),) * (2 - axis)]
     if axis == 0:
-        return np.matmul(dm, rel.reshape(data.shape[:-3] + (n, n * n))).reshape(data.shape)
+        rel = (data - first).reshape(data.shape[:-3] + (n, n * n))
+        return np.matmul(dm, rel).reshape(data.shape)
     if axis == 1:
-        return np.matmul(dm, rel)
-    return np.matmul(rel, dm.T)
+        return np.matmul(dm, data - first)
+    return np.matmul(first - data, dm)
 
 
 def rfft3_cs(data: np.ndarray, box: Box) -> np.ndarray:
@@ -365,8 +377,10 @@ def leray_cs(spec: np.ndarray, box: Box) -> np.ndarray:
 
 def mean_dot_cs(a: np.ndarray, b: np.ndarray, box: Box) -> float:
     """Grid mean of sum_i a_i b_i for real fields, from their cs-layout
-    coefficients (Parseval)."""
-    return float(np.sum(a.view(float) * b.view(float), axis=0).ravel() @ box.parseval_cs)
+    coefficients (Parseval).  The weighted sum is an einsum, not a BLAS
+    dot, whose last bits move with the BLAS thread count."""
+    return float(np.einsum("i,i->", np.sum(a.view(float) * b.view(float), axis=0).ravel(),
+                           box.parseval_cs))
 
 
 def spectral_tail_fraction(data: np.ndarray, grid: Grid) -> float:

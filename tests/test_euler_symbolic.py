@@ -2,7 +2,7 @@
 
 alpha is a band-1 trigonometric 1-form with a gradient part and a mean, so
 the Leray projection matters.  v = alpha minus its gradient part, and the
-right-hand side v x curl(alpha) has band 2 <= n//3, so no dealiasing mask
+right-hand side v x curl(alpha) has band 2 <= (n - 1)//3, so no dealiasing mask
 can hide an error in either the grid oracle or the box right-hand side.
 """
 

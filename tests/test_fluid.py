@@ -129,7 +129,7 @@ class TestEuler:
         # EULER_DT exactly up to n = 32's cutoff K = 10, then shortened as 10/K
         for n in (4, 16, 30, 32):
             assert euler_dt(f3.Grid(n)) == EULER_DT
-        for n, keep in ((34, 11), (48, 16), (64, 21), (256, 85)):
+        for n, keep in ((34, 11), (48, 15), (64, 21), (256, 85)):
             assert f3.Grid(n).box.keep == keep
             assert euler_dt(f3.Grid(n)) == EULER_DT * (10 / keep)
 

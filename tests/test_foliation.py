@@ -46,18 +46,19 @@ class TestIntegrability:
             fol.FoliatedState.from_alpha(beltrami)
 
     def test_from_alpha_takes_d_alpha_once_for_the_chain(self, foliated_state, monkeypatch):
-        # d(alpha), d(eta), d(gamma) at 6 derivatives each and d(chi) at 3;
-        # the Frobenius test and helicity reuse the chain's d(alpha)
-        calls = []
+        # d(alpha), d(eta), d(gamma) at 6 derivative components each and
+        # d(chi) at 3; the Frobenius test and helicity reuse the chain's
+        # d(alpha).  A call may take several components at once.
+        components = []
         derivative = calculus.spectral_derivative
 
-        def counted(*args):
-            calls.append(args[2])
-            return derivative(*args)
+        def counted(data, grid, axis):
+            components.append(data.shape[0] if data.ndim == 4 else 1)
+            return derivative(data, grid, axis)
 
         monkeypatch.setattr(calculus, "spectral_derivative", counted)
         fol.FoliatedState.from_alpha(foliated_state.alpha)
-        assert len(calls) == 21
+        assert sum(components) == 21
 
     def test_check_integrability_matches_the_chain(self, foliated_state, beltrami):
         for alpha in (foliated_state.alpha, beltrami):
@@ -273,6 +274,62 @@ class TestGaugeShift:
         assert err <= 1e-8 * max(1.0, predicted.linf())
         naive = fol.chi_shift_expected(foliated_state, zero_like(f_g), g_g)
         assert (predicted - naive).linf() > 1e-3  # the f^2/2 term matters
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+class TestInPlaceChain:
+    """chi, the chain's residuals, the gauge-shifted eta and gamma and the
+    degeneracy field, which are formed in place, against the same
+    expressions in form arithmetic, bit for bit."""
+
+    @pytest.fixture()
+    def shifted(self, foliated_state, rng):
+        g = foliated_state.grid
+        f, h = (f3.random_form0(g, 2, rng, rms=0.5) for _ in range(2))
+        return f, h, fol.gauge_shift(foliated_state, f, h)
+
+    def test_solve_chi(self, foliated_state, shifted):
+        for st in (foliated_state, shifted[2]):
+            alpha, eta, gamma = st.alpha, st.eta, st.gamma
+            da, deta = f3.d(alpha), f3.d(eta)
+            chi, res = fol._solve_chi(alpha, da, eta, deta, gamma)
+            want = 2.0 * (f3.wedge(eta, gamma) - f3.d(gamma))
+            assert np.array_equal(_bits(chi.data), _bits(want.data))
+            dchi = f3.d(want)
+            assert res["eta_defining"] == ((da - f3.wedge(alpha, eta)).l2()
+                                           / max(da.l2(), 1e-30))
+            assert res["gamma_defining"] == ((deta - f3.wedge(alpha, gamma)).l2()
+                                             / max(deta.l2(), 1e-30))
+            assert res["chi_closure"] == ((dchi - f3.wedge(eta, want)).l2()
+                                          / max(dchi.l2(), eta.l2() * want.l2(), 1e-30))
+            assert res["eta_defining"] > 0.0 and res["chi_closure"] > 0.0
+
+    def test_gauge_shift(self, foliated_state, shifted):
+        st, (f, h, out) = foliated_state, shifted
+        eta = st.eta + f3.scale_by(f, st.alpha)
+        gamma = st.gamma + f3.scale_by(f, st.eta) - f3.d(f) + f3.scale_by(h, st.alpha)
+        assert np.array_equal(_bits(out.eta.data), _bits(eta.data))
+        assert np.array_equal(_bits(out.gamma.data), _bits(gamma.data))
+        chi, chain = fol._solve_chi(st.alpha, f3.d(st.alpha), eta, f3.d(eta), gamma)
+        assert np.array_equal(_bits(out.chi.data), _bits(chi.data))
+        assert out.residuals == {**st.residuals, **chain}
+
+    def test_xi_generator(self, foliated_state, rng):
+        st, g = foliated_state, foliated_state.grid
+        f = f3.random_form0(g, 2, rng, rms=0.5)
+        xg = fol.xi_generator(st, f)
+        nu = f3.scale_by(f, f3.d(st.alpha)) + f3.d(f3.scale_by(f, st.alpha))
+        assert np.array_equal(_bits(xg.v.data), _bits(nu.data))
+        tangency = f3.Form0(g, np.sum(st.alpha.data * nu.data, axis=0)).l2() / max(
+            st.alpha.l2() * xg.v.l2(), 1e-30)
+        dnu = f3.d(nu)
+        closure = (dnu - f3.wedge(st.eta, nu)).l2() / max(
+            dnu.l2(), st.eta.l2() * nu.l2(), 1e-30)
+        assert xg.residuals == {"tangency": tangency, "condon": closure}
+        assert tangency > 0.0 and closure > 0.0
 
 
 def zero_like(form):

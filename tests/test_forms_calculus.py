@@ -102,7 +102,7 @@ class TestSpectralDerivative:
             # a dense product rounds unlike the FFT, but within a few ulps
             assert np.abs(got - ref).max() <= 8 * np.finfo(float).eps * np.abs(ref).max()
 
-    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("lead", [(), (3,), (2,)])
     def test_constant_along_axis_is_exactly_zero(self, grid16, lead, rng):
         for axis in range(3):
             shape = list(lead + grid16.shape)
@@ -119,12 +119,25 @@ class TestSpectralDerivative:
         for axis in range(3):
             f3.spectral_derivative(rng.standard_normal(grid16.shape), grid16, axis)
 
-    @pytest.mark.parametrize("n", [4, 6, 8, 32])
+    @pytest.mark.parametrize("n", range(4, 66, 2))
     def test_diff_matrix_is_antisymmetric_circulant(self, n):
+        # D.T == -D is the premise of the z-derivative's (f0 - f) @ D
         dm = f3.Grid(n).diff_matrix
         assert np.array_equal(dm, -dm.T)
         assert np.all(np.diag(dm) == 0.0)
         assert np.array_equal(np.roll(dm, 1, axis=(0, 1)), dm)
+
+    @pytest.mark.parametrize("n", [8, 32, 48])
+    def test_z_derivative_is_the_product_with_d_transposed(self, n, rng):
+        # bit for bit against a contiguous copy of D.T; BLAS's kernel for the
+        # transposed operand itself rounds otherwise at some n (32), by ulps
+        g = f3.Grid(n)
+        data = rng.standard_normal((2,) + g.shape)
+        rel = data - data[..., :1]
+        got = f3.spectral_derivative(data, g, 2)
+        assert np.array_equal(_bits(got), _bits(rel @ np.ascontiguousarray(g.diff_matrix.T)))
+        ref = rel @ g.diff_matrix.T
+        assert np.abs(got - ref).max() <= 4 * np.finfo(float).eps * np.abs(ref).max()
 
 
 def _ifftn_random_scalar(grid, bandwidth, rng, rms=1.0):
@@ -203,7 +216,49 @@ class TestRandomFields:
                 f3.random_form(grid16, rank, bandwidth, rng)
 
 
+def _d_by_components(form):
+    """d by the per-component formula, one spectral derivative per component."""
+    g, a, sd = form.grid, form.data, f3.spectral_derivative
+    if form.rank == 0:
+        return np.stack([sd(a, g, ax) for ax in range(3)])
+    if form.rank == 1:
+        return np.stack([sd(a[2], g, 1) - sd(a[1], g, 2),
+                         sd(a[0], g, 2) - sd(a[2], g, 0),
+                         sd(a[1], g, 0) - sd(a[0], g, 1)])
+    return sd(a[0], g, 0) + sd(a[1], g, 1) + sd(a[2], g, 2)
+
+
 class TestExteriorDerivative:
+    @pytest.mark.parametrize("n", [8, 32, 48])
+    def test_is_the_component_formula_bit_for_bit(self, n, rng):
+        # contiguous, strided along y, components reversed with z flipped,
+        # and axes transposed
+        g = f3.Grid(n)
+        a = rng.standard_normal((3,) + g.shape)
+        wide = rng.standard_normal((3, n, 2 * n, n))
+        for data in (a, wide[:, :, 1::2], a[::-1, ..., ::-1], a.transpose(0, 3, 2, 1)):
+            for rank in range(3):
+                form = f3.form_of_rank(rank, g, data[0] if rank == 0 else data)
+                assert np.array_equal(_bits(f3.d(form).data), _bits(_d_by_components(form)))
+
+    @pytest.mark.parametrize("n", [8, 32, 48])
+    def test_constant_along_an_axis_differentiates_to_exact_zeros(self, n, rng):
+        g = f3.Grid(n)
+        div_free = np.empty((3,) + g.shape)
+        for axis in range(3):
+            flat = [n, n, n]
+            flat[axis] = 1
+            f = np.broadcast_to(rng.standard_normal(flat), g.shape)
+            assert np.all(f3.d(f3.Form0(g, f)).data[axis] == 0.0)
+            div_free[axis] = f  # component i constant along axis i
+            # components that vary along one axis only: the curl's component
+            # along that axis takes derivatives along the other two
+            line = [1, 1, 1]
+            line[axis] = n
+            a = np.broadcast_to(rng.standard_normal([3] + line), (3,) + g.shape)
+            assert np.all(f3.d(f3.Form1(g, a)).data[axis] == 0.0)
+        assert np.all(f3.d(f3.Form2(g, div_free)).data == 0.0)
+
     def test_gradient_analytic(self, grid32):
         x, _, _ = grid32.meshes
         df = f3.d(f3.Form0(grid32, np.sin(2 * np.pi * x)))
@@ -517,7 +572,7 @@ class TestEvalAt:
         phase = np.exp(2j * np.pi * shift[0] * (k[:, None, None] + k[None, :, None]
                                                 + np.arange(n // 2 + 1)[None, None, :]))
         pts = np.stack([m.ravel() for m in g.meshes], axis=-1) + shift
-        for bandwidth in sorted({1, n // 3, n // 2 - 1}):
+        for bandwidth in sorted({1, (n - 1) // 3, n // 2 - 1}):
             f = f3.random_form0(g, bandwidth, rng)
             shifted = np.fft.irfftn(np.fft.rfftn(f.data) * phase, g.shape, axes=(0, 1, 2))
             assert np.abs(f3.eval_at(f, pts) - shifted.ravel()).max() <= 1e-13

@@ -10,14 +10,21 @@ written out here, masked by boxes built here from np.fft.fftfreq, with the
 rfftn coefficients changed to the cos/sin basis; curl, grad, Leray and the
 Parseval mean against spectral derivatives and grid means."""
 
+import gc
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate._ivp import dop853_coefficients as dop853
 
+import casimir_lab
 from casimir_lab import fluid
 from casimir_lab import forms3 as f3
 from casimir_lab.errors import BlowUpError, InvalidParameterError
@@ -85,9 +92,9 @@ def _index(box):
 
 def _mask(n, keep=None):
     """A box on the full rfftn layout: max |k_i| <= keep, by default the 2/3
-    rule's n//3."""
+    rule's (n - 1)//3."""
     kx, ky, kz = (np.abs(k) for k in _full_k(n))
-    return np.maximum(np.maximum(kx, ky), kz) <= (n // 3 if keep is None else keep)
+    return np.maximum(np.maximum(kx, ky), kz) <= ((n - 1) // 3 if keep is None else keep)
 
 
 def _full_leray(spec, n):
@@ -384,7 +391,7 @@ def _zero_fill(coefs, box):
 
 def _keeps(n):
     """Cutoffs to test a box at: the 2/3 rule's, the Nyquist-free one and 1."""
-    return sorted({n // 3, n // 2 - 1, 1})
+    return sorted({(n - 1) // 3, n // 2 - 1, 1})
 
 
 @pytest.mark.parametrize("n", BOX_N)
@@ -396,7 +403,7 @@ class TestBox:
 
     def test_layout(self, n):
         g = f3.Grid(n)
-        m = n // 3
+        m = (n - 1) // 3
         assert g.box is f3.Box.of(n, m) is f3.Grid(n).box
         assert g.box.shape == (2 * m + 1, 2 * m + 1, m + 1)
         kx, ky, kz = g.box.k_r
@@ -488,7 +495,7 @@ def test_cs_transforms_are_the_basis_change(n, rng):
         data = rng.standard_normal(lead + (n, n, n))
         full = _rfftn(data)
         scale = np.abs(_restrict(full, f3.Box.of(n, n // 2 - 1))).max()
-        for keep in sorted({0, 1, n // 3, n // 2 - 1}):
+        for keep in sorted({0, 1, (n - 1) // 3, n // 2 - 1}):
             box = f3.Box.of(n, keep)
             got = f3.rfft3_cs(data, box)
             assert got.shape == lead + box.shape and got.flags.c_contiguous
@@ -523,6 +530,56 @@ def test_dealias_is_the_masked_full_layout_filter(n, rng):
     for lead in ((), (3,)):
         data = rng.standard_normal(lead + g.shape)
         assert _ulp_close(f3.dealias(data, g), _irfftn(_rfftn(data) * _mask(n), n))
+
+
+def test_two_thirds_box_is_the_largest_with_3k_below_n():
+    # Orszag's rule: a product of two modes within K aliases onto a mode
+    # within K unless 3K < n
+    for n in range(4, 257, 2):
+        keep = f3.Grid(n).box.keep
+        assert 3 * keep < n <= 3 * (keep + 1), n
+
+
+@pytest.mark.parametrize("n", [24, 48])
+def test_dealias_drops_the_product_of_edge_modes(n):
+    # cos^2(2 pi K x) = 1/2 + cos(4 pi K x) / 2, and mode 2K is mode 2K - n
+    # on the grid: beyond K only if 3K < n (at n = 48, K = 16 left 1/2 + 1/2)
+    g = f3.Grid(n)
+    square = np.cos(2 * np.pi * g.box.keep * g.meshes[0]) ** 2
+    assert np.abs(f3.dealias(square, g) - 0.5).max() <= 1e-14
+
+
+def test_box_cache_is_shared_and_bounded():
+    box = f3.Box.of(32, 10)
+    assert f3.Box.of(32, 10) is box
+    bound = f3.Box.of.cache_info().maxsize
+    assert bound >= 7  # the boxes a full verify at one n uses
+    left = weakref.ref(f3.Box.of(6, 2))
+    for n in range(8, 8 + 4 * bound, 2):
+        f3.Box.of(n, n // 2 - 1).ikz
+        assert f3.Box.of.cache_info().currsize <= bound
+    gc.collect()
+    assert left() is None
+
+
+def test_mean_dot_does_not_depend_on_blas_threads():
+    # a BLAS dot splits its sum over the threads; at n = 40 that moved the
+    # Euler energy drift in its eighth digit
+    src = str(Path(casimir_lab.__file__).resolve().parents[1])
+    code = """if True:
+        import sys
+        sys.path.insert(0, sys.argv[1])
+        import numpy as np
+        from casimir_lab import forms3 as f3
+        g = f3.Grid(40)
+        rng = np.random.default_rng(1729)
+        a, b = (f3.rfft3_cs(rng.standard_normal((3,) + g.shape), g.box) for _ in range(2))
+        print(f3.mean_dot_cs(a, b, g.box).hex())
+    """
+    outs = {subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                           check=True, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+                           ).stdout for threads in ("1", "2")}
+    assert len(outs) == 1, outs
 
 
 def _refuse_fft(monkeypatch, names):
