@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands:
-    rattleback simulate | verify
-    fluid helicity | evolve | gv | verify
+    rattleback simulate
+    fluid helicity | evolve | gv
     verify
     run            (execute a JSON scenario file)
 
@@ -19,7 +19,6 @@ configured seed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -68,7 +67,6 @@ class Scenario:
     stride: int = 1
     seed: int = DEFAULT_SEED
     suite: str = "all"
-    tolerances: dict = dataclasses.field(default_factory=dict)
     out: str | None = None
     report: str | None = None
     dump_fields: str | None = None
@@ -111,12 +109,6 @@ class Scenario:
         for key in ("profile", "scale", "field", "out", "report", "dump_fields"):
             value = getattr(self, key)
             _require(value is None or isinstance(value, str), key, "a string", value)
-        _require(isinstance(self.tolerances, dict)
-                 and all(map(_is_real, self.tolerances.values())), "tolerances",
-                 "an object of check-name: bound", self.tolerances)
-        names = {check for units in SUITES.values() for unit in units for check in unit.checks}
-        unknown = [key for key in self.tolerances if key not in names]
-        _require(not unknown, "tolerances", "keyed by check names", unknown)
         key = _REQUIRED.get(self.kind)
         if key and not getattr(self, key):
             raise ConfigError(f"{self.kind} scenario needs {key!r}")
@@ -279,7 +271,7 @@ def _run_foliation_gv(sc: Scenario) -> dict:
     except ParseError as exc:
         raise _expr_error("profile", text, exc) from None
     if {"x", "y"} & {v for kind, v, _ in tokens if kind == "ident"}:
-        raise ConfigError("profile must be an expression in z only (graph preset)")
+        raise ConfigError("profile must be an expression in z only (graph foliation)")
     grid = f3.Grid(sc.grid)
     profile = _eval_expr_field(text, grid, "profile")
     scale = _eval_expr_field(sc.scale, grid, "scale") if sc.scale else None
@@ -296,22 +288,20 @@ _RUNNERS = {
 }
 
 
-def run_scenario(sc: Scenario, *, summary: bool = False) -> int:
+def run_scenario(sc: Scenario) -> int:
     """Run a Scenario and print its JSON document; exit codes as for the CLI.
 
-    A verify scenario prints the full report unless it writes one to
-    ``report``; ``summary`` prints a {check: {residual, tolerance, pass}}
-    digest instead.  A check whose value is NaN or Infinity is a failed
-    record with a null value, so the report is always written.  Other kinds
-    print one document, which a ``report`` path also receives.  Overflow
-    warnings are off: such a document holding NaN or Infinity raises
-    CasimirLabError (exit 1), printing nothing.
+    A verify scenario prints its report unless it writes it to ``report``.
+    A check whose value is NaN or Infinity is a failed record with a null
+    value, so the report is always written.  Other kinds print one document,
+    which a ``report`` path also receives.  Overflow warnings are off: such a
+    document holding NaN or Infinity raises CasimirLabError (exit 1),
+    printing nothing.
     """
     is_verify = sc.kind == "verify-all"
     with np.errstate(over="ignore", invalid="ignore"):
         if is_verify:
             doc = run_suite(sc.suite, SuiteConfig(grid_n=sc.grid, seed=sc.seed,
-                                                  tolerances=sc.tolerances,
                                                   rattleback_h=sc.h))
         else:
             doc = {"kind": sc.kind, **_RUNNERS[sc.kind](sc)}
@@ -320,10 +310,7 @@ def run_scenario(sc: Scenario, *, summary: bool = False) -> int:
         with open(sc.report, "w") as fh:
             fh.write(text)
         _status(f"report written to {sc.report}")
-    if summary:
-        print(report_json({c["check"]: {"residual": c["value"], "tolerance": c["tolerance"],
-                                         "pass": c["pass"]} for c in doc["checks"]}))
-    elif not (is_verify and sc.report):
+    if not (is_verify and sc.report):
         print(text)
     if is_verify and not doc["passed"]:
         _status("failed checks: " + ", ".join(doc["failed_checks"]))
@@ -346,7 +333,7 @@ def cmd_scenario(args) -> int:
     values = {k: v for k, v in vars(args).items() if k in _SCENARIO_KEYS}
     if "ic" in values:
         values["ic"] = _parse_ic(values["ic"])
-    return run_scenario(Scenario(**values), summary=args.summary)
+    return run_scenario(Scenario(**values))
 
 
 def cmd_run(args) -> int:
@@ -363,16 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # A flag left out sets nothing, so the Scenario's default applies.
-    def scenario_parser(group, name, kind, help, summary=False):
+    def scenario_parser(group, name, kind, help):
         p = group.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
-        p.set_defaults(func=cmd_scenario, kind=kind, summary=summary)
+        p.set_defaults(func=cmd_scenario, kind=kind)
         return p
-
-    def verify_flags(p, suites, required):
-        p.add_argument("--suite", choices=suites, required=required)
-        p.add_argument("--grid", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--report", help="JSON report path")
 
     p_rat = sub.add_parser("rattleback", help="rattleback spinning-top engine")
     rat_sub = p_rat.add_subparsers(dest="subcommand", required=True)
@@ -385,12 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--method", choices=("rk4", "rk45"))
     p_sim.add_argument("--stride", type=int, help="record every k-th step")
     p_sim.add_argument("--out", help="CSV output path")
-    p_ver = scenario_parser(rat_sub, "verify", "verify-all",
-                            "run the rattleback invariant suite", summary=True)
-    p_ver.set_defaults(suite="rattleback")
-    p_ver.add_argument("--h", type=float)
-    p_ver.add_argument("--seed", type=int)
-    p_ver.add_argument("--report", help="also write the full JSON report here")
 
     p_fluid = sub.add_parser("fluid", help="spectral torus fluid engine")
     fl_sub = p_fluid.add_subparsers(dest="subcommand", required=True)
@@ -409,16 +384,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_evo.add_argument("--dump-fields", help="write the final state container here")
     p_gv = scenario_parser(fl_sub, "gv", "foliation-gv",
                            "Godbillon-Vey of a graph foliation")
-    p_gv.add_argument("--preset", choices=("graph",))
     p_gv.add_argument("--profile", required=True, help="slope a(z), expression in z")
     p_gv.add_argument("--scale", help="nonvanishing multiplier expression")
     p_gv.add_argument("--grid", type=int)
     p_gv.add_argument("--report", help="JSON report path")
-    verify_flags(scenario_parser(fl_sub, "verify", "verify-all", "run a fluid suite"),
-                 ("lie-poisson", "godbillon-vey"), required=True)
-
-    verify_flags(scenario_parser(sub, "verify", "verify-all", "run verification suites"),
-                 ("all", *SUITES), required=False)
+    p_ver = scenario_parser(sub, "verify", "verify-all", "run verification suites")
+    p_ver.add_argument("--suite", choices=("all", *SUITES))
+    p_ver.add_argument("--grid", type=int)
+    p_ver.add_argument("--seed", type=int)
+    p_ver.add_argument("--h", type=float, help="rattleback shape parameter")
+    p_ver.add_argument("--report", help="JSON report path")
 
     p_run = sub.add_parser("run", help="execute a JSON scenario file")
     p_run.add_argument("--config", required=True)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,16 +68,11 @@ GAUGE_RMS = 0.1
 class SuiteConfig:
     grid_n: int = 32
     seed: int = DEFAULT_SEED
-    tolerances: dict = field(default_factory=dict)
     rattleback_h: float = -2.0
 
-    def tol(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
 
-
-def _check(cfg: SuiteConfig, name: str, value, default_tol: float, **extra) -> dict:
+def _check(name: str, value, tol: float, **extra) -> dict:
     """The record of one residual or of a list of samples, valued at their largest."""
-    tol = cfg.tol(name, default_tol)
     value = float(np.max(value))
     rec = {"check": name, "value": value, "tolerance": tol, "pass": value <= tol, **extra}
     return _finite(rec, "value")
@@ -171,11 +166,11 @@ def _rb_bracket(cfg, fx):
         xi = rb.RattlebackState(rng.uniform(-2, 2), rng.uniform(0.2, 3), rng.uniform(-3, 3))
         kernel.append(rb.casimir_gradient_check(xi, h)
                       / max(1.0, np.abs(rb.casimir_gradient(xi, h)).max()))
-    return [_check(cfg, "rattleback-jacobi-identity", rb.jacobi_residual(c), 1e-14),
-            _check(cfg, "rattleback-structure-antisymmetry", rb.antisymmetry_residual(c), 0.0),
-            _check(cfg, "rattleback-bracket-antisymmetry", anti, 1e-13),
-            _check(cfg, "rattleback-rhs-matches-bracket", rhs_gap, 1e-13),
-            _check(cfg, "rattleback-casimir-gradient-kernel", kernel, 1e-12)]
+    return [_check("rattleback-jacobi-identity", rb.jacobi_residual(c), 1e-14),
+            _check("rattleback-structure-antisymmetry", rb.antisymmetry_residual(c), 0.0),
+            _check("rattleback-bracket-antisymmetry", anti, 1e-13),
+            _check("rattleback-rhs-matches-bracket", rhs_gap, 1e-13),
+            _check("rattleback-casimir-gradient-kernel", kernel, 1e-12)]
 
 
 @_unit("rattleback", "rattleback-energy-conservation-rk4",
@@ -194,22 +189,22 @@ def _rb_trajectories(cfg, fx):
                           method=method)
         h_drift = float(np.abs(tr.hamiltonians - tr.hamiltonians[0]).max() / tr.hamiltonians[0])
         c_drift = float(np.abs(tr.casimirs - tr.casimirs[0]).max() / abs(tr.casimirs[0]))
-        checks += [_check(cfg, f"rattleback-energy-conservation-{method}", h_drift, 1e-8),
-                   _check(cfg, f"rattleback-casimir-conservation-{method}", c_drift, 1e-8)]
+        checks += [_check(f"rattleback-energy-conservation-{method}", h_drift, 1e-8),
+                   _check(f"rattleback-casimir-conservation-{method}", c_drift, 1e-8)]
     t1 = rb.integrate(rb.RattlebackState(0.1, 0.2, 1.0), h, dt=1e-3, t_final=5.0)
     t2 = rb.integrate(rb.RattlebackState(-0.1, 0.2, 1.0), h, dt=1e-3, t_final=5.0)
     mirror = float(np.abs(t2.states - t1.states * np.array([-1.0, 1.0, 1.0])).max())
-    checks.append(_check(cfg, "rattleback-parity-symmetry", mirror, 0.0))
+    checks.append(_check("rattleback-parity-symmetry", mirror, 0.0))
     for key, residual in rb.restricted_casimir_report(3.7, h).items():
-        checks.append(_check(cfg, f"rattleback-{key.replace('_', '-')}", residual, 0.0))
+        checks.append(_check(f"rattleback-{key.replace('_', '-')}", residual, 0.0))
     line = rb.integrate(rb.RattlebackState(0.0, 0.0, 5.0), h, dt=1e-3, t_final=1.0).states
-    checks.append(_check(cfg, "rattleback-singular-line-constant",
+    checks.append(_check("rattleback-singular-line-constant",
                          [np.abs(line[:, :2]).max(), np.abs(line[:, 2] - 5.0).max()], 0.0))
     if h == -2.0:
         s = rb.integrate(rb.RattlebackState(*CHIRALITY_IC), h, dt=1e-3, t_final=40.0).states[:, 2]
         s_min, s_ret = float(s.min()), float(s[np.argmin(s):].max())
         non_monotone = bool(np.any(np.diff(s) > 0) and np.any(np.diff(s) < 0))
-        checks.append(_check(cfg, "rattleback-chirality-reversal-snapshot",
+        checks.append(_check("rattleback-chirality-reversal-snapshot",
                              [abs(s_min - CHIRALITY_S_MIN), abs(s_ret - CHIRALITY_S_RETURN)],
                              1e-9, non_monotone=non_monotone))
     return checks
@@ -265,12 +260,12 @@ def _forms_identities(cfg, fx):
     b2 = f3.random_form(g, 2, bw, rng)
     anti = [(f3.wedge(a1, b1) + f3.wedge(b1, a1)).linf(),
             (f3.wedge(a1, b2) - f3.wedge(b2, a1)).linf(), f3.wedge(a1, a1).linf()]
-    return [_check(cfg, "forms-dd-zero", dd, 1e-12),
-            _check(cfg, "forms-contraction-identity", contraction, 1e-12),
-            _check(cfg, "forms-leibniz", leibniz, 1e-11),
-            _check(cfg, "forms-cartan-commutation", cartan, 1e-11),
-            _check(cfg, "forms-integration-by-parts", parts, 1e-12),
-            _check(cfg, "forms-wedge-anticommutativity", anti, 0.0)]
+    return [_check("forms-dd-zero", dd, 1e-12),
+            _check("forms-contraction-identity", contraction, 1e-12),
+            _check("forms-leibniz", leibniz, 1e-11),
+            _check("forms-cartan-commutation", cartan, 1e-11),
+            _check("forms-integration-by-parts", parts, 1e-12),
+            _check("forms-wedge-anticommutativity", anti, 0.0)]
 
 
 @_unit("forms", "forms-d-analytic-oracle", "forms-unit-volume", "forms-stokes-closed",
@@ -283,22 +278,22 @@ def _forms_exact_values(cfg, fx):
     df = f3.d(f3.Form0(g, np.sin(2 * np.pi * X)))
     tf = f3.Form3(g, 2 * np.pi * (np.sin(2 * np.pi * Z) ** 2 + np.cos(2 * np.pi * Z) ** 2))
     checks = [
-        _check(cfg, "forms-d-analytic-oracle",
+        _check("forms-d-analytic-oracle",
                [np.abs(df.data[0] - 2 * np.pi * np.cos(2 * np.pi * X)).max(),
                 np.abs(df.data[1:]).max()], 1e-12),
-        _check(cfg, "forms-unit-volume", abs(f3.integrate3(f3.volume_form(g)) - 1.0), 0.0),
-        _check(cfg, "forms-stokes-closed",
+        _check("forms-unit-volume", abs(f3.integrate3(f3.volume_form(g)) - 1.0), 0.0),
+        _check("forms-stokes-closed",
                abs(f3.integrate3(f3.d(f3.random_form(g, 2, bw, rng)))), 1e-13),
-        _check(cfg, "forms-integrate-analytic", abs(f3.integrate3(tf) - 2 * np.pi), 1e-12)]
+        _check("forms-integrate-analytic", abs(f3.integrate3(tf) - 2 * np.pi), 1e-12)]
     w = f3.vorticity_from(_beltrami(g)).data
     return checks + [
-        _check(cfg, "forms-vorticity-curl-oracle",
+        _check("forms-vorticity-curl-oracle",
                [np.abs(w[0] - 2 * np.pi * np.sin(2 * np.pi * Z)).max(),
                 np.abs(w[1] - 2 * np.pi * np.cos(2 * np.pi * Z)).max(),
                 np.abs(w[2]).max()], 1e-12),
-        _check(cfg, "forms-vorticity-exact-form",
+        _check("forms-vorticity-exact-form",
                f3.vorticity_from(f3.d(f3.random_form0(g, bw, rng))).linf(), 1e-11),
-        _check(cfg, "forms-vorticity-divergence-free",
+        _check("forms-vorticity-divergence-free",
                f3.divergence(f3.vorticity_from(f3.random_form1(g, bw, rng))).linf(), 1e-11)]
 
 
@@ -322,12 +317,12 @@ def _forms_oracles(cfg, fx):
     stride = max(1, g.n ** 3 // 64)
     nodes = np.stack([m.ravel()[::stride] for m in g.meshes], axis=1)
     sin_x = f3.Form0(g, np.sin(2 * np.pi * g.meshes[0]))
-    checks = [_check(cfg, "forms-bracket-commutator-oracle",
+    checks = [_check("forms-bracket-commutator-oracle",
                      (lhs - rhs).linf() / max(rhs.linf(), 1e-30), 1e-9),
-              _check(cfg, "forms-eval-grid-reproduction",
+              _check("forms-eval-grid-reproduction",
                      float(np.abs(f3.eval_at(f0, nodes) - f0.data.ravel()[::stride]).max()),
                      1e-13),
-              _check(cfg, "forms-eval-analytic-point",
+              _check("forms-eval-analytic-point",
                      abs(f3.eval_at(sin_x, (0.25, 0.3, 0.8)) - 1.0), 1e-14)]
     prof = lambda x: np.sin(2 * np.pi * x) + 0.3 * np.cos(4 * np.pi * x)
     shear = f3.one_form(g, lambda x, y, z: prof(x), lambda x, y, z: 0 * x,
@@ -336,15 +331,15 @@ def _forms_oracles(cfg, fx):
     moved = f3.transport(shear, f3.constant_field(g, 1.0, 0.0, 0.0), 0.25, 0.25)
     expect = f3.one_form(g, lambda x, y, z: prof(x - 0.25), lambda x, y, z: 0 * x,
                          lambda x, y, z: 0 * x)
-    checks += [_check(cfg, "forms-transport-zero-generator",
+    checks += [_check("forms-transport-zero-generator",
                       float(np.abs(still.data - shear.data).max()), 0.0),
-               _check(cfg, "forms-transport-translation-oracle", (moved - expect).linf(), 1e-8)]
+               _check("forms-transport-translation-oracle", (moved - expect).linf(), 1e-8)]
     ar = f3.Form1(g, f3.dealias(f3.random_form1(g, 3, rng, rms=0.5).data, g)
                   + _beltrami(g).data)
     u = f3.random_divfree_field(g, 3, rng, rms=0.3)
     h0 = helicity(ar)
     drift = abs(helicity(f3.transport(ar, u, 0.5, 0.5)) - h0) / abs(h0)
-    return checks + [_check(cfg, "forms-transport-helicity-invariance", drift, 1e-6)]
+    return checks + [_check("forms-transport-helicity-invariance", drift, 1e-6)]
 
 
 @_unit("lie-poisson")
@@ -364,14 +359,14 @@ def _lp_pairing_coadjoint(cfg, fx):
     u_df = f3.random_divfree_field(g, bw, rng)
     shear = _shear(g)
     checks = [
-        _check(cfg, "fluid-pairing-basis",
+        _check("fluid-pairing-basis",
                abs(pairing(f3.coordinate_oneform(g, 0), f3.constant_field(g, 1, 0, 0)) - 1.0),
                0.0),
-        _check(cfg, "fluid-pairing-representative-independence",
+        _check("fluid-pairing-representative-independence",
                abs(pairing(exact, u_df)), 1e-12),
-        _check(cfg, "fluid-pairing-analytic",
+        _check("fluid-pairing-analytic",
                abs(pairing(shear, f3.VectorField(g, shear.data)) - 0.5), 1e-14),
-        _check(cfg, "fluid-coadjoint-closed-form",
+        _check("fluid-coadjoint-closed-form",
                coadjoint(u_df, exact).linf() / max(1.0, u_df.linf()), 1e-11)]
     adjunction = []
     for _ in range(20):
@@ -381,8 +376,8 @@ def _lp_pairing_coadjoint(cfg, fx):
         rhs = lie_poisson_bracket(aa, u, v)
         adjunction.append(abs(pairing(coadjoint(u, aa), v) - rhs) / max(abs(rhs), 1.0))
     return checks + [
-        _check(cfg, "fluid-coadjoint-adjunction", adjunction, 1e-9),
-        _check(cfg, "fluid-coadjoint-beltrami-self",
+        _check("fluid-coadjoint-adjunction", adjunction, 1e-9),
+        _check("fluid-coadjoint-beltrami-self",
                coadjoint(f3.vorticity_from(beltrami), beltrami).linf(), 1e-13)]
 
 
@@ -394,9 +389,9 @@ def _lp_helicity(cfg, fx):
     g, rng, bw, beltrami = fx["g"], fx["rng"], fx["bw"], fx["beltrami"]
     hb = helicity(beltrami)
     shift = f3.d(f3.random_form0(g, bw, rng))
-    checks = [_check(cfg, "fluid-helicity-beltrami", abs(hb - 2 * np.pi), 1e-10),
-              _check(cfg, "fluid-helicity-exact-form", abs(helicity(fx["exact"])), 1e-12),
-              _check(cfg, "fluid-helicity-gauge-invariance",
+    checks = [_check("fluid-helicity-beltrami", abs(hb - 2 * np.pi), 1e-10),
+              _check("fluid-helicity-exact-form", abs(helicity(fx["exact"])), 1e-12),
+              _check("fluid-helicity-gauge-invariance",
                      abs(helicity(beltrami + shift) - hb), 1e-11)]
     gradient = []
     for _ in range(20):
@@ -405,10 +400,10 @@ def _lp_helicity(cfg, fx):
     lhs_g, rhs_g = helicity_gradient_check(beltrami, fx["exact"])
     lhs, rhs = helicity_gradient_check(beltrami, beltrami)
     return checks + [
-        _check(cfg, "fluid-helicity-gradient", gradient, 1e-6),
-        _check(cfg, "fluid-helicity-gradient-gauge-direction",
+        _check("fluid-helicity-gradient", gradient, 1e-6),
+        _check("fluid-helicity-gradient-gauge-direction",
                [abs(lhs_g), abs(rhs_g)], 1e-10),
-        _check(cfg, "fluid-helicity-gradient-homogeneity",
+        _check("fluid-helicity-gradient-homogeneity",
                [abs(lhs - 2 * hb) / (2 * hb), abs(rhs - 2 * hb) / (2 * hb)], 1e-7)]
 
 
@@ -420,21 +415,21 @@ def _lp_euler(cfg, fx):
     g, exact, beltrami = fx["g"], fx["exact"], fx["beltrami"]
     gauge = f3.leray_project(f3.sharp(euler_rhs(FluidState(exact))))
     shear = f3.leray_project(f3.sharp(euler_rhs(FluidState(_shear(g)))))
-    checks = [_check(cfg, "fluid-euler-beltrami-steady",
+    checks = [_check("fluid-euler-beltrami-steady",
                      euler_rhs(FluidState(beltrami)).linf(), 1e-10),
-              _check(cfg, "fluid-euler-pure-gauge", gauge.linf() / max(1.0, exact.linf()), 1e-10),
-              _check(cfg, "fluid-euler-shear-steady", shear.linf(), 1e-10)]
+              _check("fluid-euler-pure-gauge", gauge.linf() / max(1.0, exact.linf()), 1e-10),
+              _check("fluid-euler-shear-steady", shear.linf(), 1e-10)]
     ar = f3.Form1(g, f3.dealias(f3.random_form1(g, 3, fx["rng"], rms=0.3).data, g)
                   + 0.5 * beltrami.data)
     h0, e0 = helicity(ar), energy(ar)
     _, diag = euler_evolve(FluidState(ar), dt=euler_dt(g), t_final=0.5)
     fin_b, _ = euler_evolve(FluidState(beltrami), dt=euler_dt(g), t_final=0.5)
     return checks + [
-        _check(cfg, "fluid-euler-helicity-conservation",
+        _check("fluid-euler-helicity-conservation",
                float(np.abs(diag.helicities - h0).max() / abs(h0)), 1e-6),
-        _check(cfg, "fluid-euler-energy-conservation",
+        _check("fluid-euler-energy-conservation",
                float(np.abs(diag.energies - e0).max() / e0), 1e-6),
-        _check(cfg, "fluid-euler-beltrami-persistence",
+        _check("fluid-euler-beltrami-persistence",
                (fin_b.alpha - beltrami).l2() / beltrami.l2(), 1e-6)]
 
 
@@ -458,22 +453,22 @@ def _lp_foliated(cfg, fx):
     density = helicity_density_check(fx["beltrami"])
     xloop = f3.circle_loop(0, (0.0, 0.2, 0.5))
     checks = [
-        _check(cfg, "fluid-subalgebra-orthogonality", orthogonality, 1e-10),
-        _check(cfg, "fluid-helicity-density-foliated",
+        _check("fluid-subalgebra-orthogonality", orthogonality, 1e-10),
+        _check("fluid-helicity-density-foliated",
                helicity_density_check(alpha) / max(1.0, alpha.linf() * f3.d(alpha).linf()),
                1e-10),
-        _check(cfg, "fluid-vorticity-leaf-tangency",
+        _check("fluid-vorticity-leaf-tangency",
                f3.interior(w_fol, alpha).linf() / max(1.0, alpha.linf() * w_fol.linf()), 1e-10),
         _gate_check("fluid-helicity-density-contact-control", density > 1.0,
                     value_observed=density,
                     note="non-integrable control must show O(2*pi) density"),
-        _check(cfg, "fluid-loop-leaf-tangent",
+        _check("fluid-loop-leaf-tangent",
                abs(loop_integral(alpha, f3.circle_loop(1, (0.3, 0.0, 0.7)))), 1e-10),
-        _check(cfg, "fluid-loop-period-class",
+        _check("fluid-loop-period-class",
                abs(loop_integral(f3.coordinate_oneform(g, 0), xloop) - 1.0), 1e-12)]
     i0 = loop_integral(alpha, xloop)
     i1 = loop_integral(alpha + f3.d(f3.random_form0(g, bw, rng)), xloop)
-    return checks + [_check(cfg, "fluid-loop-gauge-invariance", abs(i1 - i0), 1e-11)]
+    return checks + [_check("fluid-loop-gauge-invariance", abs(i1 - i0), 1e-11)]
 
 
 def _chain_pool(g, a_prof, beta, rng):
@@ -518,9 +513,9 @@ def _gv_integrability(cfg, fx):
     g = fx["g"]
     closed = fol.graph_foliation_form(g, f3.Form0(g, np.full(g.shape, 0.4)))
     contact = fol.check_integrability(_beltrami(g))["relative_residual"]
-    return [_check(cfg, "gv-integrability-graph-family",
+    return [_check("gv-integrability-graph-family",
                    fol.check_integrability(fx["beta"])["relative_residual"], 1e-12),
-            _check(cfg, "gv-integrability-closed-form",
+            _check("gv-integrability-closed-form",
                    fol.check_integrability(closed)["relative_residual"], 0.0),
             _gate_check("gv-integrability-contact-control", contact > 1e-3,
                         value_observed=contact,
@@ -538,7 +533,7 @@ def _gv_chain_residuals(cfg, fx):
     fx["states"], family, shifted = _chain_pool(fx["g"], fx["a_prof"], fx["beta"], fx["rng"])
     pool = family + shifted
     fx["pool_gvs"] = np.array([gv for _, gv in pool])
-    return [_check(cfg, name, [res[key] for res, _ in members], tol)
+    return [_check(name, [res[key] for res, _ in members], tol)
             for name, key, members, tol in (
                 ("gv-eta-defining-residual", "eta_defining", pool, 1e-9),
                 ("gv-gamma-defining-residual", "gamma_defining", pool, 1e-9),
@@ -559,12 +554,12 @@ def _gv_eta(cfg, fx):
     eta_hand = np.stack([ap / denom, np.zeros(g.shape), -a_prof.data * ap / denom])
     closed = fol.graph_foliation_form(g, f3.Form0(g, np.full(g.shape, 0.4)))
     bt = f3.scale_by(f3.Form0(g, np.exp(0.1 * np.sin(2 * np.pi * (X + Y)))), fx["beta"])
-    return [_check(cfg, "gv-eta-hand-gauge-agreement",
+    return [_check("gv-eta-hand-gauge-agreement",
                    float(np.abs(st0.eta.data - eta_hand).max())
                    / max(1.0, float(np.abs(eta_hand).max())), 1e-11),
-            _check(cfg, "gv-eta-closed-form-zero",
+            _check("gv-eta-closed-form-zero",
                    fol.FoliatedState.from_alpha(closed).eta.linf(), 0.0),
-            _check(cfg, "gv-eta-rescaling-law",
+            _check("gv-eta-rescaling-law",
                    fol.FoliatedState.from_alpha(bt).residuals["eta_defining"], 1e-10)]
 
 
@@ -580,10 +575,10 @@ def _gv_values(cfg, fx):
     big_scale = f3.Form0(g, np.exp(0.2 * np.sin(2 * np.pi * (X + Y))))
     gv_big = fol.FoliatedState.from_alpha(
         fol.graph_foliation_form(g, spec_prof, big_scale), strict=False).gv
-    return [_check(cfg, "gv-graph-family-zero", abs(_kept(fx, 0).gv), 1e-10),
-            _check(cfg, "gv-graph-family-zero-steep", abs(gv_spec), 1e-10),
-            _check(cfg, "gv-scaling-invariance", abs(gv_big - gv_spec), 1e-9),
-            _check(cfg, "gv-gauge-scaling-spread", float(gvs.max() - gvs.min()),
+    return [_check("gv-graph-family-zero", abs(_kept(fx, 0).gv), 1e-10),
+            _check("gv-graph-family-zero-steep", abs(gv_spec), 1e-10),
+            _check("gv-scaling-invariance", abs(gv_big - gv_spec), 1e-9),
+            _check("gv-gauge-scaling-spread", float(gvs.max() - gvs.min()),
                    1e-9 * (1.0 + float(np.abs(gvs).max())))]
 
 
@@ -598,17 +593,17 @@ def _gv_chi_gauge_shift(cfg, fx):
     def shift_check(name, f_gauge, tol):
         predicted = fol.chi_shift_expected(st_s, f_gauge, g_gauge)
         shift = fol.gauge_shift(st_s, f_gauge, g_gauge).chi - st_s.chi - predicted
-        return _check(cfg, name, shift.linf() / max(1.0, predicted.linf()), tol)
+        return _check(name, shift.linf() / max(1.0, predicted.linf()), tol)
     return [shift_check("gv-chi-gauge-shift-formula", f3.Form0(g, np.zeros(g.shape)), 1e-10),
             shift_check("gv-chi-gauge-shift-combined", f3.random_form0(g, 2, rng, rms=0.5), 1e-8)]
 
 
-def _variation_check(cfg, name, state, adot, solve, eps=1e-4):
+def _variation_check(name, state, adot, solve, eps=1e-4):
     """d(GV)/dt = int alpha_dot ^ chi against the central difference of GV
     over the states solve(eps) and solve(-eps)."""
     pred = fol.gv_variation(state, adot)
     fd = (solve(eps).gv - solve(-eps).gv) / (2 * eps)
-    return _check(cfg, name, abs(fd - pred) / (1.0 + adot.l2() * state.chi.l2()), 1e-6)
+    return _check(name, abs(fd - pred) / (1.0 + adot.l2() * state.chi.l2()), 1e-6)
 
 
 @_unit("godbillon-vey", "gv-variation-profile-deformation")
@@ -617,7 +612,7 @@ def _gv_variation_profile(cfg, fx):
     dprof = f3.Form0(g, 0.1 * np.sin(4 * np.pi * g.meshes[2]))
     adot = f3.Form1(g, np.stack([dprof.data, np.zeros(g.shape), np.zeros(g.shape)]))
     return [_variation_check(
-        cfg, "gv-variation-profile-deformation", _kept(fx, 0), adot,
+        "gv-variation-profile-deformation", _kept(fx, 0), adot,
         lambda s: fol.FoliatedState.from_alpha(fol.graph_foliation_form(g, a_prof + s * dprof)))]
 
 
@@ -629,13 +624,13 @@ def _gv_variations(cfg, fx):
     g, rng, st_c = fx["g"], fx["rng"], _kept(fx, 2)
     g_fun = f3.random_form0(g, 2, rng, rms=0.3)
     checks = [_variation_check(
-        cfg, "gv-variation-rescaling", st_c, f3.scale_by(g_fun, st_c.alpha),
+        "gv-variation-rescaling", st_c, f3.scale_by(g_fun, st_c.alpha),
         lambda s: fol.FoliatedState.from_alpha(
             f3.scale_by(f3.Form0(g, np.exp(s * g_fun.data)), st_c.alpha)))]
     u_var = f3.random_divfree_field(g, 3, rng, rms=0.5)
     u_back = f3.VectorField(g, -u_var.data)
     checks.append(_variation_check(
-        cfg, "gv-variation-diffeo-transport", st_c, f3.generator(st_c.alpha, u_var),
+        "gv-variation-diffeo-transport", st_c, f3.generator(st_c.alpha, u_var),
         lambda s: fol.FoliatedState.from_alpha(
             f3.transport(st_c.alpha, u_var if s > 0 else u_back, abs(s), abs(s)), strict=False)))
     return checks + [_gate_check("gv-variation-tangency-gate",
@@ -650,16 +645,16 @@ def _gv_xi_generators(cfg, fx):
     g, rng, st_c = fx["g"], fx["rng"], _kept(fx, 2)
     xg_unit = fol.xi_generator(st_c, f3.Form0(g, np.ones(g.shape)))
     two_da = 2.0 * f3.d(st_c.alpha)
-    checks = [_check(cfg, "gv-xi-unit-generator",
+    checks = [_check("gv-xi-unit-generator",
                      float(np.abs(xg_unit.v.data - two_da.data).max())
                      / max(1.0, two_da.linf()), 1e-12),
-              _check(cfg, "gv-xi-zero-generator",
+              _check("gv-xi-zero-generator",
                      fol.xi_generator(st_c, f3.Form0(g, np.zeros(g.shape))).v.linf(), 0.0)]
     gens = fx["gens"] = [xg_unit] + [
         fol.xi_generator(st_c, f3.random_form0(g, 2, rng, rms=0.5)) for _ in range(3)]
     return checks + [
-        _check(cfg, "gv-xi-tangency", [x.residuals["tangency"] for x in gens], 1e-9),
-        _check(cfg, "gv-xi-closure-condition", [x.residuals["condon"] for x in gens], 1e-9)]
+        _check("gv-xi-tangency", [x.residuals["tangency"] for x in gens], 1e-9),
+        _check("gv-xi-closure-condition", [x.residuals["condon"] for x in gens], 1e-9)]
 
 
 @_unit("godbillon-vey", "gv-degeneracy-pairing", "gv-bracket-degeneracy",
@@ -680,8 +675,8 @@ def _gv_degeneracy(cfg, fx):
         v_field = f3.random_vector_field(g, 3, rng)
         val = abs(fol.bracket_degeneracy_check(st_c, a_field, v_field))
         bracket_gap.append(val / max(1.0, st_c.alpha.l2() * a_field.l2() * v_field.l2()))
-    return [_check(cfg, "gv-degeneracy-pairing", pairing_gap, 1e-9),
-            _check(cfg, "gv-bracket-degeneracy", bracket_gap, 1e-8),
+    return [_check("gv-degeneracy-pairing", pairing_gap, 1e-9),
+            _check("gv-bracket-degeneracy", bracket_gap, 1e-8),
             _gate_check("gv-bracket-degeneracy-gate",
                         _rejects(fol.bracket_degeneracy_check, st_c,
                                  f3.random_vector_field(g, 2, rng),
@@ -706,11 +701,11 @@ def _gv_restricted_bracket(cfg, fx):
     u_div = f3.random_divfree_field(g, 3, rng)
     v_div = f3.random_divfree_field(g, 3, rng)
     u_x_v = f3.Form1(g, np.cross(u_div.data, v_div.data, axis=0))
-    return [_check(cfg, "gv-restricted-bracket-antisymmetry",
+    return [_check("gv-restricted-bracket-antisymmetry",
                    [abs(lie_poisson_bracket(alpha, u1, u1)) / scale, abs(b_uv + b_vu) / scale],
                    1e-13),
-            _check(cfg, "gv-restricted-bracket-xi-shift", abs(b_shift - b_uv) / scale, 1e-8),
-            _check(cfg, "gv-restricted-bracket-divfree-consistency",
+            _check("gv-restricted-bracket-xi-shift", abs(b_shift - b_uv) / scale, 1e-8),
+            _check("gv-restricted-bracket-divfree-consistency",
                    abs(lie_poisson_bracket(alpha, u_div, v_div)
                        + f3.integrate3(f3.wedge(f3.d(alpha), u_x_v))), 1e-10)]
 
@@ -722,7 +717,7 @@ def _gv_transport_drift(cfg, fx):
 
     def drift_check(name, fields):
         rep = fol.gv_casimir_suite(st_c, fields, t=0.2)
-        return _check(cfg, name, [r["drift"] for r in rep["records"]],
+        return _check(name, [r["drift"] for r in rep["records"]],
                       1e-6 * (1.0 + abs(rep["gv_initial"])),
                       degraded=[r["field"] for r in rep["records"] if r["degraded"]])
     return [drift_check("gv-transport-casimir-drift",

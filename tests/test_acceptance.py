@@ -242,7 +242,7 @@ def test_report_check_names_pinned(full_report):
 
 
 def test_units_declare_the_report_checks():
-    # the declared names are what a scenario's tolerances may key; no suite runs
+    # the declared names are what a gate-stopped unit reports; no suite runs
     assert [check for units in SUITES.values() for unit in units
              for check in unit.checks] == REPORT_CHECKS
 

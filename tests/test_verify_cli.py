@@ -49,19 +49,6 @@ class TestSuiteRunner:
         assert a["passed"] and b["passed"]
         assert a["seed"] != b["seed"]
 
-    def test_tolerance_override_reflected(self):
-        cfg = SuiteConfig(tolerances={"rattleback-jacobi-identity": 1e-3})
-        report = run_suite("rattleback", cfg)
-        rec = next(c for c in report["checks"]
-                   if c["check"] == "rattleback-jacobi-identity")
-        assert rec["tolerance"] == 1e-3
-
-    def test_impossible_tolerance_fails_suite(self):
-        cfg = SuiteConfig(tolerances={"rattleback-energy-conservation-rk4": 1e-30})
-        report = run_suite("rattleback", cfg)
-        assert not report["passed"]
-        assert "rattleback-energy-conservation-rk4" in report["failed_checks"]
-
     def test_lie_poisson_evolves_at_euler_dt(self, monkeypatch):
         steps = []
 
@@ -83,11 +70,11 @@ class TestSuiteRunner:
 
         @verify._unit("broken", "broken-after")
         def after(cfg, fx):
-            return [verify._check(cfg, "broken-after", 0.0, 0.0)]
+            return [verify._check("broken-after", 0.0, 0.0)]
 
         @verify._unit("broken", "broken-reader")
         def reader(cfg, fx):
-            return [verify._check(cfg, "broken-reader", fx["states"], 0.0)]
+            return [verify._check("broken-reader", fx["states"], 0.0)]
 
         verify.SUITES["rattleback"] = rattleback
         report = run_suite("all", SuiteConfig())
@@ -116,28 +103,27 @@ class TestSuiteRunner:
         @verify._unit("noisy", "noisy")
         def noisy(cfg, fx):
             warnings.warn("overflow in a suite", RuntimeWarning)
-            return [verify._check(cfg, "noisy", 0.0, 0.0)]
+            return [verify._check("noisy", 0.0, 0.0)]
 
         with pytest.warns(RuntimeWarning, match="overflow in a suite"):
             report = run_suite("noisy")
         assert report["passed"]
 
     def test_missing_measurement_cannot_pass(self):
-        cfg = SuiteConfig()
         with pytest.raises(TypeError):
-            verify._check(cfg, "missing", None, 1.0)
-        assert not verify._check(cfg, "nan", float("nan"), 1.0)["pass"]
+            verify._check("missing", None, 1.0)
+        assert not verify._check("nan", float("nan"), 1.0)["pass"]
 
     @pytest.mark.parametrize("samples", [
         [float("nan"), 0.0, 1e-3], [0.0, float("nan"), 1e-3], [0.0, 1e-3, float("nan")],
     ], ids=["first", "middle", "last"])
     def test_nan_sample_fails_the_check(self, samples):
-        rec = verify._check(SuiteConfig(), "nan-sample", samples, 1.0)
+        rec = verify._check("nan-sample", samples, 1.0)
         assert rec["value"] is None and rec["pass"] is False and rec["note"] == "value is nan"
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
     def test_non_finite_value_is_null_and_failed(self, value):
-        rec = verify._check(SuiteConfig(), "non-finite", value, 1.0)
+        rec = verify._check("non-finite", value, 1.0)
         assert (rec["value"], rec["pass"], rec["note"]) == (None, False, f"value is {value}")
         assert json.loads(report_json(rec))["tolerance"] == 1.0
 
@@ -243,17 +229,6 @@ class TestScenarioConfig:
         monkeypatch.setenv("CASIMIR_LAB_SEED", "99")
         assert cli.load_config(str(path)).seed == 99
 
-    def test_tolerance_passthrough(self, tmp_path, capsys):
-        path = tmp_path / "sc.json"
-        report_path = tmp_path / "report.json"
-        path.write_text(json.dumps({
-            "kind": "verify-all", "grid": 32,
-            "tolerances": {"rattleback-jacobi-identity": 0.5},
-            "report": str(report_path),
-        }))
-        sc = cli.load_config(str(path))
-        assert sc.tolerances == {"rattleback-jacobi-identity": 0.5}
-
 
 class TestCli:
     def test_simulate_csv(self, tmp_path):
@@ -278,20 +253,20 @@ class TestCli:
             "error: --ic must be three comma-separated reals, got '1,2'\n")
 
     def test_rattleback_verify_json(self, capsys):
-        code = cli.main(["rattleback", "verify", "--h", "-2"])
+        code = cli.main(["verify", "--suite", "rattleback", "--h", "-2"])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        rec = doc["rattleback-energy-conservation-rk4"]
-        assert set(rec) == {"residual", "tolerance", "pass"}
-        assert rec["pass"]
+        rec = next(c for c in doc["checks"] if c["check"] == "rattleback-energy-conservation-rk4")
+        assert rec["pass"] and rec["tolerance"] == 1e-8
 
     def test_rattleback_verify_other_h(self, capsys):
-        code = cli.main(["rattleback", "verify", "--h", "-1.5"])
+        code = cli.main(["verify", "--suite", "rattleback", "--h", "-1.5"])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["rattleback-casimir-conservation-rk4"]["pass"]
+        assert doc["passed"]
         # the frozen chirality snapshot only applies at h = -2
-        assert "rattleback-chirality-reversal-snapshot" not in doc
+        assert "rattleback-chirality-reversal-snapshot" not in {
+            c["check"] for c in doc["checks"]}
 
     def test_fluid_helicity_value(self, capsys):
         code = cli.main(["fluid", "helicity", "--field",
@@ -310,8 +285,7 @@ class TestCli:
 
     def test_fluid_gv_report(self, tmp_path, capsys):
         report = tmp_path / "gv.json"
-        code = cli.main(["fluid", "gv", "--preset", "graph",
-                         "--profile", "0.15*sin(2*pi*z)", "--grid", "32",
+        code = cli.main(["fluid", "gv", "--profile", "0.15*sin(2*pi*z)", "--grid", "32",
                          "--report", str(report)])
         assert code == 0
         doc = json.loads(report.read_text())
@@ -319,19 +293,18 @@ class TestCli:
         assert doc["residuals"]["eta_defining"] <= 1e-9
 
     def test_fluid_gv_rejects_xy_profile(self, capsys):
-        code = cli.main(["fluid", "gv", "--preset", "graph",
-                         "--profile", "sin(2*pi*x)"])
+        code = cli.main(["fluid", "gv", "--profile", "sin(2*pi*x)"])
         assert code == 2
 
     def test_parse_error_exit_2(self, capsys):
-        code = cli.main(["fluid", "gv", "--preset", "graph", "--profile", "sin("])
+        code = cli.main(["fluid", "gv", "--profile", "sin("])
         assert code == 2
         assert "offset 4" in capsys.readouterr().err
 
     @pytest.mark.parametrize("profile, message", [
         ("z@", "cannot parse profile 'z@': unexpected character '@' (offset 1)"),
         ("z+", "cannot parse profile 'z+': unexpected end of input (offset 2)"),
-        ("x+", "profile must be an expression in z only (graph preset)"),
+        ("x+", "profile must be an expression in z only (graph foliation)"),
     ], ids=["tokenizer", "parser", "names-x"])
     def test_profile_read_before_evaluation(self, capsys, profile, message):
         # identifiers are read off the tokens, so a profile that names x or y
@@ -409,7 +382,8 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [["verify", "--suite", "rattleback"],
-                                      ["rattleback", "verify"]], ids=["verify", "digest"])
+                                      ["verify", "--suite", "rattleback", "--h", "-1.5"]],
+                             ids=["verify", "other-h"])
     def test_nan_check_is_a_failed_record_in_the_report(self, tmp_path, capsys, monkeypatch,
                                                        argv):
         monkeypatch.setattr(verify.rb, "casimir_gradient_check", lambda xi, h: float("nan"))
@@ -418,14 +392,8 @@ class TestCli:
         records = {c["check"]: c for c in json.loads(path.read_text())["checks"]}
         rec = records["rattleback-casimir-gradient-kernel"]
         assert (rec["value"], rec["pass"], rec["note"]) == (None, False, "value is nan")
-        out, err = capsys.readouterr()
-        assert err == (f"report written to {path}\n"
-                       "failed checks: rattleback-casimir-gradient-kernel\n")
-        if argv[0] == "rattleback":
-            assert json.loads(out)["rattleback-casimir-gradient-kernel"] == {
-                "residual": None, "tolerance": 1e-12, "pass": False}
-        else:
-            assert out == ""
+        assert capsys.readouterr() == ("", f"report written to {path}\n"
+                                           "failed checks: rattleback-casimir-gradient-kernel\n")
 
     def test_console_script_entrypoint(self):
         # the child imports the casimir_lab under test, installed or not
@@ -490,20 +458,19 @@ class TestExitPaths:
         assert out == "" and err.startswith(message) and err.count("\n") == 1
         assert err.endswith("expression evaluated to a non-finite value (node (0, 0, 0))\n")
 
-    def test_failing_check_exit_1(self, tmp_path, capsys):
-        doc = {"kind": "verify-all", "suite": "rattleback",
-               "tolerances": {"rattleback-jacobi-identity": -1}}
-        assert _run_file(tmp_path, doc) == 1
+    def test_failing_check_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(verify.rb, "jacobi_residual", lambda c: 1.0)
+        assert _run_file(tmp_path, {"kind": "verify-all", "suite": "rattleback"}) == 1
         out, err = capsys.readouterr()
         assert json.loads(out)["failed_checks"] == ["rattleback-jacobi-identity"]
         assert err == "failed checks: rattleback-jacobi-identity\n"
 
     def test_unknown_tolerance_key_exit_2(self, tmp_path, capsys):
+        # tolerances are fixed in the suites: a file cannot reset one
         doc = {"kind": "verify-all", "suite": "rattleback",
-               "tolerances": {"rattleback-jacobi-identty": -1}}
+               "tolerances": {"rattleback-jacobi-identity": 0.5}}
         assert _run_file(tmp_path, doc) == 2
-        assert capsys.readouterr() == ("", "error: 'tolerances' must be keyed by check "
-                                           "names, got ['rattleback-jacobi-identty']\n")
+        assert capsys.readouterr() == ("", "error: unknown config keys: tolerances\n")
 
     def test_gate_abort_still_writes_report(self, tmp_path, capsys):
         # at n = 16 the chain pool's states miss their gamma_defining gate: the
@@ -604,14 +571,14 @@ def test_scenario_flags_carry_no_defaults():
 
     scenario_parsers = [p for p in leaves(cli.build_parser())
                         if p.get_default("func") is cli.cmd_scenario]
-    assert len(scenario_parsers) == 7
+    assert len(scenario_parsers) == 5
     keys = {f.name for f in fields(cli.Scenario)}
     for parser in scenario_parsers:
         for action in parser._actions:
             if isinstance(action, argparse._HelpAction):
                 continue
             assert action.default is argparse.SUPPRESS, (parser.prog, action.dest)
-            assert action.dest in keys | {"preset"}, (parser.prog, action.dest)
+            assert action.dest in keys, (parser.prog, action.dest)
 
 
 def test_field_spec_component_count():
@@ -645,8 +612,8 @@ class TestScenarioTypes:
         ({"kind": "foliation-gv", "profile": ["z"]}, "'profile'"),
         ({"kind": "foliation-gv", "scale": 2}, "'scale'"),
         ({"kind": "verify-all", "report": False}, "'report'"),
-        ({"kind": "verify-all", "tolerances": {"x": "big"}}, "'tolerances'"),
-        ({"kind": "verify-all", "tolerances": [1]}, "'tolerances'"),
+        ({"kind": "verify-all", "h": "-2"}, "'h'"),
+        ({"kind": "verify-all", "seed": -1}, "'seed'"),
         ({"kind": "fluid-helicity", "grid": 7, "field": "0,0,0"}, "'grid'"),
         ({"kind": "fluid-helicity", "grid": 2, "field": "0,0,0"}, "'grid'"),
         ({"kind": "fluid-helicity", "grid": 100000, "field": "0,0,0"}, "'grid'"),
@@ -762,13 +729,11 @@ def test_malformed_expression_exits_2(capsys, text, flag):
     assert "error: " in err and "Traceback" not in err
 
 
-def test_verify_all_file_h_matches_rattleback_verify(tmp_path, monkeypatch):
-    # "all" runs only the rattleback suite here, to keep the test short
-    monkeypatch.setattr(verify, "SUITES", {"rattleback": verify.SUITES["rattleback"]})
+def test_verify_all_file_h_matches_rattleback_verify(tmp_path):
     from_flags, from_file = tmp_path / "flags.json", tmp_path / "file.json"
-    assert cli.main(["rattleback", "verify", "--h", "-1.5",
+    assert cli.main(["verify", "--suite", "rattleback", "--h", "-1.5",
                      "--report", str(from_flags)]) == 0
-    assert _run_file(tmp_path, {"kind": "verify-all", "h": -1.5,
+    assert _run_file(tmp_path, {"kind": "verify-all", "suite": "rattleback", "h": -1.5,
                                 "report": str(from_file)}) == 0
     checks = [json.loads(p.read_text())["checks"] for p in (from_flags, from_file)]
     assert checks[0] == checks[1]
@@ -780,10 +745,10 @@ def test_profile_must_be_z_only(tmp_path, capsys, entry):
     profile = "0.1*sin(2*pi*y)"
     code = (_run_file(tmp_path, {"kind": "foliation-gv", "profile": profile})
             if entry == "run"
-            else cli.main(["fluid", "gv", "--preset", "graph", "--profile", profile]))
+            else cli.main(["fluid", "gv", "--profile", profile]))
     assert code == 2
     assert capsys.readouterr().err == (
-        "error: profile must be an expression in z only (graph preset)\n")
+        "error: profile must be an expression in z only (graph foliation)\n")
 
 
 @pytest.mark.parametrize("argv, doc", [
