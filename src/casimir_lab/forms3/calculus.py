@@ -103,13 +103,23 @@ def lie_derivative(v: VectorField, form):
     return d(interior(v, form)) + interior(v, d(form))
 
 
+def _advect(a: np.ndarray, b: np.ndarray, g) -> np.ndarray:
+    """sum_j a^j d_j b, accumulated one axis at a time into the first derivative."""
+    out = spectral_derivative(b, g, 0)
+    out *= a[0]
+    for ax in (1, 2):
+        db = spectral_derivative(b, g, ax)
+        db *= a[ax]
+        out += db
+    return out
+
+
 def vf_bracket(u: VectorField, v: VectorField) -> VectorField:
-    """Commutator [u, v]^i = u^j d_j v^i - v^j d_j u^i."""
-    g = u.grid
-    du = np.stack([spectral_derivative(u.data, g, ax) for ax in range(3)])  # du[j, i]
-    dv = np.stack([spectral_derivative(v.data, g, ax) for ax in range(3)])
-    out = np.einsum("j...,ji...->i...", u.data, dv) - np.einsum("j...,ji...->i...", v.data, du)
-    return VectorField(g, out)
+    """Commutator [u, v]^i = u^j d_j v^i - v^j d_j u^i.  The two sums are
+    formed separately, so [u, v] == -[v, u] and [u, u] == 0 bit for bit."""
+    out = _advect(u.data, v.data, u.grid)
+    out -= _advect(v.data, u.data, u.grid)
+    return VectorField(u.grid, out)
 
 
 def integrate3(form: Form3) -> float:

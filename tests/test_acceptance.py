@@ -69,7 +69,7 @@ REPORT_CHECKS = [
     "rattleback-poisson-matrix-zero-on-line",
     "rattleback-bracket-trivial-on-line",
     "rattleback-singular-line-constant",
-    "rattleback-chirality-reversal-snapshot",
+    "rattleback-chirality-turning-points",
     "forms-dd-zero",
     "forms-contraction-identity",
     "forms-leibniz",

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from casimir_lab import kernels
 from casimir_lab import rattleback as rb
 from casimir_lab.errors import BlowUpError, DomainError, InvalidParameterError
-from casimir_lab.verify import run_suite
+from casimir_lab.verify import CHIRALITY_IC, _chirality_turning_point, run_suite
 
 
 def test_bianchi_vi_structure_constants():
@@ -346,14 +346,19 @@ def test_restricted_casimir_report_fails_on_nan(monkeypatch):
     assert rec["value"] is None and rec["pass"] is False and rec["note"] == "value is nan"
 
 
-def test_chirality_reversal_snapshot():
-    # frozen regression: spin flips to ~ -s0 and swings back near +s0
-    tr = rb.integrate(rb.RattlebackState(0.01, 0.02, 1.0), -2.0, dt=1e-3, t_final=40.0)
-    s = tr.states[:, 2]
-    i_min = int(np.argmin(s))
-    assert s.min() == pytest.approx(-1.000011889760899, abs=1e-9)
-    assert s[i_min:].max() == pytest.approx(1.0000118897643504, abs=1e-9)
-    assert np.any(np.diff(s) > 0) and np.any(np.diff(s) < 0)
+@pytest.mark.parametrize("h", [-1.05, -1.5, -2.0, -5.0])
+def test_chirality_turning_points(h):
+    # the spin flips to -s* and swings back to +s*, both read off H and C
+    xi = rb.RattlebackState(*CHIRALITY_IC)
+    s_star = _chirality_turning_point(xi, h)
+    s = rb.integrate(xi, h, dt=1e-3, t_final=40.0).states[:, 2]
+    assert s.min() == pytest.approx(-s_star, abs=1e-9)
+    assert s[np.argmin(s):].max() == pytest.approx(s_star, abs=1e-9)
+    # s* is a turning point on xi's level set: ds/dt = r^2 + h p^2 = 0 there
+    p = math.sqrt((2 * rb.hamiltonian(xi) - s_star ** 2) / (1 - h))
+    turn = rb.RattlebackState(p, math.sqrt(-h) * p, s_star)
+    assert rb.casimir(turn, h) == pytest.approx(rb.casimir(xi, h), rel=1e-12)
+    assert abs(rb.rattleback_rhs(turn, h).s) <= 1e-14
 
 
 def test_trajectory_invariants():

@@ -30,7 +30,7 @@ def _run_file(tmp_path, doc) -> int:
 class TestSuiteRunner:
     def test_record_shape(self):
         report = run_suite("rattleback", SuiteConfig())
-        assert sorted(report) == ["checks", "failed_checks", "grid", "library", "passed",
+        assert sorted(report) == ["checks", "failed_checks", "grid", "h", "library", "passed",
                                   "seed", "suite", "version"]
         assert report["library"] == "casimir-lab"
         assert report["suite"] == "rattleback"
@@ -48,6 +48,15 @@ class TestSuiteRunner:
         b = run_suite("rattleback", SuiteConfig(seed=2))
         assert a["passed"] and b["passed"]
         assert a["seed"] != b["seed"]
+
+    def test_header_names_every_input(self, monkeypatch):
+        # every SuiteConfig field is in the header, which so names all a report depends on
+        monkeypatch.setattr(verify, "SUITES", {})
+        cfg = SuiteConfig(grid_n=16, seed=5, rattleback_h=-1.5)
+        header = run_suite("all", cfg)
+        keys = {"grid_n": "grid", "seed": "seed", "rattleback_h": "h"}
+        assert {keys[f.name]: getattr(cfg, f.name) for f in fields(SuiteConfig)} == {
+            key: header[key] for key in keys.values()}
 
     def test_lie_poisson_evolves_at_euler_dt(self, monkeypatch):
         steps = []
@@ -263,10 +272,9 @@ class TestCli:
         code = cli.main(["verify", "--suite", "rattleback", "--h", "-1.5"])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["passed"]
-        # the frozen chirality snapshot only applies at h = -2
-        assert "rattleback-chirality-reversal-snapshot" not in {
-            c["check"] for c in doc["checks"]}
+        assert doc["passed"] and doc["h"] == -1.5
+        # the chirality turning points are checked at every h < -1
+        assert "rattleback-chirality-turning-points" in {c["check"] for c in doc["checks"]}
 
     def test_fluid_helicity_value(self, capsys):
         code = cli.main(["fluid", "helicity", "--field",
@@ -737,7 +745,7 @@ def test_verify_all_file_h_matches_rattleback_verify(tmp_path):
                                 "report": str(from_file)}) == 0
     checks = [json.loads(p.read_text())["checks"] for p in (from_flags, from_file)]
     assert checks[0] == checks[1]
-    assert "rattleback-chirality-reversal-snapshot" not in {c["check"] for c in checks[0]}
+    assert "rattleback-chirality-turning-points" in {c["check"] for c in checks[0]}
 
 
 @pytest.mark.parametrize("entry", ["fluid gv", "run"])
