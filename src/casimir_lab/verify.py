@@ -199,9 +199,10 @@ def _rb_trajectories(cfg, fx):
     checks.append(_check("rattleback-singular-line-constant",
                          [np.abs(line[:, :2]).max(), np.abs(line[:, 2] - 5.0).max()], 0.0))
     if h < -1.0:
-        s = rb.integrate(rb.RattlebackState(*CHIRALITY_IC), h, dt=1e-3, t_final=40.0).states[:, 2]
+        xi = rb.RattlebackState(*CHIRALITY_IC)
+        s = rb.integrate(xi, h, dt=1e-3, t_final=40.0).states[:, 2]
         s_min, s_ret = float(s.min()), float(s[np.argmin(s):].max())
-        s_star = _chirality_turning_point(rb.RattlebackState(*CHIRALITY_IC), h)
+        s_star = _chirality_turning_point(xi, h)
         non_monotone = bool(np.any(np.diff(s) > 0) and np.any(np.diff(s) < 0))
         checks.append(_check("rattleback-chirality-turning-points",
                              [abs(s_min + s_star), abs(s_ret - s_star)],
