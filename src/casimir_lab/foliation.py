@@ -21,6 +21,7 @@ downstream claims carry provenance.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -332,11 +333,13 @@ def bracket_degeneracy_check(state: FoliatedState, a: VectorField, v: VectorFiel
     return lie_poisson_bracket(state.alpha, a, v)
 
 
-def gv_casimir_suite(state: FoliatedState, fields: list[VectorField], t: float) -> dict:
+def gv_casimir_suite(state: FoliatedState, fields: Iterable[VectorField], t: float) -> dict:
     """Transport alpha along each field, re-solve the chain and measure GV drift.
 
     Each transported state is solved once without raising; its ``degraded``
     entry is the message of the first membership gate it fails, or None.
+    The state and its field are freed before the next field is taken, so
+    a generator of fields holds one at a time.
     """
     gv0 = godbillon_vey(state)
     records = []
@@ -351,6 +354,7 @@ def gv_casimir_suite(state: FoliatedState, fields: list[VectorField], t: float) 
             "degraded": str(failure) if failure else None,
             "residuals": new_state.residuals,
         })
+        del new_state, u
     return {"gv_initial": gv0, "records": records}
 
 

@@ -30,39 +30,52 @@ def rk4_loop(p, r, s, h, dt, n_steps, stride):
     Returns (states, status, step): ``states`` is the flat (p, r, s)
     array('d') buffer, as for ``rk45_loop``; ``step`` is the step the loop
     stopped at, the one that went non-finite or ``n_steps``.
+
+    The p- and r-slopes are kept negated, m = -k (``h * p * s`` for
+    ``-h * p * s``), and subtracted where k is added: negation is exact, so
+    the steps are bit for bit those of the textbook form.  ``half * k`` is
+    how Python already groups ``0.5 * dt * k``.
     """
     states = array("d", [p, r, s])
+    record = states.append
+    half = 0.5 * dt
     for step in range(1, n_steps + 1):
-        k1p = -h * p * s
-        k1r = -r * s
-        k1s = r * r + h * p * p
-        p2 = p + 0.5 * dt * k1p
-        r2 = r + 0.5 * dt * k1r
-        s2 = s + 0.5 * dt * k1s
-        k2p = -h * p2 * s2
-        k2r = -r2 * s2
-        k2s = r2 * r2 + h * p2 * p2
-        p3 = p + 0.5 * dt * k2p
-        r3 = r + 0.5 * dt * k2r
-        s3 = s + 0.5 * dt * k2s
-        k3p = -h * p3 * s3
-        k3r = -r3 * s3
-        k3s = r3 * r3 + h * p3 * p3
-        p4 = p + dt * k3p
-        r4 = r + dt * k3r
+        hp = h * p
+        m1p = hp * s
+        m1r = r * s
+        k1s = r * r + hp * p
+        p2 = p - half * m1p
+        r2 = r - half * m1r
+        s2 = s + half * k1s
+        hp = h * p2
+        m2p = hp * s2
+        m2r = r2 * s2
+        k2s = r2 * r2 + hp * p2
+        p3 = p - half * m2p
+        r3 = r - half * m2r
+        s3 = s + half * k2s
+        hp = h * p3
+        m3p = hp * s3
+        m3r = r3 * s3
+        k3s = r3 * r3 + hp * p3
+        p4 = p - dt * m3p
+        r4 = r - dt * m3r
         s4 = s + dt * k3s
-        k4p = -h * p4 * s4
-        k4r = -r4 * s4
-        k4s = r4 * r4 + h * p4 * p4
-        p = p + dt * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
-        r = r + dt * (k1r + 2.0 * k2r + 2.0 * k3r + k4r) / 6.0
+        hp = h * p4
+        m4p = hp * s4
+        m4r = r4 * s4
+        k4s = r4 * r4 + hp * p4
+        p = p - dt * (m1p + 2.0 * m2p + 2.0 * m3p + m4p) / 6.0
+        r = r - dt * (m1r + 2.0 * m2r + 2.0 * m3r + m4r) / 6.0
         s = s + dt * (k1s + 2.0 * k2s + 2.0 * k3s + k4s) / 6.0
-        if not (math.isfinite(p) and math.isfinite(r) and math.isfinite(s)):
+        # x - x is 0.0 for finite x and NaN for inf or NaN, so the sum is
+        # NaN exactly when some component is not finite
+        if p - p + (r - r) + (s - s) != 0.0:
             return states, STATUS_NONFINITE, step
         if step % stride == 0:
-            states.append(p)
-            states.append(r)
-            states.append(s)
+            record(p)
+            record(r)
+            record(s)
     return states, STATUS_OK, n_steps
 
 

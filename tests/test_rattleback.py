@@ -193,6 +193,15 @@ class TestIntegrate:
         t2 = rb.integrate(rb.RattlebackState(-0.1, 0.2, 1.0), -2.0, dt=1e-3, t_final=3.0)
         assert np.array_equal(t2.states, t1.states * np.array([-1.0, 1.0, 1.0]))
 
+    @pytest.mark.parametrize("h", [-2.0, -1.5])
+    def test_rk4_prefix_is_the_shorter_run(self, h):
+        # the suite reads its parity start's run to t = 5 off the reference
+        # run to t = 100: fixed steps make the first 5,001 rows the same bits
+        xi = rb.RattlebackState(0.1, 0.2, 1.0)
+        short = rb.integrate(xi, h, dt=1e-3, t_final=5.0)
+        long = rb.integrate(xi, h, dt=1e-3, t_final=100.0)
+        assert np.array_equal(short.states, long.states[:5001])
+
     def test_invalid_parameters(self):
         xi = rb.RattlebackState(0.1, 0.2, 1.0)
         with pytest.raises(InvalidParameterError):
@@ -256,6 +265,63 @@ class TestIntegrate:
                           t_final=1.0, stride=10)
         assert len(tr.times) == 101
         assert tr.times[1] == pytest.approx(1e-2)
+
+
+def _rk4_loop_reference(p, r, s, h, dt, n_steps, stride):
+    """kernels.rk4_loop in its textbook form, kept verbatim as the reference."""
+    states = array("d", [p, r, s])
+    for step in range(1, n_steps + 1):
+        k1p = -h * p * s
+        k1r = -r * s
+        k1s = r * r + h * p * p
+        p2 = p + 0.5 * dt * k1p
+        r2 = r + 0.5 * dt * k1r
+        s2 = s + 0.5 * dt * k1s
+        k2p = -h * p2 * s2
+        k2r = -r2 * s2
+        k2s = r2 * r2 + h * p2 * p2
+        p3 = p + 0.5 * dt * k2p
+        r3 = r + 0.5 * dt * k2r
+        s3 = s + 0.5 * dt * k2s
+        k3p = -h * p3 * s3
+        k3r = -r3 * s3
+        k3s = r3 * r3 + h * p3 * p3
+        p4 = p + dt * k3p
+        r4 = r + dt * k3r
+        s4 = s + dt * k3s
+        k4p = -h * p4 * s4
+        k4r = -r4 * s4
+        k4s = r4 * r4 + h * p4 * p4
+        p = p + dt * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
+        r = r + dt * (k1r + 2.0 * k2r + 2.0 * k3r + k4r) / 6.0
+        s = s + dt * (k1s + 2.0 * k2s + 2.0 * k3s + k4s) / 6.0
+        if not (math.isfinite(p) and math.isfinite(r) and math.isfinite(s)):
+            return states, kernels.STATUS_NONFINITE, step
+        if step % stride == 0:
+            states.append(p)
+            states.append(r)
+            states.append(s)
+    return states, kernels.STATUS_OK, n_steps
+
+
+@pytest.mark.parametrize("start, h, dt, n_steps, stride, stop", [
+    (CHIRALITY_IC, -2.0, 1e-3, 40_000, 1, 40_000),
+    ((0.1, 0.2, 1.0), -1.5, 1e-3, 20_000, 1, 20_000),
+    ((0.1, 0.2, 1.0), -5.0, 1e-3, 20_000, 1, 20_000),
+    ((0.1, -0.2, 1.0), -2.0, 1e-3, 10_000, 7, 10_000),
+    # too long a step: RK4 is unstable and the state overflows at step 6
+    ((0.1, 0.2, 1.0), -2.0, 1.0, 1_000, 1, 6),
+    # h > 0 with a huge state overflows in the first step
+    ((1e150, 1e150, 1e150), 2.0, 1e-3, 1_000, 1, 1),
+])
+def test_rk4_loop_matches_its_textbook_form(start, h, dt, n_steps, stride, stop):
+    # negated p- and r-slopes, a hoisted half step and one finiteness test
+    # leave every bit, the status and the step index as they were
+    states, status, step = kernels.rk4_loop(*start, h, dt, n_steps, stride)
+    ref_states, ref_status, ref_step = _rk4_loop_reference(*start, h, dt, n_steps, stride)
+    assert (status, step) == (ref_status, ref_step)
+    assert step == stop
+    assert states.tobytes() == ref_states.tobytes()
 
 
 class TestRk45StepControl:

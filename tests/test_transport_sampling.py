@@ -37,6 +37,28 @@ class TestTransport:
         expect = f3.one_form(grid32, lambda x, y, z: prof(x - t, y - t, z - t), zero, zero)
         assert (moved - expect).linf() <= 1e-13
 
+    def test_shear_pullback_oracle(self, grid32):
+        # u = (f(z), 0, 0) flows by x -> x + t f(z), so alpha(t) is alpha pulled
+        # back along Phi = (x - t f(z), y, z): a(Phi) dx + b(Phi) dy
+        # + (c(Phi) - t f'(z) a(Phi)) dz.  The last term is the stretching
+        # alpha_j d_i u^j, which a constant u never exercises; leaving it out
+        # misses by 1.02.  The error, 7.4e-11, is the 2/3 rule's truncation
+        # of the exact solution, whose z spectrum decays like J_k(2 pi A t)
+        amp, t, tau = 0.5, 0.25, 2 * np.pi
+        f = lambda z: amp * np.sin(tau * z)
+        a = lambda x, y, z: np.cos(tau * x) * (1 + 0.3 * np.sin(tau * (y + z)))
+        b = lambda x, y, z: np.sin(tau * (x + 2 * y)) + 0.5 * np.cos(2 * tau * z)
+        c = lambda x, y, z: 0.4 * np.cos(tau * (x - y)) + np.sin(3 * tau * z)
+        _, _, z = grid32.meshes
+        u = f3.VectorField(grid32, np.stack([f(z), 0 * z, 0 * z]))
+        moved = f3.transport(f3.one_form(grid32, a, b, c), u, t, t)
+        expect = f3.one_form(
+            grid32, lambda x, y, z: a(x - t * f(z), y, z),
+            lambda x, y, z: b(x - t * f(z), y, z),
+            lambda x, y, z: (c(x - t * f(z), y, z)
+                             - t * amp * tau * np.cos(tau * z) * a(x - t * f(z), y, z)))
+        assert (moved - expect).linf() <= 1e-9
+
     def test_unconverged_series_is_refused(self, grid32, monkeypatch):
         # with one Taylor term no substep converges: halving runs into MAX_SUBSTEPS
         mod = sys.modules["casimir_lab.forms3.transport"]
