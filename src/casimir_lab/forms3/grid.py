@@ -131,12 +131,15 @@ class Box:
                                         f"n = {self.n!r}, keep = {self.keep!r}")
 
     @classmethod
-    @lru_cache(maxsize=8)
+    @lru_cache(maxsize=11)
     def of(cls, n: int, keep: int) -> "Box":
         """The shared Box(n, keep): its matrices and multipliers are built once
-        while it stays among the 8 most recently used.  A full verify at one
-        n uses 7 boxes, which all stay; a box left behind is dropped with
-        its cached arrays (266 MB for the Nyquist-free box at n = 256)."""
+        while it stays among the 11 most recently used.  A full verify at one
+        n uses 11 boxes, which all stay: seven for the random fields, the
+        2/3 rule and point evaluation, and transport's product grids
+        M = 2K + B + 1 for its generators' bands B = 0..3.  A box left
+        behind is dropped with its cached arrays (266 MB for the
+        Nyquist-free box at n = 256)."""
         return cls(n, keep)
 
     @property

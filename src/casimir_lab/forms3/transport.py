@@ -8,11 +8,15 @@ The state is alpha's coefficients on the 2/3-rule box in the cos/sin (cs)
 layout, as for Euler (see ``Box``): every transform pass is a real matrix
 product, derivatives are multiplies and row swaps, the box is the
 dealiasing, and only the products u x curl(alpha) and u . alpha are formed
-on the grid.  -L_u is linear in alpha and constant in time, so the exact
-flow is exp(-t L_u) alpha; ``transport`` applies it as a truncated Taylor series over equal substeps
-(Al-Mohy & Higham, "Computing the action of the matrix exponential", SIAM
-J. Sci. Comput. 33, 2011; see Hochbruck & Ostermann, "Exponential
-integrators", Acta Numerica 19, 2010).
+on a grid.  They are linear in alpha, so with alpha on the box K and u of
+bandwidth B <= K they are formed on the M = 2K + B + 1 grid, the smallest
+whose aliases of the product's modes (|k| <= K + B) miss the box (Orszag,
+J. Atmos. Sci. 28, 1971); 3K < n, so M <= n.  -L_u is linear in alpha and
+constant in time, so the exact flow is exp(-t L_u) alpha; ``transport``
+applies it as a truncated Taylor series over equal substeps (Al-Mohy &
+Higham, "Computing the action of the matrix exponential", SIAM J. Sci.
+Comput. 33, 2011; see Hochbruck & Ostermann, "Exponential integrators",
+Acta Numerica 19, 2010).
 ``generator`` is the physical-space oracle of the same right-hand side.
 """
 
@@ -25,12 +29,13 @@ import numpy as np
 from ..errors import BlowUpError, InvalidParameterError
 from .calculus import _dot, d, lie_derivative
 from .forms import Form1, VectorField
-from .grid import _cross, curl_cs, dealias, grad_cs, irfft3_cs, rfft3_cs, spectral_derivative
+from .grid import Box, _cross, curl_cs, dealias, grad_cs, irfft3_cs, rfft3_cs, spectral_derivative
 
 MAX_SUBSTEPS = 10_000  # substeps one transport call may take
 SUBSTEP_NORM = 8.0     # bound on h * rho for one substep
 MAX_DEGREE = 40        # Taylor terms per substep
 SERIES_TOL = 1e-16     # stop once max|term| <= SERIES_TOL * max|partial sum|
+BAND_TOL = 1e-13       # u's coefficients at most BAND_TOL of its largest count as zero
 
 
 def transport(alpha: Form1, u: VectorField, t_final: float, dt: float) -> Form1:
@@ -51,32 +56,47 @@ def transport(alpha: Form1, u: VectorField, t_final: float, dt: float) -> Form1:
     cutoff are carried through untouched as grid values and, as every
     increment is cut to the box, enter only each substep's first Taylor
     term.  Non-finite values raise BlowUpError.
+
+    u's bandwidth B is the largest max|k_i| among its box coefficients
+    above BAND_TOL of the largest, and the coefficients beyond B are
+    zeroed, so every use of u (rho, the forcing of the high modes, the
+    Taylor terms) sees the same u.  The Taylor terms' products are formed
+    on ``Box.of(2K + B + 1, K)``, the smallest grid that aliases nothing
+    into the box; the state, the forcing and the series test stay on
+    ``grid.box``.
     """
-    g = alpha.grid
+    g, box = alpha.grid, alpha.grid.box
     n_dt = _step_count(t_final, dt)
     u_max = np.abs(u.data).reshape(3, -1).max(axis=1)
     if n_dt == 0 or not u_max.any():
         return Form1(g, alpha.data.copy())
     if not np.all(np.isfinite(u_max)):
         raise BlowUpError("transport field is non-finite", time=0.0)
-    advection = 2.0 * np.pi * g.box.keep * float(u_max.sum())
+    advection = 2.0 * np.pi * box.keep * float(u_max.sum())
     _substep_count(n_dt, t_final * advection)  # refuse before any transform
-    u = dealias(u.data, g)
+    u_hat = rfft3_cs(dealias(u.data, g), box)
+    band = _band_cut(u_hat, box)
+    u = irfft3_cs(u_hat, box)
     shear = max(float(np.abs(spectral_derivative(u, g, ax)).max()) for ax in range(3))
     left = _substep_count(n_dt, t_final * (advection + 3.0 * shear))
     h = t_final / left
     taken = 0
 
-    box = g.box
+    box_m = Box.of(2 * box.keep + band + 1, box.keep)
+    # the cs coefficients carry the forward grid's n^3, so u_m is rescaled
+    # and the terms' coefficients stay n-scaled
+    u_m = irfft3_cs(u_hat, box_m) * (box_m.n / g.n) ** 3
     # divergence shows up as inf/nan; the contract is the exception
     with np.errstate(over="ignore", invalid="ignore"):
         a = rfft3_cs(alpha.data, box)
         high = alpha.data - irfft3_cs(a, box)  # the modes above the cutoff
-        forcing = _rhs(high, d(Form1(g, high)).data, u, box)
+        forcing = _rhs(high, d(Form1(g, high)).data, u, box, box)
+        del u, u_hat
         while left:
             total, term = a.copy(), a
             for degree in range(1, MAX_DEGREE + 1):
-                term = _rhs(irfft3_cs(term, box), irfft3_cs(curl_cs(term, box), box), u, box)
+                term = _rhs(irfft3_cs(term, box_m), irfft3_cs(curl_cs(term, box), box_m),
+                            u_m, box_m, box)
                 if degree == 1:
                     term += forcing
                 term *= h / degree
@@ -113,11 +133,26 @@ def _substep_count(n_dt: int, t_rho: float, why: str = "transport") -> int:
     return math.ceil(n_sub)
 
 
-def _rhs(alpha: np.ndarray, curl: np.ndarray, u: np.ndarray, box) -> np.ndarray:
-    """cs-layout box coefficients of -L_u alpha = u x curl(alpha) - grad(u . alpha),
-    from the grid values of alpha and its curl."""
-    out = rfft3_cs(_cross(u, curl), box)
-    out -= grad_cs(rfft3_cs(_dot(u, alpha), box), box)
+def _band_cut(spec: np.ndarray, box: Box) -> int:
+    """The bandwidth B of a 3-stack's box coefficients: the largest max|k_i|
+    among those above BAND_TOL of the largest (0 if none is).  The
+    coefficients beyond B are zeroed in place."""
+    kx, ky, kz = (np.abs(k) for k in box.k_r)
+    level = np.maximum(np.maximum(kx, ky), kz)
+    mag = np.abs(spec)
+    band = int(level[(mag > BAND_TOL * mag.max()).any(axis=0)].max(initial=0))
+    spec[:, level > band] = 0.0
+    return band
+
+
+def _rhs(alpha: np.ndarray, curl: np.ndarray, u: np.ndarray, grid_box: Box,
+         box: Box) -> np.ndarray:
+    """cs-layout coefficients on ``box`` of -L_u alpha = u x curl(alpha) - grad(u . alpha),
+    from the values of alpha and its curl on ``grid_box``'s grid.  The two
+    boxes share their K; the gradient takes ``box``'s multipliers, so a
+    product grid's box builds only its transform matrices."""
+    out = rfft3_cs(_cross(u, curl), grid_box)
+    out -= grad_cs(rfft3_cs(_dot(u, alpha), grid_box), box)
     return out
 
 

@@ -484,18 +484,19 @@ def _from_cs(coefs, box):
     return _change_basis(basis, coefs)
 
 
-@pytest.mark.parametrize("n", range(4, 66, 2))
+@pytest.mark.parametrize("n", [*range(4, 66, 2), 5, 7, 21, 23, 31, 33])
 def test_cs_transforms_are_the_basis_change(n, rng):
     # every K from the mean alone to the Nyquist-free box, forward and
     # inverse against rfftn and irfftn.  The forward bound is
     # 8 ulps of the data's largest coefficient: K = 0 keeps only the mean,
     # a sum of n^3 values whose cancellation leaves its own size no measure
-    # of the two summation orders' roundoff
+    # of the two summation orders' roundoff.  Odd n are transport's product
+    # grids M = 2K + B + 1 for even B; there the largest K is (n - 1)/2
     for lead in ((), (3,)):
         data = rng.standard_normal(lead + (n, n, n))
         full = _rfftn(data)
-        scale = np.abs(_restrict(full, f3.Box.of(n, n // 2 - 1))).max()
-        for keep in sorted({0, 1, (n - 1) // 3, n // 2 - 1}):
+        scale = np.abs(_restrict(full, f3.Box.of(n, (n - 1) // 2))).max()
+        for keep in sorted({0, 1, (n - 1) // 3, (n - 1) // 2}):
             box = f3.Box.of(n, keep)
             got = f3.rfft3_cs(data, box)
             assert got.shape == lead + box.shape and got.flags.c_contiguous
@@ -553,13 +554,39 @@ def test_box_cache_is_shared_and_bounded():
     box = f3.Box.of(32, 10)
     assert f3.Box.of(32, 10) is box
     bound = f3.Box.of.cache_info().maxsize
-    assert bound >= 7  # the boxes a full verify at one n uses
+    assert bound >= 11  # the boxes a full verify at one n uses
     left = weakref.ref(f3.Box.of(6, 2))
     for n in range(8, 8 + 4 * bound, 2):
         f3.Box.of(n, n // 2 - 1).ikz
         assert f3.Box.of.cache_info().currsize <= bound
     gc.collect()
     assert left() is None
+
+
+def test_full_verify_builds_each_box_once():
+    # all four suites at n = 32 and at 48, each from an empty cache: a miss
+    # per distinct box, none evicted and built again, and the bound is the
+    # larger count
+    src = str(Path(casimir_lab.__file__).resolve().parents[1])
+    code = """if True:
+        import sys
+        sys.path.insert(0, sys.argv[1])
+        from casimir_lab import verify
+        from casimir_lab import forms3 as f3
+        for n in (32, 48):
+            f3.Box.of.cache_clear()
+            for suite in verify.SUITES:
+                verify.run_suite(suite, verify.SuiteConfig(grid_n=n))
+            info = f3.Box.of.cache_info()
+            print(info.misses, info.currsize, info.maxsize)
+    """
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         check=True).stdout
+    counts = [tuple(map(int, line.split())) for line in out.splitlines()]
+    assert len(counts) == 2
+    for misses, size, bound in counts:
+        assert misses == size <= bound
+    assert max(size for _, size, _ in counts) == counts[0][2]
 
 
 def test_mean_dot_does_not_depend_on_blas_threads():

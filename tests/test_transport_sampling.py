@@ -42,22 +42,26 @@ class TestTransport:
         # back along Phi = (x - t f(z), y, z): a(Phi) dx + b(Phi) dy
         # + (c(Phi) - t f'(z) a(Phi)) dz.  The last term is the stretching
         # alpha_j d_i u^j, which a constant u never exercises; leaving it out
-        # misses by 1.02.  The error, 7.4e-11, is the 2/3 rule's truncation
-        # of the exact solution, whose z spectrum decays like J_k(2 pi A t)
-        amp, t, tau = 0.5, 0.25, 2 * np.pi
-        f = lambda z: amp * np.sin(tau * z)
+        # misses by 1.02, 0.061 and 1.02.  The errors, 7.4e-11, 4.9e-9 and
+        # 7.4e-11, are the 2/3 rule's truncation of the exact solution, whose
+        # z spectrum decays like J_k(2 pi A t).  f's bands 1, 3 and 1 (the last
+        # also a translation) put the products on the grids M = 22, 24 and 22
+        tau = 2 * np.pi
         a = lambda x, y, z: np.cos(tau * x) * (1 + 0.3 * np.sin(tau * (y + z)))
         b = lambda x, y, z: np.sin(tau * (x + 2 * y)) + 0.5 * np.cos(2 * tau * z)
         c = lambda x, y, z: 0.4 * np.cos(tau * (x - y)) + np.sin(3 * tau * z)
         _, _, z = grid32.meshes
-        u = f3.VectorField(grid32, np.stack([f(z), 0 * z, 0 * z]))
-        moved = f3.transport(f3.one_form(grid32, a, b, c), u, t, t)
-        expect = f3.one_form(
-            grid32, lambda x, y, z: a(x - t * f(z), y, z),
-            lambda x, y, z: b(x - t * f(z), y, z),
-            lambda x, y, z: (c(x - t * f(z), y, z)
-                             - t * amp * tau * np.cos(tau * z) * a(x - t * f(z), y, z)))
-        assert (moved - expect).linf() <= 1e-9
+        for mean, amp, band, t, bound in ((0.0, 0.5, 1, 0.25, 1e-9), (0.0, 0.5, 3, 0.005, 1e-8),
+                                          (0.5, 0.5, 1, 0.25, 1e-9)):
+            f = lambda z: mean + amp * np.sin(band * tau * z)
+            df = lambda z: amp * band * tau * np.cos(band * tau * z)
+            u = f3.VectorField(grid32, np.stack([f(z), 0 * z, 0 * z]))
+            moved = f3.transport(f3.one_form(grid32, a, b, c), u, t, t)
+            expect = f3.one_form(
+                grid32, lambda x, y, z: a(x - t * f(z), y, z),
+                lambda x, y, z: b(x - t * f(z), y, z),
+                lambda x, y, z: c(x - t * f(z), y, z) - t * df(z) * a(x - t * f(z), y, z))
+            assert (moved - expect).linf() <= bound, (mean, amp, band, t)
 
     def test_unconverged_series_is_refused(self, grid32, monkeypatch):
         # with one Taylor term no substep converges: halving runs into MAX_SUBSTEPS
@@ -114,6 +118,116 @@ class TestTransport:
         bound = inspect.signature(f3.transport).bind(
             f3.random_form1(grid32, 1, rng), f3.zero_field(grid32), 2e-3, 2e-3)
         assert list(bound.arguments) == ["alpha", "u", "t_final", "dt"]
+
+
+def _band_field(g, band):
+    """(1 + sin 2 pi B z, cos 2 pi B x, 0): divergence-free, of bandwidth B."""
+    x, _, z = g.meshes
+    return f3.VectorField(g, np.stack([1 + np.sin(2 * np.pi * band * z),
+                                       np.cos(2 * np.pi * band * x), 0 * x]))
+
+
+def _spy_transforms(monkeypatch):
+    """The (n, keep) of every box transform transport makes, in a list."""
+    mod = sys.modules["casimir_lab.forms3.transport"]
+    boxes = []
+    for name in ("rfft3_cs", "irfft3_cs"):
+        def spy(data, box, real=getattr(mod, name)):
+            boxes.append((box.n, box.keep))
+            return real(data, box)
+        monkeypatch.setattr(mod, name, spy)
+    return boxes
+
+
+def _product(a_hat, u_hat, box, n):
+    """transport's right-hand side, the cs coefficients of u x curl(a) - grad(u . a),
+    formed on ``box``'s grid from coefficients of the n-grid."""
+    mod = sys.modules["casimir_lab.forms3.transport"]
+    u = f3.irfft3_cs(u_hat, box) * (box.n / n) ** 3
+    return mod._rhs(f3.irfft3_cs(a_hat, box), f3.irfft3_cs(f3.curl_cs(a_hat, box), box),
+                    u, box, box)
+
+
+def _rel(a, b):
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+@pytest.mark.parametrize("n", (16, 32, 48))
+class TestProductGrid:
+    """With alpha on the box K and u of bandwidth B, the Taylor terms'
+    products run on the M = 2K + B + 1 grid: the smallest on which the
+    product's modes, |k| <= K + B, alias nothing into the box."""
+
+    def test_products_run_on_the_smallest_alias_free_grid(self, n, monkeypatch):
+        g = f3.Grid(n)
+        k = g.box.keep
+        a = f3.random_form1(g, k, np.random.default_rng(n))
+        boxes = _spy_transforms(monkeypatch)
+        for band in range(k + 1):
+            boxes.clear()
+            f3.transport(a, _band_field(g, band), 1e-3, 1e-3)
+            m = 2 * k + band + 1
+            assert m <= n
+            assert set(boxes) == {(n, k), (m, k)}
+
+    def test_one_point_fewer_aliases(self, n):
+        # the product on M equals the n-grid's, which 3K < n makes alias-free;
+        # on M - 1 mode K + B folds onto -K, and with B = 0 the box would hold
+        # the Nyquist mode
+        g = f3.Grid(n)
+        box, k = g.box, g.box.keep
+        a_hat = f3.rfft3_cs(f3.random_form1(g, k, np.random.default_rng(n)).data, box)
+        for band in range(k + 1):
+            u_hat = f3.rfft3_cs(_band_field(g, band).data, box)
+            exact = _product(a_hat, u_hat, box, n)
+            assert _rel(_product(a_hat, u_hat, f3.Box(2 * k + band + 1, k), n), exact) <= 1e-13
+            if band == 0:
+                with pytest.raises(InvalidParameterError):
+                    f3.Box(2 * k, k)
+            else:
+                assert _rel(_product(a_hat, u_hat, f3.Box(2 * k + band, k), n), exact) > 1e-3
+
+    def test_suite_fields_sit_far_below_the_band_threshold(self, n):
+        # the suites' generators have bands 1-3; what their coefficients hold
+        # beyond the band is roundoff, at least 100x below BAND_TOL
+        mod = sys.modules["casimir_lab.forms3.transport"]
+        g = f3.Grid(n)
+        rng = np.random.default_rng(n)
+        kx, ky, kz = (np.abs(k) for k in g.box.k_r)
+        level = np.maximum(np.maximum(kx, ky), kz)
+        for band in (1, 2, 3):
+            for draw in (f3.random_divfree_field, f3.random_vector_field):
+                u_hat = f3.rfft3_cs(draw(g, band, rng, rms=0.1).data, g.box)
+                beyond = np.abs(u_hat[:, level > band]).max() / np.abs(u_hat).max()
+                assert beyond <= mod.BAND_TOL / 100
+                assert mod._band_cut(u_hat, g.box) == band
+
+
+def test_taylor_terms_stay_on_the_product_grid(grid32, monkeypatch, rng):
+    # a band-1 generator at n = 32 puts every Taylor term on M = 22; only the
+    # forcing of alpha's high modes and a fixed number of transforms, as
+    # many for a long call as for a short one, run on the n-grid
+    mod = sys.modules["casimir_lab.forms3.transport"]
+    a = f3.random_form1(grid32, 10, rng)
+    u = f3.random_divfree_field(grid32, 1, rng, rms=0.3)
+    rhs, real = [], mod._rhs
+
+    def spy(alpha, curl, u, grid_box, box):
+        rhs.append((grid_box.n, alpha.shape[-1], curl.shape[-1], u.shape[-1]))
+        return real(alpha, curl, u, grid_box, box)
+
+    monkeypatch.setattr(mod, "_rhs", spy)
+    boxes = _spy_transforms(monkeypatch)
+    on_n = []
+    for t in (0.05, 0.5):
+        rhs.clear()
+        boxes.clear()
+        f3.transport(a, u, t, t)
+        assert rhs.count((32,) * 4) == 1
+        assert set(rhs) == {(32,) * 4, (22,) * 4}
+        assert {n for n, _ in boxes} == {32, 22}
+        on_n.append((boxes.count((32, 10)), len(rhs)))
+    assert on_n[0][0] == on_n[1][0] and on_n[0][1] < on_n[1][1]
 
 
 class TestCurves:
