@@ -239,12 +239,28 @@ def _rhs(s: np.ndarray, box) -> np.ndarray:
                            irfft3_cs(curl_cs(s, box), box)), box)
 
 
+def _last_reader(j: int) -> int:
+    """The last stage whose combination reads slope k_j, or len(DOP853_B)
+    for the final one."""
+    return len(DOP853_B) if DOP853_B[j] else int(np.flatnonzero(DOP853_A[:, j]).max())
+
+
+# _DOP853_FREED[i]: the slopes whose last reader is stage i's combination,
+# dropped once k_i is formed; from the tableau's zeros (1-based) k2 goes
+# after stage 3, k3 after stage 5, k4 and k5 after stage 12, before the
+# final combination
+_DOP853_FREED = [[j for j in range(len(DOP853_B)) if _last_reader(j) == i]
+                 for i in range(len(DOP853_B))]
+
+
 def _dop853_step(a: np.ndarray, rhs, h: float) -> np.ndarray:
     """One DOP853 step, a + h sum_j B_j k_j; stage slope k_i is ``rhs`` at
-    a + h sum_{j<i} A_ij k_j."""
+    a + h sum_{j<i} A_ij k_j.  Each slope is dropped after its last reader."""
     k = [rhs(a)]
     for i in range(1, len(DOP853_B)):
         k.append(rhs(_combine(a, h, DOP853_A[i], k)))
+        for j in _DOP853_FREED[i]:
+            k[j] = None
     return _combine(a, h, DOP853_B, k)
 
 

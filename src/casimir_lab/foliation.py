@@ -71,7 +71,7 @@ def check_integrability(alpha: Form1) -> dict:
     An overflowing alpha gives inf/nan residuals, which the gates refuse.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _frobenius(alpha, d(alpha), _abs_sq(alpha))
+        return _frobenius(alpha, d(alpha), _min_abs(_abs_sq(alpha)))
 
 
 def _abs_sq(alpha: Form1) -> np.ndarray:
@@ -80,15 +80,20 @@ def _abs_sq(alpha: Form1) -> np.ndarray:
     return interior(VectorField(alpha.grid, alpha.data), alpha).data
 
 
-def _frobenius(alpha: Form1, da: Form2, alpha_sq: np.ndarray) -> dict:
-    """check_integrability's record, given d(alpha) and |alpha|^2 pointwise."""
+def _min_abs(alpha_sq: np.ndarray) -> float:
+    """min |alpha|, given |alpha|^2 pointwise."""
+    return float(np.sqrt(alpha_sq.min()))
+
+
+def _frobenius(alpha: Form1, da: Form2, min_abs: float) -> dict:
+    """check_integrability's record, given d(alpha) and min |alpha|."""
     res = wedge(alpha, da).l2()
     scale = alpha.l2() * da.l2()
     rel = res / scale if scale > 0 else res
     return {
         "residual": res,
         "relative_residual": rel,
-        "min_abs": float(np.sqrt(alpha_sq.min())),
+        "min_abs": min_abs,
         "integrable": rel <= INTEGRABILITY_TOL,
     }
 
@@ -162,27 +167,38 @@ def _gap(a, b) -> float:
     return b.l2()
 
 
-def _solve_chi(alpha: Form1, da: Form2, eta: Form1, deta: Form2,
-               gamma: Form1) -> tuple[Form2, dict]:
-    """chi = 2 (eta ^ gamma - d(gamma)) and the relative residuals of the chain:
-    d(alpha) = alpha ^ eta, d(eta) = alpha ^ gamma, the solvability
-    certificate alpha ^ d(eta) = 0, alpha ^ chi = 0 and d(chi) = eta ^ chi.
-    chi and each difference are formed in place in a fresh wedge."""
+def _solve_chain(alpha: Form1, eta_of, gamma_of) -> tuple[Form1, Form1, Form2, float, dict]:
+    """The chain from d(alpha): eta = eta_of(d(alpha)), gamma = gamma_of(d(eta)),
+    chi = 2 (eta ^ gamma - d(gamma)) and GV = int eta ^ d(eta), with the
+    relative residuals of d(alpha) = alpha ^ eta, d(eta) = alpha ^ gamma, the
+    solvability certificate alpha ^ d(eta) = 0, alpha ^ chi = 0 and
+    d(chi) = eta ^ chi.  Each residual is formed as soon as its inputs
+    exist, and d(alpha), d(eta) and d(chi) are dropped after their last
+    reader, so a solve never holds two of them; chi and each difference are
+    formed in place in a fresh wedge.  Returns (eta, gamma, chi, GV,
+    residuals)."""
+    da = d(alpha)
+    eta = eta_of(da)
+    res = {"eta_defining": _gap(da, wedge(alpha, eta)) / max(da.l2(), 1e-30)}
+    del da
+    deta = d(eta)
+    gamma = gamma_of(deta)
+    alpha_l2, deta_l2 = alpha.l2(), deta.l2()
+    res["gamma_defining"] = _gap(deta, wedge(alpha, gamma)) / max(deta_l2, 1e-30)
+    res["gamma_certificate"] = (wedge(alpha, deta).l2()
+                                / max(alpha_l2 * deta_l2, 1e-30))
+    gv = integrate3(wedge(eta, deta))
+    del deta
     chi = wedge(eta, gamma).data
     chi -= d(gamma).data
     chi *= 2.0
     chi = Form2(alpha.grid, chi)
+    chi_l2 = chi.l2()
+    res["chi_tangency"] = wedge(alpha, chi).l2() / max(alpha_l2 * chi_l2, 1e-30)
     dchi = d(chi)
-    alpha_l2, deta_l2, chi_l2 = alpha.l2(), deta.l2(), chi.l2()
-    return chi, {
-        "eta_defining": _gap(da, wedge(alpha, eta)) / max(da.l2(), 1e-30),
-        "gamma_defining": _gap(deta, wedge(alpha, gamma)) / max(deta_l2, 1e-30),
-        "gamma_certificate": wedge(alpha, deta).l2()
-                             / max(alpha_l2 * deta_l2, 1e-30),
-        "chi_tangency": wedge(alpha, chi).l2() / max(alpha_l2 * chi_l2, 1e-30),
-        "chi_closure": _gap(dchi, wedge(eta, chi))
-                       / max(dchi.l2(), eta.l2() * chi_l2, 1e-30),
-    }
+    res["chi_closure"] = (_gap(dchi, wedge(eta, chi))
+                          / max(dchi.l2(), eta.l2() * chi_l2, 1e-30))
+    return eta, gamma, chi, gv, res
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,28 +222,39 @@ class FoliatedState:
         """Solve the chain, the library's one solver of eta, gamma and chi,
         and record its residuals; the Frobenius test and the helicity
         reuse the chain's d(alpha), and X and min |alpha| share one
-        |alpha|^2.  With strict=True a state that fails a
-        membership gate raises; with strict=False it is returned, and
-        ``gate_failure(state.residuals)`` names the failure.  An overflowing
-        alpha gives inf/nan residuals, which the gates refuse."""
+        |alpha|^2.  X goes once gamma is formed, and every other chain
+        term after its last reader (``_solve_chain``).  With strict=True a
+        state that fails a membership gate raises; with strict=False it is
+        returned, and ``gate_failure(state.residuals)`` names the failure.
+        An overflowing alpha gives inf/nan residuals, which the gates
+        refuse."""
         with np.errstate(over="ignore", invalid="ignore"):
             alpha_sq = _abs_sq(alpha)
+            min_abs = _min_abs(alpha_sq)
             x = _reference_field(alpha, alpha_sq)
-            da = d(alpha)
-            frobenius = _frobenius(alpha, da, alpha_sq)
             del alpha_sq  # not held through the chain solve, whose peak sets RSS
-            eta = interior(x, da)
-            deta = d(eta)
-            gamma = interior(x, deta)
-            chi, chain = _solve_chi(alpha, da, eta, deta, gamma)
-            gv = integrate3(wedge(eta, deta))
-            res = {
-                "integrability": frobenius["relative_residual"],
-                "min_abs_alpha": frobenius["min_abs"],
-                **chain,
-                "x_ref_normalization": float(np.abs(interior(x, alpha).data - 1.0).max()),
-                "helicity": abs(helicity(alpha, da)),
-            }
+            x_ref = float(np.abs(interior(x, alpha).data - 1.0).max())
+            of_da = {}
+
+            def eta_of(da):
+                of_da["integrability"] = _frobenius(alpha, da, min_abs)["relative_residual"]
+                of_da["helicity"] = abs(helicity(alpha, da))
+                return interior(x, da)
+
+            def gamma_of(deta):
+                nonlocal x
+                gamma = interior(x, deta)
+                del x  # its last reader
+                return gamma
+
+            eta, gamma, chi, gv, chain = _solve_chain(alpha, eta_of, gamma_of)
+        res = {
+            "integrability": of_da["integrability"],
+            "min_abs_alpha": min_abs,
+            **chain,
+            "x_ref_normalization": x_ref,
+            "helicity": of_da["helicity"],
+        }
         if strict:
             _enforce_gates(res)
         return cls(alpha=alpha, eta=eta, gamma=gamma, chi=chi, gv=gv, residuals=res)
@@ -254,11 +281,9 @@ def gauge_shift(state: FoliatedState, f: Form0, g: Form0) -> FoliatedState:
     gamma -= d(f).data
     gamma += g.data * alpha.data
     eta, gamma = Form1(state.grid, eta), Form1(state.grid, gamma)
-    deta = d(eta)
-    chi, chain = _solve_chi(alpha, d(alpha), eta, deta, gamma)
-    res = {**state.residuals, **chain}
-    return FoliatedState(alpha=alpha, eta=eta, gamma=gamma, chi=chi,
-                         gv=integrate3(wedge(eta, deta)), residuals=res)
+    eta, gamma, chi, gv, chain = _solve_chain(alpha, lambda da: eta, lambda deta: gamma)
+    return FoliatedState(alpha=alpha, eta=eta, gamma=gamma, chi=chi, gv=gv,
+                         residuals={**state.residuals, **chain})
 
 
 def chi_shift_expected(state: FoliatedState, f: Form0, g: Form0) -> Form2:

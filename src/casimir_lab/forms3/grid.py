@@ -31,8 +31,8 @@ def _pin_heap_thresholds() -> None:
     its dynamic rule only raises the thresholds after the process frees a
     large block.  Pinning them where that rule tops out on 64-bit (mmap
     above 32 MiB, trim above twice that) lets the heap reuse them.  Once
-    per process, on the first Grid; a no-op where the C library has no
-    mallopt.
+    per process, on the first Grid or Box; a no-op where the C library
+    has no mallopt.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -129,6 +129,7 @@ class Box:
         if not (ints and 0 <= 2 * self.keep < self.n):
             raise InvalidParameterError(f"a box needs integers 0 <= keep < n/2, got "
                                         f"n = {self.n!r}, keep = {self.keep!r}")
+        _pin_heap_thresholds()
 
     @classmethod
     @lru_cache(maxsize=11)

@@ -430,14 +430,18 @@ def _lp_helicity(cfg, fx):
        "fluid-euler-shear-steady", "fluid-euler-helicity-conservation",
        "fluid-euler-energy-conservation", "fluid-euler-beltrami-persistence")
 def _lp_euler(cfg, fx):
-    """Euler right-hand side oracles; Euler evolution conserves helicity and energy."""
-    g, exact, beltrami = fx["g"], fx["exact"], fx["beltrami"]
-    gauge = f3.leray_project(f3.sharp(euler_rhs(FluidState(exact))))
-    shear = f3.leray_project(f3.sharp(euler_rhs(FluidState(_shear(g)))))
+    """Euler right-hand side oracles; Euler evolution conserves helicity and
+    energy.  The oracles' fields go before the evolutions."""
+    g, exact, beltrami = fx["g"], fx.pop("exact"), fx["beltrami"]
     checks = [_check("fluid-euler-beltrami-steady",
-                     euler_rhs(FluidState(beltrami)).linf(), 1e-10),
-              _check("fluid-euler-pure-gauge", gauge.linf() / max(1.0, exact.linf()), 1e-10),
-              _check("fluid-euler-shear-steady", shear.linf(), 1e-10)]
+                     euler_rhs(FluidState(beltrami)).linf(), 1e-10)]
+    gauge = f3.leray_project(f3.sharp(euler_rhs(FluidState(exact))))
+    checks.append(_check("fluid-euler-pure-gauge", gauge.linf() / max(1.0, exact.linf()),
+                         1e-10))
+    del gauge, exact
+    shear = f3.leray_project(f3.sharp(euler_rhs(FluidState(_shear(g)))))
+    checks.append(_check("fluid-euler-shear-steady", shear.linf(), 1e-10))
+    del shear
     ar = f3.Form1(g, f3.dealias(f3.random_form1(g, 3, fx["rng"], rms=0.3).data, g)
                   + 0.5 * beltrami.data)
     h0, e0 = helicity(ar), energy(ar)
@@ -491,25 +495,32 @@ def _lp_foliated(cfg, fx):
 
 
 def _chain_pool(g, a_prof, beta, rng):
-    """The canonical family, beta and 20 random rescalings, and a gauge shift of each,
-    solved without raising: the first three states (the only ones used again) and
-    the (residuals, GV) of the members and of the shifts.  Each member and its
-    shift are freed before the next member is solved."""
-    states = [fol.FoliatedState.from_alpha(beta, strict=False)]
-    family, shifted = [(states[0].residuals, states[0].gv)], []
-    for _ in range(20):
-        q = f3.random_scalar_array(g, 2, rng, rms=SCALING_RMS)
-        alpha_i = fol.graph_foliation_form(g, a_prof, f3.Form0(g, np.exp(q)))
-        st = fol.FoliatedState.from_alpha(alpha_i, strict=False)
-        if len(states) < 3:
-            states.append(st)
-        family.append((st.residuals, st.gv))
-        f_gauge = f3.random_form0(g, 1, rng, rms=GAUGE_RMS)
-        g_gauge = f3.random_form0(g, 1, rng, rms=GAUGE_RMS)
+    """The canonical family, beta and 20 random rescalings, and a gauge shift of
+    each rescaling, solved without raising: the first three states (the only
+    ones used again) and the (residuals, GV) of the members and of the
+    shifts, in that order.  The first two rescalings and their gauges are
+    drawn first, as a member-by-member loop draws them; members 3-20 are
+    then solved, each freed with its shift before the next, and the three
+    kept states last, so none is held through that loop."""
+
+    def draw():
+        return (f3.random_scalar_array(g, 2, rng, rms=SCALING_RMS),
+                f3.random_form0(g, 1, rng, rms=GAUGE_RMS),
+                f3.random_form0(g, 1, rng, rms=GAUGE_RMS))
+
+    def solve(q, f_gauge, g_gauge):
+        st = fol.FoliatedState.from_alpha(
+            fol.graph_foliation_form(g, a_prof, f3.Form0(g, np.exp(q))), strict=False)
         shift = fol.gauge_shift(st, f_gauge, g_gauge)
-        shifted.append((shift.residuals, shift.gv))
-        del st, shift
-    return states, family, shifted
+        return st, ((st.residuals, st.gv), (shift.residuals, shift.gv))
+
+    first = [draw(), draw()]
+    later = [solve(*draw())[1] for _ in range(18)]
+    kept = [solve(*first.pop(0)) for _ in range(2)]
+    states = [fol.FoliatedState.from_alpha(beta, strict=False)] + [st for st, _ in kept]
+    records = [record for _, record in kept] + later
+    family = [(states[0].residuals, states[0].gv)] + [member for member, _ in records]
+    return states, family, [shift for _, shift in records]
 
 
 def _kept(state):
@@ -568,20 +579,26 @@ def _gv_chain_residuals(cfg, fx):
        "gv-eta-rescaling-law")
 def _gv_eta(cfg, fx):
     """eta agrees with the hand gauge on the graph family, vanishes for a closed
-    form, and d(bt) = bt ^ eta(bt) still holds for a rescaling bt of beta."""
+    form, and d(bt) = bt ^ eta(bt) still holds for a rescaling bt of beta.
+    Each check's inputs are freed before the next check's are built."""
     g, a_prof, beta, st0 = fx["g"], fx["a_prof"], fx.pop("beta"), _kept(fx["state0"])
-    X, Y, _ = g.meshes
     ap, denom = f3.spectral_derivative(a_prof.data, g, 2), 1.0 + a_prof.data ** 2
     eta_hand = np.stack([ap / denom, np.zeros(g.shape), -a_prof.data * ap / denom])
+    del ap, denom
+    checks = [_check("gv-eta-hand-gauge-agreement",
+                     float(np.abs(st0.eta.data - eta_hand).max())
+                     / max(1.0, float(np.abs(eta_hand).max())), 1e-11)]
+    del eta_hand
     closed = fol.graph_foliation_form(g, f3.Form0(g, np.full(g.shape, 0.4)))
+    checks.append(_check("gv-eta-closed-form-zero",
+                         fol.FoliatedState.from_alpha(closed).eta.linf(), 0.0))
+    del closed
+    X, Y, _ = g.meshes
     bt = f3.scale_by(f3.Form0(g, np.exp(0.1 * np.sin(2 * np.pi * (X + Y)))), beta)
-    return [_check("gv-eta-hand-gauge-agreement",
-                   float(np.abs(st0.eta.data - eta_hand).max())
-                   / max(1.0, float(np.abs(eta_hand).max())), 1e-11),
-            _check("gv-eta-closed-form-zero",
-                   fol.FoliatedState.from_alpha(closed).eta.linf(), 0.0),
-            _check("gv-eta-rescaling-law",
-                   fol.FoliatedState.from_alpha(bt).residuals["eta_defining"], 1e-10)]
+    del beta
+    return checks + [_check("gv-eta-rescaling-law",
+                            fol.FoliatedState.from_alpha(bt).residuals["eta_defining"],
+                            1e-10)]
 
 
 @_unit("godbillon-vey", "gv-graph-family-zero", "gv-graph-family-zero-steep",
@@ -593,9 +610,10 @@ def _gv_values(cfg, fx):
     X, Y, _ = g.meshes
     spec_prof = _canonical_profile(g, PROFILE_SPEC_EXAMPLE)
     gv_spec = fol.FoliatedState.from_alpha(fol.graph_foliation_form(g, spec_prof)).gv
-    big_scale = f3.Form0(g, np.exp(0.2 * np.sin(2 * np.pi * (X + Y))))
-    gv_big = fol.FoliatedState.from_alpha(
-        fol.graph_foliation_form(g, spec_prof, big_scale), strict=False).gv
+    big = fol.graph_foliation_form(g, spec_prof,
+                                   f3.Form0(g, np.exp(0.2 * np.sin(2 * np.pi * (X + Y)))))
+    del spec_prof  # not held through big's solve
+    gv_big = fol.FoliatedState.from_alpha(big, strict=False).gv
     return [_check("gv-graph-family-zero", abs(_kept(fx["state0"]).gv), 1e-10),
             _check("gv-graph-family-zero-steep", abs(gv_spec), 1e-10),
             _check("gv-scaling-invariance", abs(gv_big - gv_spec), 1e-9),
@@ -612,9 +630,10 @@ def _gv_chi_gauge_shift(cfg, fx):
     g_gauge = f3.random_form0(g, 2, rng, rms=0.5)
 
     def shift_check(name, f_gauge, tol):
+        # the shifted state goes before the prediction is formed
+        moved = fol.gauge_shift(st_s, f_gauge, g_gauge).chi - st_s.chi
         predicted = fol.chi_shift_expected(st_s, f_gauge, g_gauge)
-        shift = fol.gauge_shift(st_s, f_gauge, g_gauge).chi - st_s.chi - predicted
-        return _check(name, shift.linf() / max(1.0, predicted.linf()), tol)
+        return _check(name, (moved - predicted).linf() / max(1.0, predicted.linf()), tol)
     return [shift_check("gv-chi-gauge-shift-formula", f3.Form0(g, np.zeros(g.shape)), 1e-10),
             shift_check("gv-chi-gauge-shift-combined", f3.random_form0(g, 2, rng, rms=0.5), 1e-8)]
 

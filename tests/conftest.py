@@ -44,3 +44,37 @@ def foliated_state(grid32, graph_profile):
     scale = f3.Form0(grid32, np.exp(f3.random_scalar_array(grid32, 1, srng, rms=0.05)))
     alpha = fol.graph_foliation_form(grid32, graph_profile, scale)
     return fol.FoliatedState.from_alpha(alpha)
+
+
+@pytest.fixture(scope="session")
+def unit_peaks():
+    """``_unit_peaks``: a suite's records and each check unit's memory peak."""
+    return _unit_peaks
+
+
+def _unit_peaks(suite, cfg):
+    """Run ``suite``'s check units in order on one fixture set, as
+    ``run_suite`` does, under tracemalloc.  Returns the records and, per
+    unit name, the peak of traced memory while that unit ran, above the
+    level before the suite's first unit."""
+    import tracemalloc
+
+    from casimir_lab import verify
+    from casimir_lab.errors import InconsistencyError, PreconditionError
+
+    checks, peaks = [], {}
+    fx = verify._Fixtures()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for unit in verify.SUITES[suite]:
+            tracemalloc.reset_peak()
+            try:
+                checks += unit(cfg, fx)
+            except (PreconditionError, InconsistencyError) as exc:
+                checks += [verify._gate_check(check, False, note=str(exc))
+                           for check in unit.checks]
+            peaks[unit.__name__] = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return checks, peaks

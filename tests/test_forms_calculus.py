@@ -26,6 +26,27 @@ class TestGrid:
         monkeypatch.setattr(grid.ctypes, "CDLL", no_library)
         assert grid._pin_heap_thresholds.__wrapped__() is None
 
+    def test_first_box_pins_the_heap_without_a_grid(self):
+        # box transforms in a process that builds no Grid reuse their
+        # temporaries too: the first Box pins, and no later Box pins again
+        src = str(Path(casimir_lab.__file__).resolve().parents[1])
+        code = """if True:
+            import gc, sys
+            sys.path.insert(0, sys.argv[1])
+            import numpy as np
+            from casimir_lab.forms3 import grid
+            pin = grid._pin_heap_thresholds
+            print(pin.cache_info().misses)
+            box = grid.Box.of(32, 10)
+            grid.irfft3_cs(grid.rfft3_cs(np.ones((3, 32, 32, 32)), box), box)
+            grid.Box(30, 10)
+            grids = sum(isinstance(obj, grid.Grid) for obj in gc.get_objects())
+            print(pin.cache_info().misses, grids)
+        """
+        out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                             text=True, check=True)
+        assert list(map(int, out.stdout.split())) == [0, 1, 0]
+
     def test_spacing_and_coords(self, grid32):
         assert grid32.axis_coords[1] == 1.0 / 32
 

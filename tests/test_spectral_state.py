@@ -160,6 +160,15 @@ class TestDop853:
                           np.append(dop853.C[:STAGES], 1.0)):
             assert abs(math.fsum(row) - c) <= 1e-15 * max(1.0, np.abs(row).sum())
 
+    def test_slopes_are_freed_after_their_last_reader(self):
+        # 0-based: k1 after stage 2, k2 after stage 4, k3 and k4 after the
+        # last stage; no later combination and no weight reads a freed slope
+        assert fluid._DOP853_FREED == [[], [], [1], [], [2]] + [[]] * 6 + [[3, 4]]
+        for i, freed in enumerate(fluid._DOP853_FREED):
+            for j in freed:
+                assert fluid.DOP853_A[i, j] != 0.0
+                assert not fluid.DOP853_A[i + 1:, j].any() and fluid.DOP853_B[j] == 0.0
+
     def test_eighth_order(self, grid16, rng):
         # halving dt divides the error by 2^8; asking 2^7 leaves room for the
         # reference's own error and the next order's term
