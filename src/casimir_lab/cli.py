@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -122,12 +121,8 @@ def _is_int(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and rb._is_finite(value))
 
 
 def _require(ok: bool, key: str, what: str, value) -> None:

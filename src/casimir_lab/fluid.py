@@ -34,6 +34,7 @@ from .forms3 import (
     curve_velocity,
     wedge,
 )
+from .forms3.calculus import _dot
 from .forms3.grid import _cross
 from .forms3.transport import _step_count
 
@@ -72,7 +73,7 @@ class FluidState:
 
 def pairing(alpha: Form1, u: VectorField) -> float:
     """<alpha, u> = int (i_u alpha) mu; representative independent for div-free u."""
-    return float(np.mean(np.sum(alpha.data * u.data, axis=0)))
+    return float(np.mean(_dot(alpha.data, u.data)))
 
 
 def lie_poisson_bracket(alpha: Form1, u: VectorField, v: VectorField) -> float:
@@ -213,11 +214,11 @@ def euler_evolve(state: FluidState, dt: float,
         energies.append(0.5 * mean_dot_cs(a, leray_cs(a, box), box))
         helicities.append(mean_dot_cs(a, curl_cs(a, box), box))
 
+    n_steps = _step_count(t_final, dt)  # refuse before any transform
     # divergence shows up as inf/nan, from the first transform on; the
     # contract is the exception
     with np.errstate(over="ignore", invalid="ignore"):
         a = rfft3_cs(state.alpha.data, box)
-        n_steps = _step_count(t_final, dt)
         t = 0.0
         record(t, a)
         for _ in range(n_steps):

@@ -121,7 +121,10 @@ def _step_count(t_final: float, dt: float) -> int:
         raise InvalidParameterError("dt must be positive")
     if not 0 <= t_final < np.inf:
         raise InvalidParameterError("t_final must be finite and nonnegative")
-    return int(np.ceil(t_final / dt - 1e-12))
+    try:
+        return int(np.ceil(t_final / dt - 1e-12))
+    except OverflowError:  # t_final / dt, or an int operand, beyond the float range
+        raise InvalidParameterError("t_final / dt is beyond the float range") from None
 
 
 def _substep_count(n_dt: int, t_rho: float, why: str = "transport") -> int:

@@ -11,12 +11,10 @@ from array import array
 
 import numpy as np
 
+from .errors import BlowUpError
+
 # Read by the benchmark's machine facts; no numba build exists.
 USING_NUMBA = False
-
-STATUS_OK = 0
-STATUS_NONFINITE = 1
-STATUS_MAXSTEPS = 2
 
 
 # ---------------------------------------------------------------------------
@@ -25,11 +23,9 @@ STATUS_MAXSTEPS = 2
 # ---------------------------------------------------------------------------
 
 def rk4_loop(p, r, s, h, dt, n_steps, stride):
-    """Fixed-step RK4.  Records the initial state and every ``stride``-th step.
-
-    Returns (states, status, step): ``states`` is the flat (p, r, s)
-    array('d') buffer, as for ``rk45_loop``; ``step`` is the step the loop
-    stopped at, the one that went non-finite or ``n_steps``.
+    """Fixed-step RK4.  Records the initial state and every ``stride``-th step
+    in a flat (p, r, s) array('d'), which it returns; a step that goes
+    non-finite raises BlowUpError at its time, ``step * dt``.
 
     The p- and r-slopes are kept negated, m = -k (``h * p * s`` for
     ``-h * p * s``), and subtracted where k is added: negation is exact, so
@@ -71,12 +67,12 @@ def rk4_loop(p, r, s, h, dt, n_steps, stride):
         # x - x is 0.0 for finite x and NaN for inf or NaN, so the sum is
         # NaN exactly when some component is not finite
         if p - p + (r - r) + (s - s) != 0.0:
-            return states, STATUS_NONFINITE, step
+            raise BlowUpError("state became non-finite", time=step * dt)
         if step % stride == 0:
             record(p)
             record(r)
             record(s)
-    return states, STATUS_OK, n_steps
+    return states
 
 
 def rk45_loop(p, r, s, h, t_final, rtol, atol, max_steps):
@@ -85,8 +81,10 @@ def rk45_loop(p, r, s, h, t_final, rtol, atol, max_steps):
     The slope at an accepted point is the next step's first stage (FSAL):
     an attempted step takes six right-hand sides.
 
-    Returns (times, states, status): ``times`` and the flat (p, r, s)
-    ``states`` are array('d') buffers.
+    Returns array('d') times and flat (p, r, s) states.  A non-finite step
+    has an inf or NaN error estimate, so it is never accepted; a NaN one, or
+    ``max_steps`` attempts short of ``t_final``, raise BlowUpError at the
+    last recorded time.
     """
     t = 0.0
     dt = min(1e-3, t_final)
@@ -97,7 +95,7 @@ def rk45_loop(p, r, s, h, t_final, rtol, atol, max_steps):
     k1s = r * r + h * p * p
     for _ in range(max_steps):
         if t >= t_final:
-            return times, states, STATUS_OK
+            return times, states
         if dt > t_final - t:
             dt = t_final - t
 
@@ -175,15 +173,13 @@ def rk45_loop(p, r, s, h, t_final, rtol, atol, max_steps):
             t = t + dt
             p, r, s = np_, nr, ns
             k1p, k1r, k1s = k7p, k7r, k7s
-            if not (math.isfinite(p) and math.isfinite(r) and math.isfinite(s)):
-                return times, states, STATUS_NONFINITE
             times.append(t)
             states.append(p)
             states.append(r)
             states.append(s)
         elif err != err:
             # a NaN error estimate would turn dt into NaN and spin the budget
-            return times, states, STATUS_NONFINITE
+            raise BlowUpError("state became non-finite", time=times[-1])
         if err == 0.0:
             factor = 5.0
         else:
@@ -193,7 +189,7 @@ def rk45_loop(p, r, s, h, t_final, rtol, atol, max_steps):
             elif factor > 5.0:
                 factor = 5.0
         dt = dt * factor
-    return times, states, STATUS_MAXSTEPS
+    raise BlowUpError("step budget exhausted", time=times[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -776,20 +776,25 @@ def _gv_nonzero_example_gap(cfg, fx):
              "nonzero GV is included; the identity chain is validated at GV = 0")]
 
 
+def _unit_records(name: str, cfg: SuiteConfig):
+    """Yield the records of each of suite ``name``'s check units (every suite's
+    for "all", on fresh fixtures per suite); a failed gate fails its unit's checks."""
+    for suite in SUITES if name == "all" else [name]:
+        fx = _Fixtures()
+        for unit in SUITES[suite]:
+            try:
+                yield unit(cfg, fx)
+            except (PreconditionError, InconsistencyError) as exc:
+                yield [_gate_check(check, False, note=str(exc)) for check in unit.checks]
+
+
 def run_suite(name: str, cfg: SuiteConfig | None = None) -> dict:
     """Run one suite (or "all"), each on its own fixtures, and assemble the report."""
     cfg = cfg or SuiteConfig()
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from "
                          f"{', '.join([*SUITES, 'all'])}")
-    checks = []
-    for suite in SUITES if name == "all" else [name]:
-        fx = _Fixtures()
-        for unit in SUITES[suite]:
-            try:
-                checks += unit(cfg, fx)
-            except (PreconditionError, InconsistencyError) as exc:
-                checks += [_gate_check(check, False, note=str(exc)) for check in unit.checks]
+    checks = [check for records in _unit_records(name, cfg) for check in records]
     return {
         "library": "casimir-lab",
         "version": __version__,

@@ -53,28 +53,21 @@ def unit_peaks():
 
 
 def _unit_peaks(suite, cfg):
-    """Run ``suite``'s check units in order on one fixture set, as
-    ``run_suite`` does, under tracemalloc.  Returns the records and, per
-    unit name, the peak of traced memory while that unit ran, above the
-    level before the suite's first unit."""
+    """Run ``suite``'s check units as ``run_suite`` does, under tracemalloc.
+    Returns the records and, per unit name, the peak of traced memory while
+    that unit ran, above the level before the suite's first unit."""
     import tracemalloc
 
     from casimir_lab import verify
-    from casimir_lab.errors import InconsistencyError, PreconditionError
 
     checks, peaks = [], {}
-    fx = verify._Fixtures()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for unit in verify.SUITES[suite]:
-            tracemalloc.reset_peak()
-            try:
-                checks += unit(cfg, fx)
-            except (PreconditionError, InconsistencyError) as exc:
-                checks += [verify._gate_check(check, False, note=str(exc))
-                           for check in unit.checks]
+        for unit, records in zip(verify.SUITES[suite], verify._unit_records(suite, cfg)):
             peaks[unit.__name__] = tracemalloc.get_traced_memory()[1] - before
+            checks += records
+            tracemalloc.reset_peak()
     finally:
         tracemalloc.stop()
     return checks, peaks

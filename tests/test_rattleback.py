@@ -39,8 +39,9 @@ def test_jacobi_identity_any_h(h):
 
 
 def test_bianchi_vi_rejects_nonfinite():
-    with pytest.raises(InvalidParameterError):
-        rb.bianchi_vi(float("nan"))
+    for h in (float("nan"), 10**400):
+        with pytest.raises(InvalidParameterError, match="h must be a finite real number"):
+            rb.bianchi_vi(h)
 
 
 def test_poisson_matrix_hand_value():
@@ -132,7 +133,7 @@ class TestIntegrate:
 
     def test_rk45_conservation(self):
         tr = rb.integrate(rb.RattlebackState(0.1, 0.2, 1.0), -2.0, dt=1e-3,
-                          t_final=20.0, method="rk45", rtol=1e-10, atol=1e-12)
+                          t_final=20.0, method="rk45")
         h0 = tr.hamiltonians[0]
         assert np.abs(tr.hamiltonians - h0).max() / h0 <= 1e-8
         assert np.all(np.diff(tr.times) > 0)
@@ -173,9 +174,10 @@ class TestIntegrate:
 
     def test_rk4_matches_rk45_endpoint(self):
         t1 = rb.integrate(rb.RattlebackState(0.1, 0.2, 1.0), -2.0, dt=1e-4, t_final=2.0)
-        t2 = rb.integrate(rb.RattlebackState(0.1, 0.2, 1.0), -2.0, dt=1.0, t_final=2.0,
-                          method="rk45", rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(t1.states[-1], t2.states[-1], atol=1e-9)
+        # the adaptive loop at tolerances tighter than integrate's
+        _, states = kernels.rk45_loop(0.1, 0.2, 1.0, -2.0, 2.0, 1e-12, 1e-14,
+                                      rb.RK45_MAX_STEPS)
+        np.testing.assert_allclose(t1.states[-1], states[-3:], atol=1e-9)
 
     @pytest.mark.parametrize("method, digest", [
         ("rk4", "b2a082d3cea3f531e72ae279b8080c410790d438f6fa1293aee334b4f6f75211"),
@@ -185,7 +187,7 @@ class TestIntegrate:
         # the loops' float operations are fixed: any change to their
         # arithmetic (order, or a numpy scalar in place of a float) shows here
         tr = rb.integrate(rb.RattlebackState(0.1, 0.2, 1.0), -2.0, dt=1e-3, t_final=5.0,
-                          method=method, rtol=1e-10, atol=1e-12)
+                          method=method)
         assert hashlib.sha256(tr.states.tobytes()).hexdigest() == digest
 
     def test_parity_symmetry_bit_exact(self):
@@ -219,12 +221,6 @@ class TestIntegrate:
         ({"t_final": float("inf")}, "t_final must be positive and finite"),
         ({"t_final": float("nan")}, "t_final must be positive and finite"),
         ({"method": "rk45", "stride": 5}, "stride must be 1 with method 'rk45'"),
-        # ZeroDivisionError in the error norm, a NaN reported as a blow-up at
-        # t = 0, and a negative atol that ran
-        ({"method": "rk45", "rtol": 0.0, "atol": 0.0}, "rtol and atol must be finite"),
-        ({"method": "rk45", "rtol": float("nan")}, "rtol and atol must be finite"),
-        ({"method": "rk45", "atol": -1.0}, "rtol and atol must be finite"),
-        ({"method": "rk45", "rtol": float("inf")}, "rtol and atol must be finite"),
     ])
     def test_argument_contract(self, kwargs, match):
         # each of these used to raise ZeroDivisionError, ValueError or
@@ -254,6 +250,12 @@ class TestIntegrate:
         ({"h": float("nan")}, "h must be finite"),
         ({"h": float("inf")}, "h must be finite"),
         ({"t_final": 1.0005}, "t_final must be an integer number of steps"),
+        # each of these used to raise OverflowError
+        ({"h": 10**400}, "h must be finite"),
+        ({"h": -10**400}, "h must be finite"),
+        ({"t_final": 10**400}, "t_final must be positive and finite"),
+        ({"t_final": 1e300, "dt": 1e-300}, "t_final / dt is beyond the float range"),
+        ({"dt": 10**400}, "t_final / dt is beyond the float range"),
     ])
     def test_refusals(self, kwargs, match):
         args = {"h": -2.0, "dt": 1e-3, "t_final": 1.0, **kwargs}
@@ -268,7 +270,8 @@ class TestIntegrate:
 
 
 def _rk4_loop_reference(p, r, s, h, dt, n_steps, stride):
-    """kernels.rk4_loop in its textbook form, kept verbatim as the reference."""
+    """kernels.rk4_loop in its textbook form, kept verbatim as the reference;
+    returns the records and the step it stopped at."""
     states = array("d", [p, r, s])
     for step in range(1, n_steps + 1):
         k1p = -h * p * s
@@ -296,12 +299,12 @@ def _rk4_loop_reference(p, r, s, h, dt, n_steps, stride):
         r = r + dt * (k1r + 2.0 * k2r + 2.0 * k3r + k4r) / 6.0
         s = s + dt * (k1s + 2.0 * k2s + 2.0 * k3s + k4s) / 6.0
         if not (math.isfinite(p) and math.isfinite(r) and math.isfinite(s)):
-            return states, kernels.STATUS_NONFINITE, step
+            return states, step
         if step % stride == 0:
             states.append(p)
             states.append(r)
             states.append(s)
-    return states, kernels.STATUS_OK, n_steps
+    return states, n_steps
 
 
 @pytest.mark.parametrize("start, h, dt, n_steps, stride, stop", [
@@ -316,20 +319,22 @@ def _rk4_loop_reference(p, r, s, h, dt, n_steps, stride):
 ])
 def test_rk4_loop_matches_its_textbook_form(start, h, dt, n_steps, stride, stop):
     # negated p- and r-slopes, a hoisted half step and one finiteness test
-    # leave every bit, the status and the step index as they were
-    states, status, step = kernels.rk4_loop(*start, h, dt, n_steps, stride)
-    ref_states, ref_status, ref_step = _rk4_loop_reference(*start, h, dt, n_steps, stride)
-    assert (status, step) == (ref_status, ref_step)
-    assert step == stop
-    assert states.tobytes() == ref_states.tobytes()
+    # leave every bit and the step the loop stops at as they were
+    ref_states, ref_stop = _rk4_loop_reference(*start, h, dt, n_steps, stride)
+    assert ref_stop == stop
+    if stop < n_steps:
+        with pytest.raises(BlowUpError, match="state became non-finite") as err:
+            kernels.rk4_loop(*start, h, dt, n_steps, stride)
+        assert err.value.time == stop * dt
+    else:
+        states = kernels.rk4_loop(*start, h, dt, n_steps, stride)
+        assert states.tobytes() == ref_states.tobytes()
 
 
 class TestRk45StepControl:
     def test_zero_error_grows_step_fivefold(self):
         # (0, 0, s) is a rest point: every error estimate is 0
-        times, states, status = kernels.rk45_loop(0.0, 0.0, 5.0, -2.0, 1.0,
-                                                  1e-10, 1e-12, 100)
-        assert status == kernels.STATUS_OK
+        times, states = kernels.rk45_loop(0.0, 0.0, 5.0, -2.0, 1.0, 1e-10, 1e-12, 100)
         np.testing.assert_allclose(np.diff(times)[:4], [1e-3, 5e-3, 2.5e-2, 1.25e-1],
                                    rtol=1e-12)
         assert times[-1] == 1.0
@@ -340,42 +345,41 @@ class TestRk45StepControl:
         # err is about 2.7e3 at the first trial step of 1e-3: the raw factor
         # 0.9 * err**-0.2 is about 0.19, clamped to 0.2, and the retry at 2e-4
         # (err about 0.9) is accepted
-        times, _, status = kernels.rk45_loop(1.0, 2.0, 10.0, -2.0, 1.0, 0.0, 5e-16, 3)
-        assert status == kernels.STATUS_MAXSTEPS
+        times, states = kernels.rk45_loop(1.0, 2.0, 10.0, -2.0, 1e-3, 0.0, 5e-16, 100)
+        assert len(times) == 7 and len(states) == 3 * 7 and times[-1] == 1e-3
         assert times[1] == 1e-3 * 0.2
 
     def test_nan_parameter_stops_on_the_error_estimate(self):
         # every stage is NaN, so the first trial step is neither accepted nor shrunk
-        times, states, status = kernels.rk45_loop(0.1, 0.2, 1.0, float("nan"), 1.0,
-                                                  1e-10, 1e-12, 100)
-        assert status == kernels.STATUS_NONFINITE
-        assert list(times) == [0.0] and list(states) == [0.1, 0.2, 1.0]
+        with pytest.raises(BlowUpError, match="state became non-finite") as err:
+            kernels.rk45_loop(0.1, 0.2, 1.0, float("nan"), 1.0, 1e-10, 1e-12, 100)
+        assert err.value.time == 0.0
 
     def test_overflowing_error_norm_rejects_the_step(self):
         # (ep / sp) ** 2 overflows at the first trial step; Python's float **
-        # raises there, where the step must be rejected and shrunk instead
-        times, states, status = kernels.rk45_loop(
-            3677251.21097939, 1.00151274357786, 139.38441910650408, -2.0, 1.0,
-            1e-10, 1e-12, 50)
-        assert status == kernels.STATUS_MAXSTEPS
-        assert len(times) == 42 and len(states) == 3 * 42
-        assert all(map(math.isfinite, times)) and all(map(math.isfinite, states))
+        # raises there, where the step must be rejected and shrunk instead,
+        # so the budget runs out at the 42nd record
+        with pytest.raises(BlowUpError, match="step budget exhausted") as err:
+            kernels.rk45_loop(3677251.21097939, 1.00151274357786, 139.38441910650408,
+                              -2.0, 1.0, 1e-10, 1e-12, 50)
+        assert err.value.time == 1.761275465109986e-07
 
     def test_step_budget_status(self):
-        times, states, status = kernels.rk45_loop(0.1, 0.2, 1.0, -2.0, 10.0,
-                                                  1e-10, 1e-12, 5)
-        assert status == kernels.STATUS_MAXSTEPS
-        assert len(times) <= 6 and len(states) == 3 * len(times)
+        # the first five attempts are accepted, so the error carries the
+        # time of the full run's sixth record
+        times, _ = kernels.rk45_loop(0.1, 0.2, 1.0, -2.0, 10.0, 1e-10, 1e-12, 1_000)
+        with pytest.raises(BlowUpError, match="step budget exhausted") as err:
+            kernels.rk45_loop(0.1, 0.2, 1.0, -2.0, 10.0, 1e-10, 1e-12, 5)
+        assert err.value.time == times[5]
 
     def test_integrate_reports_exhausted_budget(self, monkeypatch):
-        def exhausted(p, r, s, h, t_final, rtol, atol, max_steps):
-            return array("d", [0.0, 0.5]), array("d", [p, r, s] * 2), kernels.STATUS_MAXSTEPS
-
-        monkeypatch.setattr(rb.kernels, "rk45_loop", exhausted)
+        times, _ = kernels.rk45_loop(0.1, 0.2, 1.0, -2.0, 10.0, rb.RK45_RTOL, rb.RK45_ATOL,
+                                     1_000)
+        monkeypatch.setattr(rb, "RK45_MAX_STEPS", 5)
         with pytest.raises(BlowUpError, match="step budget exhausted") as err:
             rb.integrate(rb.RattlebackState(0.1, 0.2, 1.0), -2.0, dt=1e-3,
-                         t_final=1.0, method="rk45")
-        assert err.value.time == 0.5
+                         t_final=10.0, method="rk45")
+        assert err.value.time == times[5]
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -389,9 +393,14 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
        max_steps=st.integers(min_value=1, max_value=50))
 def test_rk45_loop_never_raises_nor_records_nonfinite(state, h, t_final, rtol, atol,
                                                       max_steps):
-    times, states, status = kernels.rk45_loop(*state, h, t_final, rtol, atol, max_steps)
-    assert status in (kernels.STATUS_OK, kernels.STATUS_NONFINITE, kernels.STATUS_MAXSTEPS)
-    assert len(states) == 3 * len(times)
+    # the loop raises nothing but BlowUpError, and a run it returns ends at
+    # t_final with finite records
+    try:
+        times, states = kernels.rk45_loop(*state, h, t_final, rtol, atol, max_steps)
+    except BlowUpError as exc:
+        assert math.isfinite(exc.time)
+        return
+    assert times[-1] == t_final and len(states) == 3 * len(times)
     assert all(map(math.isfinite, times)) and all(map(math.isfinite, states))
 
 
@@ -439,3 +448,8 @@ def test_trajectory_invariants():
 def test_state_rejects_nonfinite():
     with pytest.raises(InvalidParameterError):
         rb.RattlebackState(float("inf"), 0.0, 0.0)
+    # an int beyond the float range, which float() overflows on
+    with pytest.raises(InvalidParameterError, match="component p must be finite"):
+        rb.RattlebackState(10**400, 0, 0)
+    with pytest.raises(InvalidParameterError, match="component s must be finite"):
+        rb.RattlebackState(0, 0, -10**400)

@@ -336,9 +336,18 @@ def _transport(a, dt, t_final):
 
 
 @pytest.mark.parametrize("evolve", [_euler, _transport], ids=["euler", "transport"])
-def test_shared_step_rule(evolve, grid16, rng):
+def test_shared_step_rule(evolve, grid16, rng, monkeypatch):
     a = f3.random_form1(grid16, 3, rng, rms=5.0)
-    for dt, t_final in ((0.0, 1.0), (-1e-3, 1.0), (1e-3, -1.0), (1e-3, np.inf), (1e-3, np.nan)):
+
+    def no_transform(*args):
+        raise AssertionError("transformed before refusing")
+
+    # both refuse before their first transform
+    monkeypatch.setattr(fluid, "rfft3_cs", no_transform)
+    monkeypatch.setattr(sys.modules["casimir_lab.forms3.transport"], "rfft3_cs", no_transform)
+    for dt, t_final in ((0.0, 1.0), (-1e-3, 1.0), (1e-3, -1.0), (1e-3, np.inf), (1e-3, np.nan),
+                        # t_final / dt overflows a float, or t_final is an int beyond one
+                        (1e-300, 1e300), (1e-3, 10**400)):
         with pytest.raises(InvalidParameterError):
             evolve(a, dt, t_final)
 
