@@ -98,8 +98,11 @@ class Scenario:
             _require(self.t_final / self.dt <= MAX_STEPS, "t_final",
                      f"at most {MAX_STEPS} steps of dt = {self.dt!r}", self.t_final)
         if rk4:
-            _require(rb.rk4_step_count(self.t_final, self.dt) is not None, "t_final",
+            n_steps = rb.rk4_step_count(self.t_final, self.dt)
+            _require(n_steps is not None, "t_final",
                      f"a whole number of rk4 steps of dt = {self.dt!r}", self.t_final)
+            _require(n_steps % self.stride == 0, "stride",
+                     f"a divisor of the {n_steps} rk4 steps", self.stride)
         if self.kind == "rattleback" and self.method == "rk45":
             _require(self.stride == 1, "stride",
                      "1 with method 'rk45', which records every accepted step", self.stride)

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..errors import RankError
 from .forms import Form0, Form1, Form2, Form3, VectorField, volume_form
-from .grid import Box, _cross, irfft3_cs, leray_cs, rfft3_cs, spectral_derivative
+from .grid import _cross, irfft3_cs, leray_cs, rfft3_cs, spectral_derivative
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -149,7 +149,7 @@ def vorticity_from(alpha: Form1) -> VectorField:
 def leray_project(v: VectorField) -> VectorField:
     """Divergence-free part of v (mean flow is kept) on the Nyquist-free box,
     which drops the modes with some |k_i| = n/2."""
-    box = Box.of(v.grid.n, v.grid.n // 2 - 1)
+    box = v.grid.box_of(v.grid.n, v.grid.n // 2 - 1)
     return VectorField(v.grid, irfft3_cs(leray_cs(rfft3_cs(v.data, box), box), box))
 
 

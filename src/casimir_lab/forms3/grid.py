@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -95,7 +95,22 @@ class Grid:
         modes beyond K, which the box drops.  n//3 would give 3K = n when 3
         divides n, and fold a product of edge modes back onto |k| = K.
         """
-        return Box.of(self.n, (self.n - 1) // 3)
+        return self.box_of(self.n, (self.n - 1) // 3)
+
+    @cached_property
+    def _boxes(self) -> dict:
+        return {}
+
+    def box_of(self, n: int, keep: int) -> "Box":
+        """Box(n, keep), built on the first ask and kept with this grid, so
+        its matrices and multipliers are built once per grid that uses them
+        and are freed with it.  Each spectral layer asks the grid of the
+        form it works on; ``n`` differs from the grid's only for transport's
+        product grids."""
+        box = self._boxes.get((n, keep))
+        if box is None:
+            box = self._boxes[n, keep] = Box(n, keep)
+        return box
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,8 +123,8 @@ class Box:
     (k = 0..K) and B_k in row 2K+1-k (so the sines run k = K..1).  In the
     coefficients a_k of the complex exponentials, A_k = a_k + a_-k and
     B_k = i (a_k - a_-k).  0 <= K < n/2, so a box never holds a Nyquist
-    mode.  ``Grid.box`` is the 2/3-rule box, K = (n - 1)//3; ``Box.of``
-    shares the boxes in use.
+    mode.  ``Grid.box`` is the 2/3-rule box, K = (n - 1)//3; ``Grid.box_of``
+    keeps the boxes a grid uses.
 
     ``rfft3_cs``, ``irfft3_cs``, ``curl_cs``, ``grad_cs``, ``leray_cs`` and
     ``mean_dot_cs`` work on it.  ``forward_cs`` and ``inverse_cs`` are its
@@ -130,18 +145,6 @@ class Box:
             raise InvalidParameterError(f"a box needs integers 0 <= keep < n/2, got "
                                         f"n = {self.n!r}, keep = {self.keep!r}")
         _pin_heap_thresholds()
-
-    @classmethod
-    @lru_cache(maxsize=11)
-    def of(cls, n: int, keep: int) -> "Box":
-        """The shared Box(n, keep): its matrices and multipliers are built once
-        while it stays among the 11 most recently used.  A full verify at one
-        n uses 11 boxes, which all stay: seven for the random fields, the
-        2/3 rule and point evaluation, and transport's product grids
-        M = 2K + B + 1 for its generators' bands B = 0..3.  A box left
-        behind is dropped with its cached arrays (266 MB for the
-        Nyquist-free box at n = 256)."""
-        return cls(n, keep)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -397,6 +400,6 @@ def spectral_tail_fraction(data: np.ndarray, grid: Grid) -> float:
     peak = np.abs(data).max()
     if peak == 0.0:
         return 0.0
-    scaled, box = data / peak, Box.of(grid.n, grid.n // 2 - 2)
+    scaled, box = data / peak, grid.box_of(grid.n, grid.n // 2 - 2)
     tail = scaled - irfft3_cs(rfft3_cs(scaled, box), box)
     return float(np.mean(tail ** 2) / np.mean(scaled ** 2))

@@ -4,7 +4,7 @@ A field of bandwidth b draws a complex standard normal coefficient c_k for
 each mode with max |k_i| <= b, in C order over the fft-ordered cube, sets
 c_0 = 0, and is Re(sum_k c_k e^{2 pi i k.x}) scaled to grid rms ``rms``.
 b is clamped to n/2 - 1, so no Nyquist mode is drawn.  The sum is the
-inverse cs transform on ``Box.of(n, b)`` of the Hermitian part
+inverse cs transform on the grid's box ``Box(n, b)`` of the Hermitian part
 h_k = (c_k + conj(c_-k))/2 on kz >= 0, changed to the cos/sin basis along
 x and y; a stack of fields is one transform.
 """
@@ -61,7 +61,7 @@ def random_divfree_field(grid: Grid, bandwidth: int, rng, rms: float = 1.0) -> V
 
 def _draw(grid: Grid, bandwidth: int, rng, count: int) -> tuple[np.ndarray, Box]:
     """``count`` fields' cs-layout coefficients, shape (count,) + box.shape, and their box."""
-    box = Box.of(grid.n, min(bandwidth, grid.n // 2 - 1))
+    box = grid.box_of(grid.n, min(bandwidth, grid.n // 2 - 1))
     m = box.keep
     p = 2 * m + 1
     c = np.stack([rng.standard_normal(p ** 3) + 1j * rng.standard_normal(p ** 3)

@@ -38,7 +38,7 @@ def eval_at(obj, points):
     if pts.shape[-1] != 3 or not np.all(np.isfinite(pts)):
         raise PreconditionError("points must be finite (x, y, z) triples")
     pts = np.ascontiguousarray(np.mod(pts, 1.0))
-    box = Box.of(obj.grid.n, obj.grid.n // 2 - 1)
+    box = obj.grid.box_of(obj.grid.n, obj.grid.n // 2 - 1)
     if isinstance(obj, (Form0, Form3)):
         vals = _eval_scalar(obj.data, box, pts)
     else:

@@ -61,7 +61,7 @@ def transport(alpha: Form1, u: VectorField, t_final: float, dt: float) -> Form1:
     above BAND_TOL of the largest, and the coefficients beyond B are
     zeroed, so every use of u (rho, the forcing of the high modes, the
     Taylor terms) sees the same u.  The Taylor terms' products are formed
-    on ``Box.of(2K + B + 1, K)``, the smallest grid that aliases nothing
+    on ``Box(2K + B + 1, K)``, the smallest grid that aliases nothing
     into the box; the state, the forcing and the series test stay on
     ``grid.box``.
     """
@@ -82,7 +82,7 @@ def transport(alpha: Form1, u: VectorField, t_final: float, dt: float) -> Form1:
     h = t_final / left
     taken = 0
 
-    box_m = Box.of(2 * box.keep + band + 1, box.keep)
+    box_m = g.box_of(2 * box.keep + band + 1, box.keep)
     # the cs coefficients carry the forward grid's n^3, so u_m is rescaled
     # and the terms' coefficients stay n-scaled
     u_m = irfft3_cs(u_hat, box_m) * (box_m.n / g.n) ** 3
@@ -117,14 +117,17 @@ def transport(alpha: Form1, u: VectorField, t_final: float, dt: float) -> Form1:
 
 
 def _step_count(t_final: float, dt: float) -> int:
+    """The steps of at most dt that make up t_final: none for t_final = 0,
+    else at least one, however small t_final / dt is."""
     if not dt > 0:
         raise InvalidParameterError("dt must be positive")
     if not 0 <= t_final < np.inf:
         raise InvalidParameterError("t_final must be finite and nonnegative")
     try:
-        return int(np.ceil(t_final / dt - 1e-12))
+        n = int(np.ceil(t_final / dt - 1e-12))
     except OverflowError:  # t_final / dt, or an int operand, beyond the float range
         raise InvalidParameterError("t_final / dt is beyond the float range") from None
+    return max(n, 1) if t_final > 0 else 0
 
 
 def _substep_count(n_dt: int, t_rho: float, why: str = "transport") -> int:

@@ -133,17 +133,24 @@ def hamiltonian(xi: RattlebackState) -> float:
     return 0.5 * (xi.p ** 2 + xi.r ** 2 + xi.s ** 2)
 
 
+def _chart_power(r: float, e: float) -> float:
+    """r ** e on the Casimir chart r > 0; inf where float ** raises
+    OverflowError, as a multiply would overflow."""
+    if r <= 0:
+        raise DomainError("Casimir chart requires r > 0 (non-integer power of r)")
+    try:
+        return r ** e
+    except OverflowError:
+        return math.inf
+
+
 def casimir(xi: RattlebackState, h: float) -> float:
     """Generic Casimir C = p * r**(-h) on the chart r > 0."""
-    if xi.r <= 0:
-        raise DomainError("Casimir chart requires r > 0 (non-integer power of r)")
-    return xi.p * xi.r ** (-h)
+    return xi.p * _chart_power(xi.r, -h)
 
 
 def casimir_gradient(xi: RattlebackState, h: float) -> np.ndarray:
-    if xi.r <= 0:
-        raise DomainError("Casimir chart requires r > 0 (non-integer power of r)")
-    return np.array([xi.r ** (-h), -h * xi.p * xi.r ** (-h - 1.0), 0.0])
+    return np.array([_chart_power(xi.r, -h), -h * xi.p * _chart_power(xi.r, -h - 1.0), 0.0])
 
 
 def casimir_gradient_check(xi: RattlebackState, h: float) -> float:
@@ -174,9 +181,10 @@ def integrate(
     """Integrate the rattleback flow.
 
     method="rk4" takes fixed steps of size dt and records every ``stride``-th
-    step; method="rk45" is adaptive Dormand-Prince (dt is ignored) at
-    RK45_RTOL and RK45_ATOL within RK45_MAX_STEPS attempted steps, and records
-    every accepted step, so it takes no stride but 1.  A non-finite state or
+    step; the stride must divide the step count, so the last record is the
+    state at t_final.  method="rk45" is adaptive Dormand-Prince (dt is
+    ignored) at RK45_RTOL and RK45_ATOL within RK45_MAX_STEPS attempted
+    steps, and records every accepted step, so it takes no stride but 1.  A non-finite state or
     an exhausted step budget raises BlowUpError.  No conservation projection
     is applied: drift in H and C is a genuine accuracy diagnostic.
     """
@@ -198,6 +206,9 @@ def integrate(
         n_steps = rk4_step_count(t_final, dt)
         if n_steps is None:
             raise InvalidParameterError("t_final must be an integer number of steps")
+        if n_steps % stride:
+            raise InvalidParameterError(f"stride must divide the {n_steps} rk4 steps, "
+                                        f"got {stride}")
         x_rec = kernels.rk4_loop(xi0.p, xi0.r, xi0.s, float(h), float(dt), n_steps, stride)
         times = np.arange(len(x_rec) // 3) * (stride * dt)
     else:

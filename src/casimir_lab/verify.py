@@ -14,8 +14,9 @@ A suite is a sequence of check units, functions of ``(cfg, fx)`` returning
 the records of one check or of a small group.  ``fx`` holds what several
 units read; the rest is freed when its unit returns, and the last unit to
 read a large fixture takes it out with ``fx.pop``.  A unit stopped by a
-gate (a PreconditionError or an InconsistencyError) gives a failed record,
-noting the gate's message, for each check it would have written.
+gate (a PreconditionError or an InconsistencyError) or by a blow-up (a
+BlowUpError) gives a failed record, noting the message, for each check it
+would have written.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from . import __version__
 from . import foliation as fol
 from . import forms3 as f3
 from . import rattleback as rb
-from .errors import CasimirLabError, InconsistencyError, PreconditionError
+from .errors import BlowUpError, CasimirLabError, InconsistencyError, PreconditionError
 from .fluid import (
     FluidState,
     coadjoint,
@@ -778,13 +779,14 @@ def _gv_nonzero_example_gap(cfg, fx):
 
 def _unit_records(name: str, cfg: SuiteConfig):
     """Yield the records of each of suite ``name``'s check units (every suite's
-    for "all", on fresh fixtures per suite); a failed gate fails its unit's checks."""
+    for "all", on fresh fixtures per suite); a failed gate or a blow-up fails
+    its unit's checks."""
     for suite in SUITES if name == "all" else [name]:
         fx = _Fixtures()
         for unit in SUITES[suite]:
             try:
                 yield unit(cfg, fx)
-            except (PreconditionError, InconsistencyError) as exc:
+            except (PreconditionError, InconsistencyError, BlowUpError) as exc:
                 yield [_gate_check(check, False, note=str(exc)) for check in unit.checks]
 
 

@@ -37,7 +37,7 @@ class TestGrid:
             from casimir_lab.forms3 import grid
             pin = grid._pin_heap_thresholds
             print(pin.cache_info().misses)
-            box = grid.Box.of(32, 10)
+            box = grid.Box(32, 10)
             grid.irfft3_cs(grid.rfft3_cs(np.ones((3, 32, 32, 32)), box), box)
             grid.Box(30, 10)
             grids = sum(isinstance(obj, grid.Grid) for obj in gc.get_objects())

@@ -6,11 +6,15 @@ as forms, and reads each component by evaluating the result on coordinate
 vector fields (a 2-form's on (e_y, e_z), (e_z, e_x), (e_x, e_y), as the basis
 {dy^dz, dz^dx, dx^dy} states).  The fields are trigonometric of band at most
 3 at n = 16, so d is exact to roundoff and the products are pointwise.
+
+The same forms give the foliation chain of a scaled graph foliation in the
+solver's own gauge, against ``FoliatedState.from_alpha`` at n = 32.
 """
 
 import numpy as np
 import pytest
 
+from casimir_lab import foliation as fol
 from casimir_lab import forms3 as f3
 
 sp = pytest.importorskip("sympy")
@@ -118,3 +122,63 @@ def test_wedge_matches_closed_form(closed_forms, name, kinds):
 @pytest.mark.parametrize("name, kind", [("interior1", f3.Form1), ("interior2", f3.Form2)])
 def test_interior_matches_closed_form(closed_forms, name, kind):
     assert _check(closed_forms, name, f3.interior, [f3.VectorField, kind]) <= 1e-14
+
+
+def _profile():
+    """a(z) and f(z) of the graph foliation f (dz + a dx), in x, y, z."""
+    z, R = X[2], sp.Rational
+    return (R(3, 20) * sp.sin(2 * sp.pi * z) + R(3, 100) * sp.cos(4 * sp.pi * z),
+            sp.exp(R(1, 10) * sp.cos(2 * sp.pi * z)))
+
+
+@pytest.fixture(scope="module")
+def graph_chain():
+    """The chain of alpha = f(z) (dz + a(z) dx) in the solver's gauge,
+    X = alpha_sharp / |alpha|^2, eta = i_X d(alpha), gamma = i_X d(eta) and
+    chi = 2 (eta ^ gamma - d(gamma)), and the GV density eta ^ d(eta),
+    derived for undefined a and f (eta and gamma factored, which keeps the
+    derivation to seconds), then evaluated on ``_profile``'s a and f."""
+    a, f = sp.Function("a"), sp.Function("f")
+    comps = [f(R3_r.z) * a(R3_r.z), 0, f(R3_r.z)]
+    abs_sq = sum(c ** 2 for c in comps)
+    x_ref = sum((c / abs_sq * e for c, e in zip(comps, E)), 0)
+
+    def interior_of_d(form):
+        return _one([sp.factor(c) for c in _components(dg.Differential(form), 2, x_ref)])
+
+    eta = interior_of_d(_one(comps))
+    gamma = interior_of_d(eta)
+    forms = {"eta": (eta, 1), "gamma": (gamma, 1),
+             "chi": (2 * (dg.WedgeProduct(eta, gamma) - dg.Differential(gamma)), 2),
+             "density": (dg.WedgeProduct(eta, dg.Differential(eta)), 3)}
+    profile = {fn: sp.Lambda(X[2], expr) for fn, expr in zip((a, f), _profile())}
+    return {name: [c.subs(R3_r.z, X[2]).subs(profile).doit()
+                   for c in _components(form, rank)]
+            for name, (form, rank) in forms.items()}
+
+
+@pytest.fixture(scope="module")
+def graph_state():
+    g = f3.Grid(32)
+    a, f = (f3.Form0(g, _on_grid([expr], g)[0]) for expr in _profile())
+    return fol.FoliatedState.from_alpha(fol.graph_foliation_form(g, a, f))
+
+
+@pytest.mark.parametrize("name, tol", [("eta", 1e-13), ("gamma", 1e-10), ("chi", 1e-9)])
+def test_graph_chain_matches_closed_form(graph_chain, graph_state, name, tol):
+    # eta is a first derivative of the resolved f a, exact to roundoff; gamma
+    # and chi take second and third derivatives of rational functions of
+    # a and f that are not band-limited: 6e-12 and 1.2e-10 at n = 32
+    expect = _on_grid(graph_chain[name], graph_state.grid)
+    got = getattr(graph_state, name).data
+    assert np.abs(got - expect).max() <= tol * np.abs(expect).max()
+
+
+def test_graph_gv_density_matches_closed_form(graph_chain, graph_state):
+    # a graph foliation's density vanishes pointwise, and so does the grid's
+    eta = graph_state.eta
+    deta = f3.d(eta)
+    got = f3.wedge(eta, deta).data.reshape((-1,) + eta.grid.shape)
+    expect = _on_grid(graph_chain["density"], eta.grid)
+    assert np.abs(got - expect).max() <= 1e-14 * eta.linf() * deta.linf()
+    assert abs(graph_state.gv) <= 1e-14

@@ -221,6 +221,8 @@ class TestIntegrate:
         ({"t_final": float("inf")}, "t_final must be positive and finite"),
         ({"t_final": float("nan")}, "t_final must be positive and finite"),
         ({"method": "rk45", "stride": 5}, "stride must be 1 with method 'rk45'"),
+        # the last record would be the state at t = 0.007, not at t_final
+        ({"t_final": 0.01, "stride": 7}, "stride must divide the 10 rk4 steps, got 7"),
     ])
     def test_argument_contract(self, kwargs, match):
         # each of these used to raise ZeroDivisionError, ValueError or

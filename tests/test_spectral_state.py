@@ -25,7 +25,7 @@ import pytest
 from scipy.integrate._ivp import dop853_coefficients as dop853
 
 import casimir_lab
-from casimir_lab import fluid
+from casimir_lab import fluid, verify
 from casimir_lab import forms3 as f3
 from casimir_lab.errors import BlowUpError, InvalidParameterError
 from casimir_lab.fluid import FluidState, energy, euler_evolve, euler_rhs, helicity
@@ -352,6 +352,19 @@ def test_shared_step_rule(evolve, grid16, rng, monkeypatch):
             evolve(a, dt, t_final)
 
 
+@pytest.mark.parametrize("evolve", [_euler, _transport], ids=["euler", "transport"])
+def test_step_beyond_t_final_is_one_step(evolve, grid16, rng):
+    # t_final / dt below the step rule's 1e-12 slack still takes a step, the
+    # one dt = t_final takes, and the state moves
+    a = f3.random_form1(grid16, 3, rng, rms=0.3)
+    got, one = (evolve(a, dt, 1e-3) for dt in (1e13, 1e-3))
+    if evolve is _euler:
+        assert got[1].times.tolist() == [0.0, 1e-3]
+        got, one = got[0].alpha, one[0].alpha
+    assert np.array_equal(got.data, one.data)
+    assert not np.array_equal(got.data, a.data)
+
+
 def _cs_values(rng, g, lead=(3,)):
     """2/3-box cos/sin coefficients of full-band noise and the grid values they stand for."""
     coefs = f3.rfft3_cs(rng.standard_normal(lead + g.shape), g.box)
@@ -422,7 +435,7 @@ class TestBox:
     def test_layout(self, n):
         g = f3.Grid(n)
         m = (n - 1) // 3
-        assert g.box is f3.Box.of(n, m) is f3.Grid(n).box
+        assert g.box is g.box_of(n, m)
         assert g.box.shape == (2 * m + 1, 2 * m + 1, m + 1)
         kx, ky, kz = g.box.k_r
         assert np.array_equal(kx.ravel(), np.r_[0:m + 1, -m:0])
@@ -448,7 +461,7 @@ class TestBox:
     def test_multipliers_match_full_layout(self, n, rng):
         g = f3.Grid(n)
         a_values = _cs_values(rng, g)[1]
-        for box in (g.box, f3.Box.of(n, n // 2 - 1)):
+        for box in (g.box, g.box_of(n, n // 2 - 1)):
             s = f3.rfft3_cs(a_values, box)
             leray = f3.leray_cs(s, box)
             assert np.array_equal(leray, _cs_leray(s, box))
@@ -513,9 +526,9 @@ def test_cs_transforms_are_the_basis_change(n, rng):
     for lead in ((), (3,)):
         data = rng.standard_normal(lead + (n, n, n))
         full = _rfftn(data)
-        scale = np.abs(_restrict(full, f3.Box.of(n, (n - 1) // 2))).max()
+        scale = np.abs(_restrict(full, f3.Box(n, (n - 1) // 2))).max()
         for keep in sorted({0, 1, (n - 1) // 3, (n - 1) // 2}):
-            box = f3.Box.of(n, keep)
+            box = f3.Box(n, keep)
             got = f3.rfft3_cs(data, box)
             assert got.shape == lead + box.shape and got.flags.c_contiguous
             assert np.abs(got - _to_cs(_restrict(full, box), box)).max() \
@@ -528,7 +541,7 @@ def test_transforms_without_work_release_each_pass(rng):
     # a pass's input is freed once read, so a transform holds two of its
     # n^3-sized arrays at a time, not its four pass arrays and its result
     n = 32
-    box = f3.Box.of(n, n // 2 - 1)
+    box = f3.Box(n, n // 2 - 1)
     data = rng.standard_normal((n, n, n))
     coefs = f3.rfft3_cs(data, box)  # builds the box's DFT matrices
     f3.irfft3_cs(coefs, box)
@@ -568,43 +581,36 @@ def test_dealias_drops_the_product_of_edge_modes(n):
     assert np.abs(f3.dealias(square, g) - 0.5).max() <= 1e-14
 
 
-def test_box_cache_is_shared_and_bounded():
-    box = f3.Box.of(32, 10)
-    assert f3.Box.of(32, 10) is box
-    bound = f3.Box.of.cache_info().maxsize
-    assert bound >= 11  # the boxes a full verify at one n uses
-    left = weakref.ref(f3.Box.of(6, 2))
-    for n in range(8, 8 + 4 * bound, 2):
-        f3.Box.of(n, n // 2 - 1).ikz
-        assert f3.Box.of.cache_info().currsize <= bound
+def test_grid_keeps_its_boxes():
+    # repeated asks share one box, with the arrays it has built; each grid
+    # keeps its own, and they are freed with it
+    g = f3.Grid(32)
+    box = g.box_of(32, 15)
+    assert g.box_of(32, 15) is box and g.box is g.box_of(32, 10)
+    assert f3.Grid(32).box_of(32, 15) is not box
+    box.ikz
+    left = weakref.ref(box)
+    del g, box
     gc.collect()
     assert left() is None
 
 
-def test_full_verify_builds_each_box_once():
-    # all four suites at n = 32 and at 48, each from an empty cache: a miss
-    # per distinct box, none evicted and built again, and the bound is the
-    # larger count
-    src = str(Path(casimir_lab.__file__).resolve().parents[1])
-    code = """if True:
-        import sys
-        sys.path.insert(0, sys.argv[1])
-        from casimir_lab import verify
-        from casimir_lab import forms3 as f3
-        for n in (32, 48):
-            f3.Box.of.cache_clear()
-            for suite in verify.SUITES:
-                verify.run_suite(suite, verify.SuiteConfig(grid_n=n))
-            info = f3.Box.of.cache_info()
-            print(info.misses, info.currsize, info.maxsize)
-    """
-    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
-                         check=True).stdout
-    counts = [tuple(map(int, line.split())) for line in out.splitlines()]
-    assert len(counts) == 2
-    for misses, size, bound in counts:
-        assert misses == size <= bound
-    assert max(size for _, size, _ in counts) == counts[0][2]
+def test_verify_builds_each_box_once(monkeypatch):
+    # one run of each suite at n = 32: every spectral layer asks its form's
+    # grid, so no (n, keep) box is built twice
+    built = []
+    init = f3.Box.__post_init__
+
+    def counted(box):
+        init(box)
+        built.append((box.n, box.keep))
+
+    monkeypatch.setattr(f3.Box, "__post_init__", counted)
+    for suite in verify.SUITES:
+        built.clear()
+        verify.run_suite(suite, verify.SuiteConfig(grid_n=32))
+        assert built or suite == "rattleback"
+        assert len(built) == len(set(built)), (suite, built)
 
 
 def test_mean_dot_does_not_depend_on_blas_threads():

@@ -431,6 +431,16 @@ class TestCli:
         table = np.loadtxt(str(out), delimiter=",", skiprows=1)
         assert table.shape[1] == 3
 
+    def test_evolve_step_beyond_t_final_takes_one_step(self, tmp_path, capsys):
+        # t_final / dt = 5e-14 is one step of t_final, not none: the
+        # diagnostics end at t_final and the energy moves
+        out = tmp_path / "diag.csv"
+        assert cli.main(["fluid", "evolve", "--field",
+                         "sin(2*pi*z),cos(2*pi*z)+0.1*sin(2*pi*x),0", "--grid", "8",
+                         "--dt", "1e13", "--t-final", "0.5", "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["energy_drift"] > 0
+        assert np.loadtxt(str(out), delimiter=",", skiprows=1)[:, 0].tolist() == [0.0, 0.5]
+
     def test_run_scenario_rattleback(self, tmp_path, capsys):
         doc = {"kind": "rattleback", "t_final": 1.0, "ic": [0.1, 0.2, 1.0]}
         assert _run_file(tmp_path, doc) == 0
@@ -477,6 +487,24 @@ class TestCli:
         assert capsys.readouterr() == ("", f"report written to {path}\n"
                                            "failed checks: rattleback-casimir-gradient-kernel\n")
 
+    @pytest.mark.parametrize("h", ["400", "-400", "1e6", "-1e6"])
+    def test_extreme_h_fails_in_the_report(self, tmp_path, capsys, h):
+        # the Casimir chart's powers overflow to inf, and at +-1e6 the rk4 run
+        # blows up at t = 0.002, which fails only its unit's checks: the
+        # report is written, and no traceback
+        path = tmp_path / "r.json"
+        assert cli.main(["verify", "--suite", "rattleback", f"--h={h}",
+                         "--report", str(path)]) == 1
+        doc = json.loads(path.read_text())
+        records = {c["check"]: c for c in doc["checks"]}
+        assert doc["h"] == float(h) and not records["rattleback-casimir-conservation-rk4"]["pass"]
+        if abs(float(h)) == 1e6:
+            assert records["rattleback-energy-conservation-rk4"]["note"] \
+                == "state became non-finite (t = 0.002)"
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"report written to {path}\nfailed checks: ")
+        assert err.count("\n") == 2
+
     def test_console_script_entrypoint(self):
         # the child imports the casimir_lab under test, installed or not
         src = str(Path(casimir_lab.__file__).resolve().parents[1])
@@ -518,7 +546,9 @@ class TestExitPaths:
          {"method": "rk45", "t_final": 1, "stride": 1000},
          "error: 'stride' must be 1 with method 'rk45', which records every accepted "
          "step, got 1000\n"),
-    ], ids=["partial-rk4-step", "rk45-stride"])
+        (["--t-final", "0.01", "--stride", "7"], {"t_final": 0.01, "stride": 7},
+         "error: 'stride' must be a divisor of the 10 rk4 steps, got 7\n"),
+    ], ids=["partial-rk4-step", "rk45-stride", "partial-stride"])
     def test_rattleback_scenario_rules_exit_2(self, tmp_path, capsys, flags, keys, message):
         argv = ["rattleback", "simulate", "--h", "-2", "--ic", "0.1,0.2,1", *flags]
         assert cli.main(argv) == 2
