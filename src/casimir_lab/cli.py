@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -215,9 +216,23 @@ def parse_field_spec(spec: str, grid_n: int) -> f3.Form1:
     return f3.Form1(grid, np.stack([c.data for c in comps]))
 
 
-def _write_csv(path: str, header: str, *columns) -> None:
-    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
-               header=header, comments="")
+@contextmanager
+def _csv_rows(path: str | None, header: str):
+    """A function that appends rows, given as columns, to the CSV file
+    ``path`` under ``header`` (and does nothing when there is no path).  A
+    file that a failure leaves part-written is removed."""
+    if not path:
+        yield lambda *columns: None
+        return
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        try:
+            yield lambda *columns: np.savetxt(fh, np.column_stack(columns), fmt="%.17g",
+                                              delimiter=",")
+        except BaseException:
+            fh.close()
+            os.remove(path)
+            raise
 
 
 # --- scenario runners -----------------------------------------------------------
@@ -227,17 +242,23 @@ def _status(message: str) -> None:
 
 
 def _run_rattleback(sc: Scenario) -> dict:
-    tr = rb.integrate(rb.RattlebackState(*sc.ic), sc.h, dt=sc.dt,
-                      t_final=sc.t_final, method=sc.method, stride=sc.stride)
+    """The run's summary, reduced and written leg by leg, so that memory does
+    not grow with the step count."""
+    samples, deviations = 0, []
+    with _csv_rows(sc.out, "t,p,r,s,H,C") as write:
+        for leg in rb.integrate_legs(rb.RattlebackState(*sc.ic), sc.h, dt=sc.dt,
+                                     t_final=sc.t_final, method=sc.method, stride=sc.stride):
+            if not samples:
+                h0 = leg.hamiltonians[0]
+            samples += len(leg.times)
+            deviations.append(np.abs(leg.hamiltonians - h0).max())
+            write(leg.times, leg.states, leg.hamiltonians, leg.casimirs)
     if sc.out:
-        _write_csv(sc.out, "t,p,r,s,H,C", tr.times, tr.states, tr.hamiltonians,
-                   tr.casimirs)
-        _status(f"wrote {len(tr.times)} samples to {sc.out}")
-    h0 = tr.hamiltonians[0]
-    h_drift = float(np.abs(tr.hamiltonians - h0).max())
-    return {"samples": len(tr.times), "H0": h0, "H_drift_abs": h_drift,
+        _status(f"wrote {samples} samples to {sc.out}")
+    h_drift = float(np.max(deviations))
+    return {"samples": samples, "H0": h0, "H_drift_abs": h_drift,
             "H_drift_rel": h_drift / max(abs(h0), 1e-300),
-            "final": list(tr.states[-1])}
+            "final": list(leg.states[-1])}
 
 
 def _run_fluid_helicity(sc: Scenario) -> dict:
@@ -249,8 +270,8 @@ def _run_fluid_euler(sc: Scenario) -> dict:
     alpha = parse_field_spec(sc.field, sc.grid)
     state, diag = euler_evolve(FluidState(alpha), dt=sc.dt, t_final=sc.t_final)
     if sc.out:
-        _write_csv(sc.out, "t,energy,helicity", diag.times, diag.energies,
-                   diag.helicities)
+        with _csv_rows(sc.out, "t,energy,helicity") as write:
+            write(diag.times, diag.energies, diag.helicities)
         _status(f"wrote diagnostics to {sc.out}")
     if sc.dump_fields:
         f3.io.save(sc.dump_fields, state.alpha)

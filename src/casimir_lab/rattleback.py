@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, InvalidParameterError
+from .errors import BlowUpError, DomainError, InvalidParameterError
 
 __all__ = [
     "RattlebackState",
@@ -38,12 +38,14 @@ __all__ = [
     "casimir_gradient",
     "casimir_gradient_check",
     "integrate",
+    "integrate_legs",
     "restricted_casimir_report",
 ]
 
 RK45_RTOL = 1e-10
 RK45_ATOL = 1e-12
 RK45_MAX_STEPS = 10_000_000  # attempted steps
+LEG_STEPS = 5_000  # rk4 steps in one piece of integrate_legs
 
 
 def _is_finite(x) -> bool:
@@ -156,7 +158,9 @@ def casimir_gradient(xi: RattlebackState, h: float) -> np.ndarray:
 def casimir_gradient_check(xi: RattlebackState, h: float) -> float:
     """Max-norm of J grad C; vanishes identically when C is a Casimir."""
     j = poisson_matrix(bianchi_vi(h), xi)
-    return float(np.abs(j @ casimir_gradient(xi, h)).max())
+    grad = casimir_gradient(xi, h)
+    with np.errstate(invalid="ignore"):  # 0 * inf where the gradient overflows: NaN fails
+        return float(np.abs(j @ grad).max())
 
 
 def rk4_step_count(t_final: float, dt: float) -> int | None:
@@ -167,6 +171,32 @@ def rk4_step_count(t_final: float, dt: float) -> int | None:
     except OverflowError:  # t_final / dt, or an int operand, beyond the float range
         raise InvalidParameterError("t_final / dt is beyond the float range") from None
     return n_steps if abs(n_steps * dt - t_final) <= 1e-9 * max(1.0, t_final) else None
+
+
+def _step_count(h, dt, t_final, method, stride) -> int | None:
+    """integrate's argument checks; the run's rk4 step count, None for rk45."""
+    if not (dt > 0):
+        raise InvalidParameterError("dt must be positive")
+    if not (t_final > 0 and _is_finite(t_final)):
+        raise InvalidParameterError("t_final must be positive and finite")
+    if not _is_finite(h):
+        raise InvalidParameterError("h must be finite")
+    if method not in ("rk4", "rk45"):
+        raise InvalidParameterError(f"unknown method {method!r}")
+    if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
+        raise InvalidParameterError(f"stride must be an integer >= 1, got {stride!r}")
+    if method == "rk45":
+        if stride != 1:
+            raise InvalidParameterError("stride must be 1 with method 'rk45', "
+                                        "which records every accepted step")
+        return None
+    n_steps = rk4_step_count(t_final, dt)
+    if n_steps is None:
+        raise InvalidParameterError("t_final must be an integer number of steps")
+    if n_steps % stride:
+        raise InvalidParameterError(f"stride must divide the {n_steps} rk4 steps, "
+                                    f"got {stride}")
+    return n_steps
 
 
 def integrate(
@@ -188,27 +218,8 @@ def integrate(
     an exhausted step budget raises BlowUpError.  No conservation projection
     is applied: drift in H and C is a genuine accuracy diagnostic.
     """
-    if not (dt > 0):
-        raise InvalidParameterError("dt must be positive")
-    if not (t_final > 0 and _is_finite(t_final)):
-        raise InvalidParameterError("t_final must be positive and finite")
-    if not _is_finite(h):
-        raise InvalidParameterError("h must be finite")
-    if method not in ("rk4", "rk45"):
-        raise InvalidParameterError(f"unknown method {method!r}")
-    if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
-        raise InvalidParameterError(f"stride must be an integer >= 1, got {stride!r}")
-    if method == "rk45" and stride != 1:
-        raise InvalidParameterError("stride must be 1 with method 'rk45', "
-                                    "which records every accepted step")
-
+    n_steps = _step_count(h, dt, t_final, method, stride)
     if method == "rk4":
-        n_steps = rk4_step_count(t_final, dt)
-        if n_steps is None:
-            raise InvalidParameterError("t_final must be an integer number of steps")
-        if n_steps % stride:
-            raise InvalidParameterError(f"stride must divide the {n_steps} rk4 steps, "
-                                        f"got {stride}")
         x_rec = kernels.rk4_loop(xi0.p, xi0.r, xi0.s, float(h), float(dt), n_steps, stride)
         times = np.arange(len(x_rec) // 3) * (stride * dt)
     else:
@@ -219,9 +230,55 @@ def integrate(
     states = np.frombuffer(x_rec).reshape(-1, 3)
 
     ham = 0.5 * np.einsum("ij,ij->i", states, states)
-    with np.errstate(divide="ignore", invalid="ignore"):  # r <= 0 rows are discarded
-        cas = np.where(states[:, 1] > 0, states[:, 0] * states[:, 1] ** (-h), np.nan)
+    r = states[:, 1]
+    # r ** (-h) overflows to inf for large |h|, and the rows off the chart
+    # r > 0, which are discarded, divide by zero or take a power of r < 0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        cas = r ** (-h)
+        cas *= states[:, 0]
+    cas[~(r > 0)] = np.nan
     return Trajectory(times=times, states=states, hamiltonians=ham, casimirs=cas)
+
+
+def integrate_legs(
+    xi0: RattlebackState,
+    h: float,
+    dt: float,
+    t_final: float,
+    method: str = "rk4",
+    *,
+    stride: int = 1,
+):
+    """``integrate``'s run as consecutive Trajectory pieces, so that a caller
+    who reduces or writes each piece holds one piece at a time.
+
+    An rk4 piece is one call of ``integrate`` over at most LEG_STEPS steps
+    (rounded down to a multiple of ``stride``, or one stride if that is
+    longer), started from the last row of the piece before, whose repeated
+    row it drops; its times are absolute.  rk4 carries nothing from step to
+    step but the state, so the pieces concatenate to integrate's times,
+    states, H and C bit for bit, and a blow-up raises integrate's
+    BlowUpError, at the whole run's time.  rk45 cannot restart without
+    changing its steps: its run is one piece.
+    """
+    n_steps = _step_count(h, dt, t_final, method, stride)
+    if method == "rk45":
+        yield integrate(xi0, h, dt, t_final, method)
+        return
+    leg = max(stride, LEG_STEPS - LEG_STEPS % stride)
+    step, first = 0, 0
+    while step < n_steps:
+        n = min(leg, n_steps - step)
+        try:
+            tr = integrate(xi0, h, dt, n * dt, stride=stride)
+        except BlowUpError as exc:  # at the leg's step j, t = j * dt
+            j = round(exc.time / dt)
+            raise BlowUpError(exc.message, time=(step + j) * float(dt)) from None
+        rows = np.arange(step // stride + first, step // stride + len(tr.times))
+        yield Trajectory(times=rows * (stride * dt), states=tr.states[first:],
+                         hamiltonians=tr.hamiltonians[first:], casimirs=tr.casimirs[first:])
+        xi0 = RattlebackState(*tr.states[-1])
+        step, first = step + n, 1
 
 
 def restricted_casimir_report(s0: float, h: float) -> dict:

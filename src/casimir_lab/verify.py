@@ -189,16 +189,23 @@ def _rb_trajectories(cfg, fx):
     (-p0, r0, s0) mirroring (p0, r0, s0) bit for bit, the singular line
     (0, 0, s), and for chiral h < -1 the spin's turning points against the
     invariants' prediction."""
-    h, checks = cfg.rattleback_h, []
+    h, checks, t1 = cfg.rattleback_h, [], np.empty((0, 3))
     for method in ("rk4", "rk45"):
-        tr = rb.integrate(rb.RattlebackState(0.1, 0.2, 1.0), h, dt=1e-3, t_final=100.0,
-                          method=method)
-        h_drift = float(np.abs(tr.hamiltonians - tr.hamiltonians[0]).max() / tr.hamiltonians[0])
-        c_drift = float(np.abs(tr.casimirs - tr.casimirs[0]).max() / abs(tr.casimirs[0]))
-        checks += [_check(f"rattleback-energy-conservation-{method}", h_drift, 1e-8),
-                   _check(f"rattleback-casimir-conservation-{method}", c_drift, 1e-8)]
-        if method == "rk4":  # its fixed steps to t = 5 are the parity start's run
-            t1 = tr.states[:5001].copy()
+        # read leg by leg (rk45 is one leg): the drifts from row 0 are
+        # maxima over the legs, and rk4's fixed steps to t = 5, its first
+        # 5,001 rows, are the parity start's run
+        deviations = []
+        for leg in rb.integrate_legs(rb.RattlebackState(0.1, 0.2, 1.0), h, dt=1e-3,
+                                     t_final=100.0, method=method):
+            if not deviations:
+                h0, c0 = leg.hamiltonians[0], leg.casimirs[0]
+            deviations.append((np.abs(leg.hamiltonians - h0).max(),
+                               np.abs(leg.casimirs - c0).max()))
+            if method == "rk4" and len(t1) < 5001:
+                t1 = np.concatenate([t1, leg.states[:5001 - len(t1)]])
+        h_dev, c_dev = np.max(deviations, axis=0)
+        checks += [_check(f"rattleback-energy-conservation-{method}", h_dev / h0, 1e-8),
+                   _check(f"rattleback-casimir-conservation-{method}", c_dev / abs(c0), 1e-8)]
     t2 = rb.integrate(rb.RattlebackState(-0.1, 0.2, 1.0), h, dt=1e-3, t_final=5.0)
     mirror = float(np.abs(t2.states - t1 * np.array([-1.0, 1.0, 1.0])).max())
     checks.append(_check("rattleback-parity-symmetry", mirror, 0.0))
@@ -209,7 +216,8 @@ def _rb_trajectories(cfg, fx):
                          [np.abs(line[:, :2]).max(), np.abs(line[:, 2] - 5.0).max()], 0.0))
     if h < -1.0:
         xi = rb.RattlebackState(*CHIRALITY_IC)
-        s = rb.integrate(xi, h, dt=1e-3, t_final=40.0).states[:, 2]
+        s = np.concatenate([leg.states[:, 2].copy()  # not a view holding the leg
+                            for leg in rb.integrate_legs(xi, h, dt=1e-3, t_final=40.0)])
         s_min, s_ret = float(s.min()), float(s[np.argmin(s):].max())
         s_star = _chirality_turning_point(xi, h)
         non_monotone = bool(np.any(np.diff(s) > 0) and np.any(np.diff(s) < 0))

@@ -271,6 +271,100 @@ class TestIntegrate:
         assert tr.times[1] == pytest.approx(1e-2)
 
 
+def _concatenated(pieces):
+    """The pieces' times, states, H and C, each joined end to end."""
+    return [np.concatenate([getattr(tr, name) for tr in pieces])
+            for name in ("times", "states", "hamiltonians", "casimirs")]
+
+
+class TestIntegrateLegs:
+    @pytest.mark.parametrize("h, t_final, stride, lengths", [
+        # 12,345 steps: two whole legs and a part
+        (-2.0, 12.345, 1, [5001, 5000, 2345]),
+        # legs of 4,998 steps, rounded down to the stride
+        (-2.0, 12.345, 3, [1667, 1666, 783]),
+        # a stride longer than LEG_STEPS is one leg
+        (-1.5, 14.0, 7000, [2, 1]),
+        # the parity start's run: the first leg ends at t = 5
+        (-2.0, 5.0, 1, [5001]),
+        # the Casimir column's NaN rows (r = 0) and overflowed ones (h = 400)
+        (2.0, 5.5, 1, [5001, 500]),
+        (400.0, 6.0, 10, [501, 100]),
+    ])
+    def test_pieces_are_integrates_run(self, h, t_final, stride, lengths):
+        for xi in (rb.RattlebackState(0.1, 0.2, 1.0), rb.RattlebackState(0, 0, 5.0)):
+            pieces = list(rb.integrate_legs(xi, h, 1e-3, t_final, stride=stride))
+            assert [len(tr.times) for tr in pieces] == lengths
+            whole = rb.integrate(xi, h, 1e-3, t_final, stride=stride)
+            for got, want in zip(_concatenated(pieces),
+                                 (whole.times, whole.states, whole.hamiltonians,
+                                  whole.casimirs)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_rk45_is_one_piece(self):
+        xi = rb.RattlebackState(0.1, 0.2, 1.0)
+        pieces = list(rb.integrate_legs(xi, -2.0, 1e-3, 20.0, method="rk45"))
+        whole = rb.integrate(xi, -2.0, 1e-3, 20.0, method="rk45")
+        assert len(pieces) == 1
+        for got, want in zip(_concatenated(pieces),
+                             (whole.times, whole.states, whole.hamiltonians, whole.casimirs)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("leg_steps", [rb.LEG_STEPS, 1])
+    @pytest.mark.parametrize("xi, h", [
+        (rb.RattlebackState(1e150, 1e150, 1e150), 2.0),  # at the first step
+        (rb.RattlebackState(0.1, 0.2, 1.0), 1e6),        # at the second
+    ])
+    def test_blowup_is_integrates(self, monkeypatch, leg_steps, xi, h):
+        # with legs of one step, the second step's blow-up is in a later leg
+        with pytest.raises(BlowUpError) as want:
+            rb.integrate(xi, h, dt=1e-3, t_final=10.0)
+        monkeypatch.setattr(rb, "LEG_STEPS", leg_steps)
+        with pytest.raises(BlowUpError) as got:
+            for _ in rb.integrate_legs(xi, h, dt=1e-3, t_final=10.0):
+                pass
+        assert (str(got.value), got.value.time) == (str(want.value), want.value.time)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"t_final": 1.0005}, "t_final must be an integer number of steps"),
+        ({"stride": 7, "t_final": 0.01}, "stride must divide the 10 rk4 steps, got 7"),
+        ({"method": "rk45", "stride": 5}, "stride must be 1 with method 'rk45'"),
+    ])
+    def test_refusals_are_integrates(self, kwargs, match):
+        args = {"h": -2.0, "dt": 1e-3, "t_final": 1.0, **kwargs}
+        with pytest.raises(InvalidParameterError, match=match):
+            next(rb.integrate_legs(rb.RattlebackState(0.1, 0.2, 1.0), **args))
+
+
+class TestExtremeH:
+    """At |h| = 400 and 1e6 the Casimir chart's powers overflow; warnings are
+    errors in this suite, so these read inf or NaN without one."""
+
+    def _where_casimirs(self, tr, h):
+        # the column as it was formed before, kept verbatim as the reference
+        states = tr.states
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return np.where(states[:, 1] > 0, states[:, 0] * states[:, 1] ** (-h), np.nan)
+
+    @pytest.mark.parametrize("h", [400.0, -400.0, 1e6, 2.0, -2.0])
+    def test_casimir_column_is_the_where_form(self, h):
+        for xi in (rb.RattlebackState(0.1, 0.2, 1.0), rb.RattlebackState(0.0, 0.2, 1.0),
+                   rb.RattlebackState(0, 0, 5.0), rb.RattlebackState(0.1, -0.2, 1.0)):
+            tr = rb.integrate(xi, h, dt=1e-3, t_final=1e-3)
+            assert tr.casimirs.tobytes() == self._where_casimirs(tr, h).tobytes()
+
+    def test_overflowed_casimir_column(self):
+        # r decays from 0.2, and r ** -400 passes the float range near r = 0.17
+        tr = rb.integrate(rb.RattlebackState(0.1, 0.2, 1.0), 400.0, dt=1e-3, t_final=1.0)
+        assert np.isfinite(tr.casimirs[0]) and np.isposinf(tr.casimirs[-1])
+
+    @pytest.mark.parametrize("h, r", [(400.0, 0.15), (1e6, 0.2)])
+    def test_gradient_check_reads_nan(self, h, r):
+        # r ** (-h - 1) overflows, and J grad C forms 0 * inf: a NaN, which
+        # fails the check's record
+        assert math.isnan(rb.casimir_gradient_check(rb.RattlebackState(0.1, r, 1.0), h))
+
+
 def _rk4_loop_reference(p, r, s, h, dt, n_steps, stride):
     """kernels.rk4_loop in its textbook form, kept verbatim as the reference;
     returns the records and the step it stopped at."""

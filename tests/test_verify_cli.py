@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import casimir_lab
 from casimir_lab import cli, fieldexpr, fluid, verify
+from casimir_lab import rattleback as rb
 from casimir_lab import foliation as fol
 from casimir_lab import forms3 as f3
 from casimir_lab.errors import ConfigError, EvalError, InconsistencyError, ParseError
@@ -222,6 +223,17 @@ class TestCheckUnits:
         assert all(c["pass"] for c in checks)
         unit, peak = _largest(peaks)
         assert peak <= 11, f"{unit} peaks at {peak:.2f} MiB"
+
+    def test_rattleback_memory_is_bounded_by_its_units(self, unit_peaks):
+        # the long rk4 runs are read leg by leg, their drifts as running
+        # maxima and the chirality run as its s column: the suite peaks at
+        # 1.4-2.1 MiB, in _rb_trajectories (the higher figure in a fresh
+        # process).  Holding each whole run, with its H and C columns, it
+        # peaked at 6.2-6.9 MiB
+        checks, peaks = unit_peaks("rattleback", SuiteConfig(grid_n=32))
+        assert all(c["pass"] for c in checks)
+        unit, peak = _largest(peaks)
+        assert peak <= 2.5, f"{unit} peaks at {peak:.2f} MiB"
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_chain_pool_matches_the_in_order_pool(self, n):
@@ -504,6 +516,10 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"report written to {path}\nfailed checks: ")
         assert err.count("\n") == 2
+        # in process, where warnings are errors and the CLI's errstate is not
+        # in force, the run writes the same report
+        assert report_json(run_suite("rattleback", SuiteConfig(rattleback_h=float(h)))) \
+            == path.read_text()
 
     def test_console_script_entrypoint(self):
         # the child imports the casimir_lab under test, installed or not
@@ -916,6 +932,76 @@ def test_status_lines_on_stderr(tmp_path, capsys):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["samples"] == 101
     assert captured.err == f"wrote 101 samples to {out}\n"
+
+
+def _whole_run_outputs(tmp_path, t_final, method, stride):
+    """The CSV bytes and the JSON line of ``rattleback simulate`` at h = -2
+    from (0.1, 0.2, 1.0), formed from the whole trajectory at once: the
+    runner as it was before it read its run leg by leg, kept verbatim."""
+    tr = rb.integrate(rb.RattlebackState(0.1, 0.2, 1.0), -2.0, dt=1e-3, t_final=t_final,
+                      method=method, stride=stride)
+    path = tmp_path / "whole.csv"
+    np.savetxt(path, np.column_stack([tr.times, tr.states, tr.hamiltonians, tr.casimirs]),
+               fmt="%.17g", delimiter=",", header="t,p,r,s,H,C", comments="")
+    h0 = tr.hamiltonians[0]
+    h_drift = float(np.abs(tr.hamiltonians - h0).max())
+    doc = {"kind": "rattleback", "samples": len(tr.times), "H0": h0, "H_drift_abs": h_drift,
+           "H_drift_rel": h_drift / max(abs(h0), 1e-300), "final": list(tr.states[-1])}
+    return path.read_bytes(), report_json(doc) + "\n"
+
+
+@pytest.mark.parametrize("t_final, method, stride", [
+    ("12.345", "rk4", 1),   # 12,345 steps: two whole legs and a part
+    ("12.345", "rk4", 3),   # a stride that divides the steps but not LEG_STEPS
+    ("20", "rk45", 1),      # one leg
+])
+def test_simulate_writes_the_whole_runs_bytes(tmp_path, capsys, t_final, method, stride):
+    csv, line = _whole_run_outputs(tmp_path, float(t_final), method, stride)
+    argv = ["rattleback", "simulate", "--h", "-2", "--ic", "0.1,0.2,1.0", "--t-final",
+            t_final, "--method", method, "--stride", str(stride)]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == line
+    out = tmp_path / "legs.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == line
+    assert out.read_bytes() == csv
+
+
+@pytest.mark.parametrize("flags, bound_mib", [
+    ([], 1.5),
+    (["--stride", "10", "--out", "traj.csv"], 1.0),
+], ids=["summary", "csv"])
+def test_simulate_memory_is_bounded_by_its_output(tmp_path, capsys, flags, bound_mib):
+    # 2e5 rk4 steps, reduced and written leg by leg, peak at 0.65 MiB for the
+    # summary and 0.25 MiB writing every tenth step's row.  Holding the
+    # whole run, they read 12.3 and 1.9 MiB
+    import tracemalloc
+
+    argv = ["rattleback", "simulate", "--h", "-2", "--ic", "0.1,0.2,1.0",
+            *[str(tmp_path / f) if f.endswith(".csv") else f for f in flags]]
+    assert cli.main(argv + ["--t-final", "0.01"]) == 0  # first calls' caches
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert cli.main(argv + ["--t-final", "200"]) == 0
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert json.loads(capsys.readouterr().out)["samples"] == (20001 if flags else 200001)
+    assert peak <= bound_mib, f"peaks at {peak:.2f} MiB"
+
+
+@pytest.mark.parametrize("leg_steps", [rb.LEG_STEPS, 1])
+def test_simulate_blowup_leaves_no_csv(tmp_path, capsys, monkeypatch, leg_steps):
+    # the run blows up at its second step; with legs of one step the first
+    # leg's rows are written before it does, and the part-written file goes
+    monkeypatch.setattr(rb, "LEG_STEPS", leg_steps)
+    out = tmp_path / "traj.csv"
+    assert cli.main(["rattleback", "simulate", "--h", "1e6", "--ic", "0.1,0.2,1.0",
+                     "--t-final", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "numerical failure: state became non-finite "
+                                       "(t = 0.002)\n")
+    assert not out.exists()
 
 
 def test_unwritable_output_exit_2(tmp_path, capsys):
