@@ -52,22 +52,39 @@ def unit_peaks():
     return _unit_peaks
 
 
-def _unit_peaks(suite, cfg):
+def _unit_peaks(suite, cfg, *, restart=False):
     """Run ``suite``'s check units as ``run_suite`` does, under tracemalloc.
     Returns the records and, per unit name, the peak of traced memory while
-    that unit ran, above the level before the suite's first unit."""
+    that unit ran, above the level before the suite's first unit.
+
+    With ``restart``, tracing starts afresh before each unit and its peak is
+    added to the level the units before it left.  That is an upper bound (a
+    block traced before a restart and freed after it is not subtracted),
+    tight for units that share no fixtures: on the rattleback suite it read
+    the one-session peaks to within 0.1 KiB.  It is there for interpreted
+    loops: tracemalloc gives an object taken from a free list a new
+    traceback when its block is traced (bpo-35053), so once a unit has
+    cycled floats through the free list, every float a later rk4 step
+    makes costs a traceback, and a 5,000-step leg takes 0.3 s, not 0.04 s."""
     import tracemalloc
 
     from casimir_lab import verify
 
-    checks, peaks = [], {}
+    checks, peaks, carried = [], {}, 0
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for unit, records in zip(verify.SUITES[suite], verify._unit_records(suite, cfg)):
-            peaks[unit.__name__] = tracemalloc.get_traced_memory()[1] - before
+            current, peak = tracemalloc.get_traced_memory()
+            peaks[unit.__name__] = carried + peak - before
             checks += records
-            tracemalloc.reset_peak()
+            if restart:
+                carried += current - before
+                tracemalloc.stop()
+                tracemalloc.start()
+                before = tracemalloc.get_traced_memory()[0]
+            else:
+                tracemalloc.reset_peak()
     finally:
         tracemalloc.stop()
     return checks, peaks

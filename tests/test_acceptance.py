@@ -28,7 +28,8 @@ CRITERIA_CHECKS = {
         ("forms-contraction-identity", 1e-12)],
     4: [("fluid-helicity-beltrami", 1e-10)],
     5: [("fluid-euler-helicity-conservation", 1e-6),
-        ("fluid-euler-energy-conservation", 1e-6)],
+        ("fluid-euler-energy-conservation", 1e-6),
+        ("fluid-euler-boosted-beltrami-oracle", 1e-12)],
     6: [("fluid-helicity-gradient", 1e-6)],
     7: [("fluid-subalgebra-orthogonality", 1e-10),
         ("fluid-helicity-density-foliated", 1e-10),
@@ -106,7 +107,7 @@ REPORT_CHECKS = [
     "fluid-euler-shear-steady",
     "fluid-euler-helicity-conservation",
     "fluid-euler-energy-conservation",
-    "fluid-euler-beltrami-persistence",
+    "fluid-euler-boosted-beltrami-oracle",
     "fluid-subalgebra-orthogonality",
     "fluid-helicity-density-foliated",
     "fluid-vorticity-leaf-tangency",

@@ -165,6 +165,23 @@ class TestSuiteRunner:
         assert report["failed_checks"] == ["rattleback-casimir-gradient-kernel"]
         assert not report["passed"]
 
+    @pytest.mark.parametrize("faulty", [False, True], ids=["dop853", "b5-raised"])
+    def test_boosted_beltrami_oracle_sees_a_stepping_fault(self, monkeypatch, faulty):
+        # DOP853's weight B_5 raised by 1e-9 breaks its order conditions: the
+        # boosted oracle reads about 2e-10 against its 1e-12, where the steady
+        # Beltrami run it replaced read roundoff.  Only the zeros of the
+        # tableau fix _DOP853_FREED, so the step still runs
+        if faulty:
+            b = fluid.DOP853_B.copy()
+            b[5] += 1e-9
+            monkeypatch.setattr(fluid, "DOP853_B", b)
+        monkeypatch.setitem(verify.SUITES, "lie-poisson",
+                            [verify._lp_fixtures, verify._lp_euler])
+        report = run_suite("lie-poisson", SuiteConfig(grid_n=16))
+        assert len(report["checks"]) == len(verify._lp_euler.checks)
+        assert report["failed_checks"] == (["fluid-euler-boosted-beltrami-oracle"]
+                                           if faulty else [])
+
 
 @pytest.fixture(scope="module")
 def godbillon_vey_32(unit_peaks):
@@ -216,9 +233,10 @@ class TestCheckUnits:
     def test_lie_poisson_memory_is_bounded_by_its_units(self, unit_peaks):
         # the Euler step drops each stage slope after its last reader, and
         # _lp_euler frees the exact form and the oracles' fields before it
-        # evolves: the suite peaks at 9.8-10.5 MiB, in _lp_pairing_coadjoint
-        # (the higher figure in a fresh process).  With every slope and
-        # oracle field held to the end it peaked at 11.35 MiB, in _lp_euler
+        # evolves and each evolution's fields before the next: the suite
+        # peaks at 10.5 MiB, in _lp_pairing_coadjoint, and _lp_euler at
+        # 9.4 MiB.  With every slope and field of _lp_euler held to its end
+        # that unit peaked at 12.9 MiB
         checks, peaks = unit_peaks("lie-poisson", SuiteConfig(grid_n=32))
         assert all(c["pass"] for c in checks)
         unit, peak = _largest(peaks)
@@ -227,10 +245,12 @@ class TestCheckUnits:
     def test_rattleback_memory_is_bounded_by_its_units(self, unit_peaks):
         # the long rk4 runs are read leg by leg, their drifts as running
         # maxima and the chirality run as its s column: the suite peaks at
-        # 1.4-2.1 MiB, in _rb_trajectories (the higher figure in a fresh
-        # process).  Holding each whole run, with its H and C columns, it
-        # peaked at 6.2-6.9 MiB
-        checks, peaks = unit_peaks("rattleback", SuiteConfig(grid_n=32))
+        # 2.1 MiB, in _rb_trajectories.  Holding each whole run, with its H
+        # and C columns, it peaked at 6.8 MiB.  The units share no fixtures,
+        # so tracing restarted at each unit reads what one session does, and
+        # keeps the rk4 loops off the blocks _rb_bracket left traced (the
+        # test took 11-14 s in one session, 1.3-2.1 s restarted)
+        checks, peaks = unit_peaks("rattleback", SuiteConfig(grid_n=32), restart=True)
         assert all(c["pass"] for c in checks)
         unit, peak = _largest(peaks)
         assert peak <= 2.5, f"{unit} peaks at {peak:.2f} MiB"
