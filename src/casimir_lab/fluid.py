@@ -9,6 +9,7 @@ tested by shifting alpha by exact forms.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,18 +92,21 @@ def helicity(alpha: Form1, da: Form2 | None = None) -> float:
     return integrate3(wedge(alpha, d(alpha) if da is None else da))
 
 
-def helicity_gradient_check(alpha: Form1, da: Form1) -> tuple[float, float]:
-    """Directional derivative of helicity two ways.
+def helicity_gradient_check(alpha: Form1,
+                            directions: Iterable[Form1]) -> list[tuple[float, float]]:
+    """Directional derivatives of helicity at ``alpha`` two ways, one pair
+    per direction da, each read as it is needed.
 
-    Returns (centered finite difference, pairing of da with twice the
+    Each pair is (centered finite difference, pairing of da with twice the
     vorticity).  Helicity is quadratic, so the centered difference is exact
     up to roundoff and the two values agree to the functional-gradient
-    identity delta H = <da, 2 W>.
+    identity delta H = <da, 2 W>.  d(alpha) is formed once for them all.
     """
     eps = 0.5
-    lhs = (helicity(alpha + eps * da) - helicity(alpha - eps * da)) / (2.0 * eps)
-    rhs = 2.0 * integrate3(wedge(da, d(alpha)))
-    return lhs, rhs
+    d_alpha = d(alpha)
+    return [((helicity(alpha + eps * da) - helicity(alpha - eps * da)) / (2.0 * eps),
+             2.0 * integrate3(wedge(da, d_alpha)))
+            for da in directions]
 
 
 def velocity_of(alpha: Form1) -> VectorField:

@@ -98,19 +98,27 @@ def _frobenius(alpha: Form1, da: Form2, min_abs: float) -> dict:
     }
 
 
-def subalgebra_orthogonality(alpha: Form1, beta: Form1, h_fn: Form0) -> float:
-    """<alpha, Y> for the leaf-tangent field Y with i_Y mu = d(h_fn * beta).
+def subalgebra_orthogonality(alpha: Form1, beta: Form1,
+                             h_fns: Iterable[Form0]) -> list[tuple[float, float]]:
+    """<alpha, Y> for the leaf-tangent field Y with i_Y mu = nu = d(h * beta),
+    one pair per h in ``h_fns``, each read as it is needed.
 
-    Vanishes whenever alpha is a function multiple of the integrable defining
-    form beta; the returned pairing is the raw residual.
+    Each pair is the raw pairing and its Cauchy-Schwarz bound |alpha| |nu|
+    (L2 norms), the scale to judge it by.  The pairing vanishes whenever
+    alpha is a function multiple of the integrable defining form beta.
+    beta's integrability is checked once, before the first h is read.
     """
     report = check_integrability(beta)
     if not report["integrable"]:
         raise PreconditionError(
             f"beta is not integrable: residual {report['relative_residual']:.3e}"
         )
-    nu = d(scale_by(h_fn, beta))
-    return pairing(alpha, VectorField(alpha.grid, nu.data))
+    alpha_l2 = alpha.l2()
+    out = []
+    for h_fn in h_fns:
+        nu = d(scale_by(h_fn, beta))
+        out.append((pairing(alpha, VectorField(alpha.grid, nu.data)), alpha_l2 * nu.l2()))
+    return out
 
 
 def _reference_field(alpha: Form1, alpha_sq: np.ndarray) -> VectorField:

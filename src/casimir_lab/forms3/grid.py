@@ -129,7 +129,9 @@ class Box:
     ``rfft3_cs``, ``irfft3_cs``, ``curl_cs``, ``grad_cs``, ``leray_cs`` and
     ``mean_dot_cs`` work on it.  ``forward_cs`` and ``inverse_cs`` are its
     real x and y DFT matrices and ``forward_z`` and ``inverse_z`` its z
-    pass, so every pass of its transforms is a real matrix product;
+    pass, so every pass of its transforms is a real matrix product.  Both
+    transforms run z first, the forward on the grid values and the inverse
+    on the box's coefficients, then x, then y as a batch over the x rows;
     ``k_r`` are the axes' signed wavenumbers shaped to broadcast (row
     2K+1-k stands for -k), ``diff_cs`` and ``ikz`` its derivatives,
     ``inverse_laplacian_cs`` and ``parseval_cs`` its Leray and Parseval
@@ -302,15 +304,19 @@ def rfft3_cs(data: np.ndarray, box: Box) -> np.ndarray:
 
 def irfft3_cs(coefs: np.ndarray, box: Box) -> np.ndarray:
     """Grid values of ``box``'s cs-layout coefficients: the reverse of
-    ``rfft3_cs``, y (a batch over the x rows) and x against ``inverse_cs``,
-    then z against ``inverse_z``, all real matrix products.  Each pass's
-    input is released once read."""
+    ``rfft3_cs``, all real matrix products.  z runs first, against
+    ``inverse_z`` on the box-sized array, then x against ``inverse_cs``,
+    one product per stacked component, and y last, a batch over the x
+    rows.  This order hands BLAS no long, thin product: z last, on the
+    grid-sized array, would be one (n^2, 2K+2) by (2K+2, n) product per
+    component, the slowest pass.  Each pass's input is released once read;
+    the result is a new C-contiguous array."""
     n, (p, _, q) = box.n, box.shape
     lead = coefs.shape[:-3]
-    y = np.matmul(box.inverse_cs, coefs.view(float))
-    x = np.matmul(box.inverse_cs, y.reshape(lead + (p, 2 * n * q)))
-    del y
-    return np.matmul(x.reshape(-1, 2 * q), box.inverse_z).reshape(lead + (n, n, n))
+    z = np.matmul(coefs.view(float).reshape(-1, 2 * q), box.inverse_z)
+    x = np.matmul(box.inverse_cs, z.reshape(lead + (p, p * n)))
+    del z
+    return np.matmul(box.inverse_cs, x.reshape(lead + (n, p, n)))
 
 
 def _cross(a, b: np.ndarray) -> np.ndarray:

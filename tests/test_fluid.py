@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from casimir_lab import fluid, foliation
 from casimir_lab import forms3 as f3
 from casimir_lab.errors import InvalidParameterError, PreconditionError
 from casimir_lab.fluid import (
@@ -81,29 +82,36 @@ class TestHelicity:
 class TestHelicityGradient:
     def test_gauge_direction(self, grid32, rng, beltrami):
         dg = f3.d(f3.random_form0(grid32, 4, rng))
-        lhs, rhs = helicity_gradient_check(beltrami, dg)
+        [(lhs, rhs)] = helicity_gradient_check(beltrami, [dg])
         assert abs(lhs) <= 1e-10 and abs(rhs) <= 1e-10
 
     def test_gauge_directions_read_roundoff(self, grid32, rng, beltrami):
         # H is quadratic, so the centred difference is exact at any eps; at a
         # small eps it would read ulps of H divided by 2 eps instead
-        for _ in range(20):
-            lhs, rhs = helicity_gradient_check(beltrami, f3.d(f3.random_form0(grid32, 4, rng)))
+        directions = (f3.d(f3.random_form0(grid32, 4, rng)) for _ in range(20))
+        for lhs, rhs in helicity_gradient_check(beltrami, directions):
             assert max(abs(lhs), abs(rhs)) <= 1e-13
 
     def test_euler_homogeneity(self, beltrami):
-        lhs, rhs = helicity_gradient_check(beltrami, beltrami)
+        [(lhs, rhs)] = helicity_gradient_check(beltrami, [beltrami])
         expect = 2 * helicity(beltrami)
         assert lhs == pytest.approx(expect, rel=1e-7)
         assert rhs == pytest.approx(expect, rel=1e-12)
 
+    def test_alpha_is_differentiated_once(self, grid16, rng, monkeypatch):
+        # one d(alpha) for every direction, and the two of H(alpha +- eps da)
+        calls = []
+        monkeypatch.setattr(fluid, "d", lambda form: calls.append(form) or f3.d(form))
+        alpha = f3.random_form1(grid16, 2, rng)
+        directions = [f3.random_form1(grid16, 2, rng) for _ in range(3)]
+        assert len(helicity_gradient_check(alpha, directions)) == 3
+        assert len(calls) == 1 + 2 * 3
+
     def test_random_directions(self, grid32, rng, beltrami):
-        worst = 0.0
-        for _ in range(20):
-            da = f3.random_form1(grid32, 4, rng)
-            lhs, rhs = helicity_gradient_check(beltrami, da)
-            worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-10))
-        assert worst <= 1e-6
+        directions = (f3.random_form1(grid32, 4, rng) for _ in range(20))
+        pairs = helicity_gradient_check(beltrami, directions)
+        assert len(pairs) == 20
+        assert max(abs(lhs - rhs) / max(abs(rhs), 1e-10) for lhs, rhs in pairs) <= 1e-6
 
 
 class TestEuler:
@@ -151,18 +159,31 @@ class TestFoliatedAlignment:
         beta = graph_foliation_form(grid32, graph_profile)
         scale = f3.Form0(grid32, np.exp(f3.random_scalar_array(grid32, 1, rng, rms=0.1)))
         alpha = graph_foliation_form(grid32, graph_profile, scale)
-        for _ in range(20):
-            h_fn = f3.random_form0(grid32, 4, rng)
-            assert abs(subalgebra_orthogonality(alpha, beta, h_fn)) <= 1e-10
+        h_fns = [f3.random_form0(grid32, 4, rng) for _ in range(20)]
+        for val, bound in subalgebra_orthogonality(alpha, beta, h_fns):
+            assert abs(val) <= 1e-10 and bound > 0.0
         zero = f3.Form0(grid32, np.zeros(grid32.shape))
-        assert subalgebra_orthogonality(alpha, beta, zero) == 0.0
         one = f3.Form0(grid32, np.ones(grid32.shape))
-        assert abs(subalgebra_orthogonality(alpha, beta, one)) <= 1e-11
+        (at_zero, zero_bound), (at_one, _) = subalgebra_orthogonality(alpha, beta, [zero, one])
+        assert at_zero == 0.0 and zero_bound == 0.0
+        assert abs(at_one) <= 1e-11
+
+    def test_orthogonality_checks_beta_once(self, grid32, graph_profile, rng, monkeypatch):
+        # beta's gate forms d(beta) once, and each h its nu once; the bound
+        # is |alpha| |nu|
+        beta = graph_foliation_form(grid32, graph_profile)
+        calls = []
+        monkeypatch.setattr(foliation, "d", lambda form: calls.append(form) or f3.d(form))
+        h_fns = [f3.random_form0(grid32, 2, rng) for _ in range(3)]
+        pairs = subalgebra_orthogonality(beta, beta, h_fns)
+        assert len(calls) == 1 + 3
+        nu = f3.d(f3.scale_by(h_fns[-1], beta))
+        assert pairs[-1][1] == beta.l2() * nu.l2()
 
     def test_orthogonality_requires_integrable_beta(self, grid32, beltrami, rng):
         h_fn = f3.random_form0(grid32, 3, rng)
         with pytest.raises(PreconditionError, match="not integrable"):
-            subalgebra_orthogonality(beltrami, beltrami, h_fn)
+            subalgebra_orthogonality(beltrami, beltrami, [h_fn])
 
     def test_helicity_density(self, grid32, rng, graph_profile, beltrami):
         alpha = graph_foliation_form(grid32, graph_profile)

@@ -633,6 +633,36 @@ def test_mean_dot_does_not_depend_on_blas_threads():
     assert len(outs) == 1, outs
 
 
+def test_box_transforms_do_not_depend_on_blas_threads_or_stacking():
+    # every pass is a BLAS matrix product: the bits hold at 1 and 2 BLAS
+    # threads, and each component of a 3-stack transform is its scalar
+    # transform, on the 2/3 and Nyquist-free boxes and an odd product box
+    src = str(Path(casimir_lab.__file__).resolve().parents[1])
+    code = """if True:
+        import hashlib, sys
+        sys.path.insert(0, sys.argv[1])
+        import numpy as np
+        from casimir_lab import forms3 as f3
+        rng = np.random.default_rng(1729)
+        digest = lambda *arrays: hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+        for box in (f3.Box(32, 10), f3.Box(32, 15), f3.Box(48, 15), f3.Box(48, 23),
+                    f3.Box(23, 10)):
+            data = rng.standard_normal((3,) + (box.n,) * 3)
+            spec = f3.rfft3_cs(data, box)
+            print(digest(spec), digest(*(f3.rfft3_cs(c, box) for c in data)),
+                  digest(f3.irfft3_cs(spec, box)), digest(*(f3.irfft3_cs(c, box) for c in spec)))
+    """
+    outs = [subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                           check=True, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+                           ).stdout for threads in ("1", "2")]
+    assert outs[0] == outs[1]
+    lines = outs[0].splitlines()
+    assert len(lines) == 5
+    for line in lines:
+        fwd, fwd_scalar, inv, inv_scalar = line.split()
+        assert fwd == fwd_scalar and inv == inv_scalar
+
+
 def _refuse_fft(monkeypatch, names):
     def refuse(*args, **kwargs):
         raise AssertionError("numpy.fft transform called")

@@ -165,6 +165,16 @@ class TestSuiteRunner:
         assert report["failed_checks"] == ["rattleback-casimir-gradient-kernel"]
         assert not report["passed"]
 
+    def test_lie_poisson_bandwidth_keeps_the_adjunction_alias_free(self, monkeypatch):
+        # at n = 6 a bandwidth of 2 let the adjunction's triple products of
+        # band-2 fields alias onto the grid, and it read 1.89 against 1e-9;
+        # the fixtures cap bw at (n - 1)//3 = 1 there
+        monkeypatch.setitem(verify.SUITES, "lie-poisson",
+                            [verify._lp_fixtures, verify._lp_pairing_coadjoint])
+        report = run_suite("lie-poisson", SuiteConfig(grid_n=6))
+        assert len(report["checks"]) == len(verify._lp_pairing_coadjoint.checks)
+        assert report["failed_checks"] == []
+
     @pytest.mark.parametrize("faulty", [False, True], ids=["dop853", "b5-raised"])
     def test_boosted_beltrami_oracle_sees_a_stepping_fault(self, monkeypatch, faulty):
         # DOP853's weight B_5 raised by 1e-9 breaks its order conditions: the
