@@ -33,8 +33,8 @@ from . import foliation as fol
 from . import forms3 as f3
 from . import rattleback as rb
 from .errors import (BlowUpError, CasimirLabError, ConfigError, EvalError, FormatError,
-                     ParseError)
-from .fluid import EULER_DT, FluidState, euler_dt, euler_evolve, helicity
+                     InvalidParameterError, ParseError)
+from .fluid import FluidState, euler_dt, euler_evolve, helicity
 from .verify import DEFAULT_SEED, SUITES, SuiteConfig, report_json, run_suite
 
 SCENARIO_KINDS = ("rattleback", "fluid-helicity", "fluid-euler", "foliation-gv",
@@ -93,20 +93,16 @@ class Scenario:
         for key, low in (("stride", 1), ("seed", 0)):
             value = getattr(self, key)
             _require(_is_int(value) and value >= low, key, f"an integer >= {low}", value)
-        _require(self.method in ("rk4", "rk45"), "method", "'rk4' or 'rk45'", self.method)
-        rk4 = self.kind == "rattleback" and self.method == "rk4"
-        if self.kind == "fluid-euler" or rk4:
+        _require(self.method in rb.METHODS, "method", " or ".join(map(repr, rb.METHODS)),
+                 self.method)
+        if self.kind == "fluid-euler" or (self.kind == "rattleback" and self.method == "rk4"):
             _require(self.t_final / self.dt <= MAX_STEPS, "t_final",
                      f"at most {MAX_STEPS} steps of dt = {self.dt!r}", self.t_final)
-        if rk4:
-            n_steps = rb.rk4_step_count(self.t_final, self.dt)
-            _require(n_steps is not None, "t_final",
-                     f"a whole number of rk4 steps of dt = {self.dt!r}", self.t_final)
-            _require(n_steps % self.stride == 0, "stride",
-                     f"a divisor of the {n_steps} rk4 steps", self.stride)
-        if self.kind == "rattleback" and self.method == "rk45":
-            _require(self.stride == 1, "stride",
-                     "1 with method 'rk45', which records every accepted step", self.stride)
+        if self.kind == "rattleback":
+            try:
+                rb.step_count(self.h, self.dt, self.t_final, self.method, self.stride)
+            except InvalidParameterError as exc:
+                raise ConfigError(str(exc)) from None
         _require(self.suite in ("all", *SUITES), "suite",
                  f"one of {', '.join(['all', *SUITES])}", self.suite)
         for key in ("profile", "scale", "field", "out", "report", "dump_fields"):
@@ -382,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--ic", required=True, help="initial p,r,s")
     p_sim.add_argument("--dt", type=float)
     p_sim.add_argument("--t-final", type=float)
-    p_sim.add_argument("--method", choices=("rk4", "rk45"))
+    p_sim.add_argument("--method", choices=rb.METHODS)
     p_sim.add_argument("--stride", type=int, help="record every k-th step")
     p_sim.add_argument("--out", help="CSV output path")
 
@@ -396,8 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_evo = scenario_parser(fl_sub, "evolve", "fluid-euler", "ideal Euler evolution")
     p_evo.add_argument("--field", required=True)
     p_evo.add_argument("--grid", type=int)
-    p_evo.add_argument("--dt", type=float,
-                       help=f"fixed step (default {EULER_DT:g} * min(1, 10 / (grid // 3)))")
+    p_evo.add_argument("--dt", type=float, help="fixed step (default fluid.euler_dt(grid))")
     p_evo.add_argument("--t-final", type=float)
     p_evo.add_argument("--out", help="diagnostics CSV path")
     p_evo.add_argument("--dump-fields", help="write the final state container here")

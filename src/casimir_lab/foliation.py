@@ -65,13 +65,14 @@ VARIATION_EPS = 1e-4
 VARIATION_TANGENCY_TOL = 1e-6
 
 
-def check_integrability(alpha: Form1) -> dict:
-    """Frobenius test: relative L2 norm of alpha ^ d(alpha), plus min |alpha|.
+def check_integrability(alpha: Form1) -> float:
+    """Frobenius test: the relative L2 norm of alpha ^ d(alpha), which
+    INTEGRABILITY_TOL judges.
 
-    An overflowing alpha gives inf/nan residuals, which the gates refuse.
+    An overflowing alpha gives an inf/nan residual, which the gates refuse.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _frobenius(alpha, d(alpha), _min_abs(_abs_sq(alpha)))
+        return _frobenius(alpha, d(alpha))
 
 
 def _abs_sq(alpha: Form1) -> np.ndarray:
@@ -80,22 +81,11 @@ def _abs_sq(alpha: Form1) -> np.ndarray:
     return interior(VectorField(alpha.grid, alpha.data), alpha).data
 
 
-def _min_abs(alpha_sq: np.ndarray) -> float:
-    """min |alpha|, given |alpha|^2 pointwise."""
-    return float(np.sqrt(alpha_sq.min()))
-
-
-def _frobenius(alpha: Form1, da: Form2, min_abs: float) -> dict:
-    """check_integrability's record, given d(alpha) and min |alpha|."""
+def _frobenius(alpha: Form1, da: Form2) -> float:
+    """check_integrability's residual, given d(alpha)."""
     res = wedge(alpha, da).l2()
     scale = alpha.l2() * da.l2()
-    rel = res / scale if scale > 0 else res
-    return {
-        "residual": res,
-        "relative_residual": rel,
-        "min_abs": min_abs,
-        "integrable": rel <= INTEGRABILITY_TOL,
-    }
+    return res / scale if scale > 0 else res
 
 
 def subalgebra_orthogonality(alpha: Form1, beta: Form1,
@@ -108,11 +98,9 @@ def subalgebra_orthogonality(alpha: Form1, beta: Form1,
     alpha is a function multiple of the integrable defining form beta.
     beta's integrability is checked once, before the first h is read.
     """
-    report = check_integrability(beta)
-    if not report["integrable"]:
-        raise PreconditionError(
-            f"beta is not integrable: residual {report['relative_residual']:.3e}"
-        )
+    res = check_integrability(beta)
+    if not res <= INTEGRABILITY_TOL:  # a NaN fails
+        raise PreconditionError(f"beta is not integrable: residual {res:.3e}")
     alpha_l2 = alpha.l2()
     out = []
     for h_fn in h_fns:
@@ -238,14 +226,14 @@ class FoliatedState:
         refuse."""
         with np.errstate(over="ignore", invalid="ignore"):
             alpha_sq = _abs_sq(alpha)
-            min_abs = _min_abs(alpha_sq)
+            min_abs = float(np.sqrt(alpha_sq.min()))
             x = _reference_field(alpha, alpha_sq)
             del alpha_sq  # not held through the chain solve, whose peak sets RSS
             x_ref = float(np.abs(interior(x, alpha).data - 1.0).max())
             of_da = {}
 
             def eta_of(da):
-                of_da["integrability"] = _frobenius(alpha, da, min_abs)["relative_residual"]
+                of_da["integrability"] = _frobenius(alpha, da)
                 of_da["helicity"] = abs(helicity(alpha, da))
                 return interior(x, da)
 
@@ -306,7 +294,7 @@ def gv_variation(state: FoliatedState, alpha_dot: Form1) -> float:
     alpha_dot must be tangent to the integrable stratum: alpha + eps*alpha_dot
     has to pass the integrability check at the probe amplitude eps.
     """
-    res = check_integrability(state.alpha + VARIATION_EPS * alpha_dot)["relative_residual"]
+    res = check_integrability(state.alpha + VARIATION_EPS * alpha_dot)
     if not res <= VARIATION_TANGENCY_TOL:  # a NaN fails
         raise PreconditionError(
             f"variation leaves the integrable stratum: residual {res:.3e} "
@@ -382,7 +370,6 @@ def gv_casimir_suite(state: FoliatedState, fields: Iterable[VectorField], t: flo
         failure = gate_failure(new_state.residuals)
         records.append({
             "field": idx,
-            "gv_final": gv_t,
             "drift": abs(gv_t - gv0),
             "degraded": str(failure) if failure else None,
             "residuals": new_state.residuals,

@@ -40,8 +40,10 @@ __all__ = [
     "integrate",
     "integrate_legs",
     "restricted_casimir_report",
+    "step_count",
 ]
 
+METHODS = ("rk4", "rk45")
 RK45_RTOL = 1e-10
 RK45_ATOL = 1e-12
 RK45_MAX_STEPS = 10_000_000  # attempted steps
@@ -163,36 +165,35 @@ def casimir_gradient_check(xi: RattlebackState, h: float) -> float:
         return float(np.abs(j @ grad).max())
 
 
-def rk4_step_count(t_final: float, dt: float) -> int | None:
-    """The number of fixed steps of dt that make up t_final, or None when
-    t_final is not a whole number of them (to 1e-9 of max(1, t_final))."""
-    try:
-        n_steps = int(round(t_final / dt))
-    except OverflowError:  # t_final / dt, or an int operand, beyond the float range
-        raise InvalidParameterError("t_final / dt is beyond the float range") from None
-    return n_steps if abs(n_steps * dt - t_final) <= 1e-9 * max(1.0, t_final) else None
-
-
-def _step_count(h, dt, t_final, method, stride) -> int | None:
-    """integrate's argument checks; the run's rk4 step count, None for rk45."""
+def step_count(h, dt, t_final, method, stride) -> int | None:
+    """The rattleback run rules, which ``integrate`` and ``integrate_legs``
+    apply and scenarios apply with exit 2: h finite, dt > 0, t_final positive
+    and finite, method one of METHODS and stride an integer >= 1; an rk4 run
+    takes a whole number of steps of dt (to 1e-9 of max(1, t_final)) and a
+    stride that divides them, an rk45 run stride 1.  Returns the rk4 step
+    count, None for rk45."""
     if not (dt > 0):
         raise InvalidParameterError("dt must be positive")
     if not (t_final > 0 and _is_finite(t_final)):
         raise InvalidParameterError("t_final must be positive and finite")
     if not _is_finite(h):
         raise InvalidParameterError("h must be finite")
-    if method not in ("rk4", "rk45"):
+    if method not in METHODS:
         raise InvalidParameterError(f"unknown method {method!r}")
     if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
         raise InvalidParameterError(f"stride must be an integer >= 1, got {stride!r}")
     if method == "rk45":
         if stride != 1:
-            raise InvalidParameterError("stride must be 1 with method 'rk45', "
-                                        "which records every accepted step")
+            raise InvalidParameterError("stride must be 1 with method 'rk45', which "
+                                        f"records every accepted step, got {stride!r}")
         return None
-    n_steps = rk4_step_count(t_final, dt)
-    if n_steps is None:
-        raise InvalidParameterError("t_final must be an integer number of steps")
+    try:
+        n_steps = int(round(t_final / dt))
+    except OverflowError:  # t_final / dt, or an int operand, beyond the float range
+        raise InvalidParameterError("t_final / dt is beyond the float range") from None
+    if not abs(n_steps * dt - t_final) <= 1e-9 * max(1.0, t_final):
+        raise InvalidParameterError("t_final must be an integer number of steps of "
+                                    f"dt = {dt!r}, got {t_final!r}")
     if n_steps % stride:
         raise InvalidParameterError(f"stride must divide the {n_steps} rk4 steps, "
                                     f"got {stride}")
@@ -211,14 +212,14 @@ def integrate(
     """Integrate the rattleback flow.
 
     method="rk4" takes fixed steps of size dt and records every ``stride``-th
-    step; the stride must divide the step count, so the last record is the
-    state at t_final.  method="rk45" is adaptive Dormand-Prince (dt is
-    ignored) at RK45_RTOL and RK45_ATOL within RK45_MAX_STEPS attempted
-    steps, and records every accepted step, so it takes no stride but 1.  A non-finite state or
-    an exhausted step budget raises BlowUpError.  No conservation projection
-    is applied: drift in H and C is a genuine accuracy diagnostic.
+    step, the last at t_final.  method="rk45" is adaptive Dormand-Prince (dt
+    is ignored) at RK45_RTOL and RK45_ATOL within RK45_MAX_STEPS attempted
+    steps, and records every accepted step.  ``step_count`` states the
+    argument rules.  A non-finite state or an exhausted step budget raises
+    BlowUpError.  No conservation projection is applied: drift in H and C is
+    a genuine accuracy diagnostic.
     """
-    n_steps = _step_count(h, dt, t_final, method, stride)
+    n_steps = step_count(h, dt, t_final, method, stride)
     if method == "rk4":
         x_rec = kernels.rk4_loop(xi0.p, xi0.r, xi0.s, float(h), float(dt), n_steps, stride)
         times = np.arange(len(x_rec) // 3) * (stride * dt)
@@ -261,7 +262,7 @@ def integrate_legs(
     BlowUpError, at the whole run's time.  rk45 cannot restart without
     changing its steps: its run is one piece.
     """
-    n_steps = _step_count(h, dt, t_final, method, stride)
+    n_steps = step_count(h, dt, t_final, method, stride)
     if method == "rk45":
         yield integrate(xi0, h, dt, t_final, method)
         return

@@ -524,7 +524,7 @@ def _lp_foliated(cfg, fx):
     checks = [
         _check("fluid-subalgebra-orthogonality", orthogonality, 1e-10),
         _check("fluid-helicity-density-foliated",
-               helicity_density_check(alpha) / max(1.0, alpha.linf() * f3.d(alpha).linf()),
+               helicity_density_check(alpha) / max(1.0, alpha.linf() * w_fol.linf()),
                1e-10),
         _check("fluid-vorticity-leaf-tangency",
                f3.interior(w_fol, alpha).linf() / max(1.0, alpha.linf() * w_fol.linf()), 1e-10),
@@ -589,11 +589,11 @@ def _gv_integrability(cfg, fx):
     """Integrability controls and gates, which need no solved chain."""
     g = fx["g"]
     closed = fol.graph_foliation_form(g, f3.Form0(g, np.full(g.shape, 0.4)))
-    contact = fol.check_integrability(_beltrami(g))["relative_residual"]
+    contact = fol.check_integrability(_beltrami(g))
     return [_check("gv-integrability-graph-family",
-                   fol.check_integrability(fx["beta"])["relative_residual"], 1e-12),
+                   fol.check_integrability(fx["beta"]), 1e-12),
             _check("gv-integrability-closed-form",
-                   fol.check_integrability(closed)["relative_residual"], 0.0),
+                   fol.check_integrability(closed), 0.0),
             _gate_check("gv-integrability-contact-control", contact > 1e-3,
                         value_observed=contact,
                         note="contact form must be flagged non-integrable"),

@@ -21,20 +21,20 @@ class TestIntegrability:
         _, _, z = grid32.meshes
         for amp in (0.1, 0.3, 0.8):
             a = f3.Form0(grid32, amp * np.sin(2 * np.pi * z))
-            rep = fol.check_integrability(fol.graph_foliation_form(grid32, a))
-            assert rep["relative_residual"] <= 1e-12
-            assert rep["integrable"]
+            rel = fol.check_integrability(fol.graph_foliation_form(grid32, a))
+            assert rel <= 1e-12
+            assert rel <= fol.INTEGRABILITY_TOL
 
     def test_closed_nonvanishing_form(self, grid32):
         beta = fol.graph_foliation_form(grid32, f3.Form0(grid32, np.full(grid32.shape, 0.7)))
-        rep = fol.check_integrability(beta)
-        assert rep["residual"] == 0.0
+        # d(beta) = 0, so the residual is the absolute one, exactly zero
+        assert fol.check_integrability(beta) == 0.0
 
     def test_contact_form_flagged(self, grid32, beltrami):
-        rep = fol.check_integrability(beltrami)
-        assert not rep["integrable"]
+        rel = fol.check_integrability(beltrami)
+        assert not rel <= fol.INTEGRABILITY_TOL
         # alpha ^ d(alpha) = 2*pi*mu against |alpha| = 1, |d alpha| = 2*pi
-        assert rep["relative_residual"] == pytest.approx(1.0, rel=1e-10)
+        assert rel == pytest.approx(1.0, rel=1e-10)
 
     def test_vanishing_form_rejected(self, grid32):
         _, _, z = grid32.meshes
@@ -63,10 +63,8 @@ class TestIntegrability:
 
     def test_check_integrability_matches_the_chain(self, foliated_state, beltrami):
         for alpha in (foliated_state.alpha, beltrami):
-            rep = fol.check_integrability(alpha)
             res = fol.FoliatedState.from_alpha(alpha, strict=False).residuals
-            assert rep["relative_residual"] == res["integrability"]
-            assert rep["min_abs"] == res["min_abs_alpha"]
+            assert fol.check_integrability(alpha) == res["integrability"]
 
 
 class TestMembershipGate:
@@ -125,8 +123,8 @@ class TestNanFailsEveryGate:
                                                          np.sin(y) + np.cos(x)]))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert fol.check_integrability(alpha)["integrable"]
-            assert not fol.check_integrability(abc)["integrable"]
+            assert fol.check_integrability(alpha) <= fol.INTEGRABILITY_TOL
+            assert not fol.check_integrability(abc) <= fol.INTEGRABILITY_TOL
             with pytest.raises(InconsistencyError, match="eta_defining residual nan"):
                 fol.FoliatedState.from_alpha(alpha)
             with pytest.raises(PreconditionError, match="not integrable"):

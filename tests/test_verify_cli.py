@@ -17,7 +17,8 @@ from casimir_lab import cli, fieldexpr, fluid, verify
 from casimir_lab import rattleback as rb
 from casimir_lab import foliation as fol
 from casimir_lab import forms3 as f3
-from casimir_lab.errors import ConfigError, EvalError, InconsistencyError, ParseError
+from casimir_lab.errors import (ConfigError, EvalError, InconsistencyError,
+                                 InvalidParameterError, ParseError)
 from casimir_lab.verify import SuiteConfig, report_json, run_suite
 
 
@@ -307,7 +308,15 @@ class TestScenarioConfig:
         assert cli.Scenario(kind="fluid-euler", field="0,0,0").dt == fluid.EULER_DT
         assert (cli.Scenario(kind="fluid-euler", field="0,0,0", grid=64).dt
                 == fluid.euler_dt(f3.Grid(64)) < fluid.EULER_DT)
+        # (48 - 1) // 3 = 15 kept modes, where 48 // 3 = 16 would give 1.25e-2
+        assert (cli.Scenario(kind="fluid-euler", field="0,0,0", grid=48).dt
+                == fluid.euler_dt(f3.Grid(48)) == fluid.EULER_DT * (10 / 15))
         assert cli.Scenario(kind="rattleback").dt == 1e-3
+
+    def test_euler_step_help_names_its_rule(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["fluid", "evolve", "--help"])
+        assert "fluid.euler_dt" in capsys.readouterr().out
 
     def test_default_t_final_by_kind(self):
         assert cli.Scenario(kind="rattleback").t_final == 100.0
@@ -585,17 +594,21 @@ class TestExitPaths:
         assert capsys.readouterr().err == (
             "error: CASIMIR_LAB_SEED must be an integer, got 'abc'\n")
 
-    @pytest.mark.parametrize("flags, keys, message", [
-        (["--t-final", "0.0015"], {"t_final": 0.0015},
-         "error: 't_final' must be a whole number of rk4 steps of dt = 0.001, got 0.0015\n"),
+    @pytest.mark.parametrize("flags, keys, given", [
+        (["--t-final", "0.0015"], {"t_final": 0.0015}, "0.0015"),
+        (["--t-final", "0.01", "--stride", "7"], {"t_final": 0.01, "stride": 7}, "7"),
         (["--method", "rk45", "--t-final", "1", "--stride", "1000"],
-         {"method": "rk45", "t_final": 1, "stride": 1000},
-         "error: 'stride' must be 1 with method 'rk45', which records every accepted "
-         "step, got 1000\n"),
-        (["--t-final", "0.01", "--stride", "7"], {"t_final": 0.01, "stride": 7},
-         "error: 'stride' must be a divisor of the 10 rk4 steps, got 7\n"),
-    ], ids=["partial-rk4-step", "rk45-stride", "partial-stride"])
-    def test_rattleback_scenario_rules_exit_2(self, tmp_path, capsys, flags, keys, message):
+         {"method": "rk45", "t_final": 1, "stride": 1000}, "1000"),
+    ], ids=["partial-rk4-step", "partial-stride", "rk45-stride"])
+    def test_rattleback_scenario_rules_exit_2(self, tmp_path, capsys, flags, keys, given):
+        # the CLI refuses a run with the words of the engine's own refusal,
+        # which names the value it refuses
+        args = {"h": -2.0, "dt": 1e-3, "method": "rk4", "stride": 1, **keys}
+        with pytest.raises(InvalidParameterError) as refusal:
+            rb.step_count(args["h"], args["dt"], float(args["t_final"]), args["method"],
+                          args["stride"])
+        message = f"error: {refusal.value}\n"
+        assert message.endswith(f", got {given}\n")
         argv = ["rattleback", "simulate", "--h", "-2", "--ic", "0.1,0.2,1", *flags]
         assert cli.main(argv) == 2
         assert capsys.readouterr() == ("", message)
@@ -777,6 +790,8 @@ class TestScenarioTypes:
         ({"kind": "fluid-helicity", "grid": 100000, "field": "0,0,0"}, "'grid'"),
         ({"kind": "verify-all", "suite": "bogus"}, "'suite'"),
         ({"kind": "rattleback", "stride": 0}, "'stride'"),
+        # the method is checked for every kind, not only where it is used
+        ({"kind": "fluid-helicity", "field": "0,0,0", "method": "bogus"}, "'method'"),
     ])
     def test_bad_value_exit_2(self, tmp_path, capsys, doc, key):
         path = tmp_path / "sc.json"
