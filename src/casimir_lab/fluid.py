@@ -35,7 +35,6 @@ from .forms3 import (
     curve_velocity,
     wedge,
 )
-from .forms3.calculus import _dot
 from .forms3.grid import _cross
 from .forms3.transport import _step_count
 
@@ -74,7 +73,7 @@ class FluidState:
 
 def pairing(alpha: Form1, u: VectorField) -> float:
     """<alpha, u> = int (i_u alpha) mu; representative independent for div-free u."""
-    return float(np.mean(_dot(alpha.data, u.data)))
+    return integrate3(interior(u, alpha))
 
 
 def lie_poisson_bracket(alpha: Form1, u: VectorField, v: VectorField) -> float:
@@ -123,10 +122,9 @@ def euler_rhs(state: FluidState) -> Form1:
     """Coset representative of d(alpha)/dt = -i_v d(alpha), v = Leray(alpha sharp).
 
     The pressure term of Euler's equations is an exact form and is dropped:
-    only the coset evolves.
+    the coset evolves by the coadjoint motion its own velocity generates.
     """
-    v = velocity_of(state.alpha)
-    return -interior(v, d(state.alpha))
+    return coadjoint(velocity_of(state.alpha), state.alpha)
 
 
 def _lower_triangle(rows) -> np.ndarray:

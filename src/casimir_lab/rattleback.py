@@ -18,7 +18,7 @@ Casimir of the restricted (trivial) bracket on the line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -209,7 +209,8 @@ def integrate(
     *,
     stride: int = 1,
 ) -> Trajectory:
-    """Integrate the rattleback flow.
+    """Integrate the rattleback flow: ``integrate_legs``'s one piece as it is,
+    or its pieces joined, which holds the run twice for a moment.
 
     method="rk4" takes fixed steps of size dt and records every ``stride``-th
     step, the last at t_final.  method="rk45" is adaptive Dormand-Prince (dt
@@ -219,17 +220,16 @@ def integrate(
     BlowUpError.  No conservation projection is applied: drift in H and C is
     a genuine accuracy diagnostic.
     """
-    n_steps = step_count(h, dt, t_final, method, stride)
-    if method == "rk4":
-        x_rec = kernels.rk4_loop(xi0.p, xi0.r, xi0.s, float(h), float(dt), n_steps, stride)
-        times = np.arange(len(x_rec) // 3) * (stride * dt)
-    else:
-        t_rec, x_rec = kernels.rk45_loop(xi0.p, xi0.r, xi0.s, float(h), float(t_final),
-                                         RK45_RTOL, RK45_ATOL, RK45_MAX_STEPS)
-        times = np.frombuffer(t_rec)
-    # writable views of the loops' array('d') records, not copies
-    states = np.frombuffer(x_rec).reshape(-1, 3)
+    pieces = list(integrate_legs(xi0, h, dt, t_final, method, stride=stride))
+    if len(pieces) == 1:
+        return pieces[0]
+    return Trajectory(**{f.name: np.concatenate([getattr(tr, f.name) for tr in pieces])
+                         for f in fields(Trajectory)})
 
+
+def _piece(times, x_rec, first, h) -> Trajectory:
+    """A loop's array('d') from row ``first`` on, as writable views, with H and C."""
+    states = np.frombuffer(x_rec).reshape(-1, 3)[first:]
     ham = 0.5 * np.einsum("ij,ij->i", states, states)
     r = states[:, 1]
     # r ** (-h) overflows to inf for large |h|, and the rows off the chart
@@ -253,33 +253,33 @@ def integrate_legs(
     """``integrate``'s run as consecutive Trajectory pieces, so that a caller
     who reduces or writes each piece holds one piece at a time.
 
-    An rk4 piece is one call of ``integrate`` over at most LEG_STEPS steps
-    (rounded down to a multiple of ``stride``, or one stride if that is
-    longer), started from the last row of the piece before, whose repeated
-    row it drops; its times are absolute.  rk4 carries nothing from step to
-    step but the state, so the pieces concatenate to integrate's times,
-    states, H and C bit for bit, and a blow-up raises integrate's
-    BlowUpError, at the whole run's time.  rk45 cannot restart without
+    An rk4 piece is one loop over at most LEG_STEPS steps (rounded down to a
+    multiple of ``stride``, or one stride if that is longer), started from
+    the last row of the piece before, whose repeated row it drops; its times
+    are absolute.  rk4 carries nothing from step to step but the state, so
+    the pieces concatenate to a single loop's records bit for bit, and a
+    blow-up raises at the whole run's time.  rk45 cannot restart without
     changing its steps: its run is one piece.
     """
     n_steps = step_count(h, dt, t_final, method, stride)
+    p, r, s = xi0.p, xi0.r, xi0.s
     if method == "rk45":
-        yield integrate(xi0, h, dt, t_final, method)
+        t_rec, x_rec = kernels.rk45_loop(p, r, s, float(h), float(t_final),
+                                         RK45_RTOL, RK45_ATOL, RK45_MAX_STEPS)
+        yield _piece(np.frombuffer(t_rec), x_rec, 0, h)
         return
     leg = max(stride, LEG_STEPS - LEG_STEPS % stride)
-    step, first = 0, 0
-    while step < n_steps:
-        n = min(leg, n_steps - step)
+    for step in range(0, max(n_steps, 1), leg):
         try:
-            tr = integrate(xi0, h, dt, n * dt, stride=stride)
+            x_rec = kernels.rk4_loop(p, r, s, float(h), float(dt),
+                                     min(leg, n_steps - step), stride)
         except BlowUpError as exc:  # at the leg's step j, t = j * dt
             j = round(exc.time / dt)
             raise BlowUpError(exc.message, time=(step + j) * float(dt)) from None
-        rows = np.arange(step // stride + first, step // stride + len(tr.times))
-        yield Trajectory(times=rows * (stride * dt), states=tr.states[first:],
-                         hamiltonians=tr.hamiltonians[first:], casimirs=tr.casimirs[first:])
-        xi0 = RattlebackState(*tr.states[-1])
-        step, first = step + n, 1
+        first, row = int(step > 0), step // stride
+        yield _piece(np.arange(row + first, row + len(x_rec) // 3) * (stride * dt),
+                     x_rec, first, h)
+        p, r, s = x_rec[-3:]
 
 
 def restricted_casimir_report(s0: float, h: float) -> dict:

@@ -162,6 +162,19 @@ class TestIntegrate:
         assert len(tr.times) == 101 and tr.times[-1] == 20.0
         assert peak < 64 * 2**10
 
+    def test_joined_run_memory_is_bounded(self):
+        # a run of several legs holds its pieces and their join at once:
+        # about 2.2 outputs, where a reader of integrate_legs holds one leg
+        tracemalloc.start()
+        try:
+            tr = rb.integrate(rb.RattlebackState(0.1, 0.2, 1.0), -2.0, dt=1e-3, t_final=20.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = tr.times.nbytes + tr.states.nbytes + tr.hamiltonians.nbytes + tr.casimirs.nbytes
+        assert len(tr.times) == 20001
+        assert peak <= 2.5 * out
+
     @pytest.mark.parametrize("method", ["rk4", "rk45"])
     def test_records_are_writable_views(self, method):
         # both methods hand back the loop's array('d') records without a copy
@@ -290,6 +303,8 @@ class TestIntegrateLegs:
         # the Casimir column's NaN rows (r = 0) and overflowed ones (h = 400)
         (2.0, 5.5, 1, [5001, 500]),
         (400.0, 6.0, 10, [501, 100]),
+        # within 1e-9 of zero steps: the start alone, as one piece
+        (-2.0, 1e-10, 1, [1]),
     ])
     def test_pieces_are_integrates_run(self, h, t_final, stride, lengths):
         for xi in (rb.RattlebackState(0.1, 0.2, 1.0), rb.RattlebackState(0, 0, 5.0)):
@@ -300,6 +315,32 @@ class TestIntegrateLegs:
                                  (whole.times, whole.states, whole.hamiltonians,
                                   whole.casimirs)):
                 assert got.tobytes() == want.tobytes()
+            # and the pieces are one loop over the whole run, bit for bit
+            n_steps = round(t_final / 1e-3)
+            once = kernels.rk4_loop(xi.p, xi.r, xi.s, h, 1e-3, n_steps, stride)
+            assert whole.states.tobytes() == once.tobytes()
+            assert whole.times.tobytes() == (np.arange(len(once) // 3) * (stride * 1e-3)).tobytes()
+
+    def test_run_rules_and_loops_run_once_per_leg(self, monkeypatch):
+        # integrate joins integrate_legs's pieces; neither re-enters the
+        # other per leg, so a three-leg run applies the run rules once
+        calls = {"step_count": 0, "rk4_loop": 0}
+
+        def counted(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(rb, "step_count")
+        counted(kernels, "rk4_loop")
+        xi = rb.RattlebackState(0.1, 0.2, 1.0)
+        assert len(rb.integrate(xi, -2.0, 1e-3, 12.345).times) == 12346
+        assert calls == {"step_count": 1, "rk4_loop": 3}
+        assert len(list(rb.integrate_legs(xi, -2.0, 1e-3, 12.345))) == 3
+        assert calls == {"step_count": 2, "rk4_loop": 6}
 
     def test_rk45_is_one_piece(self):
         xi = rb.RattlebackState(0.1, 0.2, 1.0)

@@ -380,6 +380,14 @@ class TestCli:
         assert np.abs(h - h[0]).max() / h[0] <= 1e-8
         assert np.abs(c - c[0]).max() / abs(c[0]) <= 1e-8
 
+    def test_simulate_zero_steps_is_the_start(self, capsys):
+        # t_final within the run rules' 1e-9 of zero steps: one sample, the start
+        code = cli.main(["rattleback", "simulate", "--h", "-2", "--ic", "0.1,0.2,1.0",
+                         "--dt", "1e-3", "--t-final", "1e-10"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["samples"], doc["final"], doc["H_drift_abs"]) == (1, [0.1, 0.2, 1.0], 0.0)
+
     def test_simulate_bad_ic(self, capsys):
         code = cli.main(["rattleback", "simulate", "--h", "-2", "--ic", "1,2"])
         assert code == 2
