@@ -22,7 +22,7 @@ class BlowUpError(CasimirLabError, RuntimeError):
 
     def __init__(self, message: str, time: float):
         super().__init__(f"{message} (t = {time:g})")
-        self.message, self.time = message, time
+        self.time = time
 
 
 class PreconditionError(CasimirLabError, ValueError):

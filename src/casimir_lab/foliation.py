@@ -317,10 +317,10 @@ def _degeneracy_gate(state: FoliatedState, v: VectorField) -> tuple[dict, str | 
     relative residuals and the failure message, or None if both pass."""
     alpha = state.alpha
     nu = Form2(state.grid, v.data)
-    tangency = interior(v, alpha).l2() / max(alpha.l2() * v.l2(), 1e-30)
+    size = v.l2()  # |nu| too: nu holds v's data
+    tangency = interior(v, alpha).l2() / max(alpha.l2() * size, 1e-30)
     dnu = d(nu)
-    closure = _gap(dnu, wedge(state.eta, nu)) / max(
-        dnu.l2(), state.eta.l2() * nu.l2(), 1e-30)
+    closure = _gap(dnu, wedge(state.eta, nu)) / max(dnu.l2(), state.eta.l2() * size, 1e-30)
     res = {"tangency": tangency, "condon": closure}
     if tangency <= DEGENERACY_TOL and closure <= DEGENERACY_TOL:
         return res, None

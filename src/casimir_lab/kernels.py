@@ -22,10 +22,11 @@ USING_NUMBA = False
 # rhs = (-h*p*s, -r*s, r*r + h*p*p).
 # ---------------------------------------------------------------------------
 
-def rk4_loop(p, r, s, h, dt, n_steps, stride):
-    """Fixed-step RK4.  Records the initial state and every ``stride``-th step
-    in a flat (p, r, s) array('d'), which it returns; a step that goes
-    non-finite raises BlowUpError at its time, ``step * dt``.
+def rk4_loop(p, r, s, h, dt, n_steps, stride, first):
+    """Fixed-step RK4 over steps ``first + 1`` to ``first + n_steps`` of a
+    run.  Records the initial state and every ``stride``-th step in a flat
+    (p, r, s) array('d'), which it returns; a step that goes non-finite
+    raises BlowUpError at the run's time, ``(first + step) * dt``.
 
     The p- and r-slopes are kept negated, m = -k (``h * p * s`` for
     ``-h * p * s``), and subtracted where k is added: negation is exact, so
@@ -67,7 +68,7 @@ def rk4_loop(p, r, s, h, dt, n_steps, stride):
         # x - x is 0.0 for finite x and NaN for inf or NaN, so the sum is
         # NaN exactly when some component is not finite
         if p - p + (r - r) + (s - s) != 0.0:
-            raise BlowUpError("state became non-finite", time=step * dt)
+            raise BlowUpError("state became non-finite", time=(first + step) * dt)
         if step % stride == 0:
             record(p)
             record(r)

@@ -161,12 +161,9 @@ def _rb_bracket(cfg, fx):
     anti = []
     for _ in range(5):
         xi = rb.RattlebackState(*rng.uniform(-2, 2, 3))
-        j = rb.poisson_matrix(c, xi)
         grads = rb._monomial_gradients(xi)
-        for gf in grads:
-            for gg in grads:
-                a, b = float(gf @ j @ gg), float(gg @ j @ gf)
-                anti.append(abs(a + b) / max(1.0, abs(a), abs(b)))
+        a = grads @ rb.poisson_matrix(c, xi) @ grads.T  # a[f, g] = {f, g}
+        anti.append(np.abs(a + a.T) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(a.T))))
     rhs_gap = []
     for _ in range(20):
         xi = rb.RattlebackState(*rng.uniform(-3, 3, 3))

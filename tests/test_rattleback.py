@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from casimir_lab import kernels
 from casimir_lab import rattleback as rb
+from casimir_lab import verify
 from casimir_lab.errors import BlowUpError, DomainError, InvalidParameterError
 from casimir_lab.verify import CHIRALITY_IC, _chirality_turning_point, run_suite
 
@@ -317,7 +318,7 @@ class TestIntegrateLegs:
                 assert got.tobytes() == want.tobytes()
             # and the pieces are one loop over the whole run, bit for bit
             n_steps = round(t_final / 1e-3)
-            once = kernels.rk4_loop(xi.p, xi.r, xi.s, h, 1e-3, n_steps, stride)
+            once = kernels.rk4_loop(xi.p, xi.r, xi.s, h, 1e-3, n_steps, stride, 0)
             assert whole.states.tobytes() == once.tobytes()
             assert whole.times.tobytes() == (np.arange(len(once) // 3) * (stride * 1e-3)).tobytes()
 
@@ -406,9 +407,9 @@ class TestExtremeH:
         assert math.isnan(rb.casimir_gradient_check(rb.RattlebackState(0.1, r, 1.0), h))
 
 
-def _rk4_loop_reference(p, r, s, h, dt, n_steps, stride):
+def _rk4_loop_reference(p, r, s, h, dt, n_steps, stride, first):
     """kernels.rk4_loop in its textbook form, kept verbatim as the reference;
-    returns the records and the step it stopped at."""
+    returns the records and the run's step it stopped at."""
     states = array("d", [p, r, s])
     for step in range(1, n_steps + 1):
         k1p = -h * p * s
@@ -436,12 +437,12 @@ def _rk4_loop_reference(p, r, s, h, dt, n_steps, stride):
         r = r + dt * (k1r + 2.0 * k2r + 2.0 * k3r + k4r) / 6.0
         s = s + dt * (k1s + 2.0 * k2s + 2.0 * k3s + k4s) / 6.0
         if not (math.isfinite(p) and math.isfinite(r) and math.isfinite(s)):
-            return states, step
+            return states, first + step
         if step % stride == 0:
             states.append(p)
             states.append(r)
             states.append(s)
-    return states, n_steps
+    return states, first + n_steps
 
 
 @pytest.mark.parametrize("start, h, dt, n_steps, stride, stop", [
@@ -457,14 +458,17 @@ def _rk4_loop_reference(p, r, s, h, dt, n_steps, stride):
 def test_rk4_loop_matches_its_textbook_form(start, h, dt, n_steps, stride, stop):
     # negated p- and r-slopes, a hoisted half step and one finiteness test
     # leave every bit and the step the loop stops at as they were
-    ref_states, ref_stop = _rk4_loop_reference(*start, h, dt, n_steps, stride)
+    ref_states, ref_stop = _rk4_loop_reference(*start, h, dt, n_steps, stride, 0)
     assert ref_stop == stop
     if stop < n_steps:
-        with pytest.raises(BlowUpError, match="state became non-finite") as err:
-            kernels.rk4_loop(*start, h, dt, n_steps, stride)
-        assert err.value.time == stop * dt
+        # a loop that starts after the run's step 5000 stops at its step 5000 + stop
+        for first in (0, 5_000):
+            assert _rk4_loop_reference(*start, h, dt, n_steps, stride, first)[1] == first + stop
+            with pytest.raises(BlowUpError, match="state became non-finite") as err:
+                kernels.rk4_loop(*start, h, dt, n_steps, stride, first)
+            assert err.value.time == (first + stop) * dt
     else:
-        states = kernels.rk4_loop(*start, h, dt, n_steps, stride)
+        states = kernels.rk4_loop(*start, h, dt, n_steps, stride, 0)
         assert states.tobytes() == ref_states.tobytes()
 
 
@@ -549,13 +553,72 @@ def test_restricted_casimir_report():
 
 
 def test_restricted_casimir_report_fails_on_nan(monkeypatch):
-    grads = [np.ones(3), np.full(3, np.nan), np.ones(3)]
+    grads = np.array([np.ones(3), np.full(3, np.nan), np.ones(3)])
     monkeypatch.setattr(rb, "_monomial_gradients", lambda xi: grads)
     assert np.isnan(rb.restricted_casimir_report(3.7, -2.0)["bracket_trivial_on_line"])
     report = run_suite("rattleback")
     assert "rattleback-bracket-trivial-on-line" in report["failed_checks"]
     rec = next(c for c in report["checks"] if c["check"] == "rattleback-bracket-trivial-on-line")
     assert rec["value"] is None and rec["pass"] is False and rec["note"] == "value is nan"
+
+
+def _monomial_gradients_reference(xi):
+    """The monomial gradients as they were formed one monomial at a time,
+    kept verbatim as the reference."""
+    vals = xi.as_array()
+    grads = []
+    for a in range(4):
+        for b in range(4 - a):
+            for c in range(4 - a - b):
+                if not 1 <= a + b + c <= 3:
+                    continue
+                exps = np.array([a, b, c], dtype=float)
+                grad = np.zeros(3)
+                for i in range(3):
+                    if exps[i] == 0:
+                        continue
+                    e = exps.copy()
+                    e[i] -= 1
+                    grad[i] = exps[i] * np.prod(vals ** e)
+                grads.append(grad)
+    return grads
+
+
+def test_monomial_gradients_are_the_per_monomial_rule(rng):
+    # random states, and the singular line, where 0 ** 0 = 1 keeps the
+    # pure powers of s and every other gradient is 0
+    states = [rb.RattlebackState(*rng.uniform(-3, 3, 3)) for _ in range(50)]
+    states += [rb.RattlebackState(0.0, 0.0, s) for s in (3.7, -1.5, 0.0)]
+    for xi in states:
+        got = rb._monomial_gradients(xi)
+        assert got.shape == (19, 3)
+        assert got.tobytes() == np.array(_monomial_gradients_reference(xi)).tobytes()
+
+
+@pytest.mark.parametrize("seed", [1729, 4242])
+@pytest.mark.parametrize("h", [-2.0, -5.0])
+def test_bracket_antisymmetry_samples_are_the_pairwise_loop(monkeypatch, seed, h):
+    # the samples _rb_bracket reads off one bracket matrix per state are the
+    # pairwise loop's, bit for bit, drawn from the same states
+    seen = {}
+    check = verify._check
+
+    def keep(name, value, tol, **extra):
+        seen[name] = value
+        return check(name, value, tol, **extra)
+    monkeypatch.setattr(verify, "_check", keep)
+    verify._rb_bracket(verify.SuiteConfig(seed=seed, rattleback_h=h), {})
+    rng, c, want = np.random.default_rng(seed), rb.bianchi_vi(h), []
+    for _ in range(5):
+        xi = rb.RattlebackState(*rng.uniform(-2, 2, 3))
+        j = rb.poisson_matrix(c, xi)
+        grads = _monomial_gradients_reference(xi)
+        for gf in grads:
+            for gg in grads:
+                a, b = float(gf @ j @ gg), float(gg @ j @ gf)
+                want.append(abs(a + b) / max(1.0, abs(a), abs(b)))
+    got = np.concatenate([np.ravel(a) for a in seen["rattleback-bracket-antisymmetry"]])
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("h", [-1.05, -1.5, -2.0, -5.0])
