@@ -120,40 +120,39 @@ def _reference_field(alpha: Form1, alpha_sq: np.ndarray) -> VectorField:
         return VectorField(alpha.grid, alpha.data / alpha_sq)
 
 
-def gate_failure(res: dict) -> PreconditionError | InconsistencyError | None:
-    """The first membership gate a residual record fails, as the exception to
-    raise, or None.  The gates run in order: the nonvanishing floor,
-    integrability, then the defining identities the record holds; NaN fails."""
+def _gates(res: dict) -> None:
+    """Raise the first membership gate a residual record fails.  The gates
+    run in order: the nonvanishing floor, integrability, then the defining
+    identities the record holds; NaN fails."""
     if not res["min_abs_alpha"] >= NONVANISH_FLOOR:
-        return PreconditionError(
+        raise PreconditionError(
             f"alpha vanishes: min |alpha| = {res['min_abs_alpha']:.3e} "
             f"< floor {NONVANISH_FLOOR:g}"
         )
     if not res["integrability"] <= INTEGRABILITY_TOL:
-        return PreconditionError(
+        raise PreconditionError(
             f"alpha is not integrable: relative residual "
             f"{res['integrability']:.3e} > {INTEGRABILITY_TOL:g}"
         )
     for key in ("eta_defining", "gamma_defining", "gamma_certificate"):
         if not res.get(key, 0.0) <= INTEGRABILITY_TOL:
-            return InconsistencyError(
+            raise InconsistencyError(
                 f"defining identity {key} residual {res[key]:.3e} "
                 f"exceeds {INTEGRABILITY_TOL:g} (aliasing or non-integrability)"
             )
+
+
+def gate_failure(res: dict) -> PreconditionError | InconsistencyError | None:
+    """The first membership gate a residual record fails, as the exception
+    ``_gates`` raises, or None.  The exception is returned without its
+    traceback: a caller holding it would otherwise hold its own frame in a
+    reference cycle (frame -> exception -> traceback -> frame), which keeps
+    the caller's arrays alive until the cyclic collector runs."""
+    try:
+        _gates(res)
+    except (PreconditionError, InconsistencyError) as failure:
+        return failure.with_traceback(None)
     return None
-
-
-def _enforce_gates(res: dict) -> None:
-    """Raise the first membership gate ``res`` fails, if any."""
-    failure = gate_failure(res)
-    if failure:
-        try:
-            raise failure
-        finally:
-            # a frame holding the exception it raised is a reference cycle
-            # (frame -> exception -> traceback -> frame) that keeps every
-            # caller's arrays alive until the cyclic collector runs
-            del failure
 
 
 def _gap(a, b) -> float:
@@ -252,7 +251,7 @@ class FoliatedState:
             "helicity": of_da["helicity"],
         }
         if strict:
-            _enforce_gates(res)
+            _gates(res)
         return cls(alpha=alpha, eta=eta, gamma=gamma, chi=chi, gv=gv, residuals=res)
 
 
@@ -311,21 +310,20 @@ class XiGenerator:
     residuals: dict
 
 
-def _degeneracy_gate(state: FoliatedState, v: VectorField) -> tuple[dict, str | None]:
+def _degeneracy_gate(state: FoliatedState, v: VectorField, error: type) -> dict:
     """The two membership gates of a degeneracy field V, with nu = i_V mu:
     leaf tangency i_V alpha = 0 and closure d(nu) = eta ^ nu.  Returns their
-    relative residuals and the failure message, or None if both pass."""
+    relative residuals, or raises ``error`` if either fails."""
     alpha = state.alpha
     nu = Form2(state.grid, v.data)
     size = v.l2()  # |nu| too: nu holds v's data
     tangency = interior(v, alpha).l2() / max(alpha.l2() * size, 1e-30)
     dnu = d(nu)
     closure = _gap(dnu, wedge(state.eta, nu)) / max(dnu.l2(), state.eta.l2() * size, 1e-30)
-    res = {"tangency": tangency, "condon": closure}
-    if tangency <= DEGENERACY_TOL and closure <= DEGENERACY_TOL:
-        return res, None
-    return res, (f"field fails degeneracy gates: tangency {tangency:.3e}, "
-                 f"closure {closure:.3e} (tol {DEGENERACY_TOL:g})")
+    if not (tangency <= DEGENERACY_TOL and closure <= DEGENERACY_TOL):
+        raise error(f"field fails degeneracy gates: tangency {tangency:.3e}, "
+                    f"closure {closure:.3e} (tol {DEGENERACY_TOL:g})")
+    return {"tangency": tangency, "condon": closure}
 
 
 def xi_generator(state: FoliatedState, f: Form0) -> XiGenerator:
@@ -336,10 +334,7 @@ def xi_generator(state: FoliatedState, f: Form0) -> XiGenerator:
     f_da *= f.data
     nu += f_da
     v = VectorField(state.grid, nu)
-    res, failure = _degeneracy_gate(state, v)
-    if failure:
-        raise InconsistencyError(failure)
-    return XiGenerator(v=v, residuals=res)
+    return XiGenerator(v=v, residuals=_degeneracy_gate(state, v, InconsistencyError))
 
 
 def bracket_degeneracy_check(state: FoliatedState, a: VectorField, v: VectorField) -> float:
@@ -348,9 +343,7 @@ def bracket_degeneracy_check(state: FoliatedState, a: VectorField, v: VectorFiel
     The membership gates on a are re-verified here, so arbitrary fields are
     rejected rather than silently paired.
     """
-    _, failure = _degeneracy_gate(state, a)
-    if failure:
-        raise PreconditionError(failure)
+    _degeneracy_gate(state, a, PreconditionError)
     return lie_poisson_bracket(state.alpha, a, v)
 
 

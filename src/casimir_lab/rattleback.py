@@ -122,8 +122,9 @@ def antisymmetry_residual(c: np.ndarray) -> float:
 
 def jacobi_residual(c: np.ndarray) -> float:
     """Max-norm of sum_m c[m,i,j] c[l,m,k] + cyclic in (i, j, k), over every l."""
-    t = np.einsum("mij,lmk->lijk", c, c)
-    res = t + t.transpose(0, 2, 3, 1) + t.transpose(0, 3, 1, 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN at extreme h
+        t = np.einsum("mij,lmk->lijk", c, c)
+        res = t + t.transpose(0, 2, 3, 1) + t.transpose(0, 3, 1, 2)
     return float(np.abs(res).max())
 
 

@@ -13,10 +13,10 @@ byte for byte.  Wall-clock timing is deliberately excluded from reports.
 A suite is a sequence of check units, functions of ``(cfg, fx)`` returning
 the records of one check or of a small group.  ``fx`` holds what several
 units read; the rest is freed when its unit returns, and the last unit to
-read a large fixture takes it out with ``fx.pop``.  A unit stopped by a
-gate (a PreconditionError or an InconsistencyError) or by a blow-up (a
-BlowUpError) gives a failed record, noting the message, for each check it
-would have written.
+read a large fixture takes it out with ``fx.pop``.  A unit stopped by any
+library refusal, a CasimirLabError (a failed gate, a blow-up, a parameter
+out of range), gives a failed record, noting the message, for each check
+it would have written.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from . import __version__
 from . import foliation as fol
 from . import forms3 as f3
 from . import rattleback as rb
-from .errors import BlowUpError, CasimirLabError, InconsistencyError, PreconditionError
+from .errors import CasimirLabError, PreconditionError
 from .fluid import (
     FluidState,
     coadjoint,
@@ -162,12 +162,14 @@ def _rb_bracket(cfg, fx):
     for _ in range(5):
         xi = rb.RattlebackState(*rng.uniform(-2, 2, 3))
         grads = rb._monomial_gradients(xi)
-        a = grads @ rb.poisson_matrix(c, xi) @ grads.T  # a[f, g] = {f, g}
-        anti.append(np.abs(a + a.T) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(a.T))))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN at extreme h
+            a = grads @ rb.poisson_matrix(c, xi) @ grads.T  # a[f, g] = {f, g}
+            anti.append(np.abs(a + a.T) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(a.T))))
     rhs_gap = []
     for _ in range(20):
         xi = rb.RattlebackState(*rng.uniform(-3, 3, 3))
-        jgh = rb.poisson_matrix(c, xi) @ xi.as_array()
+        with np.errstate(over="ignore", invalid="ignore"):
+            jgh = rb.poisson_matrix(c, xi) @ xi.as_array()
         rhs_gap.append(np.abs(rb.rattleback_rhs(xi, h).as_array() - jgh).max()
                        / max(1.0, np.abs(jgh).max()))
     kernel = []
@@ -569,7 +571,7 @@ def _chain_pool(g, a_prof, beta, rng):
 
 def _kept(state):
     """A kept state of the chain pool; the first membership gate it fails is raised."""
-    fol._enforce_gates(state.residuals)
+    fol._gates(state.residuals)
     return state
 
 
@@ -822,14 +824,14 @@ def _gv_nonzero_example_gap(cfg, fx):
 
 def _unit_records(name: str, cfg: SuiteConfig):
     """Yield the records of each of suite ``name``'s check units (every suite's
-    for "all", on fresh fixtures per suite); a failed gate or a blow-up fails
-    its unit's checks."""
+    for "all", on fresh fixtures per suite); any library refusal, a
+    CasimirLabError, fails its unit's checks."""
     for suite in SUITES if name == "all" else [name]:
         fx = _Fixtures()
         for unit in SUITES[suite]:
             try:
                 yield unit(cfg, fx)
-            except (PreconditionError, InconsistencyError, BlowUpError) as exc:
+            except CasimirLabError as exc:
                 yield [_gate_check(check, False, note=str(exc)) for check in unit.checks]
 
 

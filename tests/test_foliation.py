@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 import warnings
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from casimir_lab import foliation as fol
+from casimir_lab import verify
 from casimir_lab import forms3 as f3
 from casimir_lab.forms3 import calculus
 from casimir_lab.errors import InconsistencyError, PreconditionError
@@ -91,6 +93,33 @@ class TestMembershipGate:
         failure = fol.gate_failure(res)
         assert isinstance(failure, InconsistencyError)
         assert "gamma_defining" in str(failure)
+
+    def test_a_refusal_leaves_no_reference_cycle(self, beltrami):
+        # a frame holding the exception it raised, or a caller holding a
+        # named failure, would keep the solve's arrays alive until the
+        # cyclic collector runs
+        def refuse():
+            return verify._rejects(fol.FoliatedState.from_alpha, beltrami)
+
+        def name_failure():
+            state = fol.FoliatedState.from_alpha(beltrami, strict=False)
+            failure = fol.gate_failure(state.residuals)
+            return "not integrable" in str(failure)
+
+        for probe in (refuse, name_failure):
+            assert probe()  # warm-up
+            gc.collect()
+            gc.disable()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                assert all(probe() for _ in range(3))
+                kept = tracemalloc.get_traced_memory()[0] - before
+                assert gc.collect() == 0
+            finally:
+                tracemalloc.stop()
+                gc.enable()
+            assert kept < 0.5 * 2 ** 20, kept / 2 ** 20
 
 
 class TestNanFailsEveryGate:

@@ -17,7 +17,7 @@ from casimir_lab import cli, fieldexpr, fluid, verify
 from casimir_lab import rattleback as rb
 from casimir_lab import foliation as fol
 from casimir_lab import forms3 as f3
-from casimir_lab.errors import (ConfigError, EvalError, InconsistencyError,
+from casimir_lab.errors import (ConfigError, DomainError, EvalError, InconsistencyError,
                                  InvalidParameterError, ParseError)
 from casimir_lab.verify import SuiteConfig, report_json, run_suite
 
@@ -103,6 +103,28 @@ class TestSuiteRunner:
                    for c in report["checks"][4:])
         assert report["failed_checks"] == ["broken-first", "broken-second", "broken-reader"]
         assert not report["passed"]
+
+    @pytest.mark.parametrize("error", [InvalidParameterError, DomainError])
+    def test_any_library_refusal_stops_only_its_unit(self, monkeypatch, error):
+        monkeypatch.setattr(verify, "SUITES", {})
+
+        @verify._unit("broken", "broken-first", "broken-second")
+        def stopped(cfg, fx):
+            raise error("component p must be finite")
+
+        @verify._unit("broken", "broken-after")
+        def after(cfg, fx):
+            return [verify._check("broken-after", 0.0, 0.0)]
+
+        report = run_suite("broken", SuiteConfig())
+        note = "component p must be finite"
+        assert report["checks"] == [
+            {"check": "broken-first", "value": None, "tolerance": None, "pass": False,
+             "note": note},
+            {"check": "broken-second", "value": None, "tolerance": None, "pass": False,
+             "note": note},
+            {"check": "broken-after", "value": 0.0, "tolerance": 0.0, "pass": True}]
+        assert report["failed_checks"] == ["broken-first", "broken-second"]
 
     def test_taking_an_unbuilt_fixture_stops_only_its_unit(self, monkeypatch):
         monkeypatch.setattr(verify, "SUITES", {})
@@ -546,11 +568,14 @@ class TestCli:
         assert capsys.readouterr() == ("", f"report written to {path}\n"
                                            "failed checks: rattleback-casimir-gradient-kernel\n")
 
-    @pytest.mark.parametrize("h", ["400", "-400", "1e6", "-1e6"])
+    @pytest.mark.parametrize("h", ["400", "-400", "1e6", "-1e6", "1e200", "-1e200", "1e308",
+                                   "-1e308", "1.7976931348623157e308"])
     def test_extreme_h_fails_in_the_report(self, tmp_path, capsys, h):
         # the Casimir chart's powers overflow to inf, and at +-1e6 the rk4 run
-        # blows up at t = 0.002, which fails only its unit's checks: the
-        # report is written, and no traceback
+        # blows up at t = 0.002, which fails only its unit's checks; from
+        # |h| = 1e308 rattleback_rhs refuses the bracket unit's overflowing
+        # states, which stops only that unit too: the report is written, and
+        # no traceback
         path = tmp_path / "r.json"
         assert cli.main(["verify", "--suite", "rattleback", f"--h={h}",
                          "--report", str(path)]) == 1
