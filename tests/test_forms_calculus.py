@@ -2,6 +2,7 @@ import math
 import platform
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -386,11 +387,14 @@ class TestPointwiseKernels:
             w = f3.wedge(f3.Form1(grid16, a), f3.Form1(grid16, a))
             assert np.array_equal(_bits(w.data), np.zeros(w.data.shape, np.int64))
 
-    @pytest.mark.parametrize("rank", [0, 1, 2])
-    def test_l2_within_the_summation_bound_of_fsum(self, grid16, rng, rank):
-        form = f3.random_form(grid16, rank, 5, rng)
+    # at n = 102 a row of n^2 elements is longer than l2's longest dot, so
+    # its rows hold n * 51 elements
+    @pytest.mark.parametrize("n, rank", [(16, 0), (16, 1), (16, 2), (102, 0)],
+                             ids=["0", "1", "2", "short-rows"])
+    def test_l2_within_the_summation_bound_of_fsum(self, rng, n, rank):
+        form = f3.random_form(f3.Grid(n), rank, 5, rng)
         x = form.data.ravel()
-        want = math.sqrt(math.fsum(x * x) / grid16.n ** 3)
+        want = math.sqrt(math.fsum(x * x) / n ** 3)
         # recursive summation of m nonnegative terms is within gamma_(m-1) of
         # the exact sum (Higham, 2nd ed., ch. 4); the squares, the division
         # and the square root add a few roundings, u each
@@ -403,15 +407,21 @@ class TestPointwiseKernels:
             assert got == f3.Form1(grid16, np.ascontiguousarray(a)).l2()
 
     def test_l2_special_values(self, grid16):
+        # an inf, a NaN and a square that overflows read through, and no
+        # RuntimeWarning escapes, whatever the warning filters say
         data = np.zeros((3,) + grid16.shape)
-        zero = f3.Form1(grid16, data).l2()
-        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
-        data[1, 2, 3, 4] = -np.inf
-        assert f3.Form1(grid16, data).l2() == np.inf
-        data[1, 2, 3, 4] = np.nan
-        assert math.isnan(f3.Form1(grid16, data).l2())
-        data[1, 2, 3, 4] = 1e200  # an overflowing square
-        assert f3.Form1(grid16, data).l2() == np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            zero = f3.Form1(grid16, data).l2()
+            assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+            data[1, 2, 3, 4] = -np.inf
+            assert f3.Form1(grid16, data).l2() == np.inf
+            data[1, 2, 3, 4] = np.nan
+            assert math.isnan(f3.Form1(grid16, data).l2())
+            data[1, 2, 3, 4] = 1e200
+            assert f3.Form1(grid16, data).l2() == np.inf
+            data[0, 0, 0, 0] = np.nan
+            assert math.isnan(f3.Form1(grid16, data).l2())
 
 
 class TestInterior:

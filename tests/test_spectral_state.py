@@ -633,6 +633,33 @@ def test_mean_dot_does_not_depend_on_blas_threads():
     assert len(outs) == 1, outs
 
 
+def test_l2_does_not_depend_on_blas_threads():
+    # a ddot longer than 10,000 elements splits its sum over the BLAS
+    # threads; l2's rows stay within it, at n^2 elements for a Form1 at
+    # n = 32 and shorter ones for a Form0 at n = 102.  The last form is
+    # zero but for one slab of n^2 = 10,404 elements, so a row of n^2
+    # would carry its thread split into the norm unrounded by other rows
+    src = str(Path(casimir_lab.__file__).resolve().parents[1])
+    code = """if True:
+        import sys
+        sys.path.insert(0, sys.argv[1])
+        import numpy as np
+        from casimir_lab import forms3 as f3
+        rng = np.random.default_rng(1729)
+        g32, g102 = f3.Grid(32), f3.Grid(102)
+        slab = np.zeros(g102.shape)
+        slab[0] = rng.standard_normal(g102.shape[1:])
+        for form in (f3.Form1(g32, rng.standard_normal((3,) + g32.shape)),
+                     f3.Form0(g102, rng.standard_normal(g102.shape)), f3.Form0(g102, slab)):
+            print(form.l2().hex())
+    """
+    outs = [subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                           check=True, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+                           ).stdout for threads in ("1", "2")]
+    assert len(outs[0].split()) == 3
+    assert outs[0] == outs[1], outs
+
+
 def test_box_transforms_do_not_depend_on_blas_threads_or_stacking():
     # every pass is a BLAS matrix product: the bits hold at 1 and 2 BLAS
     # threads, and each component of a 3-stack transform is its scalar
