@@ -123,7 +123,10 @@ def _reference_field(alpha: Form1, alpha_sq: np.ndarray) -> VectorField:
 def _gates(res: dict) -> None:
     """Raise the first membership gate a residual record fails.  The gates
     run in order: the nonvanishing floor, integrability, then the defining
-    identities the record holds; NaN fails."""
+    identities the record holds; NaN fails.  A defining identity is judged
+    on a state already found integrable, so its failure is read as
+    under-resolution, with the integrability residual that rules out the
+    other cause."""
     if not res["min_abs_alpha"] >= NONVANISH_FLOOR:
         raise PreconditionError(
             f"alpha vanishes: min |alpha| = {res['min_abs_alpha']:.3e} "
@@ -138,7 +141,8 @@ def _gates(res: dict) -> None:
         if not res.get(key, 0.0) <= INTEGRABILITY_TOL:
             raise InconsistencyError(
                 f"defining identity {key} residual {res[key]:.3e} "
-                f"exceeds {INTEGRABILITY_TOL:g} (aliasing or non-integrability)"
+                f"exceeds {INTEGRABILITY_TOL:g} on an integrable state "
+                f"(integrability {res['integrability']:.3e}): under-resolved"
             )
 
 

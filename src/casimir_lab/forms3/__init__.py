@@ -3,6 +3,7 @@
 from .grid import (
     Box,
     Grid,
+    check_grid_n,
     curl_cs,
     dealias,
     grad_cs,

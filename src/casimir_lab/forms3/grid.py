@@ -44,14 +44,20 @@ def _pin_heap_thresholds() -> None:
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
+def check_grid_n(n) -> int:
+    """The grid size rule, an even integer >= 4: ``n`` as an int, or
+    InvalidParameterError."""
+    if not isinstance(n, (int, np.integer)) or n < 4 or n % 2 != 0:
+        raise InvalidParameterError("grid size n must be an even integer >= 4")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class Grid:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 4 or self.n % 2 != 0:
-            raise InvalidParameterError("grid size n must be an even integer >= 4")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", check_grid_n(self.n))
         _pin_heap_thresholds()
 
     @property

@@ -23,18 +23,28 @@ USING_NUMBA = False
 # ---------------------------------------------------------------------------
 
 def rk4_loop(p, r, s, h, dt, n_steps, stride, first):
-    """Fixed-step RK4 over steps ``first + 1`` to ``first + n_steps`` of a
-    run.  Records the initial state and every ``stride``-th step in a flat
-    (p, r, s) array('d'), which it returns; a step that goes non-finite
-    raises BlowUpError at the run's time, ``(first + step) * dt``.
+    """Fixed-step RK4 from a finite (p, r, s) over steps ``first + 1`` to
+    ``first + n_steps`` of a run.  Records the initial state and every
+    ``stride``-th step in a flat (p, r, s) array('d') of exactly
+    ``3 * (n_steps // stride + 1)`` doubles, which it returns; a step that
+    goes non-finite raises BlowUpError at the run's time,
+    ``(first + step) * dt``.
 
     The p- and r-slopes are kept negated, m = -k (``h * p * s`` for
     ``-h * p * s``), and subtracted where k is added: negation is exact, so
     the steps are bit for bit those of the textbook form.  ``half * k`` is
     how Python already groups ``0.5 * dt * k``.
+
+    Finiteness is tested once, on the final state.  Each update is
+    ``x - (...)`` or ``x + (...)``, which is inf or NaN whenever x is, and
+    float +, -, * and / never raise, so the final state is finite exactly
+    when every step's was; ``_raise_at_blowup`` then finds the step.
     """
-    states = array("d", [p, r, s])
-    record = states.append
+    states = array("d", [0.0]) * (3 * (n_steps // stride + 1))
+    states[0] = p
+    states[1] = r
+    states[2] = s
+    at = 3
     half = 0.5 * dt
     for step in range(1, n_steps + 1):
         hp = h * p
@@ -65,15 +75,32 @@ def rk4_loop(p, r, s, h, dt, n_steps, stride, first):
         p = p - dt * (m1p + 2.0 * m2p + 2.0 * m3p + m4p) / 6.0
         r = r - dt * (m1r + 2.0 * m2r + 2.0 * m3r + m4r) / 6.0
         s = s + dt * (k1s + 2.0 * k2s + 2.0 * k3s + k4s) / 6.0
-        # x - x is 0.0 for finite x and NaN for inf or NaN, so the sum is
-        # NaN exactly when some component is not finite
-        if p - p + (r - r) + (s - s) != 0.0:
-            raise BlowUpError("state became non-finite", time=(first + step) * dt)
         if step % stride == 0:
-            record(p)
-            record(r)
-            record(s)
+            states[at] = p
+            states[at + 1] = r
+            states[at + 2] = s
+            at += 3
+    # x - x is 0.0 for finite x and NaN for inf or NaN, so the sum is NaN
+    # exactly when some component is not finite
+    if p - p + (r - r) + (s - s) != 0.0:
+        _raise_at_blowup(states, h, dt, n_steps, stride, first)
     return states
+
+
+def _raise_at_blowup(states, h, dt, n_steps, stride, first):
+    """Raise rk4_loop's BlowUpError at the first step of its run whose state
+    is not finite.  At stride 1 that is the first non-finite record; at a
+    longer stride, rk4_loop re-runs at stride 1 the at most ``stride`` steps
+    from the last finite record, which repeat bit for bit and raise."""
+    rows = np.frombuffer(states).reshape(-1, 3)
+    bad = np.flatnonzero(~np.isfinite(rows[1:]).all(axis=1))
+    if stride == 1:
+        raise BlowUpError("state became non-finite", time=(first + 1 + int(bad[0])) * dt)
+    # the record before the first non-finite one, or the last record when
+    # the blow-up is in the unrecorded tail
+    row = int(bad[0]) if bad.size else len(rows) - 1
+    p, r, s = states[3 * row:3 * row + 3]
+    rk4_loop(p, r, s, h, dt, min(stride, n_steps - row * stride), 1, first + row * stride)
 
 
 def rk45_loop(p, r, s, h, t_final, rtol, atol, max_steps):
@@ -162,9 +189,14 @@ def rk45_loop(p, r, s, h, t_final, rtol, atol, max_steps):
         es = dt * (71.0 / 57600.0 * k1s - 71.0 / 16695.0 * k3s + 71.0 / 1920.0 * k4s
                    - 17253.0 / 339200.0 * k5s + 22.0 / 525.0 * k6s - 1.0 / 40.0 * k7s)
 
-        sp = atol + rtol * max(abs(p), abs(np_))
-        sr = atol + rtol * max(abs(r), abs(nr))
-        ss = atol + rtol * max(abs(s), abs(ns))
+        # b if b > a else a is builtin max(a, b), ties and NaN included,
+        # without the call
+        a, b = abs(p), abs(np_)
+        sp = atol + rtol * (b if b > a else a)
+        a, b = abs(r), abs(nr)
+        sr = atol + rtol * (b if b > a else a)
+        a, b = abs(s), abs(ns)
+        ss = atol + rtol * (b if b > a else a)
         try:
             err = math.sqrt(((ep / sp) ** 2 + (er / sr) ** 2 + (es / ss) ** 2) / 3.0)
         except OverflowError:  # float ** raises where * gives inf: reject the step

@@ -76,6 +76,11 @@ class SuiteConfig:
     seed: int = DEFAULT_SEED
     rattleback_h: float = -2.0
 
+    def __post_init__(self):
+        # Grid's rule, applied without building a Grid, which would pin the
+        # heap thresholds in a process that may only run the rattleback
+        self.grid_n = f3.check_grid_n(self.grid_n)
+
 
 def _check(name: str, value, tol: float, **extra) -> dict:
     """The record of one residual or of a list of samples, valued at their largest."""

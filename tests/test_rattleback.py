@@ -454,10 +454,17 @@ def _rk4_loop_reference(p, r, s, h, dt, n_steps, stride, first):
     ((0.1, 0.2, 1.0), -2.0, 1.0, 1_000, 1, 6),
     # h > 0 with a huge state overflows in the first step
     ((1e150, 1e150, 1e150), 2.0, 1e-3, 1_000, 1, 1),
+    # at stride 4 step 6 falls between the records at steps 4 and 8, and in
+    # a 7-step loop in the unrecorded tail; step 1 comes before any record
+    # but the start
+    ((0.1, 0.2, 1.0), -2.0, 1.0, 1_000, 4, 6),
+    ((0.1, 0.2, 1.0), -2.0, 1.0, 7, 4, 6),
+    ((1e150, 1e150, 1e150), 2.0, 1e-3, 1_000, 4, 1),
 ])
 def test_rk4_loop_matches_its_textbook_form(start, h, dt, n_steps, stride, stop):
-    # negated p- and r-slopes, a hoisted half step and one finiteness test
-    # leave every bit and the step the loop stops at as they were
+    # negated p- and r-slopes, a hoisted half step, index stores into a
+    # buffer of the output's size and one finiteness test per loop leave
+    # every bit and the step the loop stops at as they were
     ref_states, ref_stop = _rk4_loop_reference(*start, h, dt, n_steps, stride, 0)
     assert ref_stop == stop
     if stop < n_steps:
@@ -469,6 +476,7 @@ def test_rk4_loop_matches_its_textbook_form(start, h, dt, n_steps, stride, stop)
             assert err.value.time == (first + stop) * dt
     else:
         states = kernels.rk4_loop(*start, h, dt, n_steps, stride, 0)
+        assert len(states) == 3 * (n_steps // stride + 1)
         assert states.tobytes() == ref_states.tobytes()
 
 

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -59,6 +60,27 @@ class TestSuiteRunner:
         keys = {"grid_n": "grid", "seed": "seed", "rattleback_h": "h"}
         assert {keys[f.name]: getattr(cfg, f.name) for f in fields(SuiteConfig)} == {
             key: header[key] for key in keys.values()}
+
+    @pytest.mark.parametrize("name", [*verify.SUITES, "all"])
+    def test_invalid_grid_raises_before_any_unit(self, monkeypatch, name):
+        # Grid's rule is SuiteConfig's, so an odd grid is refused before the
+        # fixtures unit, whose refusal would fail every record that reads them
+        called = []
+
+        def counted(unit):
+            def wrapper(cfg, fx):
+                called.append(unit.__name__)
+                return unit(cfg, fx)
+            wrapper.checks = unit.checks
+            return wrapper
+
+        monkeypatch.setattr(verify, "SUITES", {
+            suite: [counted(unit) for unit in units] for suite, units in verify.SUITES.items()})
+        for grid_n in (33, 31, 2, 16.0, "32"):
+            with pytest.raises(InvalidParameterError,
+                               match="grid size n must be an even integer >= 4"):
+                run_suite(name, SuiteConfig(grid_n=grid_n))
+        assert called == []
 
     def test_lie_poisson_evolves_at_euler_dt(self, monkeypatch):
         steps = []
@@ -693,6 +715,12 @@ class TestExitPaths:
             if c["check"] in stopped:
                 assert c["value"] is None and c["tolerance"] is None and not c["pass"]
                 assert c["note"].startswith("defining identity gamma_defining residual ")
+                # the gate judged integrability first, so the note names the
+                # other cause and carries the residual that rules it out
+                integrability = re.fullmatch(
+                    r"defining identity gamma_defining residual \S+ exceeds 1e-09 on an "
+                    r"integrable state \(integrability (\S+)\): under-resolved", c["note"])[1]
+                assert float(integrability) <= fol.INTEGRABILITY_TOL
             elif c["check"] in measured_misses:
                 assert c["value"] > c["tolerance"] and not c["pass"]
             else:
